@@ -43,6 +43,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <ftw.h>
@@ -89,9 +90,40 @@ void RemoveTree(const std::string& dir) {
 
 // ---- Child processes (same shape as tools/gemini_cluster.cc) ----------------
 
+/// A spawned daemon and the read end of its stdout pipe. Move-only; going
+/// out of scope SIGKILLs and reaps a child still running, so no return
+/// path — an early failure included — leaves a daemon behind.
 struct Child {
   pid_t pid = -1;
   int stdout_fd = -1;
+
+  Child() = default;
+  Child(pid_t p, int fd) : pid(p), stdout_fd(fd) {}
+  Child(Child&& other) noexcept
+      : pid(std::exchange(other.pid, -1)),
+        stdout_fd(std::exchange(other.stdout_fd, -1)) {}
+  Child& operator=(Child&& other) noexcept {
+    if (this != &other) {
+      Stop(SIGKILL);
+      pid = std::exchange(other.pid, -1);
+      stdout_fd = std::exchange(other.stdout_fd, -1);
+    }
+    return *this;
+  }
+  ~Child() { Stop(SIGKILL); }
+
+  /// Sends `sig` to a running child, reaps it, and closes its pipe.
+  void Stop(int sig) {
+    if (pid > 0) {
+      ::kill(pid, sig);
+      (void)::waitpid(pid, nullptr, 0);
+      pid = -1;
+    }
+    if (stdout_fd >= 0) {
+      ::close(stdout_fd);
+      stdout_fd = -1;
+    }
+  }
 };
 
 Child Spawn(const char* path, const std::vector<std::string>& args) {
@@ -137,12 +169,6 @@ uint16_t PortFromBanner(const std::string& banner) {
   const size_t at = banner.find(marker);
   if (at == std::string::npos) return 0;
   return static_cast<uint16_t>(std::atoi(banner.c_str() + at + marker.size()));
-}
-
-int WaitForExit(pid_t pid) {
-  int wstatus = 0;
-  if (::waitpid(pid, &wstatus, 0) != pid) return -1;
-  return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -WTERMSIG(wstatus);
 }
 
 struct Node {
@@ -315,10 +341,9 @@ RunResult RunMode(bool wst, const RunParams& p, const std::string& workspace) {
       }
       RecoveryWorker::Options wopts;
       wopts.working_set_transfer = wst;
-      // The scan walks the secondary's whole table filtering by fragment, so
-      // a page visits max_keys entries but returns ~1/fragments of them:
-      // bulk pages keep the round-trip count proportional to the data, not
-      // to the table.
+      // A scan page returns up to wst_page_keys of the fragment's own keys
+      // (the server filters by fragment as it walks), so bulk pages keep
+      // the round-trip count per fragment low.
       wopts.wst_page_keys = 2048;
       wopts.wst_bytes_per_sec = wst ? p.wst_mbps * (1 << 20) : 0;
       RecoveryWorker worker(&SystemClock::Global(), &coordinator,
@@ -352,16 +377,8 @@ RunResult RunMode(bool wst, const RunParams& p, const std::string& workspace) {
   };
   auto teardown = [&] {
     stop_workers();
-    ::kill(coord.pid, SIGTERM);
-    (void)WaitForExit(coord.pid);
-    ::close(coord.stdout_fd);
-    for (Node& node : nodes) {
-      if (node.child.pid > 0) {
-        ::kill(node.child.pid, SIGTERM);
-        (void)WaitForExit(node.child.pid);
-        ::close(node.child.stdout_fd);
-      }
-    }
+    coord.Stop(SIGTERM);
+    for (Node& node : nodes) node.child.Stop(SIGTERM);
   };
 
   // ---- Warm every key, then measure the steady windowed hit ratio -----------
@@ -417,10 +434,7 @@ RunResult RunMode(bool wst, const RunParams& p, const std::string& workspace) {
   }
 
   // ---- Kill, serve through the outage, wipe the disk ------------------------
-  ::kill(nodes[0].child.pid, SIGKILL);
-  (void)WaitForExit(nodes[0].child.pid);
-  ::close(nodes[0].child.stdout_fd);
-  nodes[0].child.pid = -1;
+  nodes[0].child.Stop(SIGKILL);
   const ConfigId before = coordinator.latest_id();
   if (!WaitFor([&] { return coordinator.latest_id() > before; }, Seconds(10))) {
     teardown();

@@ -68,10 +68,28 @@ inline constexpr ConfigId kInternalConfigId =
 
 /// One request of a MultiGet batch. The context travels per key because a
 /// batch may span fragments, and each key validates against its own
-/// fragment's lease and Rejig stamp.
+/// fragment's lease and Rejig stamp. MultiIqGet and MultiISet take the same
+/// shape: one key and its context.
 struct GetRequest {
   OpContext ctx;
   std::string key;
+};
+
+/// One fill of a MultiIqSet burst: insert `value` iff the I lease `token`
+/// (from the IqGet or ISet that armed the key) is still valid.
+struct IqSetRequest {
+  OpContext ctx;
+  std::string key;
+  CacheValue value;
+  LeaseToken token = kNoLease;
+};
+
+/// One release of a MultiIDelete burst: delete the entry and release the I
+/// lease `token`.
+struct IDeleteRequest {
+  OpContext ctx;
+  std::string key;
+  LeaseToken token = kNoLease;
 };
 
 /// One write of a MultiSet batch (same per-key context rationale as
@@ -198,6 +216,53 @@ class CacheBackend {
     std::vector<Status> out;
     out.reserve(reqs.size());
     for (const auto& req : reqs) out.push_back(Delete(req.ctx, req.key));
+    return out;
+  }
+
+  // ---- Batched lease ops (recovery workers) --------------------------------
+  //
+  // The four lease ops a recovery worker issues per key, as bursts: results
+  // align with `reqs` by index, each the exact outcome the single-key op
+  // would have produced. The base implementations loop, so in-process
+  // backends keep their exact op sequence; TcpCacheBackend pipelines each
+  // burst over its connection, turning N round trips into roughly one.
+  // Lease ops are not idempotent (PROTOCOL.md §11.2), so no slot is ever
+  // re-sent: on transport loss the affected slots fail kUnavailable and the
+  // caller decides what to do. These are recovery primitives, not an
+  // application write path.
+
+  virtual std::vector<Result<IqGetResult>> MultiIqGet(
+      const std::vector<GetRequest>& reqs) {
+    std::vector<Result<IqGetResult>> out;
+    out.reserve(reqs.size());
+    for (const auto& req : reqs) out.push_back(IqGet(req.ctx, req.key));
+    return out;
+  }
+
+  virtual std::vector<Result<LeaseToken>> MultiISet(
+      const std::vector<GetRequest>& reqs) {
+    std::vector<Result<LeaseToken>> out;
+    out.reserve(reqs.size());
+    for (const auto& req : reqs) out.push_back(ISet(req.ctx, req.key));
+    return out;
+  }
+
+  virtual std::vector<Status> MultiIqSet(std::vector<IqSetRequest> reqs) {
+    std::vector<Status> out;
+    out.reserve(reqs.size());
+    for (auto& req : reqs) {
+      out.push_back(IqSet(req.ctx, req.key, std::move(req.value), req.token));
+    }
+    return out;
+  }
+
+  virtual std::vector<Status> MultiIDelete(
+      const std::vector<IDeleteRequest>& reqs) {
+    std::vector<Status> out;
+    out.reserve(reqs.size());
+    for (const auto& req : reqs) {
+      out.push_back(IDelete(req.ctx, req.key, req.token));
+    }
     return out;
   }
 

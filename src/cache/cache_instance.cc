@@ -677,10 +677,12 @@ Result<WorkingSetPage> CacheInstance::WorkingSetScan(const OpContext& ctx,
   uint64_t band = cursor >> 32;
   size_t stripe = static_cast<uint32_t>(cursor);
   if (stripe >= nstripes) stripe = 0;  // defensive against a garbage cursor
-  // Whether any stripe yielded an item in the current band. A resumed
-  // mid-band cursor assumes the skipped stripes did (worst case: one extra
-  // empty band before the scan reports done).
-  bool band_yielded = stripe != 0;
+  // Whether any stripe filled its quota in the current band. When none did,
+  // every stripe's walk reached the tail of its LRU list, so the next band
+  // is certainly empty: the scan ends there instead of walking the table
+  // once more to watch that band come up dry. A resumed mid-band cursor
+  // assumes the skipped stripes filled theirs (worst case: one extra band).
+  bool band_full = stripe != 0;
 
   WorkingSetPage page;
   const auto matches = [&](const Entry& e) {
@@ -696,10 +698,10 @@ Result<WorkingSetPage> CacheInstance::WorkingSetScan(const OpContext& ctx,
 
   for (;;) {
     if (stripe == nstripes) {
-      if (!band_yielded) return page;  // a whole band came up dry: done
+      if (!band_full) return page;  // every stripe ran out of matches: done
       ++band;
       stripe = 0;
-      band_yielded = false;
+      band_full = false;
       continue;
     }
     // Break only between stripes, and only once something was emitted, so
@@ -727,7 +729,7 @@ Result<WorkingSetPage> CacheInstance::WorkingSetScan(const OpContext& ctx,
             WorkingSetItem{e.key, e.value.charged_bytes});
         if (++emitted == depth) break;
       }
-      if (emitted > 0) band_yielded = true;
+      if (emitted == depth) band_full = true;
     }
     ++stripe;
   }

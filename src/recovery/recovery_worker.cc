@@ -214,21 +214,18 @@ bool RecoveryWorker::StepWorkingSet(Session& session) {
   t.wst_cursor = page->next_cursor;
 
   // Install the page hottest-first, in arm -> fetch -> fill chunks of
-  // keys_per_step. The chunk bounds how long an armed I token sits idle:
-  // arming rides one round trip per key, so arming a whole page up front
-  // would let the tokens armed first expire (i_lease_lifetime) before their
-  // IqSet lands, silently dropping the tail of every large page. Within a
-  // chunk, IqGet-before-copy keeps every entry that survived the failure in
+  // keys_per_step, each phase one pipelined burst: MultiIqGet on the
+  // primary, MultiGet on the secondary, MultiIqSet (+ MultiIDelete) on the
+  // primary. The chunk bounds how long an armed I token sits idle — three
+  // bursts — so a large page never lets the tokens armed first expire
+  // (i_lease_lifetime) before their IqSet lands. Per key the order
+  // IqGet < Get < IqSet holds; the bursts only reorder operations across
+  // keys. IqGet-before-copy keeps every entry that survived the failure in
   // place (a hit means the restored primary already has it — never clobber)
   // and arms an I token on each miss; a client write racing the copy Qaregs
   // the key, voiding the token, so the stale secondary value can never
   // overwrite a fresher one (Lemma 4).
-  struct Pending {
-    const WorkingSetItem* item;
-    LeaseToken token;
-  };
-  std::vector<Pending> pending;
-  std::vector<GetRequest> gets;
+  std::vector<GetRequest> chunk;
   for (size_t base = 0; base < page->items.size();
        base += options_.keys_per_step) {
     const size_t end =
@@ -243,66 +240,75 @@ bool RecoveryWorker::StepWorkingSet(Session& session) {
       }
     }
 
-    pending.clear();
-    pending.reserve(end - base);
+    // Arm: one IqGet burst over the chunk; keep the misses it armed.
+    chunk.clear();
     for (size_t j = base; j < end; ++j) {
-      const WorkingSetItem& item = page->items[j];
       session.BillCacheOp(t.primary);
-      auto got = pr.IqGet(ctx, item.key);
-      if (!got.ok()) {
-        if (got.code() == Code::kBackoff) {
-          // A client session holds a lease on this key — it is being
-          // handled.
-          ++stats_.wst_keys_skipped;
-          continue;
-        }
-        // Primary failed again or the config moved under us. Armed I tokens
-        // expire on their own; abandon the task.
-        AbandonTask(session, /*release_red=*/true);
-        return true;
+      chunk.push_back({ctx, page->items[j].key});
+    }
+    auto armed = pr.MultiIqGet(chunk);
+    std::vector<GetRequest> gets;
+    std::vector<LeaseToken> tokens;
+    bool primary_lost = false;
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (!armed[i].ok()) {
+        // kBackoff: a client session holds a lease on this key — it is
+        // being handled. Anything else: the primary failed again or the
+        // config moved under us; the keys armed so far still fill, then
+        // the task is abandoned (their I tokens would expire anyway).
+        if (armed[i].code() != Code::kBackoff) primary_lost = true;
+        ++stats_.wst_keys_skipped;
+        continue;
       }
-      if (got->value.has_value() || got->i_token == kNoLease) {
+      if (armed[i]->value.has_value() || armed[i]->i_token == kNoLease) {
         ++stats_.wst_keys_skipped;  // already warm in the primary
         continue;
       }
-      pending.push_back({&item, got->i_token});
+      gets.push_back(std::move(chunk[i]));
+      tokens.push_back(armed[i]->i_token);
     }
 
-    // One pipelined MultiGet for the chunk's misses.
-    gets.clear();
-    gets.reserve(pending.size());
-    for (const Pending& p : pending) {
-      session.BillCacheOp(t.secondary);
-      gets.push_back({ctx, p.item->key});
-    }
+    // Fetch: one MultiGet burst for the chunk's misses.
+    for (size_t i = 0; i < gets.size(); ++i) session.BillCacheOp(t.secondary);
     auto values = sr.MultiGet(gets);
 
-    uint64_t installed_bytes = 0;
+    // Fill: IqSet every fetched value under its token; release the tokens
+    // of keys evicted or deleted from the secondary since the scan
+    // (IDelete on a missing entry is a no-op delete).
+    std::vector<IqSetRequest> fills;
+    std::vector<uint32_t> charged;
+    std::vector<IDeleteRequest> releases;
     bool secondary_lost = false;
-    for (size_t i = 0; i < pending.size(); ++i) {
-      session.BillCacheOp(t.primary);
+    for (size_t i = 0; i < gets.size(); ++i) {
       if (values[i].ok()) {
-        const uint64_t charged = values[i]->charged_bytes;
-        if (pr.IqSet(ctx, pending[i].item->key, std::move(*values[i]),
-                     pending[i].token)
-                .ok()) {
-          ++stats_.wst_keys_copied;
-          stats_.wst_bytes_copied += charged;
-          installed_bytes += charged;
-        } else {
-          ++stats_.wst_keys_skipped;  // token voided by a racing client write
-        }
-      } else if (values[i].code() == Code::kNotFound) {
-        // Evicted or deleted from the secondary since the scan; release the
-        // token (IDelete on a missing entry is a no-op delete).
-        (void)pr.IDelete(ctx, pending[i].item->key, pending[i].token);
-        ++stats_.wst_keys_skipped;
+        charged.push_back(values[i]->charged_bytes);
+        fills.push_back({ctx, std::move(gets[i].key), std::move(*values[i]),
+                         tokens[i]});
+        continue;
+      }
+      ++stats_.wst_keys_skipped;
+      if (values[i].code() == Code::kNotFound) {
+        releases.push_back({ctx, std::move(gets[i].key), tokens[i]});
       } else {
-        ++stats_.wst_keys_skipped;
         secondary_lost = true;
       }
     }
-    if (secondary_lost) {
+    for (size_t i = 0; i < fills.size() + releases.size(); ++i) {
+      session.BillCacheOp(t.primary);
+    }
+    const std::vector<Status> filled = pr.MultiIqSet(std::move(fills));
+    if (!releases.empty()) (void)pr.MultiIDelete(releases);
+    uint64_t installed_bytes = 0;
+    for (size_t i = 0; i < filled.size(); ++i) {
+      if (filled[i].ok()) {
+        ++stats_.wst_keys_copied;
+        stats_.wst_bytes_copied += charged[i];
+        installed_bytes += charged[i];
+      } else {
+        ++stats_.wst_keys_skipped;  // token voided by a racing client write
+      }
+    }
+    if (primary_lost || secondary_lost) {
       AbandonTask(session, /*release_red=*/true);
       return true;
     }
@@ -332,90 +338,94 @@ bool RecoveryWorker::Step(Session& session) {
   if (task_->phase == Phase::kWorkingSet) return StepWorkingSet(session);
   Task& t = *task_;
   CacheBackend& pr = *instances_.at(t.primary);
+  CacheBackend& sr = *instances_.at(t.secondary);
   const OpContext ctx{t.config_id, t.fragment};
 
   // Keep exclusive ownership for the duration of this batch. Losing the
   // Redlease means another worker may already be replaying this fragment;
   // back out (replay is idempotent either way, Section 3.3).
   session.BillCacheOp(t.secondary);
-  if (!instances_.at(t.secondary)->RenewRed(DirtyListKey(t.fragment),
-                                            t.red_token).ok()) {
+  if (!sr.RenewRed(DirtyListKey(t.fragment), t.red_token).ok()) {
     AbandonTask(session, /*release_red=*/false);
     return true;
   }
 
   const std::vector<std::string>& keys = t.list.keys();
-  size_t processed = 0;
   if (options_.overwrite_dirty) {
-    // Algorithm 3 lines 10-17 (Gemini-O), drained as a phased batch so the
-    // secondary lookups ride one pipelined MultiGet over TCP instead of one
-    // round trip per key. Per key the order ISet_k < Get_k < IqSet_k still
-    // holds — the phases only reorder operations *across* keys, which
-    // Algorithm 3 never sequences — so a client write racing key k after
-    // its ISet voids our I token exactly as in the one-key-at-a-time loop.
+    // Algorithm 3 lines 10-17 (Gemini-O), drained in chunks of
+    // keys_per_step keys, each chunk three pipelined bursts: ISet every key
+    // on the primary, MultiGet them from the secondary, then IqSet (value
+    // found) or IDelete (miss / error) on the primary. Per key the order
+    // ISet_k < Get_k < IqSet_k still holds — the bursts only reorder
+    // operations *across* keys, which Algorithm 3 never sequences — so a
+    // client write racing key k after its ISet voids our I token exactly as
+    // in the one-key-at-a-time loop.
     //
-    // Phase 1: arm every key in the batch with an ISet on the primary.
-    struct Armed {
-      const std::string* key;
-      LeaseToken token;
-    };
-    std::vector<Armed> armed;
-    bool backoff = false, abandoned = false;
-    while (t.next_key < keys.size() && processed < options_.keys_per_step) {
-      const std::string& key = keys[t.next_key];
-      // A client may have handled this key already (its writes delete dirty
-      // keys); replaying it anyway is idempotent, so no coordination needed.
-      session.BillCacheOp(t.primary);
-      auto iset = pr.ISet(ctx, key);
-      if (!iset.ok()) {
-        if (iset.code() == Code::kBackoff) {
-          // A client session holds a lease on this key — it is taking care
-          // of it (Algorithm 1 also deletes + refills dirty keys). Retry the
-          // key on the next step; the keys already armed drain below.
-          backoff = true;
-        } else {
-          // kUnavailable (primary failed again, transition (5)) or a config
-          // change: abandon; the coordinator has re-arranged the fragment.
-          abandoned = true;
-        }
-        break;
-      }
-      armed.push_back({&key, *iset});
-      ++t.next_key;
-      ++processed;
+    // The chunk takes fresh keys first, then keys an earlier arm burst
+    // backed off on, so every key is replayed before the drain finishes.
+    std::vector<GetRequest> chunk;
+    while (chunk.size() < options_.keys_per_step && t.next_key < keys.size()) {
+      chunk.push_back({ctx, keys[t.next_key++]});
+    }
+    while (chunk.size() < options_.keys_per_step && !t.backed_off.empty()) {
+      chunk.push_back({ctx, std::move(t.backed_off.front())});
+      t.backed_off.pop_front();
     }
 
-    // Phase 2: fetch every armed key's fresh value from the secondary in
-    // one batch.
+    // Arm. A client may have handled a key already (its writes delete dirty
+    // keys); replaying it anyway is idempotent, so no coordination needed.
+    for (size_t i = 0; i < chunk.size(); ++i) session.BillCacheOp(t.primary);
+    auto tokens = pr.MultiISet(chunk);
     std::vector<GetRequest> gets;
-    gets.reserve(armed.size());
-    for (const Armed& a : armed) {
-      session.BillCacheOp(t.secondary);
-      gets.push_back({ctx, *a.key});
+    std::vector<LeaseToken> armed;
+    bool backoff = false, abandoned = false;
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (tokens[i].ok()) {
+        gets.push_back(std::move(chunk[i]));
+        armed.push_back(*tokens[i]);
+      } else if (tokens[i].code() == Code::kBackoff) {
+        // A client session holds a lease on this key — it is taking care of
+        // it (Algorithm 1 also deletes + refills dirty keys). Replay it in
+        // a later chunk; the rest of this chunk drains below.
+        t.backed_off.push_back(std::move(chunk[i].key));
+        backoff = true;
+      } else {
+        // kUnavailable (primary failed again, transition (5)) or a config
+        // change: abandon once the armed keys drain; the coordinator has
+        // re-arranged the fragment.
+        abandoned = true;
+      }
     }
-    auto values = instances_.at(t.secondary)->MultiGet(gets);
 
-    // Phase 3: overwrite (value found) or invalidate (miss / error) on the
-    // primary under the I token from phase 1.
-    for (size_t i = 0; i < armed.size(); ++i) {
+    // Fetch every armed key's fresh value from the secondary.
+    for (size_t i = 0; i < gets.size(); ++i) session.BillCacheOp(t.secondary);
+    auto values = sr.MultiGet(gets);
+
+    // Fill: overwrite (value found) or invalidate (miss / error) on the
+    // primary under the I token from the arm burst.
+    std::vector<IqSetRequest> fills;
+    std::vector<IDeleteRequest> deletes;
+    for (size_t i = 0; i < gets.size(); ++i) {
       session.BillCacheOp(t.primary);
       if (values[i].ok()) {
-        (void)pr.IqSet(ctx, *armed[i].key, std::move(*values[i]),
-                       armed[i].token);
-        ++stats_.keys_overwritten;
+        fills.push_back(
+            {ctx, std::move(gets[i].key), std::move(*values[i]), armed[i]});
       } else {
-        (void)pr.IDelete(ctx, *armed[i].key, armed[i].token);
-        ++stats_.keys_deleted;
+        deletes.push_back({ctx, std::move(gets[i].key), armed[i]});
       }
     }
+    stats_.keys_overwritten += fills.size();
+    stats_.keys_deleted += deletes.size();
+    if (!fills.empty()) (void)pr.MultiIqSet(std::move(fills));
+    if (!deletes.empty()) (void)pr.MultiIDelete(deletes);
 
-    if (backoff) {
-      session.BillBackoff(options_.backoff);
-      return false;
-    }
     if (abandoned) {
       AbandonTask(session, /*release_red=*/true);
       return true;
+    }
+    if (backoff) {
+      session.BillBackoff(options_.backoff);
+      return false;
     }
   } else {
     // Algorithm 3 line 20 (Gemini-I): just delete the dirty keys. Deletes
@@ -437,12 +447,11 @@ bool RecoveryWorker::Step(Session& session) {
         }
         ++stats_.keys_deleted;
         ++t.next_key;
-        ++processed;
       }
     }
   }
 
-  if (t.next_key >= keys.size()) {
+  if (t.next_key >= keys.size() && t.backed_off.empty()) {
     FinishDrain(session);
     // Under ±W the task rolls into the working-set phase instead of ending.
     return !task_.has_value();

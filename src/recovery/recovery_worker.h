@@ -8,7 +8,11 @@
 //
 //   - overwrites each dirty key in the primary replica with the latest value
 //     from the secondary (Gemini-O): ISet (delete + I lease) in the primary,
-//     Get in the secondary, IqSet or IDelete in the primary; or
+//     Get in the secondary, IqSet or IDelete in the primary — for a chunk of
+//     keys_per_step keys at a time, each step one pipelined burst over the
+//     chunk (CacheBackend::MultiISet, MultiGet, MultiIqSet/MultiIDelete).
+//     A key whose ISet backs off (a client holds a lease on it) is replayed
+//     in a later chunk, before the dirty list is reset; or
 //   - deletes each dirty key from the primary (Gemini-I) — appropriate when
 //     the working set evolved and the transferred values would be dead
 //     weight (Section 3.2.3).
@@ -24,8 +28,10 @@
 // magnitude faster than cold refill (Figure 10, here on the real TCP stack).
 // The install path is race-safe without any new coordination: per key the
 // worker IqGets the primary (a hit means the pre-failure entry survived —
-// never clobbered), holds the miss's I token, MultiGets the values from the
-// secondary in one pipelined frame, and IqSets under the token. A client
+// never clobbered), holds the miss's I token, MultiGets the value from the
+// secondary, and IqSets under the token — again as three pipelined bursts
+// per keys_per_step chunk (MultiIqGet, MultiGet, MultiIqSet), so an armed
+// token waits three round trips, not a chunk of serial ones. A client
 // write racing the copy Qaregs the key, which voids the I token (the IqSet
 // becomes a no-op) and deletes the secondary's copy — exactly the Lemma 4
 // argument Algorithm 1's client-driven copy relies on. The whole phase is
@@ -38,6 +44,7 @@
 // load; a worker renews its Redlease on every step.
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -151,6 +158,9 @@ class RecoveryWorker {
     LeaseToken red_token = kNoLease;
     DirtyList list;
     size_t next_key = 0;
+    /// Keys whose ISet backed off (a client held a lease on them); replayed
+    /// after the fresh keys, before the drain ends.
+    std::deque<std::string> backed_off;
     Phase phase = Phase::kDrain;
     /// Working-set phase state: the cluster's fragment count (scan routing)
     /// and the resumable scan cursor (0 = hottest band).

@@ -52,16 +52,27 @@ std::string CtxKeyBody(const OpContext& ctx, std::string_view key) {
   return body;
 }
 
-}  // namespace
+std::string KeyRequestBody(const GetRequest& req) {
+  return CtxKeyBody(req.ctx, req.key);
+}
 
-Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
-                                        std::string_view key) {
-  if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string resp;
-  if (Status s = Transact(wire::Op::kGet, CtxKeyBody(ctx, key), &resp);
-      !s.ok()) {
-    return s;
-  }
+/// Requests that carry `ctx | key | token` (DAR, IDELETE).
+std::string CtxKeyTokenBody(const OpContext& ctx, std::string_view key,
+                            LeaseToken token) {
+  std::string body = CtxKeyBody(ctx, key);
+  wire::PutU64(body, token);
+  return body;
+}
+
+/// Requests that carry `ctx | key | token | value` (IQSET, RAR, WB_INSTALL).
+std::string CtxKeyTokenValueBody(const OpContext& ctx, std::string_view key,
+                                 LeaseToken token, const CacheValue& value) {
+  std::string body = CtxKeyTokenBody(ctx, key, token);
+  wire::PutValue(body, value);
+  return body;
+}
+
+Result<CacheValue> DecodeValue(std::string_view resp) {
   wire::Reader r(resp);
   CacheValue value;
   if (!r.GetValue(&value) || !r.Done()) {
@@ -70,85 +81,7 @@ Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
   return value;
 }
 
-std::vector<Result<CacheValue>> TcpCacheBackend::MultiGet(
-    const std::vector<GetRequest>& reqs) {
-  std::vector<Result<CacheValue>> out;
-  out.reserve(reqs.size());
-  std::vector<TcpConnection::BatchRequest> batch;
-  batch.reserve(reqs.size());
-  std::vector<size_t> slot_of;  // out index of each submitted request
-  for (const auto& req : reqs) {
-    if (Status s = CheckKey(req.key); !s.ok()) {
-      // Oversized keys never leave the client; their slots fail locally and
-      // the rest of the batch still ships.
-      out.push_back(std::move(s));
-      continue;
-    }
-    out.push_back(Status(Code::kInternal, "no response"));
-    slot_of.push_back(out.size() - 1);
-    batch.push_back({wire::Op::kGet, CtxKeyBody(req.ctx, req.key)});
-  }
-  const auto fill_slot = [](Result<CacheValue>& slot,
-                            TcpConnection::BatchResponse& resp) {
-    if (!resp.status.ok()) {
-      slot = std::move(resp.status);
-      return;
-    }
-    wire::Reader r(resp.body);
-    CacheValue value;
-    if (!r.GetValue(&value) || !r.Done()) {
-      slot = Status(Code::kInternal, "malformed GET response");
-    } else {
-      slot = std::move(value);
-    }
-  };
-
-  const RetryPolicy& policy = options().retry;
-  const Timestamp start = SystemClock::Global().Now();
-  std::vector<TcpConnection::BatchResponse> resps = conn_->TransactBatch(batch);
-  for (size_t i = 0; i < resps.size(); ++i) {
-    fill_slot(out[slot_of[i]], resps[i]);
-  }
-
-  // Gets are idempotent, so kUnavailable slots (a connection drop failed
-  // part or all of the burst) are re-batched together and retried under the
-  // same attempt/backoff/deadline budget a single Get would get.
-  for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
-    std::vector<size_t> failed;  // indices into batch/slot_of
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Result<CacheValue>& slot = out[slot_of[i]];
-      if (!slot.ok() && slot.status().code() == Code::kUnavailable) {
-        failed.push_back(i);
-      }
-    }
-    if (failed.empty()) break;
-    const Duration elapsed = SystemClock::Global().Now() - start;
-    const Duration sleep = TcpConnection::BackoffBeforeAttempt(
-        policy, attempt, elapsed, Fnv1a64("multiget") ^ failed.size());
-    if (sleep < 0) break;  // deadline budget exhausted
-    if (sleep > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
-    }
-    std::vector<TcpConnection::BatchRequest> retry_batch;
-    retry_batch.reserve(failed.size());
-    for (size_t i : failed) retry_batch.push_back(batch[i]);
-    std::vector<TcpConnection::BatchResponse> retry_resps =
-        conn_->TransactBatch(retry_batch);
-    for (size_t j = 0; j < retry_resps.size(); ++j) {
-      fill_slot(out[slot_of[failed[j]]], retry_resps[j]);
-    }
-  }
-  return out;
-}
-
-Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
-                                           std::string_view key) {
-  if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string resp;
-  if (Status s = Transact(wire::Op::kIqGet, CtxKeyBody(ctx, key), &resp);
-      !s.ok()) {
-    return s;
-  }
+Result<IqGetResult> DecodeIqGet(std::string_view resp) {
   wire::Reader r(resp);
   uint8_t hit = 0;
   IqGetResult out;
@@ -166,16 +99,133 @@ Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
   return out;
 }
 
+/// Responses whose status is the whole answer (IQSET, IDELETE).
+Status DecodeNothing(std::string_view) { return Status::Ok(); }
+
+Result<LeaseToken> DecodeToken(std::string_view resp, const char* what) {
+  wire::Reader r(resp);
+  uint64_t token = 0;
+  if (!r.GetU64(&token) || !r.Done()) {
+    return Status(Code::kInternal, std::string("malformed ") + what);
+  }
+  return static_cast<LeaseToken>(token);
+}
+
+}  // namespace
+
+template <typename Slot, typename Req, typename Encode, typename Decode>
+std::vector<Slot> TcpCacheBackend::Burst(wire::Op op,
+                                         const std::vector<Req>& reqs,
+                                         Encode encode, Decode decode) {
+  std::vector<Slot> out;
+  out.reserve(reqs.size());
+  std::vector<TcpConnection::BatchRequest> batch;
+  batch.reserve(reqs.size());
+  std::vector<size_t> slot_of;  // out index of each submitted request
+  for (const Req& req : reqs) {
+    if (Status s = CheckKey(req.key); !s.ok()) {
+      // Oversized keys never leave the client; their slots fail locally and
+      // the rest of the burst still ships.
+      out.push_back(std::move(s));
+      continue;
+    }
+    out.push_back(Status(Code::kInternal, "no response"));
+    slot_of.push_back(out.size() - 1);
+    batch.push_back({op, encode(req)});
+  }
+  std::vector<TcpConnection::BatchResponse> resps = conn_->TransactBatch(batch);
+  for (size_t i = 0; i < resps.size(); ++i) {
+    Slot& slot = out[slot_of[i]];
+    if (resps[i].status.ok()) {
+      slot = decode(resps[i].body);
+    } else {
+      slot = std::move(resps[i].status);
+    }
+  }
+  return out;
+}
+
+Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
+                                        std::string_view key) {
+  if (Status s = CheckKey(key); !s.ok()) return s;
+  std::string resp;
+  if (Status s = Transact(wire::Op::kGet, CtxKeyBody(ctx, key), &resp);
+      !s.ok()) {
+    return s;
+  }
+  return DecodeValue(resp);
+}
+
+std::vector<Result<CacheValue>> TcpCacheBackend::MultiGet(
+    const std::vector<GetRequest>& reqs) {
+  const RetryPolicy& policy = options().retry;
+  const Timestamp start = SystemClock::Global().Now();
+  std::vector<Result<CacheValue>> out =
+      Burst<Result<CacheValue>>(wire::Op::kGet, reqs, KeyRequestBody,
+                                DecodeValue);
+
+  // Gets are idempotent, so kUnavailable slots (a connection drop failed
+  // part or all of the burst) are re-batched together and retried under the
+  // same attempt/backoff/deadline budget a single Get would get.
+  for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
+    std::vector<size_t> failed;  // indices into reqs/out
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (out[i].code() == Code::kUnavailable) failed.push_back(i);
+    }
+    if (failed.empty()) break;
+    const Duration elapsed = SystemClock::Global().Now() - start;
+    const Duration sleep = TcpConnection::BackoffBeforeAttempt(
+        policy, attempt, elapsed, Fnv1a64("multiget") ^ failed.size());
+    if (sleep < 0) break;  // deadline budget exhausted
+    if (sleep > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
+    }
+    std::vector<GetRequest> again;
+    again.reserve(failed.size());
+    for (size_t i : failed) again.push_back(reqs[i]);
+    std::vector<Result<CacheValue>> redone =
+        Burst<Result<CacheValue>>(wire::Op::kGet, again, KeyRequestBody,
+                                  DecodeValue);
+    for (size_t j = 0; j < redone.size(); ++j) {
+      out[failed[j]] = std::move(redone[j]);
+    }
+  }
+  return out;
+}
+
+Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,
+                                           std::string_view key) {
+  if (Status s = CheckKey(key); !s.ok()) return s;
+  std::string resp;
+  if (Status s = Transact(wire::Op::kIqGet, CtxKeyBody(ctx, key), &resp);
+      !s.ok()) {
+    return s;
+  }
+  return DecodeIqGet(resp);
+}
+
+std::vector<Result<IqGetResult>> TcpCacheBackend::MultiIqGet(
+    const std::vector<GetRequest>& reqs) {
+  return Burst<Result<IqGetResult>>(wire::Op::kIqGet, reqs, KeyRequestBody,
+                                    DecodeIqGet);
+}
+
 Status TcpCacheBackend::IqSet(const OpContext& ctx, std::string_view key,
                               CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
-  wire::PutValue(body, value);
   std::string resp;
-  return Transact(wire::Op::kIqSet, body, &resp);
+  return Transact(wire::Op::kIqSet,
+                  CtxKeyTokenValueBody(ctx, key, token, value), &resp);
+}
+
+std::vector<Status> TcpCacheBackend::MultiIqSet(
+    std::vector<IqSetRequest> reqs) {
+  return Burst<Status>(
+      wire::Op::kIqSet, reqs,
+      [](const IqSetRequest& req) {
+        return CtxKeyTokenValueBody(req.ctx, req.key, req.token, req.value);
+      },
+      DecodeNothing);
 }
 
 Result<LeaseToken> TcpCacheBackend::Qareg(const OpContext& ctx,
@@ -186,35 +236,22 @@ Result<LeaseToken> TcpCacheBackend::Qareg(const OpContext& ctx,
       !s.ok()) {
     return s;
   }
-  wire::Reader r(resp);
-  uint64_t token = 0;
-  if (!r.GetU64(&token) || !r.Done()) {
-    return Status(Code::kInternal, "malformed QAREG response");
-  }
-  return static_cast<LeaseToken>(token);
+  return DecodeToken(resp, "QAREG response");
 }
 
 Status TcpCacheBackend::Dar(const OpContext& ctx, std::string_view key,
                             LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
   std::string resp;
-  return Transact(wire::Op::kDar, body, &resp);
+  return Transact(wire::Op::kDar, CtxKeyTokenBody(ctx, key, token), &resp);
 }
 
 Status TcpCacheBackend::Rar(const OpContext& ctx, std::string_view key,
                             CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
-  wire::PutValue(body, value);
   std::string resp;
-  return Transact(wire::Op::kRar, body, &resp);
+  return Transact(wire::Op::kRar,
+                  CtxKeyTokenValueBody(ctx, key, token, value), &resp);
 }
 
 Result<LeaseToken> TcpCacheBackend::ISet(const OpContext& ctx,
@@ -225,23 +262,32 @@ Result<LeaseToken> TcpCacheBackend::ISet(const OpContext& ctx,
       !s.ok()) {
     return s;
   }
-  wire::Reader r(resp);
-  uint64_t token = 0;
-  if (!r.GetU64(&token) || !r.Done()) {
-    return Status(Code::kInternal, "malformed ISET response");
-  }
-  return static_cast<LeaseToken>(token);
+  return DecodeToken(resp, "ISET response");
+}
+
+std::vector<Result<LeaseToken>> TcpCacheBackend::MultiISet(
+    const std::vector<GetRequest>& reqs) {
+  return Burst<Result<LeaseToken>>(
+      wire::Op::kISet, reqs, KeyRequestBody,
+      [](std::string_view resp) { return DecodeToken(resp, "ISET response"); });
 }
 
 Status TcpCacheBackend::IDelete(const OpContext& ctx, std::string_view key,
                                 LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
   std::string resp;
-  return Transact(wire::Op::kIDelete, body, &resp);
+  return Transact(wire::Op::kIDelete, CtxKeyTokenBody(ctx, key, token),
+                  &resp);
+}
+
+std::vector<Status> TcpCacheBackend::MultiIDelete(
+    const std::vector<IDeleteRequest>& reqs) {
+  return Burst<Status>(
+      wire::Op::kIDelete, reqs,
+      [](const IDeleteRequest& req) {
+        return CtxKeyTokenBody(req.ctx, req.key, req.token);
+      },
+      DecodeNothing);
 }
 
 Status TcpCacheBackend::Delete(const OpContext& ctx, std::string_view key) {
@@ -376,13 +422,9 @@ Status TcpCacheBackend::WriteBackInstall(const OpContext& ctx,
                                          std::string_view key,
                                          CacheValue value, LeaseToken token) {
   if (Status s = CheckKey(key); !s.ok()) return s;
-  std::string body;
-  wire::PutContext(body, ctx);
-  wire::PutKey(body, key);
-  wire::PutU64(body, token);
-  wire::PutValue(body, value);
   std::string resp;
-  return Transact(wire::Op::kWriteBackInstall, body, &resp);
+  return Transact(wire::Op::kWriteBackInstall,
+                  CtxKeyTokenValueBody(ctx, key, token, value), &resp);
 }
 
 Status TcpCacheBackend::Append(const OpContext& ctx, std::string_view key,
@@ -404,12 +446,7 @@ Result<LeaseToken> TcpCacheBackend::AcquireRed(std::string_view key) {
   if (Status s = Transact(wire::Op::kRedAcquire, body, &resp); !s.ok()) {
     return s;
   }
-  wire::Reader r(resp);
-  uint64_t token = 0;
-  if (!r.GetU64(&token) || !r.Done()) {
-    return Status(Code::kInternal, "malformed RED response");
-  }
-  return static_cast<LeaseToken>(token);
+  return DecodeToken(resp, "RED response");
 }
 
 Status TcpCacheBackend::ReleaseRed(std::string_view key, LeaseToken token) {

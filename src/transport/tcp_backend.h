@@ -11,7 +11,8 @@
 // their requests share the in-flight window instead of waiting on each
 // other's round trips.
 //
-// Every operation is one wire frame and one response frame; connection
+// Every operation is one wire frame and one response frame (a batched op
+// is a pipelined burst of them, or one bulk frame); connection
 // loss maps to kUnavailable — the same code an in-process failed instance
 // returns — so GeminiClient's failover machinery (configuration refresh,
 // store fall-through, write suspension) drives recovery with no
@@ -105,6 +106,16 @@ class TcpCacheBackend : public CacheBackend {
   /// One kMultiDelete frame; same fail-fast contract as MultiSet.
   std::vector<Status> MultiDelete(
       const std::vector<DeleteRequest>& reqs) override;
+  /// The batched lease ops: each burst is one frame per key pipelined over
+  /// the shared connection, like MultiGet, but never retried — on transport
+  /// loss every slot not yet answered fails kUnavailable.
+  std::vector<Result<IqGetResult>> MultiIqGet(
+      const std::vector<GetRequest>& reqs) override;
+  std::vector<Result<LeaseToken>> MultiISet(
+      const std::vector<GetRequest>& reqs) override;
+  std::vector<Status> MultiIqSet(std::vector<IqSetRequest> reqs) override;
+  std::vector<Status> MultiIDelete(
+      const std::vector<IDeleteRequest>& reqs) override;
   Status Cas(const OpContext& ctx, std::string_view key, Version expected,
              CacheValue value) override;
   Status WriteBackInstall(const OpContext& ctx, std::string_view key,
@@ -144,6 +155,16 @@ class TcpCacheBackend : public CacheBackend {
  private:
   /// One round trip over the shared connection.
   Status Transact(wire::Op op, std::string_view body, std::string* resp_body);
+
+  /// Ships `reqs` as one pipelined burst (TcpConnection::TransactBatch, one
+  /// `op` frame per request) and returns one slot per request, by index:
+  /// `encode(req)` builds a request body, `decode(body)` turns a kOk
+  /// response into its slot, and an error response or transport loss
+  /// becomes the slot's status. Oversized keys fail locally and never ship.
+  /// Never retries; MultiGet layers its own retry pass on top.
+  template <typename Slot, typename Req, typename Encode, typename Decode>
+  std::vector<Slot> Burst(wire::Op op, const std::vector<Req>& reqs,
+                          Encode encode, Decode decode);
 
   /// Shared guard-rail: keys above the wire limit never leave the client.
   static Status CheckKey(std::string_view key);

@@ -385,9 +385,24 @@ Status TcpConnection::EnsureConnectedLocked() {
 
 void TcpConnection::SubmitAsync(wire::Op op, std::string_view body,
                                 Completion done) {
+  Submit(op, body, std::move(done), nullptr);
+}
+
+void TcpConnection::Submit(wire::Op op, std::string_view body,
+                           Completion done,
+                           std::optional<std::shared_ptr<Socket>>* pin) {
   const size_t window = std::max<size_t>(1, options_.max_inflight);
   std::unique_lock<std::mutex> lock(mu_);
-  if (Status s = EnsureConnectedLocked(); !s.ok()) {
+  if (pin != nullptr && pin->has_value()) {
+    // A later request of a burst: it rides the burst's epoch or fails.
+    // Redialing here would split one burst across two connections.
+    if (**pin == nullptr || sock_ != **pin) {
+      lock.unlock();
+      done(Status(Code::kUnavailable, "connection dropped mid-burst"), {});
+      return;
+    }
+  } else if (Status s = EnsureConnectedLocked(); !s.ok()) {
+    if (pin != nullptr) *pin = nullptr;
     lock.unlock();
     done(std::move(s), {});
     return;
@@ -396,6 +411,7 @@ void TcpConnection::SubmitAsync(wire::Op op, std::string_view body,
   // we wait (sock_ changed or cleared) fails the request instead of silently
   // enqueuing onto a different connection.
   const std::shared_ptr<Socket> sock = sock_;
+  if (pin != nullptr) *pin = sock;
   window_cv_.wait(lock, [&] {
     return shutdown_ || sock_ != sock || inflight_.size() < window;
   });
@@ -655,15 +671,18 @@ std::vector<TcpConnection::BatchResponse> TcpConnection::TransactBatch(
   std::mutex mu;
   std::condition_variable cv;
   size_t pending = reqs.size();
+  std::optional<std::shared_ptr<Socket>> epoch;
   for (size_t i = 0; i < reqs.size(); ++i) {
     // Submissions past the window block until earlier responses free slots,
     // so arbitrarily large batches stream through without growing the queue.
-    SubmitAsync(reqs[i].op, reqs[i].body, [&, i](Status s, std::string b) {
-      std::lock_guard<std::mutex> lk(mu);
-      out[i].status = std::move(s);
-      out[i].body = std::move(b);
-      if (--pending == 0) cv.notify_one();
-    });
+    Submit(reqs[i].op, reqs[i].body,
+           [&, i](Status s, std::string b) {
+             std::lock_guard<std::mutex> lk(mu);
+             out[i].status = std::move(s);
+             out[i].body = std::move(b);
+             if (--pending == 0) cv.notify_one();
+           },
+           &epoch);
   }
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&] { return pending == 0; });

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,11 @@ class TcpConnection {
 
   /// Submits every request back-to-back (one coalesced burst, up to the
   /// window) and waits for all responses. resp[i] corresponds to reqs[i].
+  /// A burst rides one connection epoch: only its first request may dial,
+  /// and once that epoch drops, every request not yet answered fails
+  /// kUnavailable — none is redialed onto a new connection or re-sent.
+  /// Retrying is the caller's call (TcpCacheBackend::MultiGet re-batches
+  /// its idempotent gets; lease-op bursts never retry).
   std::vector<BatchResponse> TransactBatch(
       const std::vector<BatchRequest>& reqs);
 
@@ -220,6 +226,12 @@ class TcpConnection {
     std::string recv_buf;
   };
 
+  /// SubmitAsync's body. `pin` (null for a lone request) holds a burst's
+  /// epoch: empty before the burst's first request, which dials as usual
+  /// and records the socket it landed on (null if the dial failed); every
+  /// later request fails kUnavailable unless that socket is still current.
+  void Submit(wire::Op op, std::string_view body, Completion done,
+              std::optional<std::shared_ptr<Socket>>* pin);
   Status ConnectLocked();
   /// The actual dial + HELLO, called by ConnectLocked once the breaker
   /// admits the attempt.

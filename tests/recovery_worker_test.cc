@@ -1,24 +1,45 @@
 // RecoveryWorker tests (Algorithm 3): Redlease mutual exclusion, overwrite
 // vs invalidate, completion notification, idempotent replay, abandonment,
-// and the ±W working-set phase (Section 3.2.2): hottest-first restore
-// order, termination reporting, and clean abort when the secondary dies
-// mid-stream.
+// replay of a key whose ISet backed off mid-burst, and the ±W working-set
+// phase (Section 3.2.2): the scan's paging and termination, hottest-first
+// restore order, a racing write voiding an armed key, termination
+// reporting, and clean abort when the secondary dies mid-stream.
 #include "src/recovery/recovery_worker.h"
 
 #include "src/coordinator/coordinator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/client/gemini_client.h"
-
-#include "src/coordinator/coordinator.h"
+#include "src/common/hash.h"
 
 namespace gemini {
 namespace {
+
+/// A CacheInstance that runs a one-shot hook right after it answers a
+/// MultiGet — for a recovery worker fetching from this instance, the window
+/// between its fetch burst and its fill burst into the primary.
+class HookedInstance : public CacheInstance {
+ public:
+  using CacheInstance::CacheInstance;
+
+  std::vector<Result<CacheValue>> MultiGet(
+      const std::vector<GetRequest>& reqs) override {
+    auto out = CacheInstance::MultiGet(reqs);
+    if (auto hook = std::exchange(after_multi_get, nullptr)) hook();
+    return out;
+  }
+
+  std::function<void()> after_multi_get;
+};
 
 class RecoveryWorkerTest : public ::testing::Test {
  protected:
@@ -30,7 +51,7 @@ class RecoveryWorkerTest : public ::testing::Test {
     instances_.clear();
     raw_.clear();
     for (size_t i = 0; i < kInstances; ++i) {
-      instances_.push_back(std::make_unique<CacheInstance>(
+      instances_.push_back(std::make_unique<HookedInstance>(
           static_cast<InstanceId>(i), &clock_));
       raw_.push_back(instances_.back().get());
     }
@@ -63,6 +84,31 @@ class RecoveryWorkerTest : public ::testing::Test {
     return keys;
   }
 
+  // Up to `want` store keys of fragment `f`, in key order.
+  std::vector<std::string> KeysOf(FragmentId f, size_t want) {
+    auto cfg = coordinator_->GetConfiguration();
+    std::vector<std::string> keys;
+    for (int i = 0; i < 400 && keys.size() < want; ++i) {
+      std::string key = "user" + std::to_string(i);
+      if (cfg->FragmentOf(key) == f) keys.push_back(std::move(key));
+    }
+    return keys;
+  }
+
+  // Recovers every other adoptable fragment, then adopts `f`, so the test
+  // can step fragment f's task in isolation.
+  void RecoverOthersThenAdopt(Session& s, FragmentId f) {
+    for (int guard = 0;; ++guard) {
+      ASSERT_LT(guard, 10000) << "never adopted fragment " << f;
+      if (!worker_->has_work()) {
+        auto adopted = worker_->TryAdoptFragment(s);
+        ASSERT_TRUE(adopted.has_value());
+        if (*adopted == f) return;
+      }
+      (void)worker_->Step(s);
+    }
+  }
+
   // Runs the worker until it goes idle (nothing to adopt).
   void DrainWorker() {
     Session s;
@@ -79,7 +125,7 @@ class RecoveryWorkerTest : public ::testing::Test {
   RecoveryPolicy policy_;
   VirtualClock clock_;
   DataStore store_;
-  std::vector<std::unique_ptr<CacheInstance>> instances_;
+  std::vector<std::unique_ptr<HookedInstance>> instances_;
   std::vector<CacheInstance*> raw_;
   std::unique_ptr<Coordinator> coordinator_;
   std::unique_ptr<GeminiClient> client_;
@@ -328,13 +374,9 @@ TEST_F(RecoveryWorkerTest, WorkingSetPhaseRestoresHottestFirstAndTerminates) {
   // Six keys of one instance-0 fragment. They are read only *during* the
   // outage, so the secondary accumulates them (the outage working set) and
   // the restarted primary holds none of them.
-  auto cfg = coordinator_->GetConfiguration();
-  const FragmentId f = cfg->FragmentOf(DirtyInstance0Keys(1)[0]);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 400 && keys.size() < 6; ++i) {
-    std::string key = "user" + std::to_string(i);
-    if (cfg->FragmentOf(key) == f) keys.push_back(std::move(key));
-  }
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 6);
   ASSERT_EQ(keys.size(), 6u);
 
   coordinator_->OnInstanceFailed(0);
@@ -346,15 +388,7 @@ TEST_F(RecoveryWorkerTest, WorkingSetPhaseRestoresHottestFirstAndTerminates) {
   // Recover the other instance-0 fragments first so fragment f's phase can
   // be stepped page by page in isolation.
   Session s;
-  for (int guard = 0;; ++guard) {
-    ASSERT_LT(guard, 10000) << "never adopted fragment " << f;
-    if (!worker_->has_work()) {
-      auto adopted = worker_->TryAdoptFragment(s);
-      ASSERT_TRUE(adopted.has_value());
-      if (*adopted == f) break;
-    }
-    (void)worker_->Step(s);
-  }
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
 
   // Step 1 drains the (marker-only) dirty list and rolls into the
   // working-set phase instead of finishing the task.
@@ -400,13 +434,9 @@ TEST_F(RecoveryWorkerTest, WorkingSetAbortsCleanlyWhenSecondaryDiesMidStream) {
   wopts.wst_page_keys = 2;
   Build(RecoveryPolicy::GeminiOW(), wopts);
 
-  auto cfg = coordinator_->GetConfiguration();
-  const FragmentId f = cfg->FragmentOf(DirtyInstance0Keys(1)[0]);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 400 && keys.size() < 6; ++i) {
-    std::string key = "user" + std::to_string(i);
-    if (cfg->FragmentOf(key) == f) keys.push_back(std::move(key));
-  }
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 6);
   ASSERT_EQ(keys.size(), 6u);
 
   coordinator_->OnInstanceFailed(0);
@@ -419,15 +449,7 @@ TEST_F(RecoveryWorkerTest, WorkingSetAbortsCleanlyWhenSecondaryDiesMidStream) {
   ASSERT_LT(sec, kInstances);
 
   Session s;
-  for (int guard = 0;; ++guard) {
-    ASSERT_LT(guard, 10000) << "never adopted fragment " << f;
-    if (!worker_->has_work()) {
-      auto adopted = worker_->TryAdoptFragment(s);
-      ASSERT_TRUE(adopted.has_value());
-      if (*adopted == f) break;
-    }
-    (void)worker_->Step(s);
-  }
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
   EXPECT_FALSE(worker_->Step(s));  // drain -> working-set phase
   EXPECT_FALSE(worker_->Step(s));  // first page lands
 
@@ -477,6 +499,226 @@ TEST_F(RecoveryWorkerTest, StepsAreBoundedByKeysPerStep) {
   }
   EXPECT_TRUE(coordinator_->FragmentsInMode(FragmentMode::kRecovery).empty());
   (void)saw_unfinished;  // property checked only when a fragment had >1 key
+}
+
+TEST_F(RecoveryWorkerTest, WorkingSetScanEndsAfterABandNoStripeFills) {
+  // Fewer matches than the per-stripe quota: the first band leaves every
+  // stripe short of its quota, so every stripe's walk reached its LRU tail
+  // and the scan is complete in one page — no second walk of the table to
+  // watch the next band come up empty.
+  CacheInstance instance(0, &clock_);  // one stripe: quota = max_keys
+  instance.GrantFragmentLease(0, 1, clock_.Now() + Seconds(60), 1);
+  const OpContext ctx{kInternalConfigId, 0};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(instance
+                    .Set(ctx, "few" + std::to_string(i),
+                         CacheValue::OfData("v", 1))
+                    .ok());
+  }
+  auto page = instance.WorkingSetScan(ctx, /*num_fragments=*/1, /*cursor=*/0,
+                                      /*max_keys=*/4);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->items.size(), 3u);
+  EXPECT_EQ(page->next_cursor, 0u);
+
+  // The same across stripes: 4 stripes with a quota of 16 each cannot fill
+  // one from 12 keys.
+  CacheInstance::Options opts;
+  opts.num_stripes = 4;
+  CacheInstance striped(1, &clock_, opts);
+  striped.GrantFragmentLease(0, 1, clock_.Now() + Seconds(60), 1);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(striped
+                    .Set(ctx, "few" + std::to_string(i),
+                         CacheValue::OfData("v", 1))
+                    .ok());
+  }
+  page = striped.WorkingSetScan(ctx, 1, 0, /*max_keys=*/64);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->items.size(), 12u);
+  EXPECT_EQ(page->next_cursor, 0u);
+}
+
+TEST_F(RecoveryWorkerTest, WorkingSetScanPagesEveryMatchExactlyOnce) {
+  // More matches than one band holds: the scan keeps paging until a band
+  // leaves every stripe short, and across the pages every key of the
+  // fragment appears exactly once while the other fragment's keys never do.
+  CacheInstance::Options opts;
+  opts.num_stripes = 4;
+  CacheInstance instance(0, &clock_, opts);
+  for (FragmentId f = 0; f < 2; ++f) {
+    instance.GrantFragmentLease(f, 1, clock_.Now() + Seconds(60), 1);
+  }
+  std::vector<std::string> expected;
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const auto f = static_cast<FragmentId>(Fnv1a64(key) % 2);
+    ASSERT_TRUE(instance
+                    .Set(OpContext{kInternalConfigId, f}, key,
+                         CacheValue::OfData("v", 1))
+                    .ok());
+    if (f == 0) expected.push_back(key);
+  }
+  ASSERT_GT(expected.size(), 16u);
+
+  const OpContext ctx{kInternalConfigId, 0};
+  std::vector<std::string> seen;
+  uint64_t cursor = 0;
+  size_t pages = 0;
+  do {
+    ASSERT_LT(pages++, 100u) << "scan did not terminate";
+    auto page = instance.WorkingSetScan(ctx, 2, cursor, /*max_keys=*/16);
+    ASSERT_TRUE(page.ok());
+    for (const auto& item : page->items) seen.push_back(item.key);
+    cursor = page->next_cursor;
+  } while (cursor != 0);
+  EXPECT_GT(pages, 1u);
+  EXPECT_EQ(std::set<std::string>(seen.begin(), seen.end()).size(),
+            seen.size())
+      << "a key was emitted twice";
+  std::sort(seen.begin(), seen.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(seen, expected);
+}
+
+TEST_F(RecoveryWorkerTest, WorkingSetScanResumedMidBandTerminates) {
+  // A quota of 1 over 4 stripes with 6-key pages: pages break mid-band, so
+  // the scan resumes from cursors that name a stripe inside a band. Such a
+  // resume assumes the stripes it skipped filled their quota, so it can
+  // never end the scan early — and still terminates.
+  CacheInstance::Options opts;
+  opts.num_stripes = 4;
+  CacheInstance instance(0, &clock_, opts);
+  instance.GrantFragmentLease(0, 1, clock_.Now() + Seconds(60), 1);
+  const OpContext ctx{kInternalConfigId, 0};
+  std::vector<std::string> expected;
+  for (int i = 0; i < 30; ++i) {
+    expected.push_back("mid" + std::to_string(i));
+    ASSERT_TRUE(
+        instance.Set(ctx, expected.back(), CacheValue::OfData("v", 1)).ok());
+  }
+
+  std::vector<std::string> seen;
+  uint64_t cursor = 0;
+  bool resumed_mid_band = false;
+  for (size_t pages = 0;; ++pages) {
+    ASSERT_LT(pages, 100u) << "scan did not terminate";
+    auto page = instance.WorkingSetScan(ctx, 1, cursor, /*max_keys=*/6);
+    ASSERT_TRUE(page.ok());
+    for (const auto& item : page->items) seen.push_back(item.key);
+    cursor = page->next_cursor;
+    if (cursor == 0) break;
+    if (static_cast<uint32_t>(cursor) != 0) resumed_mid_band = true;
+  }
+  EXPECT_TRUE(resumed_mid_band);
+  std::sort(seen.begin(), seen.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(seen, expected);
+
+  // A mid-band cursor past the last match: the rest of that band (assumed
+  // full) and one empty band later, the scan reports done in the same call.
+  auto past = instance.WorkingSetScan(ctx, 1, (uint64_t{50} << 32) | 2, 6);
+  ASSERT_TRUE(past.ok());
+  EXPECT_TRUE(past->items.empty());
+  EXPECT_EQ(past->next_cursor, 0u);
+}
+
+TEST_F(RecoveryWorkerTest, DrainReplaysBackedOffKeyBeforeResettingDirtyList) {
+  // Gemini-O: one arm burst covers all four dirty keys of a fragment. A
+  // client holds a Q lease on the second one, so its ISet backs off. The
+  // keys after it in the same burst must still install, and the backed-off
+  // key must be replayed — and land — before the dirty list is reset and
+  // the fragment leaves recovery mode.
+  Build(RecoveryPolicy::GeminiO());
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 4);
+  ASSERT_EQ(keys.size(), 4u);
+  for (const auto& k : keys) (void)client_->Read(session_, k);
+  coordinator_->OnInstanceFailed(0);
+  for (const auto& k : keys) ASSERT_TRUE(client_->Write(session_, k).ok());
+  for (const auto& k : keys) ASSERT_TRUE(client_->Read(session_, k).ok());
+  coordinator_->OnInstanceRecovered(0);
+  const InstanceId sec =
+      coordinator_->GetConfiguration()->fragment(f).secondary;
+  ASSERT_LT(sec, kInstances);
+
+  Session s;
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
+  const OpContext ctx{kInternalConfigId, f};
+  auto q = raw_[0]->Qareg(ctx, keys[1]);
+  ASSERT_TRUE(q.ok());
+
+  EXPECT_FALSE(worker_->Step(s));  // keys[1] backed off: not finished
+  for (size_t i : {0u, 2u, 3u}) {
+    auto v = raw_[0]->RawGet(keys[i]);
+    ASSERT_TRUE(v.has_value()) << keys[i];
+    EXPECT_EQ(v->version, store_.VersionOf(keys[i])) << keys[i];
+  }
+  EXPECT_EQ(worker_->stats().keys_overwritten, 3u);
+  EXPECT_EQ(coordinator_->ModeOf(f), FragmentMode::kRecovery);
+  auto list = raw_[sec]->RawGet(DirtyListKey(f));
+  ASSERT_TRUE(list.has_value());
+  EXPECT_NE(list->data, DirtyList::InitialPayload());
+
+  // The client's write completes; the next step replays keys[1], lands it,
+  // and only then finishes the drain.
+  ASSERT_TRUE(raw_[0]->Dar(ctx, keys[1], *q).ok());
+  EXPECT_TRUE(worker_->Step(s));
+  EXPECT_FALSE(worker_->has_work());
+  auto landed = raw_[0]->RawGet(keys[1]);
+  ASSERT_TRUE(landed.has_value());
+  EXPECT_EQ(landed->version, store_.VersionOf(keys[1]));
+  EXPECT_EQ(worker_->stats().keys_overwritten, 4u);
+  EXPECT_EQ(coordinator_->ModeOf(f), FragmentMode::kNormal);
+  EXPECT_FALSE(raw_[sec]->ContainsRaw(DirtyListKey(f)));
+}
+
+TEST_F(RecoveryWorkerTest, WorkingSetFillRefusesKeyVoidedByRacingWrite) {
+  // A client writes one key after the worker armed it and fetched its (now
+  // stale) value from the secondary, but before the fill burst: the write's
+  // Qareg voids the worker's I token, so that key's IqSet is refused and the
+  // stale value never lands. The rest of the chunk installs.
+  RecoveryWorker::Options wopts;
+  wopts.working_set_transfer = true;
+  wopts.wst_page_keys = 8;
+  Build(RecoveryPolicy::GeminiOW(), wopts);
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 6);
+  ASSERT_EQ(keys.size(), 6u);
+
+  coordinator_->OnInstanceFailed(0);
+  for (const auto& k : keys) ASSERT_TRUE(client_->Read(session_, k).ok());
+  coordinator_->OnInstanceRecovered(0);
+  const InstanceId sec =
+      coordinator_->GetConfiguration()->fragment(f).secondary;
+  ASSERT_LT(sec, kInstances);
+
+  Session s;
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
+  EXPECT_FALSE(worker_->Step(s));  // drain -> working-set phase
+
+  Session writer;
+  instances_[sec]->after_multi_get = [&] {
+    ASSERT_TRUE(client_->Write(writer, keys[2], "racing").ok());
+  };
+  // One page holds all six keys, in one arm -> fetch -> fill chunk; fewer
+  // keys than the quota, so that page also ends the scan.
+  EXPECT_TRUE(worker_->Step(s));
+  EXPECT_EQ(worker_->stats().wst_keys_copied, 5u);
+  EXPECT_FALSE(raw_[0]->RawGet(keys[2]).has_value());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i != 2) {
+      EXPECT_TRUE(raw_[0]->ContainsRaw(keys[i])) << keys[i];
+    }
+  }
+  EXPECT_EQ(coordinator_->ModeOf(f), FragmentMode::kNormal);
+
+  auto r = client_->Read(session_, keys[2]);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->value.data, "racing");
+  EXPECT_EQ(r->value.version, store_.VersionOf(keys[2]));
 }
 
 }  // namespace

@@ -18,9 +18,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/cache/cache_instance.h"
@@ -454,6 +456,199 @@ TEST_F(FaultProxyTest, MidBulkResponseCutFailsEverySlotWithoutRetry) {
   EXPECT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 1; }));
   EXPECT_EQ(proxy_->stats().cuts, 1u);
   EXPECT_EQ(proxy_->stats().connections_accepted, 1u);
+}
+
+// ---- Batched lease ops: one pipelined burst, never re-sent ------------------
+
+TEST_F(FaultProxyTest, MidBurstCutFailsEverySlotOfEachLeaseBurstWithoutResend) {
+  // Each batched lease op pipelines one frame per key over one connection,
+  // and none is idempotent (PROTOCOL.md §11.2). The first response of the
+  // burst dies mid-frame; with an in-flight window of 4 the 8-key burst is
+  // still submitting when it does. Every slot must fail kUnavailable — the
+  // in-flight ones through the cut, the rest because the burst's connection
+  // is gone — and nothing may be redialed or re-sent, retries enabled or
+  // not: one connection and one cut per burst.
+  constexpr size_t kKeys = 8;
+  std::vector<GetRequest> keys;
+  for (size_t i = 0; i < kKeys; ++i) {
+    keys.push_back({kInternalCtx, "lease" + std::to_string(i)});
+  }
+  using Burst = std::function<std::vector<Code>(TcpCacheBackend&)>;
+  const std::vector<std::pair<const char*, Burst>> bursts = {
+      {"MultiIqGet",
+       [&](TcpCacheBackend& b) {
+         std::vector<Code> codes;
+         for (const auto& r : b.MultiIqGet(keys)) codes.push_back(r.code());
+         return codes;
+       }},
+      {"MultiISet",
+       [&](TcpCacheBackend& b) {
+         std::vector<Code> codes;
+         for (const auto& r : b.MultiISet(keys)) codes.push_back(r.code());
+         return codes;
+       }},
+      {"MultiIqSet",
+       [&](TcpCacheBackend& b) {
+         std::vector<IqSetRequest> reqs;
+         for (size_t i = 0; i < kKeys; ++i) {
+           reqs.push_back({kInternalCtx, keys[i].key, CacheValue::OfData("v"),
+                           static_cast<LeaseToken>(i + 1)});
+         }
+         std::vector<Code> codes;
+         for (const auto& st : b.MultiIqSet(std::move(reqs))) {
+           codes.push_back(st.code());
+         }
+         return codes;
+       }},
+      {"MultiIDelete",
+       [&](TcpCacheBackend& b) {
+         std::vector<IDeleteRequest> reqs;
+         for (size_t i = 0; i < kKeys; ++i) {
+           reqs.push_back(
+               {kInternalCtx, keys[i].key, static_cast<LeaseToken>(i + 1)});
+         }
+         std::vector<Code> codes;
+         for (const auto& st : b.MultiIDelete(reqs)) codes.push_back(st.code());
+         return codes;
+       }},
+  };
+  for (const auto& [name, burst] : bursts) {
+    SCOPED_TRACE(name);
+    FaultProxy::Options popts;
+    popts.seed = 29;
+    popts.server_to_client.skip_frames = 1;  // HELLO response passes
+    popts.server_to_client.cut_prob = 1.0;
+    Start(popts);
+
+    TcpCacheBackend::Options copts;
+    copts.max_inflight = 4;
+    copts.retry.max_attempts = 3;  // enabled — must not apply to lease ops
+    copts.retry.initial_backoff = Millis(1);
+    copts.retry.max_backoff = Millis(5);
+    auto backend = Backend(copts);
+    ASSERT_TRUE(backend->Connect().ok());
+
+    const std::vector<Code> codes = burst(*backend);
+    ASSERT_EQ(codes.size(), kKeys);
+    for (size_t i = 0; i < codes.size(); ++i) {
+      EXPECT_EQ(codes[i], Code::kUnavailable) << "slot " << i;
+    }
+    EXPECT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 1; }));
+    EXPECT_EQ(proxy_->stats().cuts, 1u);
+    EXPECT_EQ(proxy_->stats().connections_accepted, 1u);
+    backend.reset();
+    proxy_->Stop();
+    server_->Stop();
+  }
+}
+
+TEST(BurstCut, WorkerAbandonsAndSecondWorkerFinishesWithZeroStaleReads) {
+  // A recovery worker whose path to the restarted primary is cut on the
+  // first response of its arm burst (ISets of every dirty key of the
+  // fragment). The server may have applied any prefix of the burst, so the
+  // worker must abandon — Redlease released, nothing re-sent — and a second
+  // worker on a clean path must finish the fragment: it backs off on the
+  // keys whose orphaned I leases are still live, replays them once they
+  // expire, and no read ever returns a stale value.
+  constexpr size_t kFragments = 4;
+  VirtualClock clock;
+  DataStore store;
+  InstanceRegistry registry;
+  std::vector<std::unique_ptr<CacheInstance>> instances;
+  std::vector<CacheInstance*> raw;
+  for (InstanceId i = 0; i < 2; ++i) {
+    instances.push_back(std::make_unique<CacheInstance>(i, &clock));
+    raw.push_back(instances.back().get());
+    ASSERT_TRUE(registry.Add(instances.back().get()).ok());
+  }
+  TransportServer::Options sopts;
+  sopts.num_loops = 1;
+  TransportServer server(std::move(registry), sopts);
+  ASSERT_TRUE(server.Start().ok());
+  FaultProxy::Options popts;
+  popts.seed = 31;
+  popts.server_to_client.skip_frames = 1;  // HELLO response passes
+  popts.server_to_client.cut_prob = 1.0;
+  FaultProxy proxy("127.0.0.1", server.port(), popts);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  // Clean backends (client and second worker) dial the server directly;
+  // the first worker reaches the primary through the proxy.
+  std::vector<std::unique_ptr<TcpCacheBackend>> owned;
+  std::vector<CacheBackend*> clean;
+  for (InstanceId i = 0; i < 2; ++i) {
+    owned.push_back(std::make_unique<TcpCacheBackend>("127.0.0.1",
+                                                      server.port(), i));
+    clean.push_back(owned.back().get());
+  }
+  owned.push_back(
+      std::make_unique<TcpCacheBackend>("127.0.0.1", proxy.port(), 0));
+  const std::vector<CacheBackend*> cut_primary = {owned.back().get(),
+                                                  clean[1]};
+
+  Coordinator::Options coord_opts;
+  coord_opts.policy = RecoveryPolicy::GeminiO();
+  Coordinator coordinator(&clock, raw, kFragments, coord_opts);
+  GeminiClient client(&clock, &coordinator, clean, &store);
+  Session session;
+  std::vector<std::string> dirty;
+  for (int i = 0; i < 50; ++i) {
+    std::string key = "user" + std::to_string(i);
+    store.Put(key, "v" + std::to_string(i));
+    auto cfg = coordinator.GetConfiguration();
+    if (cfg->fragment(cfg->FragmentOf(key)).primary == 0) {
+      dirty.push_back(std::move(key));
+    }
+  }
+  ASSERT_GE(dirty.size(), 4u);
+
+  // Warm the primary, fail it, write every key of its fragments (dirty
+  // lists on the secondary), refill the secondary, bring the primary back.
+  for (const auto& k : dirty) ASSERT_TRUE(client.Read(session, k).ok());
+  instances[0]->Fail();
+  coordinator.OnInstanceFailed(0);
+  for (const auto& k : dirty) {
+    ASSERT_TRUE(client.Write(session, k, "fresh-" + k).ok()) << k;
+  }
+  for (const auto& k : dirty) ASSERT_TRUE(client.Read(session, k).ok());
+  instances[0]->RecoverPersistent();
+  coordinator.OnInstanceRecovered(0);
+  ASSERT_FALSE(coordinator.FragmentsInMode(FragmentMode::kRecovery).empty());
+
+  RecoveryWorker first(&clock, &coordinator, cut_primary);
+  Session s1;
+  ASSERT_TRUE(first.TryAdoptFragment(s1).has_value());
+  EXPECT_TRUE(first.Step(s1));
+  EXPECT_FALSE(first.has_work());
+  EXPECT_EQ(first.stats().fragments_abandoned, 1u);
+  EXPECT_EQ(first.stats().keys_overwritten, 0u);
+  EXPECT_TRUE(WaitFor([&] { return proxy.stats().cuts >= 1; }));
+  EXPECT_EQ(proxy.stats().cuts, 1u);
+  EXPECT_EQ(proxy.stats().connections_accepted, 1u);
+
+  RecoveryWorker second(&clock, &coordinator, clean);
+  Session s2;
+  for (int guard = 0; guard < 10000; ++guard) {
+    if (!second.has_work() && !second.TryAdoptFragment(s2).has_value()) break;
+    (void)second.Step(s2);
+    clock.Advance(Millis(5));  // lets the orphaned I leases expire
+  }
+  EXPECT_TRUE(coordinator.FragmentsInMode(FragmentMode::kRecovery).empty());
+  EXPECT_EQ(second.stats().fragments_abandoned, 0u);
+  EXPECT_GE(second.stats().keys_overwritten, dirty.size());
+
+  for (const auto& k : dirty) {
+    if (auto v = raw[0]->RawGet(k); v.has_value()) {
+      EXPECT_EQ(v->version, store.VersionOf(k)) << "stale entry for " << k;
+    }
+    auto r = client.Read(session, k);
+    ASSERT_TRUE(r.ok()) << k;
+    EXPECT_EQ(r->value.version, store.VersionOf(k)) << "STALE read of " << k;
+    EXPECT_EQ(r->value.data, "fresh-" + k);
+  }
+  for (auto& b : owned) b->Disconnect();
+  proxy.Stop();
+  server.Stop();
 }
 
 // ---- SO_RCVTIMEO mid-frame (the reader's slow-peer path) --------------------
