@@ -37,9 +37,8 @@
 //  BENCH_transport_bulk.json; tools/check_bench.py --min-point pins the
 //  bulk=1 speedup floor in CI.
 //
-// Every mode's params record the io backend (0=poll, 1=epoll, 2=uring) and
-// kernel (major*1000+minor) that produced the numbers — backend choice moves
-// transport throughput, so baselines must be compared like-for-like.
+// Every mode's params record the kernel (major*1000+minor) that produced the
+// numbers, so baselines can be compared like-for-like.
 //
 // Flags: --quick (CI smoke), --full, --scaling, --chaos, --chaos-seed=N,
 //        --bulk, --ops=N (per connection), --value-bytes=B, --keys=K,
@@ -80,14 +79,6 @@ double KernelCode() {
   int major = 0, minor = 0;
   if (std::sscanf(u.release, "%d.%d", &major, &minor) < 1) return 0;
   return static_cast<double>(major * 1000 + minor);
-}
-
-/// The server's active io backend as a param code: 0=poll, 1=epoll, 2=uring.
-double BackendCode(const TransportServer& server) {
-  const std::string name = server.io_backend_name();
-  if (name == "uring") return 2;
-  if (name == "epoll") return 1;
-  return 0;
 }
 
 /// Issues `n` pipelined GETs closed-loop on `conn`, recording latencies and
@@ -164,7 +155,6 @@ struct ScalingRun {
   double p50_us = 0;
   double p99_us = 0;
   uint64_t errors = 0;
-  double backend = 0;  // io backend code of the server that produced the row
 };
 
 /// Starts a fresh `loops`-shard server over a striped instance, preloads the
@@ -242,7 +232,6 @@ ScalingRun RunScalingPoint(size_t loops, size_t window, size_t ops,
   for (auto& t : clients) t.join();
   const double secs =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
-  out.backend = BackendCode(server);
   server.Stop();
 
   Histogram merged;
@@ -310,7 +299,6 @@ int RunScaling(size_t ops, size_t value_bytes, size_t num_keys,
                  {"keys", static_cast<double>(num_keys)},
                  {"stripes", static_cast<double>(kStripes)},
                  {"cpus", static_cast<double>(cpus)},
-                 {"backend", r.backend},
                  {"kernel", KernelCode()}};
     br.ops_per_sec = r.ops_per_sec;
     br.p50_us = r.p50_us;
@@ -467,9 +455,8 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
     return 1;
   }
   std::printf("  clients=%zu  bursts/client=%zu  burst=32  value=%zuB  "
-              "keys=%zu  io=%s\n\n",
-              kClients, bursts, value_bytes, num_keys,
-              server.io_backend_name());
+              "keys=%zu\n\n",
+              kClients, bursts, value_bytes, num_keys);
 
   std::vector<BulkRun> runs;
   std::printf("  %8s %14s %10s %10s\n", "bulk", "keys/sec", "p50 us",
@@ -483,7 +470,6 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
                 r.p50_us, r.p99_us);
     total_errors += r.errors;
   }
-  const double backend_code = BackendCode(server);
   server.Stop();
   if (total_errors > 0) {
     std::fprintf(stderr, "bench_transport: %llu ops failed\n",
@@ -502,7 +488,6 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
                  {"ops", static_cast<double>(kClients * bursts * kBurst)},
                  {"value_bytes", static_cast<double>(value_bytes)},
                  {"keys", static_cast<double>(num_keys)},
-                 {"backend", backend_code},
                  {"kernel", KernelCode()}};
     br.ops_per_sec = r.ops_per_sec;
     br.p50_us = r.p50_us;
@@ -663,7 +648,6 @@ int Run(int argc, char** argv) {
                  {"ops", static_cast<double>(ops)},
                  {"value_bytes", static_cast<double>(value_bytes)},
                  {"keys", static_cast<double>(num_keys)},
-                 {"backend", BackendCode(server)},
                  {"kernel", KernelCode()}};
     if (chaos) br.params.push_back({"seed", static_cast<double>(chaos_seed)});
     br.ops_per_sec = r.ops_per_sec;

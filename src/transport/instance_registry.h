@@ -3,9 +3,9 @@
 // The paper's deployment unit is a cluster of instances — a configuration
 // assigns fragments to several of them — and a single server machine
 // typically hosts more than one (the paper's "Instance-M:L" naming). The
-// registry maps InstanceId → {instance, per-instance snapshot policy} so a
-// single TransportServer event loop can route each connection to the
-// instance its HELLO selected.
+// registry maps InstanceId → {instance, per-instance options} so a single
+// TransportServer event loop can route each connection to the instance its
+// HELLO selected.
 //
 // The registry is assembled before TransportServer::Start() and is
 // immutable afterwards: the event loop reads it without locking.
@@ -23,11 +23,8 @@
 
 namespace gemini {
 
-/// Per-instance transport policy (snapshot persistence, extra counters).
+/// Per-instance transport options.
 struct InstanceOptions {
-  /// Target file of the wire kSnapshot op for this instance; empty rejects
-  /// remote snapshot triggers.
-  std::string snapshot_path;
   /// Extra (name, value) counters appended to this instance's kStats
   /// response — how geminid surfaces PersistentStore counters without the
   /// transport depending on src/persist. Called on an event-loop thread, so

@@ -5,28 +5,18 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <linux/io_uring.h>
-#include <sys/epoll.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
-
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "src/cache/snapshot.h"
 #include "src/common/clock.h"
 #include "src/common/logging.h"
 #include "src/transport/wire.h"
@@ -64,13 +54,11 @@ struct OutFrame {
 class TransportServer::OutQueue {
  public:
   [[nodiscard]] bool empty() const { return frames_.empty(); }
-  [[nodiscard]] size_t bytes() const { return bytes_; }
 
   /// Single-piece frame: status-only and small structured responses.
   void PushFrame(uint8_t tag, std::string_view body) {
     OutFrame f;
     wire::AppendFrame(f.pre, tag, body);
-    bytes_ += f.pre.size();
     frames_.push_back(std::move(f));
   }
 
@@ -87,7 +75,6 @@ class TransportServer::OutQueue {
     wire::PutU32(f.pre, static_cast<uint32_t>(payload.size()));
     f.payload = std::move(payload);
     f.post = std::move(post);
-    bytes_ += f.size();
     frames_.push_back(std::move(f));
   }
 
@@ -95,7 +82,6 @@ class TransportServer::OutQueue {
   void PushRaw(std::string frame) {
     OutFrame f;
     f.pre = std::move(frame);
-    bytes_ += f.pre.size();
     frames_.push_back(std::move(f));
   }
 
@@ -124,7 +110,6 @@ class TransportServer::OutQueue {
   /// Advances past `sent` bytes, dropping completed frames; returns how
   /// many whole frames finished.
   size_t Consume(size_t sent) {
-    bytes_ -= sent;
     offset_ += sent;
     size_t done = 0;
     while (!frames_.empty() && offset_ >= frames_.front().size()) {
@@ -138,7 +123,6 @@ class TransportServer::OutQueue {
  private:
   std::deque<OutFrame> frames_;
   size_t offset_ = 0;  // bytes of the front frame already sent
-  size_t bytes_ = 0;   // total unsent bytes
 };
 
 // ---- Connection -------------------------------------------------------------
@@ -166,108 +150,29 @@ struct TransportServer::Connection {
   [[nodiscard]] bool has_pending_writes() const { return !out.empty(); }
 };
 
-// ---- Pollers ----------------------------------------------------------------
+// ---- Poller -----------------------------------------------------------------
 
 struct PollerEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
   bool error = false;
-  // Completion-mode extras (IoUringPoller): a poller that completes I/O
-  // instead of reporting readiness delivers the result with the event.
-  bool accepted = false;  // `fd` is a freshly accepted socket; fd < 0 means
-                          // one accept attempt failed (-fd is the errno)
-  bool closed = false;    // peer EOF (a recv completed with 0 bytes)
-  size_t sent = 0;        // bytes a staged send completed with
-  std::string data;       // bytes a multishot recv delivered
 };
 
+/// One shard's level-triggered epoll set. Read interest is permanent; write
+/// interest is switched on only while a connection has unflushed responses.
 class TransportServer::Poller {
  public:
-  virtual ~Poller() = default;
-  virtual bool Add(int fd) = 0;
-  /// Toggles write-readiness interest (read interest is permanent).
-  virtual void Update(int fd, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Blocks up to timeout_ms; fills `out` with ready fds.
-  virtual bool Wait(int timeout_ms, std::vector<PollerEvent>& out) = 0;
-
-  // ---- Completion-mode hooks (overridden by IoUringPoller) ----------------
-  /// True when this poller completes I/O itself: events carry accepted fds,
-  /// received bytes, and sent-byte counts, and FlushWrites stages sends
-  /// through StageSend instead of calling sendmsg directly.
-  [[nodiscard]] virtual bool completion_mode() const { return false; }
-  /// Registers the listen socket (completion mode arms a multishot accept).
-  virtual bool AddAcceptor(int fd) { return Add(fd); }
-  /// Registers a connection socket (completion mode arms a multishot recv).
-  virtual bool AddConnection(int fd) { return Add(fd); }
-  /// Queues one gathered send of `out`'s unsent bytes; the SQE is submitted
-  /// by the next Wait()'s single io_uring_enter, so a whole event-loop
-  /// pass's responses flush with one syscall. `out` must stay alive until
-  /// the matching `sent` (or error) event is delivered.
-  virtual void StageSend(int fd, OutQueue* out) {
-    (void)fd;
-    (void)out;
-  }
-};
-
-/// Portable fallback: poll(2) over a flat pollfd vector. O(n) per wait, which
-/// is fine for the connection counts a single event-loop shard serves.
-class TransportServer::PollPoller final : public TransportServer::Poller {
- public:
-  bool Add(int fd) override {
-    fds_.push_back({fd, POLLIN, 0});
-    return true;
-  }
-
-  void Update(int fd, bool want_write) override {
-    for (auto& p : fds_) {
-      if (p.fd == fd) {
-        p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-        return;
-      }
-    }
-  }
-
-  void Remove(int fd) override {
-    for (auto it = fds_.begin(); it != fds_.end(); ++it) {
-      if (it->fd == fd) {
-        fds_.erase(it);
-        return;
-      }
-    }
-  }
-
-  bool Wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (const auto& p : fds_) {
-      if (p.revents == 0) continue;
-      PollerEvent ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-    return true;
-  }
-
- private:
-  std::vector<struct pollfd> fds_;
-};
-
-#if defined(__linux__)
-class TransportServer::EpollPoller final : public TransportServer::Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
+  Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
+  ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   [[nodiscard]] bool valid() const { return epfd_ >= 0; }
 
-  bool Add(int fd) override {
+  bool Add(int fd) {
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;
@@ -275,19 +180,19 @@ class TransportServer::EpollPoller final : public TransportServer::Poller {
     return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
   }
 
-  void Update(int fd, bool want_write) override {
+  void Update(int fd, bool want_write) {
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+    ev.events = want_write ? EPOLLIN | EPOLLOUT : EPOLLIN;
     ev.data.fd = fd;
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  bool Wait(int timeout_ms, std::vector<PollerEvent>& out) override {
+  /// Blocks up to timeout_ms; appends the ready fds to `out`. False on a
+  /// dead epoll fd (EINTR is an empty wake-up, not an error).
+  bool Wait(int timeout_ms, std::vector<PollerEvent>& out) {
     struct epoll_event events[64];
     const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
     if (n < 0) return errno == EINTR;
@@ -306,627 +211,6 @@ class TransportServer::EpollPoller final : public TransportServer::Poller {
   int epfd_;
 };
 
-// ---- IoUringPoller ----------------------------------------------------------
-
-namespace {
-
-// Raw syscall wrappers: the protocol library carries no liburing dependency.
-int IoUringSetup(unsigned entries, struct io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-int IoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
-                 unsigned flags, const void* arg, size_t argsz) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, arg, argsz));
-}
-
-int IoUringRegister(int fd, unsigned opcode, const void* arg,
-                    unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
-}
-
-}  // namespace
-
-/// Completion-mode io_uring event loop (raw syscalls + mmap'd rings):
-///  - multishot accept on the listen socket (one SQE accepts until error),
-///  - buffered multishot recv per connection, reading into a provided
-///    buffer pool registered with IORING_OP_PROVIDE_BUFFERS,
-///  - staged response writes: FlushWrites queues a gathered IORING_OP_SENDMSG
-///    per connection, and the next Wait()'s single io_uring_enter submits
-///    the whole pass's SQE batch AND waits for completions — one syscall
-///    flushes a shard's entire ready set.
-/// Sends carry MSG_DONTWAIT so they complete inline during that enter
-/// (-EAGAIN arms a oneshot POLLOUT instead of going async), which keeps
-/// every kernel-side reference to connection memory scoped to the Wait call.
-/// Multishot accept/recv downgrade themselves on -EINVAL (older kernels),
-/// and user_data carries a per-fd generation so completions that race a
-/// close/reuse of the same fd number are discarded, never misattributed.
-class TransportServer::IoUringPoller final : public TransportServer::Poller {
- public:
-  IoUringPoller(std::atomic<uint64_t>* sendmsg_calls,
-                std::atomic<uint64_t>* sqe_batched)
-      : sendmsg_calls_(sendmsg_calls), sqe_batched_(sqe_batched) {
-    Init();
-  }
-
-  ~IoUringPoller() override {
-    if (buf_base_ != nullptr) ::munmap(buf_base_, kBufCount * kBufSize);
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_sz_);
-    if (cq_ring_ != nullptr && cq_ring_sz_ != 0) ::munmap(cq_ring_, cq_ring_sz_);
-    if (sq_ring_ != nullptr) ::munmap(sq_ring_, sq_ring_sz_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  [[nodiscard]] bool valid() const { return valid_; }
-
-  /// One throwaway ring answers whether this kernel has everything the
-  /// backend needs (the setup syscall, EXT_ARG timed waits, and the probed
-  /// opcodes); multishot support is degraded at runtime, not probed.
-  static bool Supported() {
-    IoUringPoller probe(nullptr, nullptr);
-    return probe.valid();
-  }
-
-  [[nodiscard]] bool completion_mode() const override { return true; }
-
-  bool Add(int fd) override {
-    // Non-connection fds (the shard's wake pipe): oneshot POLLIN, rearmed
-    // by every Wait after it fires.
-    pipes_[fd] = false;
-    return true;
-  }
-
-  bool AddAcceptor(int fd) override {
-    acceptor_fd_ = fd;
-    accept_registered_ = true;
-    accept_armed_ = false;  // armed by the next Wait
-    return true;
-  }
-
-  bool AddConnection(int fd) override {
-    FdState& st = conns_[fd];
-    st = FdState{};
-    st.gen = ++gen_counter_;
-    return true;
-  }
-
-  void Update(int fd, bool want_write) override {
-    // Readiness toggling has no meaning here: reads are always armed and
-    // writes are staged explicitly through StageSend.
-    (void)fd;
-    (void)want_write;
-  }
-
-  void Remove(int fd) override {
-    if (fd == acceptor_fd_ && accept_registered_) {
-      accept_registered_ = false;
-      if (accept_armed_) {
-        CancelUd(MakeUd(kUdAccept, static_cast<uint32_t>(fd), 0));
-        accept_armed_ = false;
-      }
-      return;
-    }
-    if (auto pit = pipes_.find(fd); pit != pipes_.end()) {
-      if (pit->second) CancelUd(MakeUd(kUdPollIn, static_cast<uint32_t>(fd), 0));
-      pipes_.erase(pit);
-      return;
-    }
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    FdState& st = it->second;
-    if (st.recv_armed) {
-      CancelUd(MakeUd(kUdRecv, static_cast<uint32_t>(fd), st.gen));
-    }
-    if (st.pollout_armed) {
-      CancelUd(MakeUd(kUdPollOut, static_cast<uint32_t>(fd), st.gen));
-    }
-    // Sends complete inline during Wait's enter and staged ones are skipped
-    // once the fd is gone, so nothing kernel-side still references the
-    // connection's OutQueue after this returns.
-    conns_.erase(it);
-  }
-
-  void StageSend(int fd, OutQueue* out) override {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    FdState& st = it->second;
-    st.out = out;
-    if (!st.send_staged && !st.send_inflight && !st.pollout_armed) {
-      st.send_staged = true;
-      staged_.push_back(fd);
-    }
-  }
-
-  bool Wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    // Rearm everything that fell out of multishot, recycle consumed recv
-    // buffers, and queue this pass's staged sends — all as SQEs flushed by
-    // the single enter below.
-    ArmAccept();
-    for (auto& [fd, armed] : pipes_) {
-      if (!armed) {
-        ArmPipe(fd);
-        armed = true;
-      }
-    }
-    for (auto& [fd, st] : conns_) ArmRecv(fd, st);
-    std::vector<uint32_t> bufs;
-    bufs.swap(free_bufs_);
-    for (uint32_t bid : bufs) ProvideBuf(bid);
-    std::vector<int> staged;
-    staged.swap(staged_);
-    for (int fd : staged) SubmitSendFor(fd);
-
-    const unsigned to_submit = to_submit_;
-    if (to_submit > 0 && sqe_batched_ != nullptr) {
-      sqe_batched_->fetch_add(to_submit, std::memory_order_relaxed);
-    }
-    struct __kernel_timespec ts;
-    ts.tv_sec = timeout_ms / 1000;
-    ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000;
-    struct io_uring_getevents_arg arg;
-    std::memset(&arg, 0, sizeof(arg));
-    arg.ts = reinterpret_cast<uint64_t>(&ts);
-    const int ret = IoUringEnter(ring_fd_, to_submit, 1,
-                                 IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
-                                 &arg, sizeof(arg));
-    if (ret >= 0) {
-      to_submit_ -= static_cast<unsigned>(ret);
-    } else if (errno != ETIME && errno != EINTR && errno != EBUSY &&
-               errno != EAGAIN) {
-      return false;
-    }
-    DrainCqes(out);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kEntries = 256;  // SQ slots (CQ gets 2x)
-  static constexpr uint16_t kBufGroup = 0;
-  static constexpr uint32_t kBufCount = 64;
-  static constexpr size_t kBufSize = 32 * 1024;
-  static constexpr size_t kSendIov = 32;
-
-  enum UdKind : uint64_t {
-    kUdPollIn = 1,   // wake-pipe readability
-    kUdAccept = 2,
-    kUdRecv = 3,
-    kUdSend = 4,
-    kUdPollOut = 5,  // write-readiness after a send hit EAGAIN
-    kUdProvide = 6,
-    kUdCancel = 7,
-  };
-
-  /// user_data = kind | 24-bit per-fd generation | fd. The generation makes
-  /// completions from a closed fd's previous life detectably stale.
-  static uint64_t MakeUd(UdKind kind, uint32_t fd, uint32_t gen) {
-    return (static_cast<uint64_t>(kind) << 56) |
-           (static_cast<uint64_t>(gen & 0xFFFFFFu) << 32) | fd;
-  }
-  static UdKind UdKindOf(uint64_t ud) {
-    return static_cast<UdKind>(ud >> 56);
-  }
-  static uint32_t UdGen(uint64_t ud) {
-    return static_cast<uint32_t>(ud >> 32) & 0xFFFFFFu;
-  }
-  static int UdFd(uint64_t ud) {
-    return static_cast<int>(ud & 0xFFFFFFFFu);
-  }
-
-  struct FdState {
-    uint32_t gen = 0;
-    bool recv_armed = false;
-    bool send_staged = false;    // queued for the next Wait's submit
-    bool send_inflight = false;  // SENDMSG SQE submitted, CQE pending
-    bool pollout_armed = false;
-    OutQueue* out = nullptr;
-    std::array<struct iovec, kSendIov> iov;
-    struct msghdr msg;
-  };
-
-  void Init() {
-    struct io_uring_params p;
-    std::memset(&p, 0, sizeof(p));
-    ring_fd_ = IoUringSetup(kEntries, &p);
-    if (ring_fd_ < 0) return;
-    // EXT_ARG gives the timed wait; NODROP makes the CQ lossless under
-    // bursts. Both predate every kernel with the multishot ops.
-    if ((p.features & IORING_FEAT_EXT_ARG) == 0 ||
-        (p.features & IORING_FEAT_NODROP) == 0) {
-      return;
-    }
-
-    alignas(struct io_uring_probe) char probe_buf[
-        sizeof(struct io_uring_probe) + 256 * sizeof(struct io_uring_probe_op)];
-    std::memset(probe_buf, 0, sizeof(probe_buf));
-    auto* probe = reinterpret_cast<struct io_uring_probe*>(probe_buf);
-    if (IoUringRegister(ring_fd_, IORING_REGISTER_PROBE, probe, 256) != 0) {
-      return;
-    }
-    const auto supported = [probe](unsigned op) {
-      return op <= probe->last_op &&
-             (probe->ops[op].flags & IO_URING_OP_SUPPORTED) != 0;
-    };
-    for (unsigned op :
-         {static_cast<unsigned>(IORING_OP_POLL_ADD),
-          static_cast<unsigned>(IORING_OP_SENDMSG),
-          static_cast<unsigned>(IORING_OP_ACCEPT),
-          static_cast<unsigned>(IORING_OP_ASYNC_CANCEL),
-          static_cast<unsigned>(IORING_OP_RECV),
-          static_cast<unsigned>(IORING_OP_PROVIDE_BUFFERS)}) {
-      if (!supported(op)) return;
-    }
-
-    sq_entries_ = p.sq_entries;
-    size_t sq_sz = p.sq_off.array + p.sq_entries * sizeof(uint32_t);
-    size_t cq_sz = p.cq_off.cqes + p.cq_entries * sizeof(struct io_uring_cqe);
-    if ((p.features & IORING_FEAT_SINGLE_MMAP) != 0) {
-      sq_sz = cq_sz = std::max(sq_sz, cq_sz);
-    }
-    void* sq = ::mmap(nullptr, sq_sz, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    if (sq == MAP_FAILED) return;
-    sq_ring_ = static_cast<uint8_t*>(sq);
-    sq_ring_sz_ = sq_sz;
-    if ((p.features & IORING_FEAT_SINGLE_MMAP) != 0) {
-      cq_ring_ = sq_ring_;
-      cq_ring_sz_ = 0;  // shared mapping; unmapped via sq_ring_
-    } else {
-      void* cq = ::mmap(nullptr, cq_sz, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_,
-                        IORING_OFF_CQ_RING);
-      if (cq == MAP_FAILED) return;
-      cq_ring_ = static_cast<uint8_t*>(cq);
-      cq_ring_sz_ = cq_sz;
-    }
-    sqes_sz_ = p.sq_entries * sizeof(struct io_uring_sqe);
-    void* sqes = ::mmap(nullptr, sqes_sz_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES);
-    if (sqes == MAP_FAILED) {
-      sqes_sz_ = 0;
-      return;
-    }
-    sqes_ = static_cast<struct io_uring_sqe*>(sqes);
-
-    sq_head_ = reinterpret_cast<unsigned*>(sq_ring_ + p.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq_ring_ + p.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq_ring_ + p.sq_off.ring_mask);
-    auto* sq_array = reinterpret_cast<unsigned*>(sq_ring_ + p.sq_off.array);
-    cq_head_ = reinterpret_cast<unsigned*>(cq_ring_ + p.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq_ring_ + p.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq_ring_ + p.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<struct io_uring_cqe*>(cq_ring_ + p.cq_off.cqes);
-    // Identity index mapping: a submit is just a tail bump.
-    for (unsigned i = 0; i <= sq_mask_; ++i) sq_array[i] = i;
-    sq_tail_local_ = __atomic_load_n(sq_tail_, __ATOMIC_RELAXED);
-
-    void* bufs = ::mmap(nullptr, kBufCount * kBufSize, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (bufs == MAP_FAILED) return;
-    buf_base_ = static_cast<char*>(bufs);
-    // Hand the whole recv pool to the kernel in one SQE, synchronously, so
-    // a rejection (res < 0) fails construction instead of every recv.
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_PROVIDE_BUFFERS;
-    sqe->fd = static_cast<int>(kBufCount);
-    sqe->addr = reinterpret_cast<uint64_t>(buf_base_);
-    sqe->len = kBufSize;
-    sqe->off = 0;
-    sqe->buf_group = kBufGroup;
-    sqe->user_data = MakeUd(kUdProvide, 0, 0);
-    if (IoUringEnter(ring_fd_, to_submit_, 1, IORING_ENTER_GETEVENTS, nullptr,
-                     0) < 0) {
-      return;
-    }
-    to_submit_ = 0;
-    bool provided = false;
-    unsigned head = __atomic_load_n(cq_head_, __ATOMIC_ACQUIRE);
-    const unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    while (head != tail) {
-      const struct io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      if (UdKindOf(cqe.user_data) == kUdProvide && cqe.res >= 0) {
-        provided = true;
-      }
-      ++head;
-    }
-    __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-    valid_ = provided;
-  }
-
-  struct io_uring_sqe* GetSqe() {
-    if (sq_tail_local_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE) >=
-        sq_entries_) {
-      // SQ full mid-pass: flush without waiting (the kernel consumes SQEs
-      // synchronously during enter, so this frees the whole ring).
-      if (to_submit_ > 0) {
-        const int ret = IoUringEnter(ring_fd_, to_submit_, 0, 0, nullptr, 0);
-        if (ret > 0) to_submit_ -= static_cast<unsigned>(ret);
-      }
-      if (sq_tail_local_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE) >=
-          sq_entries_) {
-        return nullptr;
-      }
-    }
-    struct io_uring_sqe* sqe = &sqes_[sq_tail_local_ & sq_mask_];
-    std::memset(sqe, 0, sizeof(*sqe));
-    ++sq_tail_local_;
-    // The kernel only reads the SQ during enter (no SQPOLL), so publishing
-    // the tail before the caller fills the SQE is safe single-threaded.
-    __atomic_store_n(sq_tail_, sq_tail_local_, __ATOMIC_RELEASE);
-    ++to_submit_;
-    return sqe;
-  }
-
-  void CancelUd(uint64_t target) {
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_ASYNC_CANCEL;
-    sqe->fd = -1;
-    sqe->addr = target;
-    sqe->user_data = MakeUd(kUdCancel, 0, 0);
-  }
-
-  void ArmAccept() {
-    if (!accept_registered_ || accept_armed_) return;
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_ACCEPT;
-    sqe->fd = acceptor_fd_;
-    if (accept_multishot_) sqe->ioprio = IORING_ACCEPT_MULTISHOT;
-    sqe->user_data = MakeUd(kUdAccept, static_cast<uint32_t>(acceptor_fd_), 0);
-    accept_armed_ = true;
-  }
-
-  void ArmPipe(int fd) {
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_POLL_ADD;
-    sqe->fd = fd;
-    sqe->poll32_events = POLLIN;
-    sqe->user_data = MakeUd(kUdPollIn, static_cast<uint32_t>(fd), 0);
-  }
-
-  void ArmRecv(int fd, FdState& st) {
-    if (st.recv_armed) return;
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_RECV;
-    sqe->fd = fd;
-    sqe->flags = IOSQE_BUFFER_SELECT;
-    sqe->buf_group = kBufGroup;
-    if (recv_multishot_) sqe->ioprio = IORING_RECV_MULTISHOT;
-    sqe->user_data = MakeUd(kUdRecv, static_cast<uint32_t>(fd), st.gen);
-    st.recv_armed = true;
-  }
-
-  void ArmPollOut(int fd, FdState& st) {
-    if (st.pollout_armed) return;
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_POLL_ADD;
-    sqe->fd = fd;
-    sqe->poll32_events = POLLOUT;
-    sqe->user_data = MakeUd(kUdPollOut, static_cast<uint32_t>(fd), st.gen);
-    st.pollout_armed = true;
-  }
-
-  void ProvideBuf(uint32_t bid) {
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) {
-      free_bufs_.push_back(bid);  // retry next Wait
-      return;
-    }
-    sqe->opcode = IORING_OP_PROVIDE_BUFFERS;
-    sqe->fd = 1;  // one buffer
-    sqe->addr = reinterpret_cast<uint64_t>(buf_base_ + bid * kBufSize);
-    sqe->len = kBufSize;
-    sqe->off = bid;
-    sqe->buf_group = kBufGroup;
-    sqe->user_data = MakeUd(kUdProvide, bid, 0);
-  }
-
-  void SubmitSendFor(int fd) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) return;  // closed since staging
-    FdState& st = it->second;
-    st.send_staged = false;
-    if (st.out == nullptr || st.out->bytes() == 0 || st.send_inflight) return;
-    struct io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) {
-      st.send_staged = true;
-      staged_.push_back(fd);
-      return;
-    }
-    std::memset(&st.msg, 0, sizeof(st.msg));
-    st.msg.msg_iov = st.iov.data();
-    st.msg.msg_iovlen = st.out->Gather(st.iov.data(), st.iov.size());
-    sqe->opcode = IORING_OP_SENDMSG;
-    sqe->fd = fd;
-    sqe->addr = reinterpret_cast<uint64_t>(&st.msg);
-    sqe->msg_flags = MSG_DONTWAIT | MSG_NOSIGNAL;
-    sqe->user_data = MakeUd(kUdSend, static_cast<uint32_t>(fd), st.gen);
-    st.send_inflight = true;
-    if (sendmsg_calls_ != nullptr) {
-      sendmsg_calls_->fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void DrainCqes(std::vector<PollerEvent>& out) {
-    unsigned head = __atomic_load_n(cq_head_, __ATOMIC_ACQUIRE);
-    for (;;) {
-      const unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-      if (head == tail) break;
-      while (head != tail) {
-        HandleCqe(cqes_[head & cq_mask_], out);
-        ++head;
-      }
-      // Publish per batch so a NODROP overflow flush can make progress.
-      __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-    }
-  }
-
-  void HandleCqe(const struct io_uring_cqe& cqe,
-                 std::vector<PollerEvent>& out) {
-    const UdKind kind = UdKindOf(cqe.user_data);
-    const int fd = UdFd(cqe.user_data);
-    switch (kind) {
-      case kUdProvide:
-      case kUdCancel:
-        return;
-
-      case kUdPollIn: {
-        if (auto it = pipes_.find(fd); it != pipes_.end()) {
-          it->second = false;  // oneshot; rearmed next Wait
-        }
-        if (cqe.res == -ECANCELED) return;
-        PollerEvent ev;
-        ev.fd = fd;
-        ev.readable = cqe.res >= 0;
-        ev.error = cqe.res < 0;
-        out.push_back(std::move(ev));
-        return;
-      }
-
-      case kUdAccept: {
-        if ((cqe.flags & IORING_CQE_F_MORE) == 0) accept_armed_ = false;
-        if (cqe.res == -ECANCELED) return;
-        if (cqe.res == -EINVAL && accept_multishot_) {
-          // Kernel predates multishot accept: downgrade; the next Wait
-          // rearms a oneshot accept.
-          accept_multishot_ = false;
-          return;
-        }
-        PollerEvent ev;
-        ev.accepted = true;
-        ev.fd = cqe.res;  // negative: -errno, for burst-guard accounting
-        out.push_back(std::move(ev));
-        return;
-      }
-
-      case kUdRecv: {
-        auto it = conns_.find(fd);
-        const bool live =
-            it != conns_.end() && it->second.gen == UdGen(cqe.user_data);
-        if (live && (cqe.flags & IORING_CQE_F_MORE) == 0) {
-          it->second.recv_armed = false;  // rearmed next Wait
-        }
-        if ((cqe.flags & IORING_CQE_F_BUFFER) != 0) {
-          const uint32_t bid = cqe.flags >> IORING_CQE_BUFFER_SHIFT;
-          if (live && cqe.res > 0) {
-            PollerEvent ev;
-            ev.fd = fd;
-            ev.data.assign(buf_base_ + bid * kBufSize,
-                           static_cast<size_t>(cqe.res));
-            out.push_back(std::move(ev));
-          }
-          free_bufs_.push_back(bid);  // recycle even for dead connections
-        }
-        if (!live || cqe.res > 0) return;
-        if (cqe.res == 0) {
-          PollerEvent ev;
-          ev.fd = fd;
-          ev.closed = true;
-          out.push_back(std::move(ev));
-          return;
-        }
-        if (cqe.res == -EINVAL && recv_multishot_) {
-          // Kernel predates multishot recv: downgrade to oneshot rearm.
-          recv_multishot_ = false;
-          it->second.recv_armed = false;
-          return;
-        }
-        // -ENOBUFS: the pool ran dry this pass; buffers recycle and the
-        // recv rearms on the next Wait.
-        if (cqe.res == -ENOBUFS || cqe.res == -ECANCELED) return;
-        PollerEvent ev;
-        ev.fd = fd;
-        ev.error = true;
-        out.push_back(std::move(ev));
-        return;
-      }
-
-      case kUdSend: {
-        auto it = conns_.find(fd);
-        if (it == conns_.end() || it->second.gen != UdGen(cqe.user_data)) {
-          return;
-        }
-        FdState& st = it->second;
-        st.send_inflight = false;
-        if (cqe.res > 0) {
-          PollerEvent ev;
-          ev.fd = fd;
-          ev.sent = static_cast<size_t>(cqe.res);
-          out.push_back(std::move(ev));
-          return;
-        }
-        if (cqe.res == -EAGAIN) {
-          ArmPollOut(fd, st);  // socket buffer full: wait for writability
-          return;
-        }
-        if (cqe.res == -EINTR || cqe.res == 0) {
-          StageSend(fd, st.out);
-          return;
-        }
-        PollerEvent ev;
-        ev.fd = fd;
-        ev.error = true;
-        out.push_back(std::move(ev));
-        return;
-      }
-
-      case kUdPollOut: {
-        auto it = conns_.find(fd);
-        if (it == conns_.end() || it->second.gen != UdGen(cqe.user_data)) {
-          return;
-        }
-        it->second.pollout_armed = false;
-        if (cqe.res == -ECANCELED) return;
-        PollerEvent ev;
-        ev.fd = fd;
-        ev.writable = true;
-        ev.error = cqe.res < 0;
-        out.push_back(std::move(ev));
-        return;
-      }
-    }
-  }
-
-  std::atomic<uint64_t>* sendmsg_calls_;
-  std::atomic<uint64_t>* sqe_batched_;
-  bool valid_ = false;
-  int ring_fd_ = -1;
-  unsigned sq_entries_ = 0;
-  uint8_t* sq_ring_ = nullptr;
-  size_t sq_ring_sz_ = 0;
-  uint8_t* cq_ring_ = nullptr;
-  size_t cq_ring_sz_ = 0;  // 0 when shared with the SQ mapping
-  struct io_uring_sqe* sqes_ = nullptr;
-  size_t sqes_sz_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  struct io_uring_cqe* cqes_ = nullptr;
-  unsigned sq_tail_local_ = 0;
-  unsigned to_submit_ = 0;
-  char* buf_base_ = nullptr;
-  bool accept_multishot_ = true;
-  bool recv_multishot_ = true;
-  int acceptor_fd_ = -1;
-  bool accept_registered_ = false;
-  bool accept_armed_ = false;
-  uint32_t gen_counter_ = 0;
-  std::unordered_map<int, FdState> conns_;
-  std::unordered_map<int, bool> pipes_;  // fd -> poll currently armed
-  std::vector<int> staged_;
-  std::vector<uint32_t> free_bufs_;
-};
-#endif  // __linux__
-
 // ---- Shard ------------------------------------------------------------------
 
 /// One event-loop shard: its own poller, connections, self-pipe, thread, and
@@ -940,7 +224,7 @@ struct TransportServer::Shard {
 
   const size_t index;
   int wake_fds[2] = {-1, -1};  // self-pipe: Stop()/the acceptor wake the loop
-  std::unique_ptr<Poller> poller;
+  Poller poller;
   std::unordered_map<int, std::unique_ptr<Connection>> connections;
   std::thread thread;
 
@@ -956,12 +240,11 @@ struct TransportServer::Shard {
   std::atomic<uint64_t> protocol_errors{0};
   std::atomic<uint64_t> connections_reaped{0};
   std::atomic<uint64_t> accept_errors{0};
-  // Write-path batching: syscalls issued (sendmsg or SENDMSG SQEs), flush
-  // rounds, response frames fully flushed, SQEs submitted per enter batch.
+  // Write-path batching: sendmsg syscalls issued, flush rounds, response
+  // frames fully flushed.
   std::atomic<uint64_t> sendmsg_calls{0};
   std::atomic<uint64_t> flush_calls{0};
   std::atomic<uint64_t> frames_flushed{0};
-  std::atomic<uint64_t> uring_sqe_batched{0};
   // Working-set scan service (recovery workers pulling hot pages off this
   // server's instances): pages served, keys and charged bytes enumerated.
   std::atomic<uint64_t> ws_scan_pages{0};
@@ -984,9 +267,7 @@ TransportServer::TransportServer(InstanceRegistry registry, Options options)
 
 TransportServer::TransportServer(CacheInstance* instance, Options options)
     : options_(std::move(options)) {
-  InstanceOptions iopts;
-  iopts.snapshot_path = options_.snapshot_path;
-  (void)registry_.Add(instance, std::move(iopts));
+  (void)registry_.Add(instance);
 }
 
 TransportServer::~TransportServer() { Stop(); }
@@ -1059,91 +340,22 @@ Status TransportServer::Start() {
     listen_fd_ = -1;
   };
 
-  // Resolve the io backend once per Start(): the legacy poll flag wins,
-  // then an explicit option, then GEMINI_IO_BACKEND, then best-supported.
-  IoBackend backend = options_.io_backend;
-  bool backend_explicit = backend != IoBackend::kAuto;
-  if (options_.use_poll_fallback) {
-    backend = IoBackend::kPoll;
-    backend_explicit = true;
-  }
-  if (backend == IoBackend::kAuto) {
-    if (const char* env = std::getenv("GEMINI_IO_BACKEND");
-        env != nullptr && *env != '\0') {
-      const std::string_view name(env);
-      if (name == "uring") {
-        backend = IoBackend::kUring;
-      } else if (name == "epoll") {
-        backend = IoBackend::kEpoll;
-      } else if (name == "poll") {
-        backend = IoBackend::kPoll;
-      } else if (name != "auto") {
-        LOG_WARN << "GEMINI_IO_BACKEND=" << name
-                 << " is not one of {auto,uring,epoll,poll}; ignoring";
-      }
-    }
-  }
-#if defined(__linux__)
-  if (backend == IoBackend::kAuto) {
-    backend = IoUringSupported() ? IoBackend::kUring : IoBackend::kEpoll;
-  } else if (backend == IoBackend::kUring && !IoUringSupported()) {
-    if (backend_explicit) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Status(Code::kInvalidArgument,
-                    "io_backend=uring requested but this kernel lacks "
-                    "io_uring support");
-    }
-    // Env-requested: fall back loudly, never silently.
-    LOG_WARN << "GEMINI_IO_BACKEND=uring requested but this kernel lacks "
-                "io_uring support; falling back to epoll";
-    backend = IoBackend::kEpoll;
-  }
-#else
-  if (backend != IoBackend::kPoll) backend = IoBackend::kPoll;
-#endif
-  active_backend_ = IoBackend::kPoll;
-
   shards_.reserve(nloops);
   for (uint32_t i = 0; i < nloops; ++i) {
-    auto shard = std::make_unique<Shard>(i, slot_ids_.size());
-    if (::pipe(shard->wake_fds) != 0 ||
-        !SetNonBlocking(shard->wake_fds[0]) ||
-        !SetNonBlocking(shard->wake_fds[1])) {
-      shards_.push_back(std::move(shard));  // so teardown closes its pipe
+    shards_.push_back(std::make_unique<Shard>(i, slot_ids_.size()));
+    Shard& shard = *shards_.back();
+    if (!shard.poller.valid()) {
+      teardown();
+      return Status(Code::kInternal, "epoll_create1 failed");
+    }
+    if (::pipe(shard.wake_fds) != 0 || !SetNonBlocking(shard.wake_fds[0]) ||
+        !SetNonBlocking(shard.wake_fds[1])) {
       teardown();
       return Status(Code::kInternal, "self-pipe failed");
     }
-#if defined(__linux__)
-    if (backend == IoBackend::kUring) {
-      auto uring = std::make_unique<IoUringPoller>(&shard->sendmsg_calls,
-                                                   &shard->uring_sqe_batched);
-      if (uring->valid()) {
-        shard->poller = std::move(uring);
-        active_backend_ = IoBackend::kUring;
-      } else {
-        // Supported() passed but this shard's ring failed (e.g. memlock
-        // pressure): degrade this run to epoll rather than dying.
-        LOG_WARN << "io_uring ring setup failed for shard " << i
-                 << "; falling back to epoll";
-        backend = IoBackend::kEpoll;
-      }
-    }
-    if (shard->poller == nullptr && backend != IoBackend::kPoll) {
-      auto epoll = std::make_unique<EpollPoller>();
-      if (epoll->valid()) {
-        shard->poller = std::move(epoll);
-        active_backend_ = IoBackend::kEpoll;
-      }
-    }
-#endif
-    if (shard->poller == nullptr) {
-      shard->poller = std::make_unique<PollPoller>();
-    }
-    shard->poller->Add(shard->wake_fds[0]);
-    shards_.push_back(std::move(shard));
+    shard.poller.Add(shard.wake_fds[0]);
   }
-  shards_[0]->poller->AddAcceptor(listen_fd_);
+  shards_[0]->poller.Add(listen_fd_);
   next_shard_ = 0;
 
   running_.store(true, std::memory_order_release);
@@ -1160,37 +372,8 @@ Status TransportServer::Start() {
   LOG_INFO << "geminid transport listening on " << options_.bind_address
            << ":" << port_ << " (instances " << id_list << ", "
            << shards_.size() << " event loop"
-           << (shards_.size() == 1 ? "" : "s") << ", io="
-           << io_backend_name() << ")";
+           << (shards_.size() == 1 ? "" : "s") << ")";
   return Status::Ok();
-}
-
-bool TransportServer::IoUringSupported() {
-#if defined(__linux__)
-  // The probe runs on a scratch thread: an io_uring's deferred teardown can
-  // kick its creator's task context out of blocking syscalls (EINTR) a few
-  // ms after close, so the throwaway ring must not bind to a long-lived
-  // thread (like the caller of Start()).
-  static const bool supported = [] {
-    bool ok = false;
-    std::thread([&ok] { ok = IoUringPoller::Supported(); }).join();
-    return ok;
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
-const char* TransportServer::io_backend_name() const {
-  switch (active_backend_) {
-    case IoBackend::kUring:
-      return "uring";
-    case IoBackend::kEpoll:
-      return "epoll";
-    default:
-      return "poll";
-  }
 }
 
 void TransportServer::Stop() {
@@ -1235,8 +418,6 @@ TransportServer::Stats TransportServer::stats() const {
     s.sendmsg_calls += shard->sendmsg_calls.load(std::memory_order_relaxed);
     s.flush_calls += shard->flush_calls.load(std::memory_order_relaxed);
     s.frames_flushed += shard->frames_flushed.load(std::memory_order_relaxed);
-    s.uring_sqe_batched +=
-        shard->uring_sqe_batched.load(std::memory_order_relaxed);
     s.ws_scan_pages += shard->ws_scan_pages.load(std::memory_order_relaxed);
     s.ws_scan_keys += shard->ws_scan_keys.load(std::memory_order_relaxed);
     s.ws_scan_bytes += shard->ws_scan_bytes.load(std::memory_order_relaxed);
@@ -1288,7 +469,7 @@ void TransportServer::Loop(Shard& shard) {
     if (stop_requested_.load(std::memory_order_acquire) && !draining) {
       draining = true;
       // Stop accepting; connections with queued responses get to drain.
-      if (shard.index == 0) shard.poller->Remove(listen_fd_);
+      if (shard.index == 0) shard.poller.Remove(listen_fd_);
       AdoptInbox(shard, /*draining=*/true);
       std::vector<int> idle;
       for (auto& [fd, conn] : shard.connections) {
@@ -1301,11 +482,11 @@ void TransportServer::Loop(Shard& shard) {
     }
 
     // Resume accepting after an accept-error burst pause (the guard in
-    // AcceptFailure unsubscribed the listen fd so a level-triggered poller
-    // does not spin on it, and a completion-mode one stops rearming accept).
+    // AcceptFailure unsubscribed the listen fd so the level-triggered poller
+    // does not spin on it).
     if (shard.index == 0 && shard.accept_suspended && !draining &&
         SystemClock::Global().Now() >= shard.accept_suspended_until) {
-      shard.poller->AddAcceptor(listen_fd_);
+      shard.poller.Add(listen_fd_);
       shard.accept_suspended = false;
     }
 
@@ -1320,7 +501,7 @@ void TransportServer::Loop(Shard& shard) {
       timeout = std::min(timeout, std::max(10, options_.accept_pause_ms / 2));
     }
     if (draining) timeout = std::min(drain_budget_ms, 50);
-    if (!shard.poller->Wait(timeout, events)) break;
+    if (!shard.poller.Wait(timeout, events)) break;
     if (draining) drain_budget_ms -= timeout;
 
     // Idle/partial-frame reaper: close connections that are stuck before
@@ -1344,17 +525,6 @@ void TransportServer::Loop(Shard& shard) {
     }
 
     for (const PollerEvent& ev : events) {
-      // Completion-mode accept results carry the new fd with the event.
-      if (ev.accepted) {
-        if (draining) {
-          if (ev.fd >= 0) ::close(ev.fd);
-        } else if (ev.fd < 0) {
-          AcceptFailure(shard);
-        } else {
-          DispatchAccepted(shard, ev.fd);
-        }
-        continue;
-      }
       if (ev.fd == shard.wake_fds[0]) {
         char buf[64];
         while (::read(shard.wake_fds[0], buf, sizeof(buf)) > 0) {
@@ -1370,23 +540,8 @@ void TransportServer::Loop(Shard& shard) {
       if (it == shard.connections.end()) continue;
       Connection& conn = *it->second;
       bool alive = !ev.error;
-      if (alive && ev.sent > 0) {
-        // A staged gathered send completed: retire finished frames, and
-        // restage if a short write (or newly queued frames) left bytes.
-        shard.flush_calls.fetch_add(1, std::memory_order_relaxed);
-        shard.frames_flushed.fetch_add(conn.out.Consume(ev.sent),
-                                       std::memory_order_relaxed);
-        if (conn.out.bytes() > 0) alive = FlushWrites(shard, conn);
-      }
       if (alive && ev.writable) alive = FlushWrites(shard, conn);
-      if (alive && !ev.data.empty()) {
-        // Completion-mode recv delivered bytes with the event.
-        conn.in.append(ev.data);
-        conn.last_activity = SystemClock::Global().Now();
-        if (!draining) alive = ProcessInput(shard, conn);
-      }
       if (alive && ev.readable && !draining) alive = ReadReady(shard, conn);
-      if (alive && ev.closed) alive = false;
       if (alive && draining && !conn.has_pending_writes()) alive = false;
       if (!alive) CloseConnection(shard, ev.fd);
     }
@@ -1400,7 +555,6 @@ void TransportServer::Loop(Shard& shard) {
   }
   // listen_fd_ and the self-pipes stay open until Stop() has joined every
   // loop thread; closing them here would race Stop()'s wake-up writes.
-  shard.poller.reset();
 }
 
 void TransportServer::AcceptReady(Shard& shard) {
@@ -1420,14 +574,13 @@ void TransportServer::AcceptReady(Shard& shard) {
 void TransportServer::AcceptFailure(Shard& shard) {
   // A real accept failure (EMFILE/ENFILE fd exhaustion, aborted connections
   // under SYN pressure). Count it; after a burst of consecutive failures,
-  // unsubscribe from the listen fd for accept_pause_ms — a level-triggered
+  // unsubscribe from the listen fd for accept_pause_ms — the level-triggered
   // poller would otherwise report it ready forever and turn the error into
-  // a busy spin (and a completion-mode poller would rearm accept just as
-  // hot).
+  // a busy spin.
   shard.accept_errors.fetch_add(1, std::memory_order_relaxed);
   if (options_.accept_error_burst > 0 &&
       ++shard.consecutive_accept_errors >= options_.accept_error_burst) {
-    shard.poller->Remove(listen_fd_);
+    shard.poller.Remove(listen_fd_);
     shard.accept_suspended = true;
     shard.accept_suspended_until =
         SystemClock::Global().Now() + Millis(options_.accept_pause_ms);
@@ -1448,7 +601,7 @@ void TransportServer::DispatchAccepted(Shard& shard, int fd) {
   Shard& target = *shards_[next_shard_ % shards_.size()];
   ++next_shard_;
   if (&target == &shard) {
-    shard.poller->AddConnection(fd);
+    shard.poller.Add(fd);
     shard.connections.emplace(fd, std::make_unique<Connection>(fd));
     return;
   }
@@ -1473,7 +626,7 @@ void TransportServer::AdoptInbox(Shard& shard, bool draining) {
       ::close(fd);
       continue;
     }
-    shard.poller->AddConnection(fd);
+    shard.poller.Add(fd);
     shard.connections.emplace(fd, std::make_unique<Connection>(fd));
   }
   if (!draining && !pushes.empty()) DeliverPushes(shard, std::move(pushes));
@@ -1536,19 +689,9 @@ bool TransportServer::ProcessInput(Shard& shard, Connection& conn) {
   return FlushWrites(shard, conn);
 }
 
-bool TransportServer::FlushWrites(Shard& shard, Connection& conn,
-                                  bool final_flush) {
-  // Completion mode: hand the queue to the poller; one IORING_OP_SENDMSG
-  // per connection rides the next Wait()'s single io_uring_enter. A final
-  // flush (answer-then-close, e.g. a refused handshake) cannot wait for the
-  // next Wait() — the fd dies before it — so it falls through to the direct
-  // sendmsg path below.
-  if (shard.poller->completion_mode() && !final_flush) {
-    if (conn.has_pending_writes()) shard.poller->StageSend(conn.fd, &conn.out);
-    return true;
-  }
+bool TransportServer::FlushWrites(Shard& shard, Connection& conn) {
   if (!conn.has_pending_writes()) {
-    if (!final_flush) shard.poller->Update(conn.fd, /*want_write=*/false);
+    shard.poller.Update(conn.fd, /*want_write=*/false);
     return true;
   }
   shard.flush_calls.fetch_add(1, std::memory_order_relaxed);
@@ -1566,19 +709,18 @@ bool TransportServer::FlushWrites(Shard& shard, Connection& conn,
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Best effort on a final flush: the connection closes regardless.
-      if (!final_flush) shard.poller->Update(conn.fd, /*want_write=*/true);
+      shard.poller.Update(conn.fd, /*want_write=*/true);
       return true;
     }
     if (n < 0 && errno == EINTR) continue;
     return false;
   }
-  if (!final_flush) shard.poller->Update(conn.fd, /*want_write=*/false);
+  shard.poller.Update(conn.fd, /*want_write=*/false);
   return true;
 }
 
 void TransportServer::CloseConnection(Shard& shard, int fd) {
-  shard.poller->Remove(fd);
+  shard.poller.Remove(fd);
   ::close(fd);
   shard.connections.erase(fd);
 }
@@ -1626,9 +768,8 @@ bool TransportServer::HandleHello(Shard& shard, Connection& conn,
                              ".." +
                              std::to_string(wire::kProtocolVersion)));
     // Answer, then drop: FlushWrites runs before the close in ReadReady's
-    // caller only on true returns, so flush here explicitly (final: the fd
-    // dies before a completion-mode poller would submit a staged send).
-    FlushWrites(shard, conn, /*final_flush=*/true);
+    // caller only on true returns, so flush here explicitly.
+    FlushWrites(shard, conn);
     return false;
   }
 
@@ -1663,7 +804,7 @@ bool TransportServer::HandleHello(Shard& shard, Connection& conn,
                   Status(Code::kWrongInstance,
                          "instance " + std::to_string(requested) +
                              " is not hosted by this server"));
-    FlushWrites(shard, conn, /*final_flush=*/true);
+    FlushWrites(shard, conn);
     return false;
   }
   conn.hello_done = true;
@@ -2121,20 +1262,12 @@ bool TransportServer::HandleFrame(Shard& shard, Connection& conn,
     }
 
     case wire::Op::kSnapshot: {
-      std::string_view requested;
-      if (!r.GetBlob(&requested) || !r.Done()) return malformed();
-      std::string path = conn.instance_options != nullptr
-                             ? conn.instance_options->snapshot_path
-                             : std::string();
-      if (!requested.empty() && options_.allow_remote_snapshot_paths) {
-        path.assign(requested);
-      }
-      if (path.empty()) {
-        RespondStatus(conn.out, Status(Code::kInvalidArgument,
-                                       "no snapshot path configured"));
-        return true;
-      }
-      RespondStatus(conn.out, Snapshot::WriteToFile(*instance, path));
+      // Retired (docs/PROTOCOL.md §10.3): durability is the WAL engine's
+      // job, so the op only validates its body and refuses.
+      std::string_view path;
+      if (!r.GetBlob(&path) || !r.Done()) return malformed();
+      RespondStatus(conn.out, Status(Code::kInvalidArgument,
+                                     "no snapshot path configured"));
       return true;
     }
 
@@ -2211,10 +1344,8 @@ void TransportServer::HandleStats(Connection& conn) {
   kv.emplace_back("server.protocol_errors", server.protocol_errors);
   kv.emplace_back("server.connections_reaped", server.connections_reaped);
   kv.emplace_back("server.accept_errors", server.accept_errors);
-  // Data-plane flush efficiency: sendmsg_calls counts actual syscalls (or
-  // uring SENDMSG completions), frames_per_flush shows how much coalescing
-  // the gathered writes achieve, uring_sqe_batched how many SQEs rode a
-  // shared io_uring_enter.
+  // Data-plane flush efficiency: sendmsg_calls counts actual syscalls,
+  // frames_per_flush shows how much coalescing the gathered writes achieve.
   kv.emplace_back("transport.sendmsg_calls", server.sendmsg_calls);
   kv.emplace_back("transport.flush_calls", server.flush_calls);
   kv.emplace_back("transport.frames_flushed", server.frames_flushed);
@@ -2222,7 +1353,6 @@ void TransportServer::HandleStats(Connection& conn) {
                   server.flush_calls > 0
                       ? server.frames_flushed / server.flush_calls
                       : 0);
-  kv.emplace_back("transport.uring_sqe_batched", server.uring_sqe_batched);
   // Working-set transfer progress as seen from this server (the scan side;
   // the pulling worker keeps its own install-side counters).
   kv.emplace_back("recovery.scan_pages", server.ws_scan_pages);

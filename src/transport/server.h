@@ -2,12 +2,10 @@
 //
 // Hosts an InstanceRegistry — one or many CacheInstances — behind the wire
 // protocol (src/transport/wire.h, docs/PROTOCOL.md §10). The server runs
-// `Options::num_loops` event-loop shards, each a non-blocking loop on its
-// own thread: an epoll loop on Linux (level-triggered), a poll(2) loop
-// everywhere else — the fallback is also runtime-selectable so tests
-// exercise both paths on any platform. Shard 0 owns the listen socket and
-// acts as the acceptor, assigning each accepted connection to a shard
-// round-robin; a connection lives on exactly one shard for its whole
+// `Options::num_loops` event-loop shards, each a non-blocking,
+// level-triggered epoll loop on its own thread. Shard 0 owns the listen
+// socket and acts as the acceptor, assigning each accepted connection to a
+// shard round-robin; a connection lives on exactly one shard for its whole
 // lifetime, so only that shard's thread ever reads or writes it.
 // num_loops = 1 (and the default on a single-core machine) reproduces the
 // historical single-threaded behavior exactly.
@@ -89,13 +87,6 @@ class ControlPlane {
 
 class TransportServer {
  public:
-  /// Event-loop I/O backend. kUring is a completion-mode io_uring loop
-  /// (multishot accept, buffered multishot recv, one io_uring_enter
-  /// submitting a whole pass's staged response writes); kEpoll/kPoll are the
-  /// readiness loops. kAuto consults the GEMINI_IO_BACKEND environment
-  /// variable, then picks the best supported backend (uring > epoll > poll).
-  enum class IoBackend { kAuto, kUring, kEpoll, kPoll };
-
   struct Options {
     /// Address to bind. Loopback by default: the protocol is unauthenticated
     /// (trusted-cluster), so exposing it wider is an explicit choice.
@@ -106,23 +97,6 @@ class TransportServer {
     /// (std::thread::hardware_concurrency); clamped to [1, 64]. 1 preserves
     /// the single-threaded behavior of earlier versions.
     uint32_t num_loops = 0;
-    /// Force the portable poll(2) loop even where epoll is available.
-    /// Legacy switch; equivalent to io_backend = IoBackend::kPoll, which it
-    /// overrides when set.
-    bool use_poll_fallback = false;
-    /// Which event-loop backend the shards run. An *explicitly* requested
-    /// kUring fails Start() when the kernel lacks io_uring support; kAuto
-    /// (optionally steered by GEMINI_IO_BACKEND={uring,epoll,poll}) falls
-    /// back with a logged warning instead.
-    IoBackend io_backend = IoBackend::kAuto;
-    /// Target file of the kSnapshot op for the single-instance constructor;
-    /// the registry constructor takes per-instance paths via
-    /// InstanceOptions instead. Empty rejects snapshot triggers.
-    std::string snapshot_path;
-    /// Honor a path carried in a kSnapshot request (off: the request path
-    /// is ignored and the instance's configured path is used — remote peers
-    /// cannot choose where the server writes).
-    bool allow_remote_snapshot_paths = false;
     int listen_backlog = 128;
     /// How long Stop() waits for write buffers to drain.
     int drain_timeout_ms = 2000;
@@ -151,8 +125,7 @@ class TransportServer {
   /// Multi-instance server. The registry must stay unchanged (and its
   /// instances alive) for the server's lifetime.
   TransportServer(InstanceRegistry registry, Options options);
-  /// Single-instance sugar: a one-entry registry whose snapshot path is
-  /// options.snapshot_path.
+  /// Single-instance sugar: a one-entry registry.
   TransportServer(CacheInstance* instance, Options options);
   ~TransportServer();
 
@@ -160,8 +133,8 @@ class TransportServer {
   TransportServer& operator=(const TransportServer&) = delete;
 
   /// Binds, listens, and starts the loop threads. kInvalidArgument on an
-  /// empty registry without a control plane, kInternal on socket errors
-  /// (bind failure, exhausted fds).
+  /// empty registry without a control plane, kInternal on socket or epoll
+  /// errors (bind failure, exhausted fds).
   Status Start();
 
   /// Broadcasts a kPushConfigTag frame carrying `serialized_config`
@@ -196,14 +169,12 @@ class TransportServer {
     /// accept(2) failures other than EAGAIN/EINTR.
     uint64_t accept_errors = 0;
     /// Response-path batching efficiency: every flush gathers a connection's
-    /// queued frames into one sendmsg/IORING_OP_SENDMSG iovec chain, so
-    /// frames_flushed / flush_calls is the average pipeline depth the
-    /// write path actually exploited.
+    /// queued frames into one sendmsg iovec chain, so frames_flushed /
+    /// flush_calls is the average pipeline depth the write path actually
+    /// exploited.
     uint64_t sendmsg_calls = 0;
     uint64_t flush_calls = 0;
     uint64_t frames_flushed = 0;
-    /// SQEs submitted in io_uring_enter batches (0 on readiness backends).
-    uint64_t uring_sqe_batched = 0;
     /// Working-set scan service (kWorkingSetScan, docs/PROTOCOL.md §13):
     /// pages served, keys enumerated, and their summed charged bytes.
     /// Recovery workers drive these while streaming a fragment's hot set
@@ -228,31 +199,18 @@ class TransportServer {
   /// concurrently with Start()/Stop().
   [[nodiscard]] Stats stats() const;
 
-  /// Whether this kernel supports the io_uring features the kUring backend
-  /// needs (always false off Linux). Cheap enough to call per Start().
-  static bool IoUringSupported();
-
-  /// Name of the backend the shards actually run ("uring"/"epoll"/"poll");
-  /// valid after Start() returned Ok.
-  [[nodiscard]] const char* io_backend_name() const;
-
  private:
   struct Connection;
   struct Shard;
   class OutQueue;
   class Poller;
-  class PollPoller;
-#if defined(__linux__)
-  class EpollPoller;
-  class IoUringPoller;
-#endif
 
   void Loop(Shard& shard);
   /// Shard 0 only: accepts and assigns connections round-robin.
   void AcceptReady(Shard& shard);
   /// Configures one freshly accepted socket and assigns it to a shard.
   void DispatchAccepted(Shard& shard, int fd);
-  /// Accept-error accounting + burst guard (shared by both accept paths).
+  /// Accept-error accounting + burst guard.
   void AcceptFailure(Shard& shard);
   /// Moves fds handed over by the acceptor onto this shard's poller.
   void AdoptInbox(Shard& shard, bool draining);
@@ -261,10 +219,8 @@ class TransportServer {
   bool ReadReady(Shard& shard, Connection& conn);
   /// Decodes and handles every complete frame in conn.in, then flushes.
   bool ProcessInput(Shard& shard, Connection& conn);
-  /// Flushes the write queue; returns false on a dead socket. `final_flush`
-  /// forces a direct synchronous write even under a completion-mode poller
-  /// (answer-then-close paths where the fd dies before the next Wait()).
-  bool FlushWrites(Shard& shard, Connection& conn, bool final_flush = false);
+  /// Flushes the write queue; returns false on a dead socket.
+  bool FlushWrites(Shard& shard, Connection& conn);
   void CloseConnection(Shard& shard, int fd);
   /// Dispatches one request frame, appending the response frame to the
   /// connection's write buffer. Returns false to drop the connection.
@@ -291,8 +247,6 @@ class TransportServer {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  /// Backend the current run's shards use (resolved by Start()).
-  IoBackend active_backend_ = IoBackend::kPoll;
 
   /// Ascending instance ids; position = registry slot (per-shard counter
   /// arrays are indexed by it).

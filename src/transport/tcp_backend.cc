@@ -560,11 +560,4 @@ Status TcpCacheBackend::DirtyListAppend(ConfigId config_id,
   return Transact(wire::Op::kDirtyListAppend, body, &resp);
 }
 
-Status TcpCacheBackend::TriggerSnapshot(std::string_view path) {
-  std::string body;
-  wire::PutBlob(body, path);
-  std::string resp;
-  return Transact(wire::Op::kSnapshot, body, &resp);
-}
-
 }  // namespace gemini

@@ -147,10 +147,6 @@ class TcpCacheBackend : public CacheBackend {
   Result<CacheValue> DirtyListGet(ConfigId config_id, FragmentId fragment);
   Status DirtyListAppend(ConfigId config_id, FragmentId fragment,
                          std::string_view record);
-  /// Asks the server to persist a snapshot of the bound instance. `path`
-  /// is honored only when the server allows remote paths; empty uses the
-  /// server's configured per-instance target.
-  Status TriggerSnapshot(std::string_view path = {});
 
  private:
   /// One round trip over the shared connection.

@@ -127,8 +127,9 @@ enum class Op : uint8_t {
   kConfigIdGet = 0x50,   // empty     -> u64 latest_config_id
   kConfigIdBump = 0x51,  // u64 latest -> empty
 
-  // Persistence.
-  kSnapshot = 0x60,  // blob path (empty = server default) -> empty
+  // Retired: durability is the WAL engine's (--data-dir). Kept so the
+  // opcode space stays append-only; always answers kInvalidArgument.
+  kSnapshot = 0x60,  // blob path -> kInvalidArgument
 
   // Introspection.
   kStats = 0x61,  // empty -> u32 count | count * (blob name | u64 value)

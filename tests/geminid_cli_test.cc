@@ -1,8 +1,8 @@
 // Drives the geminid binary end to end: fork/exec with real flags, talk to
-// it over TCP, then SIGTERM it and assert the graceful-shutdown contract —
-// exit 0 and a final snapshot holding everything that was written. Also
-// pins the CLI's fail-closed flag validation (a typo'd number must exit 2,
-// not silently become 0).
+// it over TCP, then SIGTERM or SIGKILL it and assert that a restart on the
+// same --data-dir serves everything that was acknowledged. Also pins the
+// CLI's fail-closed flag validation (a typo'd number, or a flag of a removed
+// mode, must exit 2 rather than boot something else).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -16,8 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "src/cache/cache_instance.h"
-#include "src/cache/snapshot.h"
+#include "src/cache/cache_backend.h"
 #include "src/common/clock.h"
 #include "src/transport/tcp_backend.h"
 #include "src/transport/wire.h"
@@ -91,76 +90,27 @@ int WaitForExit(pid_t pid) {
   return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -WTERMSIG(wstatus);
 }
 
-TEST(GeminidCli, SigtermDrainsAndWritesFinalSnapshot) {
-  const std::string snap = ::testing::TempDir() + "/geminid_cli_snap.bin";
-  std::remove(snap.c_str());
-
-  Child child = SpawnGeminid({"--port", "0", "--id", "7", "--snapshot", snap,
-                              "--threads", "1", "--drain-timeout-ms", "2000",
-                              "--idle-timeout-ms", "5000"});
-  ASSERT_GT(child.pid, 0);
-  const std::string banner = ReadUntil(child.stdout_fd, "serving on");
-  const uint16_t port = PortFromBanner(banner);
-  ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
-
-  {
-    TcpCacheBackend backend("127.0.0.1", port);
-    ASSERT_TRUE(backend.Connect().ok());
-    EXPECT_EQ(backend.id(), 7u);
-    ASSERT_TRUE(
-        backend.Set(kInternalCtx, "durable", CacheValue::OfData("yes")).ok());
-    ASSERT_TRUE(
-        backend.Set(kInternalCtx, "also", CacheValue::OfData("this")).ok());
-    backend.Disconnect();
+/// WaitForExit for a child that must exit on its own: one still running
+/// after ~5 s (say, a removed flag that booted a server) is killed and
+/// reported as kStillRunning, so the test fails instead of hanging.
+constexpr int kStillRunning = 256;
+int ExitWithin5s(pid_t pid) {
+  const Timestamp start = SystemClock::Global().Now();
+  while (SystemClock::Global().Now() - start < Seconds(5)) {
+    int wstatus = 0;
+    if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
+      return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -WTERMSIG(wstatus);
+    }
+    ::usleep(10 * 1000);
   }
-
-  ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
-  const std::string tail = ReadUntil(child.stdout_fd, "entries to");
-  EXPECT_NE(tail.find("geminid: wrote"), std::string::npos) << tail;
-  EXPECT_EQ(WaitForExit(child.pid), 0);
-  ::close(child.stdout_fd);
-
-  // The final snapshot is authoritative: a fresh instance restored from it
-  // holds what the client wrote.
-  VirtualClock clock;
-  CacheInstance restored(7, &clock);
-  ASSERT_TRUE(Snapshot::LoadFromFile(restored, snap).ok());
-  EXPECT_TRUE(restored.ContainsRaw("durable"));
-  EXPECT_TRUE(restored.ContainsRaw("also"));
-  std::remove(snap.c_str());
+  ::kill(pid, SIGKILL);
+  WaitForExit(pid);
+  return kStillRunning;
 }
 
-TEST(GeminidCli, InvalidTimeoutFlagsExitTwo) {
-  for (const char* flag : {"--drain-timeout-ms", "--idle-timeout-ms"}) {
-    Child child = SpawnGeminid({flag, "bogus"});
-    ASSERT_GT(child.pid, 0);
-    EXPECT_EQ(WaitForExit(child.pid), 2) << flag;
-    ::close(child.stdout_fd);
-  }
-}
-
-TEST(GeminidCli, DataDirConflictsWithSnapshotFlagsExitTwo) {
-  const std::string dir = ::testing::TempDir() + "/geminid_cli_conflict";
-  const std::vector<std::vector<std::string>> bad = {
-      {"--data-dir", dir, "--snapshot", dir + "/s.bin"},
-      {"--data-dir", dir, "--instance", "3:" + dir + "/s.bin"},
-      {"--data-dir", dir, "--snapshot-interval-s", "5"},
-  };
-  for (const auto& args : bad) {
-    Child child = SpawnGeminid(args);
-    ASSERT_GT(child.pid, 0);
-    EXPECT_EQ(WaitForExit(child.pid), 2) << args[2];
-    ::close(child.stdout_fd);
-  }
-}
-
-/// The acceptance test for the durable engine at the process level: kill -9
-/// (never SIGTERM — no snapshot sweep, no checkpoint, no fsync courtesy)
-/// and a restart on the same --data-dir must come back warm with exact
-/// data, config-id metadata, and the crash-spanning quarantine rule applied.
-TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
-  const std::string dir = ::testing::TempDir() + "/geminid_cli_data";
-  // Fresh directory per run; leftover state would mask a restore bug.
+/// Empties `dir` (and its instance_7 subdirectory) so leftover state from an
+/// earlier run cannot mask a restore bug.
+void WipeDataDir(const std::string& dir) {
   for (const char* sub : {"/instance_7", ""}) {
     const std::string d = dir + sub;
     DIR* dp = ::opendir(d.c_str());
@@ -173,11 +123,103 @@ TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
       ::rmdir(d.c_str());
     }
   }
+}
+
+TEST(GeminidCli, SigtermDrainsCheckpointsAndRestartServesAcknowledgedWrites) {
+  const std::string dir = ::testing::TempDir() + "/geminid_cli_sigterm";
+  WipeDataDir(dir);
+
+  {
+    Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                                dir, "--threads", "1", "--drain-timeout-ms",
+                                "2000", "--idle-timeout-ms", "5000"});
+    ASSERT_GT(child.pid, 0);
+    const std::string banner = ReadUntil(child.stdout_fd, "serving on");
+    const uint16_t port = PortFromBanner(banner);
+    ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
+
+    TcpCacheBackend backend("127.0.0.1", port);
+    ASSERT_TRUE(backend.Connect().ok());
+    EXPECT_EQ(backend.id(), 7u);
+    ASSERT_TRUE(
+        backend.Set(kInternalCtx, "durable", CacheValue::OfData("yes")).ok());
+    ASSERT_TRUE(
+        backend.Set(kInternalCtx, "also", CacheValue::OfData("this")).ok());
+    backend.Disconnect();
+
+    ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+    const std::string tail = ReadUntil(child.stdout_fd, "checkpointed");
+    EXPECT_NE(tail.find("geminid: checkpointed"), std::string::npos) << tail;
+    EXPECT_EQ(WaitForExit(child.pid), 0);
+    ::close(child.stdout_fd);
+  }
+
+  // Acknowledged before SIGTERM ⇒ served after restart on the same dir.
+  Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                              dir, "--threads", "1"});
+  ASSERT_GT(child.pid, 0);
+  const std::string banner = ReadUntil(child.stdout_fd, "serving on");
+  EXPECT_NE(banner.find("restored 2 entries"), std::string::npos) << banner;
+  const uint16_t port = PortFromBanner(banner);
+  ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
+  // EXPECT, not ASSERT, from here on: the child must always be stopped.
+  TcpCacheBackend backend("127.0.0.1", port);
+  auto durable = backend.Get(kInternalCtx, "durable");
+  EXPECT_TRUE(durable.ok() && durable->data == "yes")
+      << durable.status().ToString();
+  auto also = backend.Get(kInternalCtx, "also");
+  EXPECT_TRUE(also.ok() && also->data == "this") << also.status().ToString();
+  backend.Disconnect();
+  ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+  EXPECT_EQ(WaitForExit(child.pid), 0);
+  ::close(child.stdout_fd);
+}
+
+TEST(GeminidCli, InvalidTimeoutFlagsExitTwo) {
+  for (const char* flag : {"--drain-timeout-ms", "--idle-timeout-ms"}) {
+    Child child = SpawnGeminid({flag, "bogus"});
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(WaitForExit(child.pid), 2) << flag;
+    ::close(child.stdout_fd);
+  }
+}
+
+/// Flags of the removed snapshot-file mode and io-backend selectors. An old
+/// deployment script must fail loudly rather than boot without what it
+/// asked for — above all `--instance ID:FILE`, which would otherwise look
+/// like instance ID with no persistence at all.
+TEST(GeminidCli, RemovedFlagsExitTwo) {
+  const std::string file = ::testing::TempDir() + "/geminid_cli_removed.bin";
+  const std::vector<std::vector<std::string>> removed = {
+      {"--poll"},
+      {"--io-backend", "epoll"},
+      {"--snapshot", file},
+      {"--snapshot-interval-s", "5"},
+      {"--id", "7"},
+      {"--instance", "3:" + file},
+  };
+  for (const auto& args : removed) {
+    std::vector<std::string> argv = {"--port", "0"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    Child child = SpawnGeminid(argv);
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(ExitWithin5s(child.pid), 2) << args[0] << " " << args.back();
+    ::close(child.stdout_fd);
+  }
+}
+
+/// The acceptance test for the durable engine at the process level: kill -9
+/// (never SIGTERM — no snapshot sweep, no checkpoint, no fsync courtesy)
+/// and a restart on the same --data-dir must come back warm with exact
+/// data, config-id metadata, and the crash-spanning quarantine rule applied.
+TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
+  const std::string dir = ::testing::TempDir() + "/geminid_cli_data";
+  WipeDataDir(dir);
 
   LeaseToken inflight_token = kNoLease;
   {
-    Child child = SpawnGeminid({"--port", "0", "--id", "7", "--data-dir", dir,
-                                "--threads", "1", "--idle-timeout-ms",
+    Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                                dir, "--threads", "1", "--idle-timeout-ms",
                                 "5000"});
     ASSERT_GT(child.pid, 0);
     const std::string banner = ReadUntil(child.stdout_fd, "serving on");
@@ -214,8 +256,8 @@ TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
   }
 
   {
-    Child child = SpawnGeminid({"--port", "0", "--id", "7", "--data-dir", dir,
-                                "--threads", "1", "--idle-timeout-ms",
+    Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                                dir, "--threads", "1", "--idle-timeout-ms",
                                 "5000"});
     ASSERT_GT(child.pid, 0);
     const std::string banner = ReadUntil(child.stdout_fd, "serving on");
@@ -258,8 +300,8 @@ TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
   // Third boot: restart after the graceful checkpoint still restores the
   // same state (now from the checkpoint instead of log replay).
   {
-    Child child = SpawnGeminid({"--port", "0", "--id", "7", "--data-dir", dir,
-                                "--threads", "1"});
+    Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                                dir, "--threads", "1"});
     ASSERT_GT(child.pid, 0);
     const std::string banner = ReadUntil(child.stdout_fd, "serving on");
     EXPECT_NE(banner.find("restored 1 entries"), std::string::npos) << banner;

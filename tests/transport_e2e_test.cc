@@ -1,14 +1,17 @@
 // End-to-end transport tests: a real TransportServer (the geminid event
 // loop) on an ephemeral loopback port, driven through TcpCacheBackend over
 // actual TCP sockets — SET/GET/DELETE/CAS, a full IQ-lease cycle, Redleases,
-// dirty lists, config ids, snapshot triggers, protocol-error handling,
-// reconnection, the poll(2) fallback loop, and an unmodified GeminiClient
-// running its request protocol against remote instances.
+// dirty lists, config ids, the retired SNAPSHOT op, protocol-error handling,
+// reconnection, and an unmodified GeminiClient running its request protocol
+// against remote instances.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -18,12 +21,12 @@
 #include <vector>
 
 #include "src/cache/cache_instance.h"
-#include "src/cache/snapshot.h"
 #include "src/client/gemini_client.h"
 #include "src/coordinator/coordinator.h"
 #include "src/store/data_store.h"
 #include "src/transport/server.h"
 #include "src/transport/tcp_backend.h"
+#include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
 
 namespace gemini {
@@ -216,32 +219,40 @@ TEST_F(TransportE2eTest, StaleConfigIsReportedOverTheWire) {
   EXPECT_EQ(backend_->Get(stale, "k").code(), Code::kStaleConfig);
 }
 
-TEST_F(TransportE2eTest, SnapshotTriggerPersistsAndReloads) {
-  const std::string path =
-      ::testing::TempDir() + "/transport_e2e_snapshot.bin";
-  std::remove(path.c_str());
-  TransportServer::Options options;
-  options.snapshot_path = path;
-  StartServer(options);
-
+TEST_F(TransportE2eTest, RetiredSnapshotOpIsRefusedAndConnectionLivesOn) {
+  StartServer();
   ASSERT_TRUE(
-      backend_->Set(kInternalCtx, "persisted", CacheValue::OfData("v", 9))
+      backend_->Set(kInternalCtx, "k", CacheValue::OfData("still here"))
           .ok());
-  ASSERT_TRUE(backend_->TriggerSnapshot().ok());
-
-  CacheInstance restored(8, &clock_);
-  ASSERT_TRUE(Snapshot::LoadFromFile(restored, path).ok());
-  auto v = restored.RawGet("persisted");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->data, "v");
+  const std::string path = ::testing::TempDir() + "/transport_e2e_snap.bin";
   std::remove(path.c_str());
-}
 
-TEST_F(TransportE2eTest, SnapshotTriggerWithoutPathIsRejected) {
-  StartServer();  // no snapshot_path configured
-  EXPECT_EQ(backend_->TriggerSnapshot().code(), Code::kInvalidArgument);
-  EXPECT_EQ(backend_->TriggerSnapshot("/tmp/evil").code(),
-            Code::kInvalidArgument);  // remote paths disallowed by default
+  // The opcode stays in the append-only op space; the server parses its
+  // body and refuses whatever path it names, writing nothing.
+  TcpConnection conn("127.0.0.1", server_->port(), wire::kAnyInstance,
+                     TcpConnection::Options{});
+  for (const std::string& requested : {std::string(), path}) {
+    std::string body;
+    wire::PutBlob(body, requested);
+    std::string resp;
+    const Status s = conn.Transact(wire::Op::kSnapshot, body, &resp);
+    EXPECT_EQ(s.code(), Code::kInvalidArgument) << requested;
+    EXPECT_EQ(s.message(), "no snapshot path configured");
+  }
+  struct stat st;
+  EXPECT_NE(::stat(path.c_str(), &st), 0) << path << " was created";
+
+  // The refusal is an answer, not a protocol error: the connection serves.
+  std::string get_body;
+  wire::PutContext(get_body, kInternalCtx);
+  wire::PutKey(get_body, "k");
+  std::string resp;
+  ASSERT_TRUE(conn.Transact(wire::Op::kGet, get_body, &resp).ok());
+  wire::Reader r(resp);
+  CacheValue value;
+  ASSERT_TRUE(r.GetValue(&value));
+  EXPECT_EQ(value.data, "still here");
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
 }
 
 TEST_F(TransportE2eTest, UnavailableInstanceMapsToUnavailable) {
@@ -276,18 +287,40 @@ TEST_F(TransportE2eTest, ServerStopUnblocksAndRejectsNewWork) {
   EXPECT_EQ(backend_->Ping().code(), Code::kUnavailable);
 }
 
-TEST_F(TransportE2eTest, PollFallbackLoopServesTraffic) {
-  TransportServer::Options options;
-  options.use_poll_fallback = true;
-  StartServer(options);
-  ASSERT_TRUE(
-      backend_->Set(kInternalCtx, "k", CacheValue::OfData("poll")).ok());
-  auto got = backend_->Get(kInternalCtx, "k");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->data, "poll");
-  auto miss = backend_->IqGet(kInternalCtx, "other");
-  ASSERT_TRUE(miss.ok());
-  EXPECT_NE(miss->i_token, kNoLease);
+// There is one event loop and no fallback: when the kernel refuses an epoll
+// fd, Start() fails cleanly, and the same server starts once fds free up.
+TEST(TransportServerStartTest, EpollFailureFailsStartCleanly) {
+  VirtualClock clock;
+  CacheInstance instance(7, &clock);
+  TransportServer server(&instance, TransportServer::Options{});
+
+  // Cap the fd table just above the lowest free slot, fill it, then free
+  // one slot: the listen socket takes it and epoll_create1 gets EMFILE.
+  const int probe = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(probe) + 16;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  std::vector<int> hoard;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) hoard.push_back(fd);
+  ::close(hoard.back());
+  hoard.pop_back();
+  const Status s = server.Start();
+  for (int fd : hoard) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_EQ(s.code(), Code::kInternal) << s.ToString();
+  EXPECT_NE(s.message().find("epoll"), std::string::npos) << s.ToString();
+  EXPECT_FALSE(server.running());
+
+  ASSERT_TRUE(server.Start().ok());
+  TcpCacheBackend backend("127.0.0.1", server.port());
+  EXPECT_TRUE(backend.Ping().ok());
+  backend.Disconnect();
+  server.Stop();
 }
 
 TEST_F(TransportE2eTest, ManySequentialOpsOverOneConnection) {

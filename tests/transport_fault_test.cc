@@ -113,7 +113,7 @@ bool ReadFrame(int fd, uint8_t* tag, std::string* body) {
         break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // in-process io_uring kicks
+    if (n < 0 && errno == EINTR) continue;  // interrupted by a signal
     if (n <= 0) return false;
     buf.append(chunk, static_cast<size_t>(n));
   }
@@ -939,8 +939,7 @@ TEST(ServerHardening, SlowlorisConnectionsAreReapedEstablishedOnesAreNot) {
   ASSERT_TRUE(SendAll(fd, std::string("\x10\x00\x00", 3)));
 
   // The server reaps it (EOF on our side) well inside a few timeouts...
-  // EINTR is retried: an in-process io_uring backend's deferred ring
-  // teardown can kick unrelated threads out of blocking syscalls.
+  // EINTR is retried: a signal-interrupted recv is not the verdict.
   const Timestamp start = Mono();
   char byte;
   ssize_t n;

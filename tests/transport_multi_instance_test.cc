@@ -2,8 +2,8 @@
 // loop) hosting several CacheInstances behind a single ephemeral loopback
 // port. HELLO-based instance selection, kInstanceList discovery, the v1
 // HELLO compatibility fallback, clean handshake failure on unknown ids,
-// connection sharing between backends, per-instance server stats and
-// snapshot targets — and the payoff: an unmodified GeminiClient plus a
+// connection sharing between backends, per-instance server stats — and the
+// payoff: an unmodified GeminiClient plus a
 // RecoveryWorker running the full primary-failure → transient-mode →
 // recovery cycle against two instances of one in-process geminid, entirely
 // over real TCP sockets.
@@ -14,14 +14,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cache/cache_instance.h"
 #include "src/cache/dirty_list.h"
-#include "src/cache/snapshot.h"
 #include "src/client/gemini_client.h"
 #include "src/coordinator/coordinator.h"
 #include "src/recovery/recovery_worker.h"
@@ -41,16 +39,12 @@ constexpr OpContext kInternalCtx{kInternalConfigId, kInvalidFragment};
 class MultiInstanceTest : public ::testing::Test {
  protected:
   /// Starts one server hosting instances with the given ids (in order; the
-  /// first is the registry default). `snapshot_paths`, when non-empty,
-  /// pairs up with `ids`.
-  void StartServer(const std::vector<InstanceId>& ids,
-                   const std::vector<std::string>& snapshot_paths = {}) {
+  /// first is the registry default).
+  void StartServer(const std::vector<InstanceId>& ids) {
     InstanceRegistry registry;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      instances_.push_back(std::make_unique<CacheInstance>(ids[i], &clock_));
-      InstanceOptions iopts;
-      if (i < snapshot_paths.size()) iopts.snapshot_path = snapshot_paths[i];
-      ASSERT_TRUE(registry.Add(instances_.back().get(), iopts).ok());
+    for (const InstanceId id : ids) {
+      instances_.push_back(std::make_unique<CacheInstance>(id, &clock_));
+      ASSERT_TRUE(registry.Add(instances_.back().get()).ok());
     }
     server_ = std::make_unique<TransportServer>(std::move(registry),
                                                 TransportServer::Options{});
@@ -159,31 +153,6 @@ TEST_F(MultiInstanceTest, PerInstanceStatsAttributeTraffic) {
             stats.per_instance.at(9).frames_handled);
 }
 
-TEST_F(MultiInstanceTest, SnapshotTriggersUsePerInstancePaths) {
-  const std::string path4 = ::testing::TempDir() + "/multi_snap_4.bin";
-  const std::string path9 = ::testing::TempDir() + "/multi_snap_9.bin";
-  std::remove(path4.c_str());
-  std::remove(path9.c_str());
-  StartServer({4, 9}, {path4, path9});
-
-  TcpCacheBackend to4("127.0.0.1", server_->port(), 4);
-  TcpCacheBackend to9("127.0.0.1", server_->port(), 9);
-  ASSERT_TRUE(to4.Set(kInternalCtx, "in4", CacheValue::OfData("a")).ok());
-  ASSERT_TRUE(to9.Set(kInternalCtx, "in9", CacheValue::OfData("b")).ok());
-  ASSERT_TRUE(to4.TriggerSnapshot().ok());
-  ASSERT_TRUE(to9.TriggerSnapshot().ok());
-
-  CacheInstance restored4(4, &clock_), restored9(9, &clock_);
-  ASSERT_TRUE(Snapshot::LoadFromFile(restored4, path4).ok());
-  ASSERT_TRUE(Snapshot::LoadFromFile(restored9, path9).ok());
-  EXPECT_TRUE(restored4.ContainsRaw("in4"));
-  EXPECT_FALSE(restored4.ContainsRaw("in9"));
-  EXPECT_TRUE(restored9.ContainsRaw("in9"));
-  EXPECT_FALSE(restored9.ContainsRaw("in4"));
-  std::remove(path4.c_str());
-  std::remove(path9.c_str());
-}
-
 // ---- v1 HELLO compatibility (raw socket: the pre-refactor client) ----------
 
 int RawConnect(uint16_t port) {
@@ -224,7 +193,7 @@ bool ReadFrame(int fd, uint8_t* tag, std::string* body) {
         break;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // in-process io_uring kicks
+    if (n < 0 && errno == EINTR) continue;  // interrupted by a signal
     if (n <= 0) return false;
     buf.append(chunk, static_cast<size_t>(n));
   }

@@ -1,18 +1,15 @@
-// Sharded TransportServer tests, parameterized over {epoll, poll(2)} x
-// {1 loop, 4 loops}: the poll fallback must behave identically to epoll
-// with multiple event-loop shards, and num_loops = 1 must behave like the
-// historical single-threaded server. Distinct sockets (TcpConnection built
-// directly, bypassing the backend's connection pool) land on different
-// shards round-robin; each test asserts the properties sharding must not
-// weaken — per-connection FIFO, instance routing, aggregated stats — plus
-// clean shutdown and restart.
+// Sharded TransportServer tests, parameterized over {1 loop, 4 loops}:
+// num_loops = 1 must behave like the historical single-threaded server.
+// Distinct sockets (TcpConnection built directly, bypassing the backend's
+// connection pool) land on different shards round-robin; each test asserts
+// the properties sharding must not weaken — per-connection FIFO, instance
+// routing, aggregated stats — plus clean shutdown and restart.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/cache/cache_instance.h"
@@ -49,9 +46,8 @@ std::string DecodeValue(const std::string& resp_body) {
   return value.data;
 }
 
-/// (use_poll_fallback, num_loops).
-class ShardedServerTest
-    : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {
+/// Parameter: num_loops.
+class ShardedServerTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void StartServer(size_t n_instances = 1) {
     InstanceRegistry registry;
@@ -61,8 +57,7 @@ class ShardedServerTest
       ASSERT_TRUE(registry.Add(instances_.back().get()).ok());
     }
     TransportServer::Options opts;
-    opts.use_poll_fallback = std::get<0>(GetParam());
-    opts.num_loops = std::get<1>(GetParam());
+    opts.num_loops = GetParam();
     server_ = std::make_unique<TransportServer>(std::move(registry), opts);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -88,7 +83,7 @@ class ShardedServerTest
 
 TEST_P(ShardedServerTest, LoopCountMatchesOption) {
   StartServer();
-  EXPECT_EQ(server_->loop_count(), std::get<1>(GetParam()));
+  EXPECT_EQ(server_->loop_count(), GetParam());
 }
 
 TEST_P(ShardedServerTest, DistinctConnectionsServeAcrossShards) {
@@ -233,7 +228,7 @@ TEST_P(ShardedServerTest, StopDrainsAndRestartServes) {
   // The same server object restarts with a fresh set of shards (new
   // ephemeral port) and serves again.
   ASSERT_TRUE(server_->Start().ok());
-  EXPECT_EQ(server_->loop_count(), std::get<1>(GetParam()));
+  EXPECT_EQ(server_->loop_count(), GetParam());
   TcpConnection again("127.0.0.1", server_->port(), 1,
                       TcpConnection::Options{});
   EXPECT_TRUE(again.Transact(wire::Op::kPing, "", &resp).ok());
@@ -243,13 +238,10 @@ TEST_P(ShardedServerTest, StopDrainsAndRestartServes) {
   EXPECT_EQ(server_->stats().connections_accepted, 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Pollers, ShardedServerTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<ShardedServerTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param) ? "Poll" : "Native") +
-             std::to_string(std::get<1>(info.param)) + "Loops";
-    });
+INSTANTIATE_TEST_SUITE_P(Loops, ShardedServerTest, ::testing::Values(1u, 4u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return std::to_string(info.param) + "Loops";
+                         });
 
 }  // namespace
 }  // namespace gemini

@@ -32,7 +32,7 @@
 //                [--peers HOST:PORT[,HOST:PORT...]] [--rank R]
 //                [--sync-interval-ms N] [--election-timeout-ms N]
 //                [--heartbeat-interval-ms N] [--miss-threshold K]
-//                [--lease-ttl-ms N] [--policy NAME] [--threads N] [--poll]
+//                [--lease-ttl-ms N] [--policy NAME] [--threads N]
 //                [--verbose]
 //
 // --policy defaults to gemini-ow (the library's default): recovery workers
@@ -95,7 +95,6 @@ void Usage(const char* argv0) {
          "                         the recovery workers (gemini_cluster)\n"
       << "  --threads N            event-loop shards (default 1; the control\n"
          "                         plane is not the data path)\n"
-      << "  --poll                 use the portable poll(2) loop, not epoll\n"
       << "  --verbose              info-level logging\n";
 }
 
@@ -168,7 +167,6 @@ int main(int argc, char** argv) {
   uint64_t sync_interval_ms = 0;
   uint64_t election_timeout_ms = 0;
   std::vector<gemini::CoordinatorReplica::PeerEndpoint> peers;
-  bool use_poll = false;
   gemini::RecoveryPolicy policy = gemini::RecoveryPolicy::GeminiOW();
 
   for (int i = 1; i < argc; ++i) {
@@ -206,8 +204,6 @@ int main(int argc, char** argv) {
       policy = ParsePolicy(next());
     } else if (arg == "--threads") {
       threads = ParseUint(arg, next(), 64);
-    } else if (arg == "--poll") {
-      use_poll = true;
     } else if (arg == "--verbose") {
       gemini::LogState::SetLevel(gemini::LogLevel::kInfo);
     } else if (arg == "--help" || arg == "-h") {
@@ -256,7 +252,6 @@ int main(int argc, char** argv) {
   options.bind_address = bind_address;
   options.port = port;
   options.num_loops = std::max<uint32_t>(1, static_cast<uint32_t>(threads));
-  options.use_poll_fallback = use_poll;
   options.control = &replica;
   gemini::TransportServer server(gemini::InstanceRegistry(), options);
   if (gemini::Status s = server.Start(); !s.ok()) {

@@ -6,32 +6,22 @@
 // over actual sockets instead of the discrete-event cost model. A client
 // names the instance it wants in its HELLO; one geminid can therefore stand
 // in for a whole replica set (e.g. a fragment's primary and secondary) on a
-// laptop. Optional snapshot persistence closes the loop: a geminid killed
-// and restarted with the same snapshot files comes back with its entries
-// intact, which is exactly the persistent-cache premise Gemini's recovery
-// protocol exists for.
+// laptop.
 //
 // Usage:
 //   geminid [--port N] [--bind ADDR] [--threads N] [--stripes S]
-//           [--instance ID[:SNAPSHOT_FILE]]...   (repeatable)
-//           [--capacity-mb N] [--snapshot-interval-s N] [--poll] [--verbose]
-//           [--data-dir DIR]
+//           [--instance ID]...   (repeatable; default: instance 0)
+//           [--capacity-mb N] [--data-dir DIR] [--verbose]
 //
-// Single-instance sugar (mutually exclusive with --instance):
-//   geminid [--id N] [--snapshot FILE]
-//
-// Durability is one of two modes. Snapshot files (--snapshot / --instance
-// ID:FILE) persist periodically and on graceful shutdown only — a kill -9
-// loses everything since the last sweep. --data-dir DIR turns on the WAL +
-// checkpoint engine instead: each instance logs every durable mutation to
-// DIR/instance_<id>/, and a killed geminid restarted on the same directory
-// replays itself back to the exact pre-crash state (entries, quarantine
-// drops, config ids). The two modes configure conflicting sources of truth
-// for the same state, so combining them exits 2.
+// --data-dir DIR makes the cache persistent, which is the premise Gemini's
+// recovery protocol exists for: each instance logs every durable mutation
+// to a WAL in DIR/instance_<id>/, and a geminid killed (even with kill -9)
+// and restarted on the same directory replays itself back to the exact
+// pre-crash state (entries, quarantine drops, config ids). Without it the
+// cache is volatile.
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, drain connections,
-// write a final snapshot for every instance that has one configured, and
-// checkpoint every --data-dir instance so restart skips log replay.
+// and checkpoint every --data-dir instance so restart skips log replay.
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -44,8 +34,6 @@
 #include <vector>
 
 #include "src/cache/cache_instance.h"
-#include "src/cache/snapshot.h"
-#include "src/cache/snapshot_writer.h"
 #include "src/cluster/coordinator_link.h"
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -64,9 +52,9 @@ void Usage(const char* argv0) {
       << "usage: " << argv0 << " [options]\n"
       << "  --port N               TCP port (default 7311; 0 = ephemeral)\n"
       << "  --bind ADDR            bind address (default 127.0.0.1)\n"
-      << "  --instance ID[:FILE]   host instance ID, optionally persisted to\n"
-         "                         snapshot FILE; repeatable, first one is\n"
-         "                         the default for version-1 clients\n"
+      << "  --instance ID          host instance ID (default 0); repeatable,\n"
+         "                         first one is the default for version-1\n"
+         "                         clients\n"
       << "  --capacity-mb N        per-instance LRU byte budget in MiB\n"
          "                         (default 0 = unbounded)\n"
       << "  --threads N            event-loop shards (default 0 = one per\n"
@@ -74,16 +62,10 @@ void Usage(const char* argv0) {
       << "  --stripes S            lock stripes per instance (default 0 =\n"
          "                         auto: 1 for one loop, else 4x the loop\n"
          "                         count; rounded up to a power of two)\n"
-      << "  --id N                 single-instance sugar for --instance N\n"
-      << "  --snapshot FILE        single-instance sugar: snapshot file for\n"
-         "                         the --id instance\n"
-      << "  --snapshot-interval-s N  write every snapshot file every N "
-         "seconds\n"
       << "  --data-dir DIR         durable WAL + checkpoint engine: each\n"
          "                         instance persists to DIR/instance_<id>/\n"
          "                         and replays it on startup; survives\n"
-         "                         kill -9 (mutually exclusive with\n"
-         "                         snapshot files)\n"
+         "                         kill -9 (default: volatile cache)\n"
       << "  --drain-timeout-ms N   how long a graceful shutdown waits for\n"
          "                         pending responses to drain (default "
       << gemini::TransportServer::Options().drain_timeout_ms << ")\n"
@@ -104,10 +86,6 @@ void Usage(const char* argv0) {
          "                         not)\n"
       << "  --heartbeat-interval-ms N  coordinator heartbeat cadence\n"
          "                         (default 100)\n"
-      << "  --io-backend NAME      event backend: auto (default), uring,\n"
-         "                         epoll, or poll; auto picks io_uring when\n"
-         "                         the kernel supports it, else epoll\n"
-      << "  --poll                 legacy alias for --io-backend poll\n"
       << "  --verbose              info-level logging\n";
 }
 
@@ -127,11 +105,6 @@ uint64_t ParseUint(const std::string& flag, const char* value, uint64_t max) {
   }
   return static_cast<uint64_t>(parsed);
 }
-
-struct InstanceSpec {
-  gemini::InstanceId id = 0;
-  std::string snapshot_path;
-};
 
 /// Parses "HOST:PORT" (the last ':' splits, so bare IPv4/hostnames only).
 void ParseHostPort(const std::string& flag, const char* value,
@@ -167,48 +140,22 @@ std::vector<gemini::CoordinatorLink::Endpoint> ParseEndpointList(
   return out;
 }
 
-/// Parses "ID" or "ID:SNAPSHOT_FILE".
-InstanceSpec ParseInstanceSpec(const std::string& flag, const char* value) {
-  const std::string spec = value;
-  const size_t colon = spec.find(':');
-  const std::string id_part = spec.substr(0, colon);
-  InstanceSpec out;
-  out.id = static_cast<gemini::InstanceId>(
-      ParseUint(flag, id_part.c_str(), gemini::kInvalidInstance - 1));
-  if (colon != std::string::npos) {
-    out.snapshot_path = spec.substr(colon + 1);
-    if (out.snapshot_path.empty()) {
-      std::cerr << "geminid: invalid value '" << value << "' for " << flag
-                << " (empty snapshot path after ':')\n";
-      std::exit(2);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   uint16_t port = 7311;
   std::string bind_address = "127.0.0.1";
   uint64_t capacity_mb = 0;
-  uint64_t snapshot_interval_s = 0;
   uint64_t threads = 0;  // 0 = auto (hardware_concurrency)
   uint64_t stripes = 0;  // 0 = auto (derived from the loop count)
   int64_t drain_timeout_ms = -1;  // -1 = server default
   int64_t idle_timeout_ms = -1;   // -1 = server default
-  bool use_poll = false;
-  gemini::TransportServer::IoBackend io_backend =
-      gemini::TransportServer::IoBackend::kAuto;
   std::string data_dir;
   std::vector<gemini::CoordinatorLink::Endpoint> coordinators;
   std::string advertise_host;
   uint16_t advertise_port = 0;
   uint64_t heartbeat_interval_ms = 100;
-  std::vector<InstanceSpec> specs;
-  // Single-instance sugar, folded into `specs` after parsing.
-  bool saw_single_flags = false;
-  InstanceSpec single;
+  std::vector<gemini::InstanceId> ids;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -224,20 +171,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       bind_address = next();
     } else if (arg == "--instance") {
-      specs.push_back(ParseInstanceSpec(arg, next()));
-    } else if (arg == "--id") {
-      single.id = static_cast<gemini::InstanceId>(
-          ParseUint(arg, next(), gemini::kInvalidInstance - 1));
-      saw_single_flags = true;
+      ids.push_back(static_cast<gemini::InstanceId>(
+          ParseUint(arg, next(), gemini::kInvalidInstance - 1)));
     } else if (arg == "--capacity-mb") {
       capacity_mb = ParseUint(arg, next(), uint64_t{1} << 40);
     } else if (arg == "--threads") {
       threads = ParseUint(arg, next(), 64);
     } else if (arg == "--stripes") {
       stripes = ParseUint(arg, next(), 256);
-    } else if (arg == "--snapshot") {
-      single.snapshot_path = next();
-      saw_single_flags = true;
     } else if (arg == "--data-dir") {
       data_dir = next();
       if (data_dir.empty()) {
@@ -254,32 +195,12 @@ int main(int argc, char** argv) {
         std::cerr << "geminid: --heartbeat-interval-ms must be positive\n";
         return 2;
       }
-    } else if (arg == "--snapshot-interval-s") {
-      snapshot_interval_s = ParseUint(arg, next(), uint64_t{1} << 31);
     } else if (arg == "--drain-timeout-ms") {
       drain_timeout_ms =
           static_cast<int64_t>(ParseUint(arg, next(), 10 * 60 * 1000));
     } else if (arg == "--idle-timeout-ms") {
       idle_timeout_ms =
           static_cast<int64_t>(ParseUint(arg, next(), 24LL * 3600 * 1000));
-    } else if (arg == "--io-backend") {
-      const std::string name = next();
-      if (name == "auto") {
-        io_backend = gemini::TransportServer::IoBackend::kAuto;
-      } else if (name == "uring") {
-        io_backend = gemini::TransportServer::IoBackend::kUring;
-      } else if (name == "epoll") {
-        io_backend = gemini::TransportServer::IoBackend::kEpoll;
-      } else if (name == "poll") {
-        io_backend = gemini::TransportServer::IoBackend::kPoll;
-      } else {
-        std::cerr << "geminid: invalid value '" << name
-                  << "' for --io-backend (expected auto, uring, epoll, or "
-                     "poll)\n";
-        return 2;
-      }
-    } else if (arg == "--poll") {
-      use_poll = true;
     } else if (arg == "--verbose") {
       gemini::LogState::SetLevel(gemini::LogLevel::kInfo);
     } else if (arg == "--help" || arg == "-h") {
@@ -292,32 +213,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (saw_single_flags && !specs.empty()) {
-    std::cerr << "geminid: --id/--snapshot are single-instance sugar and "
-                 "cannot be combined with --instance\n";
-    return 2;
-  }
-  if (specs.empty()) specs.push_back(single);  // Defaults to instance 0.
+  if (ids.empty()) ids.push_back(0);
 
   if (coordinators.empty() && !advertise_host.empty()) {
     std::cerr << "geminid: --advertise only makes sense with --coordinator\n";
     return 2;
-  }
-
-  if (!data_dir.empty()) {
-    for (const InstanceSpec& spec : specs) {
-      if (!spec.snapshot_path.empty()) {
-        std::cerr << "geminid: --data-dir and snapshot files (--snapshot / "
-                     "--instance ID:FILE) are conflicting durability modes; "
-                     "pick one\n";
-        return 2;
-      }
-    }
-    if (snapshot_interval_s != 0) {
-      std::cerr << "geminid: --snapshot-interval-s has no effect with "
-                   "--data-dir (the WAL engine persists continuously)\n";
-      return 2;
-    }
   }
 
   // Resolve --threads 0 here (not in the server) because the stripe default
@@ -339,20 +239,20 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<gemini::CacheInstance>> instances;
   std::vector<std::unique_ptr<gemini::PersistentStore>> stores;
   gemini::InstanceRegistry registry;
-  std::vector<gemini::SnapshotWriter::Target> snapshot_targets;
-  for (const InstanceSpec& spec : specs) {
+  for (const gemini::InstanceId id : ids) {
     gemini::CacheInstance::Options instance_options = cache_options;
     gemini::PersistentStore* store = nullptr;
     if (!data_dir.empty()) {
       stores.push_back(std::make_unique<gemini::PersistentStore>(
-          data_dir + "/instance_" + std::to_string(spec.id)));
+          data_dir + "/instance_" + std::to_string(id)));
       store = stores.back().get();
       instance_options.persistence = store;
     }
     instances.push_back(std::make_unique<gemini::CacheInstance>(
-        spec.id, &gemini::SystemClock::Global(), instance_options));
+        id, &gemini::SystemClock::Global(), instance_options));
     gemini::CacheInstance& instance = *instances.back();
 
+    gemini::InstanceOptions iopts;
     if (store != nullptr) {
       // Replays checkpoint + WAL tail into the cold instance before the
       // server accepts a single request. Fails closed on damaged history.
@@ -361,35 +261,11 @@ int main(int argc, char** argv) {
                   << ": " << s.ToString() << "\n";
         return 1;
       }
-      std::cout << "geminid: instance " << spec.id << " restored "
+      std::cout << "geminid: instance " << id << " restored "
                 << store->stats().restored_entries << " entries ("
                 << store->stats().replayed_records << " wal records, "
                 << store->stats().quarantine_drops
                 << " quarantine drops) from " << store->dir() << "\n";
-    }
-
-    if (!spec.snapshot_path.empty()) {
-      gemini::Status s =
-          gemini::Snapshot::LoadFromFile(instance, spec.snapshot_path);
-      if (s.ok()) {
-        std::cout << "geminid: instance " << spec.id << " restored "
-                  << instance.stats().entry_count << " entries from "
-                  << spec.snapshot_path << "\n";
-      } else if (s.code() == gemini::Code::kNotFound) {
-        std::cout << "geminid: instance " << spec.id << " has no snapshot at "
-                  << spec.snapshot_path << ", starting empty\n";
-      } else {
-        // Fail closed: a torn snapshot must not silently serve stale data.
-        std::cerr << "geminid: refusing corrupt snapshot "
-                  << spec.snapshot_path << ": " << s.ToString() << "\n";
-        return 1;
-      }
-      snapshot_targets.push_back({&instance, spec.snapshot_path});
-    }
-
-    gemini::InstanceOptions iopts;
-    iopts.snapshot_path = spec.snapshot_path;
-    if (store != nullptr) {
       // Surface the durability engine's counters through kStats alongside
       // the server/cache gauges (all named persist.* to keep the namespace
       // flat). The lambda outlives the loop; `stores` outlives the server.
@@ -420,8 +296,6 @@ int main(int argc, char** argv) {
   options.bind_address = bind_address;
   options.port = port;
   options.num_loops = effective_loops;
-  options.use_poll_fallback = use_poll;
-  options.io_backend = io_backend;
   if (drain_timeout_ms >= 0) {
     options.drain_timeout_ms = static_cast<int>(drain_timeout_ms);
   }
@@ -440,14 +314,15 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
 
   {
-    std::string ids;
-    for (const InstanceSpec& spec : specs) {
-      if (!ids.empty()) ids += ",";
-      ids += std::to_string(spec.id);
+    std::string id_list;
+    for (const gemini::InstanceId id : ids) {
+      if (!id_list.empty()) id_list += ",";
+      id_list += std::to_string(id);
     }
-    std::cout << "geminid: instances " << ids << " serving on " << bind_address
-              << ":" << server.port() << " (io backend: "
-              << server.io_backend_name() << ")" << std::endl;
+    // The "(io backend: ...)" suffix is parsed by perfbench's config line.
+    std::cout << "geminid: instances " << id_list << " serving on "
+              << bind_address << ":" << server.port()
+              << " (io backend: epoll)" << std::endl;
   }
 
   // One coordinator link per hosted instance: the control plane tracks
@@ -483,16 +358,6 @@ int main(int argc, char** argv) {
               << std::endl;
   }
 
-  gemini::SnapshotWriter::Options writer_options;
-  writer_options.interval =
-      gemini::Seconds(static_cast<double>(snapshot_interval_s));
-  gemini::SnapshotWriter writer(snapshot_targets, writer_options);
-  if (gemini::Status s = writer.Start(); !s.ok()) {
-    std::cerr << "geminid: " << s.ToString() << "\n";
-    server.Stop();
-    return 1;
-  }
-
   while (g_shutdown == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
@@ -500,21 +365,9 @@ int main(int argc, char** argv) {
   std::cout << "geminid: shutting down\n";
   // Order matters: silence the coordinator links (so the control plane sees
   // missed beats, not RSTs from a half-dead process), stop accepting work,
-  // stop the periodic writer (an in-flight sweep completes, never tears),
-  // then write the final authoritative snapshots with everything quiesced.
+  // then checkpoint with everything quiesced.
   for (auto& link : links) link->Stop();
   server.Stop();
-  writer.Stop();
-  if (!snapshot_targets.empty()) {
-    if (gemini::Status s = writer.WriteAll(); !s.ok()) {
-      std::cerr << "geminid: final snapshot failed: " << s.ToString() << "\n";
-      return 1;
-    }
-    for (const auto& target : snapshot_targets) {
-      std::cout << "geminid: wrote " << target.instance->stats().entry_count
-                << " entries to " << target.path << "\n";
-    }
-  }
   // A shutdown checkpoint is an optimization, not a durability requirement
   // (the WAL already holds everything): it makes the next boot replay one
   // snapshot instead of the whole log. Still fail loudly if it breaks.
