@@ -41,22 +41,17 @@ std::shared_ptr<TcpConnection> ClusterEndpoint::Conn() const {
   return conn_;
 }
 
-Status ClusterEndpoint::Transact(wire::Op op, std::string_view body,
-                                 std::string* resp) {
+template <wire::Op op, typename... Args>
+wire::CallResult<op> ClusterEndpoint::Call(const Args&... args) {
   auto conn = Conn();
   if (!conn) return Status(Code::kUnavailable, "instance endpoint down");
-  return conn->Transact(op, body, resp);
+  return conn->Call<op>(args...);
 }
 
 void ClusterEndpoint::GrantLease(FragmentId fragment, ConfigId min_valid_config,
                                  Duration ttl, ConfigId latest_config) {
-  std::string body;
-  wire::PutU32(body, fragment);
-  wire::PutU64(body, min_valid_config);
-  wire::PutU64(body, static_cast<uint64_t>(ttl));
-  wire::PutU64(body, latest_config);
-  std::string resp;
-  const Status s = Transact(wire::Op::kLeaseGrant, body, &resp);
+  const Status s = Call<wire::Op::kLeaseGrant>(
+      fragment, min_valid_config, static_cast<uint64_t>(ttl), latest_config);
   if (!s.ok()) {
     LOG_WARN << "instance " << id_ << ": lease grant for fragment " << fragment
              << " failed: " << s.ToString();
@@ -64,11 +59,7 @@ void ClusterEndpoint::GrantLease(FragmentId fragment, ConfigId min_valid_config,
 }
 
 void ClusterEndpoint::RevokeLease(FragmentId fragment, ConfigId latest_config) {
-  std::string body;
-  wire::PutU32(body, fragment);
-  wire::PutU64(body, latest_config);
-  std::string resp;
-  const Status s = Transact(wire::Op::kLeaseRevoke, body, &resp);
+  const Status s = Call<wire::Op::kLeaseRevoke>(fragment, latest_config);
   if (!s.ok()) {
     LOG_WARN << "instance " << id_ << ": lease revoke for fragment "
              << fragment << " failed: " << s.ToString();
@@ -76,44 +67,15 @@ void ClusterEndpoint::RevokeLease(FragmentId fragment, ConfigId latest_config) {
 }
 
 Result<CacheValue> ClusterEndpoint::Get(std::string_view key) {
-  if (key.size() > wire::kMaxKeyLen) {
-    return Status(Code::kInvalidArgument, "key too long");
-  }
-  std::string body;
-  wire::PutContext(body, InternalContext());
-  wire::PutKey(body, key);
-  std::string resp;
-  const Status s = Transact(wire::Op::kGet, body, &resp);
-  if (!s.ok()) return s;
-  wire::Reader r(resp);
-  CacheValue value;
-  if (!r.GetValue(&value) || !r.Done()) {
-    return Status(Code::kInternal, "malformed kGet response");
-  }
-  return value;
+  return Call<wire::Op::kGet>(InternalContext(), key);
 }
 
 Status ClusterEndpoint::Set(std::string_view key, CacheValue value) {
-  if (key.size() > wire::kMaxKeyLen) {
-    return Status(Code::kInvalidArgument, "key too long");
-  }
-  std::string body;
-  wire::PutContext(body, InternalContext());
-  wire::PutKey(body, key);
-  wire::PutValue(body, value);
-  std::string resp;
-  return Transact(wire::Op::kSet, body, &resp);
+  return Call<wire::Op::kSet>(InternalContext(), key, value);
 }
 
 Status ClusterEndpoint::Delete(std::string_view key) {
-  if (key.size() > wire::kMaxKeyLen) {
-    return Status(Code::kInvalidArgument, "key too long");
-  }
-  std::string body;
-  wire::PutContext(body, InternalContext());
-  wire::PutKey(body, key);
-  std::string resp;
-  return Transact(wire::Op::kDelete, body, &resp);
+  return Call<wire::Op::kDelete>(InternalContext(), key);
 }
 
 }  // namespace gemini

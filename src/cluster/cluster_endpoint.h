@@ -68,7 +68,10 @@ class ClusterEndpoint final : public InstanceEndpoint {
  private:
   /// Connection snapshot, or nullptr when unattached or gated down.
   std::shared_ptr<TcpConnection> Conn() const;
-  Status Transact(wire::Op op, std::string_view body, std::string* resp);
+  /// One typed round trip (TcpConnection::Call) on the current connection;
+  /// kUnavailable while unattached or gated down.
+  template <wire::Op op, typename... Args>
+  wire::CallResult<op> Call(const Args&... args);
 
   const InstanceId id_;
   const Options options_;

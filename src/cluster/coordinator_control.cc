@@ -123,37 +123,43 @@ void CoordinatorControl::TickerLoop() {
 
 ControlPlane::Reply CoordinatorControl::HandleControl(wire::Op op,
                                                       std::string_view body) {
+  using wire::Op;
   switch (op) {
-    case wire::Op::kCoordRegister:
-      return HandleRegister(body);
-    case wire::Op::kCoordHeartbeat:
-      return HandleHeartbeat(body);
-    case wire::Op::kCoordConfigGet:
-      return HandleConfig(body, /*subscribe=*/false);
-    case wire::Op::kCoordConfigWatch:
-      return HandleConfig(body, /*subscribe=*/true);
-    case wire::Op::kCoordReport:
-      return HandleReport(body);
-    case wire::Op::kCoordDirtyQuery:
-      return HandleDirtyQuery(body);
+    case Op::kCoordRegister:
+      return Serve<Op::kCoordRegister>(
+          body, [this](InstanceId instance, wire::Blob host, uint16_t port) {
+            return Register(instance, host, port);
+          });
+    case Op::kCoordHeartbeat:
+      return Serve<Op::kCoordHeartbeat>(
+          body, [this](std::vector<InstanceId> ids) { return Heartbeat(ids); });
+    case Op::kCoordConfigGet:
+      return Serve<Op::kCoordConfigGet>(body, [this] { return Config(); });
+    case Op::kCoordConfigWatch: {
+      Reply reply = Serve<Op::kCoordConfigWatch>(
+          body, [this](ConfigId /*known*/) { return Config(); });
+      reply.subscribe = reply.status.ok();
+      return reply;
+    }
+    case Op::kCoordReport:
+      return Serve<Op::kCoordReport>(
+          body, [this](uint8_t event, FragmentId fragment) {
+            return Report(event, fragment);
+          });
+    case Op::kCoordDirtyQuery:
+      return Serve<Op::kCoordDirtyQuery>(body, [this](FragmentId fragment) {
+        return static_cast<uint8_t>(coordinator_->DirtyProcessed(fragment));
+      });
     default:
       return {Status(Code::kInvalidArgument, "not a coordinator op"), {}, false};
   }
 }
 
-ControlPlane::Reply CoordinatorControl::HandleRegister(std::string_view body) {
-  wire::Reader r(body);
-  uint32_t instance = 0;
-  std::string_view host;
-  uint16_t port = 0;
-  if (!r.GetU32(&instance) || !r.GetBlob(&host) || !r.GetU16(&port) ||
-      !r.Done()) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordRegister"), {},
-            false};
-  }
+Result<ConfigId> CoordinatorControl::Register(InstanceId instance,
+                                              std::string_view host,
+                                              uint16_t port) {
   if (instance >= options_.num_instances) {
-    return {Status(Code::kInvalidArgument, "instance id out of range"), {},
-            false};
+    return Status(Code::kInvalidArgument, "instance id out of range");
   }
   endpoints_[instance]->Attach(std::string(host), port);
   {
@@ -164,33 +170,18 @@ ControlPlane::Reply CoordinatorControl::HandleRegister(std::string_view body) {
   if (options_.on_state_mutation) options_.on_state_mutation();
   // The recovery cycle itself runs on the ticker (next tick drains the
   // registration edge); the shard thread only records the beat and replies.
-  Reply reply;
-  wire::PutU64(reply.body, coordinator_->latest_id());
-  return reply;
+  return coordinator_->latest_id();
 }
 
-ControlPlane::Reply CoordinatorControl::HandleHeartbeat(std::string_view body) {
-  wire::Reader r(body);
-  uint32_t count = 0;
-  if (!r.GetU32(&count) || count > options_.num_instances) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordHeartbeat"), {},
-            false};
-  }
-  std::vector<uint32_t> ids(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!r.GetU32(&ids[i])) {
-      return {Status(Code::kInvalidArgument, "malformed kCoordHeartbeat"), {},
-              false};
-    }
-  }
-  if (!r.Done()) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordHeartbeat"), {},
-            false};
+Result<std::tuple<ConfigId, uint8_t>> CoordinatorControl::Heartbeat(
+    const std::vector<InstanceId>& ids) {
+  if (ids.size() > options_.num_instances) {
+    return Status(Code::kInvalidArgument, "heartbeat names too many instances");
   }
   bool all_registered = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (uint32_t id : ids) {
+    for (InstanceId id : ids) {
       monitor_.OnHeartbeat(id);
       // A beat does not revive a failed instance (the process may have
       // restarted and lost its leases) — the reply tells the sender to
@@ -199,44 +190,19 @@ ControlPlane::Reply CoordinatorControl::HandleHeartbeat(std::string_view body) {
     }
   }
   heartbeats_received_.fetch_add(1, std::memory_order_relaxed);
-  Reply reply;
-  wire::PutU64(reply.body, coordinator_->latest_id());
-  wire::PutU8(reply.body, all_registered ? 1 : 0);
-  return reply;
+  return std::tuple<ConfigId, uint8_t>(coordinator_->latest_id(),
+                                       all_registered ? 1 : 0);
 }
 
-ControlPlane::Reply CoordinatorControl::HandleConfig(std::string_view body,
-                                                     bool subscribe) {
-  if (subscribe) {
-    wire::Reader r(body);
-    uint64_t known = 0;
-    if (!r.GetU64(&known) || !r.Done()) {
-      return {Status(Code::kInvalidArgument, "malformed kCoordConfigWatch"),
-              {}, false};
-    }
-  } else if (!body.empty()) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordConfigGet"), {},
-            false};
-  }
+Result<std::string> CoordinatorControl::Config() {
   ConfigurationPtr config = coordinator_->GetConfiguration();
-  if (!config) {
-    return {Status(Code::kUnavailable, "no configuration published"), {},
-            false};
-  }
-  Reply reply;
-  wire::PutBlob(reply.body, config->Serialize());
-  reply.subscribe = subscribe;
-  return reply;
+  if (!config) return Status(Code::kUnavailable, "no configuration published");
+  return config->Serialize();
 }
 
-ControlPlane::Reply CoordinatorControl::HandleReport(std::string_view body) {
-  wire::Reader r(body);
-  uint8_t event = 0;
-  uint32_t fragment = 0;
-  if (!r.GetU8(&event) || !r.GetU32(&fragment) || !r.Done() ||
-      !wire::IsKnownCoordEvent(event)) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordReport"), {},
-            false};
+Status CoordinatorControl::Report(uint8_t event, FragmentId fragment) {
+  if (!wire::IsKnownCoordEvent(event)) {
+    return Status(Code::kInvalidArgument, "unknown coordinator event");
   }
   switch (static_cast<wire::CoordEvent>(event)) {
     case wire::CoordEvent::kDirtyListProcessed:
@@ -250,20 +216,7 @@ ControlPlane::Reply CoordinatorControl::HandleReport(std::string_view body) {
       break;
   }
   if (options_.on_state_mutation) options_.on_state_mutation();
-  return {};
-}
-
-ControlPlane::Reply CoordinatorControl::HandleDirtyQuery(
-    std::string_view body) {
-  wire::Reader r(body);
-  uint32_t fragment = 0;
-  if (!r.GetU32(&fragment) || !r.Done()) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordDirtyQuery"), {},
-            false};
-  }
-  Reply reply;
-  wire::PutU8(reply.body, coordinator_->DirtyProcessed(fragment) ? 1 : 0);
-  return reply;
+  return Status::Ok();
 }
 
 std::vector<std::pair<std::string, uint64_t>> CoordinatorControl::ExtraStats() {

@@ -44,6 +44,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/cluster/cluster_endpoint.h"
@@ -107,11 +108,13 @@ class CoordinatorControl final : public ControlPlane {
 
  private:
   void TickerLoop();
-  Reply HandleRegister(std::string_view body);
-  Reply HandleHeartbeat(std::string_view body);
-  Reply HandleConfig(std::string_view body, bool subscribe);
-  Reply HandleReport(std::string_view body);
-  Reply HandleDirtyQuery(std::string_view body);
+  // kCoord* handlers, called with their request fields (wire::Serve).
+  Result<ConfigId> Register(InstanceId instance, std::string_view host,
+                            uint16_t port);
+  Result<std::tuple<ConfigId, uint8_t>> Heartbeat(
+      const std::vector<InstanceId>& ids);
+  Result<std::string> Config();
+  Status Report(uint8_t event, FragmentId fragment);
 
   const Clock* clock_;
   Options options_;

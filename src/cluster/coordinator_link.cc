@@ -54,46 +54,31 @@ void CoordinatorLink::Rotate() {
 }
 
 bool CoordinatorLink::TryRegister() {
-  std::string body;
-  wire::PutU32(body, options_.instance);
-  wire::PutBlob(body, options_.advertise_host);
-  wire::PutU16(body, options_.advertise_port);
-  std::string resp;
-  const Status s = conn().Transact(wire::Op::kCoordRegister, body, &resp);
-  if (!s.ok()) {
+  const Result<ConfigId> latest = conn().Call<wire::Op::kCoordRegister>(
+      options_.instance, options_.advertise_host, options_.advertise_port);
+  if (!latest.ok()) {
     // Dead (kUnavailable) or shadow (kNotMaster) coordinator: try the next
     // endpoint on the following round. Registration is idempotent, so
     // landing on the real master twice is harmless.
     Rotate();
     return false;
   }
-  wire::Reader r(resp);
-  uint64_t latest = 0;
-  if (!r.GetU64(&latest) || !r.Done()) return false;
-  if (options_.on_config_id) options_.on_config_id(latest);
+  if (options_.on_config_id) options_.on_config_id(*latest);
   LOG_INFO << "instance " << options_.instance
-           << ": registered with coordinator (config id " << latest << ")";
+           << ": registered with coordinator (config id " << *latest << ")";
   return true;
 }
 
 bool CoordinatorLink::TryHeartbeat() {
-  std::string body;
-  wire::PutU32(body, 1);
-  wire::PutU32(body, options_.instance);
-  std::string resp;
-  const Status s = conn().Transact(wire::Op::kCoordHeartbeat, body, &resp);
-  if (!s.ok()) {
+  const auto reply = conn().Call<wire::Op::kCoordHeartbeat>(
+      std::vector<InstanceId>{options_.instance});
+  if (!reply.ok()) {
     // The master died or was demoted under us; re-register with the next
     // endpoint (the promoted master's grace window expects exactly that).
     Rotate();
     return false;
   }
-  wire::Reader r(resp);
-  uint64_t latest = 0;
-  uint8_t still_registered = 0;
-  if (!r.GetU64(&latest) || !r.GetU8(&still_registered) || !r.Done()) {
-    return false;
-  }
+  const auto [latest, still_registered] = *reply;
   if (options_.on_config_id) options_.on_config_id(latest);
   // registered=0 means the coordinator failed this instance (missed beats,
   // or a restarted coordinator that never saw it): fall back to

@@ -13,72 +13,62 @@ namespace {
 
 constexpr uint32_t kStateCodecVersion = 1;
 
+/// The CoordinatorState blob, in the wire field codec: codec version,
+/// master_epoch, next_config_id, discarded_fragments, round_robin_cursor,
+/// believed_up, and per fragment: primary, secondary, config_id, mode,
+/// epoch, prefailure_config_id, secondary_created_id, dirty_processed,
+/// wst_terminated.
+using FragmentFields = std::tuple<wire::u32, wire::u32, wire::u64, wire::u8,
+                                  wire::u32, wire::u64, wire::u64, wire::u8,
+                                  wire::u8>;
+using StateFields =
+    std::tuple<wire::u32, wire::u64, wire::u64, wire::u64, wire::u64,
+               std::vector<wire::u8>, std::vector<FragmentFields>>;
+
 }  // namespace
 
 void EncodeCoordinatorState(std::string& out, const CoordinatorState& state) {
-  wire::PutU32(out, kStateCodecVersion);
-  wire::PutU64(out, state.master_epoch);
-  wire::PutU64(out, state.next_config_id);
-  wire::PutU64(out, state.discarded_fragments);
-  wire::PutU64(out, static_cast<uint64_t>(state.round_robin_cursor));
-  wire::PutU32(out, static_cast<uint32_t>(state.believed_up.size()));
-  for (const bool up : state.believed_up) wire::PutU8(out, up ? 1 : 0);
-  wire::PutU32(out, static_cast<uint32_t>(state.fragments.size()));
+  std::vector<FragmentFields> fragments;
   for (const auto& fe : state.fragments) {
-    wire::PutU32(out, fe.assignment.primary);
-    wire::PutU32(out, fe.assignment.secondary);
-    wire::PutU64(out, fe.assignment.config_id);
-    wire::PutU8(out, static_cast<uint8_t>(fe.assignment.mode));
-    wire::PutU32(out, fe.assignment.epoch);
-    wire::PutU64(out, fe.prefailure_config_id);
-    wire::PutU64(out, fe.secondary_created_id);
-    wire::PutU8(out, fe.dirty_processed ? 1 : 0);
-    wire::PutU8(out, fe.wst_terminated ? 1 : 0);
+    const FragmentAssignment& a = fe.assignment;
+    fragments.emplace_back(a.primary, a.secondary, a.config_id,
+                           static_cast<uint8_t>(a.mode), a.epoch,
+                           fe.prefailure_config_id, fe.secondary_created_id,
+                           fe.dirty_processed, fe.wst_terminated);
   }
+  wire::Encode<StateFields>(
+      out, std::tie(kStateCodecVersion, state.master_epoch,
+                    state.next_config_id, state.discarded_fragments,
+                    state.round_robin_cursor, state.believed_up, fragments));
 }
 
 bool DecodeCoordinatorState(std::string_view in, CoordinatorState* state) {
-  wire::Reader r(in);
   uint32_t version = 0;
-  if (!r.GetU32(&version) || version != kStateCodecVersion) return false;
   uint64_t cursor = 0;
-  if (!r.GetU64(&state->master_epoch) || !r.GetU64(&state->next_config_id) ||
-      !r.GetU64(&state->discarded_fragments) || !r.GetU64(&cursor)) {
+  std::vector<uint8_t> up;
+  std::vector<FragmentFields> fragments;
+  auto fields = std::tie(version, state->master_epoch, state->next_config_id,
+                         state->discarded_fragments, cursor, up, fragments);
+  if (!wire::Decode<StateFields>(in, &fields) ||
+      version != kStateCodecVersion) {
     return false;
   }
   state->round_robin_cursor = static_cast<size_t>(cursor);
-  uint32_t n = 0;
-  if (!r.GetU32(&n)) return false;
-  state->believed_up.clear();
-  state->believed_up.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t up = 0;
-    if (!r.GetU8(&up)) return false;
-    state->believed_up.push_back(up != 0);
-  }
-  if (!r.GetU32(&n)) return false;
+  state->believed_up.assign(up.begin(), up.end());
   state->fragments.clear();
-  state->fragments.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  for (const auto& [primary, secondary, config_id, mode, frag_epoch,
+                    prefailure, created, dirty, wst] : fragments) {
+    if (mode > static_cast<uint8_t>(FragmentMode::kRecovery)) return false;
     CoordinatorState::FragmentEntry fe;
-    uint8_t mode = 0;
-    uint8_t dirty = 0;
-    uint8_t wst = 0;
-    if (!r.GetU32(&fe.assignment.primary) ||
-        !r.GetU32(&fe.assignment.secondary) ||
-        !r.GetU64(&fe.assignment.config_id) || !r.GetU8(&mode) ||
-        !r.GetU32(&fe.assignment.epoch) || !r.GetU64(&fe.prefailure_config_id) ||
-        !r.GetU64(&fe.secondary_created_id) || !r.GetU8(&dirty) ||
-        !r.GetU8(&wst) ||
-        mode > static_cast<uint8_t>(FragmentMode::kRecovery)) {
-      return false;
-    }
-    fe.assignment.mode = static_cast<FragmentMode>(mode);
+    fe.assignment = {primary, secondary, config_id,
+                     static_cast<FragmentMode>(mode), frag_epoch};
+    fe.prefailure_config_id = prefailure;
+    fe.secondary_created_id = created;
     fe.dirty_processed = dirty != 0;
     fe.wst_terminated = wst != 0;
     state->fragments.push_back(fe);
   }
-  return r.Done();
+  return true;
 }
 
 CoordinatorReplica::CoordinatorReplica(const Clock* clock, Options options)
@@ -241,20 +231,16 @@ void CoordinatorReplica::ReplicateOnce() {
   state.master_epoch = epoch;
   std::string blob;
   EncodeCoordinatorState(blob, state);
-  std::string body;
-  wire::PutU64(body, epoch);
-  wire::PutU32(body, options_.rank);
-  wire::PutBlob(body, blob);
   bool all_acked = true;
   for (auto& conn : peer_conns_) {
-    std::string resp;
-    const Status s = conn->Transact(wire::Op::kCoordShadowSync, body, &resp);
-    if (s.ok()) {
+    const Result<uint64_t> acked =
+        conn->Call<wire::Op::kCoordShadowSync>(epoch, options_.rank, blob);
+    if (acked.ok()) {
       syncs_sent_.fetch_add(1, std::memory_order_relaxed);
-      replication_bytes_.fetch_add(body.size(), std::memory_order_relaxed);
+      replication_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
       continue;
     }
-    if (s.code() == Code::kNotMaster) {
+    if (acked.code() == Code::kNotMaster) {
       // A peer has seen a strictly newer mastership claim: fence ourselves.
       sync_rejections_rx_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu_);
@@ -271,32 +257,19 @@ void CoordinatorReplica::ReplicateOnce() {
   }
 }
 
-ControlPlane::Reply CoordinatorReplica::HandleShadowSync(
-    std::string_view body) {
-  wire::Reader r(body);
-  uint64_t epoch = 0;
-  uint32_t rank = 0;
-  std::string_view blob;
-  if (!r.GetU64(&epoch) || !r.GetU32(&rank) || !r.GetBlob(&blob) ||
-      !r.Done()) {
-    return {Status(Code::kInvalidArgument, "malformed kCoordShadowSync"), {},
-            false};
-  }
+Result<uint64_t> CoordinatorReplica::ApplyShadowSync(uint64_t epoch,
+                                                     uint32_t rank,
+                                                     std::string_view blob) {
   CoordinatorState state;
   if (!DecodeCoordinatorState(blob, &state)) {
-    return {Status(Code::kInvalidArgument, "malformed coordinator state"), {},
-            false};
+    return Status(Code::kInvalidArgument, "malformed coordinator state");
   }
   std::lock_guard<std::mutex> lock(mu_);
   // A claim carrying our own rank is our own sync echoed back: ranks are
   // unique within a group, so this only happens when the operator listed
   // this replica in its own --peers. Ack without applying — treating the
   // echo as a foreign claim would make a boot master demote itself.
-  if (rank == options_.rank) {
-    Reply reply;
-    wire::PutU64(reply.body, epoch_);
-    return reply;
-  }
+  if (rank == options_.rank) return epoch_;
   // Mastership claims are ordered by (epoch, rank): higher epoch wins, and
   // within one epoch the lower rank wins (two shadows that promoted off the
   // same dead master both bumped to the same epoch).
@@ -304,7 +277,7 @@ ControlPlane::Reply CoordinatorReplica::HandleShadowSync(
       epoch > epoch_ || (epoch == epoch_ && rank <= master_rank_);
   if (!current) {
     syncs_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return {Status(Code::kNotMaster, "stale mastership claim"), {}, false};
+    return Status(Code::kNotMaster, "stale mastership claim");
   }
   epoch_ = epoch;  // raise first so a step-down logs the epoch that won
   if (role_ == Role::kMaster) StepDownLocked();
@@ -312,16 +285,19 @@ ControlPlane::Reply CoordinatorReplica::HandleShadowSync(
   last_master_contact_ = clock_->Now();
   replicated_state_ = std::move(state);
   syncs_received_.fetch_add(1, std::memory_order_relaxed);
-  Reply reply;
-  wire::PutU64(reply.body, epoch_);
   // A step-down queued a retired control; make sure the loop drains it.
   if (!retired_.empty()) Nudge();
-  return reply;
+  return epoch_;
 }
 
 ControlPlane::Reply CoordinatorReplica::HandleControl(wire::Op op,
                                                       std::string_view body) {
-  if (op == wire::Op::kCoordShadowSync) return HandleShadowSync(body);
+  if (op == wire::Op::kCoordShadowSync) {
+    return Serve<wire::Op::kCoordShadowSync>(
+        body, [this](uint64_t epoch, uint32_t rank, wire::Blob blob) {
+          return ApplyShadowSync(epoch, rank, blob);
+        });
+  }
   std::shared_ptr<CoordinatorControl> control;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -161,7 +161,10 @@ class CoordinatorReplica final : public ControlPlane {
   /// Sends one full-state sync to every peer; demotes on a kNotMaster
   /// rejection. Runs on the loop thread, without mu_ held across RPCs.
   void ReplicateOnce();
-  Reply HandleShadowSync(std::string_view body);
+  /// kCoordShadowSync: fences or adopts a mastership claim; answers the
+  /// epoch this replica now accepts.
+  Result<uint64_t> ApplyShadowSync(uint64_t epoch, uint32_t rank,
+                                   std::string_view blob);
 
   const Clock* clock_;
   Options options_;

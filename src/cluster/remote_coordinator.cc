@@ -16,14 +16,16 @@ TcpConnection::Options ConnOptions(const RemoteCoordinator::Options& o) {
   return c;
 }
 
-/// Decodes `blob serialized_configuration` into a Configuration.
-ConfigurationPtr ParseConfigBody(std::string_view body) {
-  wire::Reader r(body);
-  std::string_view blob;
-  if (!r.GetBlob(&blob) || !r.Done()) return nullptr;
-  auto config = Configuration::Deserialize(blob);
+ConfigurationPtr ParseConfig(std::string_view serialized) {
+  auto config = Configuration::Deserialize(serialized);
   if (!config.has_value()) return nullptr;
   return std::make_shared<const Configuration>(std::move(*config));
+}
+
+/// Decodes a config push body, `blob serialized_configuration`.
+ConfigurationPtr ParsePushBody(std::string_view body) {
+  std::string_view blob;
+  return wire::Decode<wire::Blob>(body, &blob) ? ParseConfig(blob) : nullptr;
 }
 
 }  // namespace
@@ -49,7 +51,7 @@ RemoteCoordinator::RemoteCoordinator(std::vector<Endpoint> endpoints,
     // from a fenced ex-master is inert (ids adopt only forward).
     conn->AddPushHandler([weak](uint8_t tag, const std::string& body) {
       if (tag != wire::kPushConfigTag) return;
-      if (auto state = weak.lock()) state->Adopt(ParseConfigBody(body));
+      if (auto state = weak.lock()) state->Adopt(ParsePushBody(body));
     });
     conns_.push_back(std::move(conn));
   }
@@ -67,16 +69,16 @@ RemoteCoordinator::~RemoteCoordinator() {
   if (rewatcher_.joinable()) rewatcher_.join();
 }
 
-Status RemoteCoordinator::TransactFailover(wire::Op op, std::string_view body,
-                                           std::string* resp,
-                                           bool rotate_on_unavailable) const {
+template <wire::Op op, typename... Args>
+wire::CallResult<op> RemoteCoordinator::CallFailover(
+    bool rotate_on_unavailable, const Args&... args) const {
   const size_t n = conns_.size();
   const size_t start = active_.load(std::memory_order_acquire);
-  Status last = Status(Code::kUnavailable, "no coordinator endpoints");
+  wire::CallResult<op> last =
+      Status(Code::kUnavailable, "no coordinator endpoints");
   for (size_t i = 0; i < n; ++i) {
     const size_t idx = (start + i) % n;
-    resp->clear();
-    last = conns_[idx]->Transact(op, body, resp);
+    last = conns_[idx]->Call<op>(args...);
     if (last.ok()) {
       if (idx != start) {
         active_.store(idx, std::memory_order_release);
@@ -97,13 +99,12 @@ Status RemoteCoordinator::TransactFailover(wire::Op op, std::string_view body,
 }
 
 Status RemoteCoordinator::Refresh() {
-  std::string body;
-  wire::PutU64(body, state_->latest.load(std::memory_order_acquire));
-  std::string resp;
-  const Status s = TransactFailover(wire::Op::kCoordConfigWatch, body, &resp,
-                                    /*rotate_on_unavailable=*/true);
-  if (!s.ok()) return s;
-  ConfigurationPtr config = ParseConfigBody(resp);
+  const Result<std::string> serialized =
+      CallFailover<wire::Op::kCoordConfigWatch>(
+          /*rotate_on_unavailable=*/true,
+          state_->latest.load(std::memory_order_acquire));
+  if (!serialized.ok()) return serialized.status();
+  ConfigurationPtr config = ParseConfig(*serialized);
   if (!config) return Status(Code::kInternal, "malformed configuration body");
   state_->Adopt(std::move(config));
   return Status::Ok();
@@ -139,15 +140,11 @@ RemoteCoordinator::Stats RemoteCoordinator::stats() const {
 }
 
 void RemoteCoordinator::Report(wire::CoordEvent event, FragmentId fragment) {
-  std::string body;
-  wire::PutU8(body, static_cast<uint8_t>(event));
-  wire::PutU32(body, fragment);
-  std::string resp;
   // Rotate past shadows (a kNotMaster answer means the report was not
   // applied), but stay fail-fast on kUnavailable: a replayed report after
   // an ambiguous loss could land twice across a mode transition.
-  const Status s = TransactFailover(wire::Op::kCoordReport, body, &resp,
-                                    /*rotate_on_unavailable=*/false);
+  const Status s = CallFailover<wire::Op::kCoordReport>(
+      /*rotate_on_unavailable=*/false, static_cast<uint8_t>(event), fragment);
   if (!s.ok()) {
     // Fail-fast by design: the reporter's next pass re-derives the fact.
     LOG_WARN << "coordinator report (event " << static_cast<int>(event)
@@ -168,16 +165,9 @@ void RemoteCoordinator::OnDirtyListUnavailable(FragmentId fragment) {
 }
 
 bool RemoteCoordinator::DirtyProcessed(FragmentId fragment) const {
-  std::string body;
-  wire::PutU32(body, fragment);
-  std::string resp;
-  const Status s = TransactFailover(wire::Op::kCoordDirtyQuery, body, &resp,
-                                    /*rotate_on_unavailable=*/true);
-  if (!s.ok()) return false;
-  wire::Reader r(resp);
-  uint8_t processed = 0;
-  if (!r.GetU8(&processed) || !r.Done()) return false;
-  return processed != 0;
+  const Result<uint8_t> processed = CallFailover<wire::Op::kCoordDirtyQuery>(
+      /*rotate_on_unavailable=*/true, fragment);
+  return processed.ok() && *processed != 0;
 }
 
 }  // namespace gemini

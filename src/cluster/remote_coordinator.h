@@ -118,12 +118,12 @@ class RemoteCoordinator final : public CoordinatorService {
 
   void Report(wire::CoordEvent event, FragmentId fragment);
   void RewatchLoop();
-  /// Transacts against the active endpoint, rotating through the list on
+  /// Calls `op` on the active endpoint, rotating through the list on
   /// kNotMaster (always) and kUnavailable (unless the op is ambiguous when
   /// replayed — kCoordReport). Returns the first success or the last error.
-  Status TransactFailover(wire::Op op, std::string_view body,
-                          std::string* resp,
-                          bool rotate_on_unavailable) const;
+  template <wire::Op op, typename... Args>
+  wire::CallResult<op> CallFailover(bool rotate_on_unavailable,
+                                    const Args&... args) const;
 
   const std::shared_ptr<State> state_;
   std::vector<std::shared_ptr<TcpConnection>> conns_;

@@ -1,5 +1,6 @@
 #include "src/coordinator/configuration.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 
@@ -58,7 +59,9 @@ std::optional<Configuration> Configuration::Deserialize(std::string_view data) {
   if (!NextToken(data, id) || !NextToken(data, count)) return std::nullopt;
   if (count > (1ULL << 31)) return std::nullopt;
   std::vector<FragmentAssignment> fragments;
-  fragments.reserve(count);
+  // A fragment is at least 10 bytes of text (five separator + digit pairs):
+  // never reserve for more fragments than the rest of the text can hold.
+  fragments.reserve(std::min<uint64_t>(count, data.size() / 10));
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t primary = 0, secondary = 0, cfg = 0, mode = 0, epoch = 0;
     if (!NextToken(data, primary) || !NextToken(data, secondary) ||

@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +30,19 @@ namespace {
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// Runs `apply` on each entry of a parsed bulk batch, in order (a malformed
+/// frame never gets here, so it applies nothing); the codes are the response.
+template <typename Entry, typename Apply>
+std::vector<uint8_t> ApplyEach(std::vector<Entry>& batch, Apply apply) {
+  std::vector<uint8_t> codes;
+  codes.reserve(batch.size());
+  for (Entry& entry : batch) {
+    codes.push_back(
+        static_cast<uint8_t>(std::apply(apply, std::move(entry)).code()));
+  }
+  return codes;
 }
 
 }  // namespace
@@ -734,16 +749,22 @@ void TransportServer::RespondStatus(OutQueue& out, const Status& s) {
   out.PushFrame(static_cast<uint8_t>(s.code()), body);
 }
 
-/// Appends a kOk response with a lease-token body.
-void TransportServer::RespondToken(OutQueue& out, LeaseToken token) {
-  std::string body;
-  wire::PutU64(body, token);
-  out.PushFrame(static_cast<uint8_t>(Code::kOk), body);
-}
-
-/// Appends a kOk response with a pre-built body.
-void TransportServer::RespondOk(OutQueue& out, std::string_view body) {
-  out.PushFrame(static_cast<uint8_t>(Code::kOk), body);
+template <wire::Op op, typename Handler>
+void TransportServer::Dispatch(OutQueue& out, std::string_view body,
+                               Handler&& handle) {
+  const Status s = wire::Serve<op>(
+      body, std::forward<Handler>(handle), [&out](auto& value) {
+        // The first value in a response rides as its own iovec piece, so
+        // its bytes are never copied into a contiguous response buffer.
+        wire::SplitBody b = wire::EncodeResponseSplit<op>(value);
+        if (b.split) {
+          out.PushPayloadFrame(static_cast<uint8_t>(Code::kOk), b.head,
+                               std::move(b.payload), std::move(b.post));
+        } else {
+          out.PushFrame(static_cast<uint8_t>(Code::kOk), b.head);
+        }
+      });
+  if (!s.ok()) RespondStatus(out, s);
 }
 
 void TransportServer::CountProtocolError(Shard& shard,
@@ -756,7 +777,8 @@ void TransportServer::CountProtocolError(Shard& shard,
 }
 
 bool TransportServer::HandleHello(Shard& shard, Connection& conn,
-                                  wire::Reader& r) {
+                                  std::string_view body) {
+  wire::Reader r(body);
   uint32_t version = 0;
   if (!r.GetU32(&version)) return false;
   if (version < wire::kMinProtocolVersion ||
@@ -785,18 +807,14 @@ bool TransportServer::HandleHello(Shard& shard, Connection& conn,
   CacheInstance* instance = requested == wire::kAnyInstance
                                 ? registry_.default_instance()
                                 : registry_.Find(requested);
-  if (instance == nullptr && requested == wire::kAnyInstance &&
-      registry_.empty() && options_.control != nullptr) {
-    // Coordinator-only server: the handshake succeeds unbound. Control ops
-    // work; data ops answer kUnavailable.
-    conn.hello_done = true;
-    std::string resp;
-    wire::PutU32(resp, version);
-    wire::PutU32(resp, wire::kAnyInstance);
-    RespondOk(conn.out, resp);
-    return true;
-  }
-  if (instance == nullptr) {
+  InstanceId bound = wire::kAnyInstance;
+  if (instance != nullptr) {
+    conn.instance = instance;
+    conn.bound_id = bound = instance->id();
+    conn.instance_slot = registry_.IndexOf(bound);
+    conn.instance_options = registry_.FindOptions(bound);
+  } else if (requested != wire::kAnyInstance || !registry_.empty() ||
+             options_.control == nullptr) {
     // Fail the handshake cleanly: tell the client which id was refused,
     // then close — a client configured for a fragment group this server
     // does not host must not silently talk to the wrong instance.
@@ -807,15 +825,13 @@ bool TransportServer::HandleHello(Shard& shard, Connection& conn,
     FlushWrites(shard, conn);
     return false;
   }
+  // A coordinator-only server's handshake succeeds unbound: control ops
+  // work; data ops answer kUnavailable.
   conn.hello_done = true;
-  conn.instance = instance;
-  conn.bound_id = instance->id();
-  conn.instance_slot = registry_.IndexOf(conn.bound_id);
-  conn.instance_options = registry_.FindOptions(conn.bound_id);
   std::string resp;
   wire::PutU32(resp, version);
-  wire::PutU32(resp, conn.bound_id);
-  RespondOk(conn.out, resp);
+  wire::PutU32(resp, bound);
+  conn.out.PushFrame(static_cast<uint8_t>(Code::kOk), resp);
   return true;
 }
 
@@ -826,517 +842,216 @@ bool TransportServer::HandleFrame(Shard& shard, Connection& conn,
     shard.per_instance_frames[conn.instance_slot].fetch_add(
         1, std::memory_order_relaxed);
   }
-  if (!wire::IsKnownOp(op_byte)) return false;
+  const wire::OpRow* row = wire::FindOp(op_byte);
+  if (row == nullptr) return false;
   const wire::Op op = static_cast<wire::Op>(op_byte);
-  wire::Reader r(body);
 
   // The handshake must come first, and exactly once.
   if (!conn.hello_done) {
-    if (op != wire::Op::kHello) return false;
-    return HandleHello(shard, conn, r);
+    return op == wire::Op::kHello && HandleHello(shard, conn, body);
   }
   if (op == wire::Op::kHello) return false;
-  CacheInstance* const instance = conn.instance;
-
-  const auto malformed = [&conn]() -> bool {
-    RespondStatus(conn.out,
-                  Status(Code::kInvalidArgument, "malformed request body"));
+  if (row->scope == wire::Scope::kControl) {
+    HandleControlOp(conn, op, body);
     return true;
-  };
-
-  // A coordinator-only server (empty registry) binds no instance: session,
-  // stats, and control-plane ops still work; everything else is answered
-  // kUnavailable rather than dereferencing a null instance.
-  if (instance == nullptr) {
-    const bool instanceless =
-        op == wire::Op::kPing || op == wire::Op::kInstanceList ||
-        op == wire::Op::kStats ||
-        (op >= wire::Op::kCoordRegister && op <= wire::Op::kCoordShadowSync);
-    if (!instanceless) {
-      RespondStatus(conn.out,
-                    Status(Code::kUnavailable,
-                           "no instance bound (coordinator-only server)"));
-      return true;
-    }
+  }
+  // A coordinator-only server (empty registry) binds no instance: session
+  // ops still work; instance ops are answered kUnavailable rather than
+  // dereferencing a null instance.
+  if (row->scope == wire::Scope::kInstance && conn.instance == nullptr) {
+    RespondStatus(conn.out,
+                  Status(Code::kUnavailable,
+                         "no instance bound (coordinator-only server)"));
+    return true;
   }
 
-  switch (op) {
-    case wire::Op::kHello:
-      return false;  // handled above
-
-    case wire::Op::kPing: {
-      if (!r.Done()) return malformed();
-      RespondOk(conn.out, {});
-      return true;
-    }
-
-    case wire::Op::kInstanceList: {
-      if (!r.Done()) return malformed();
-      const std::vector<InstanceId> ids = registry_.ids();
-      std::string resp;
-      wire::PutU32(resp, static_cast<uint32_t>(ids.size()));
-      for (InstanceId id : ids) wire::PutU32(resp, id);
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kGet: {
-      OpContext ctx;
-      std::string_view key;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.Done()) {
-        return malformed();
-      }
-      auto v = instance->Get(ctx, key);
-      if (!v.ok()) {
-        RespondStatus(conn.out, v.status());
-        return true;
-      }
-      // Zero-copy: the value payload rides the frame as its own iovec piece
-      // (wire layout matches PutValue: blob | charged | version), so large
-      // values are never memcpy'd into a contiguous response buffer.
-      std::string post;
-      wire::PutU32(post, v->charged_bytes);
-      wire::PutU64(post, v->version);
-      conn.out.PushPayloadFrame(static_cast<uint8_t>(Code::kOk), {},
-                                std::move(v->data), std::move(post));
-      return true;
-    }
-
-    case wire::Op::kSet: {
-      OpContext ctx;
-      std::string_view key;
-      CacheValue value;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetValue(&value) ||
-          !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->Set(ctx, key, std::move(value)));
-      return true;
-    }
-
-    case wire::Op::kDelete: {
-      OpContext ctx;
-      std::string_view key;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->Delete(ctx, key));
-      return true;
-    }
-
-    case wire::Op::kCas: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t expected = 0;
-      CacheValue value;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&expected) ||
-          !r.GetValue(&value) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out,
-                    instance->Cas(ctx, key, expected, std::move(value)));
-      return true;
-    }
-
-    case wire::Op::kAppend: {
-      OpContext ctx;
-      std::string_view key, data;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetBlob(&data) ||
-          !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->Append(ctx, key, data));
-      return true;
-    }
-
-    case wire::Op::kMultiSet: {
-      // Bulk ops parse the whole batch before touching the cache: a frame
-      // that fails validation anywhere applies NOTHING and answers a single
-      // kInvalidArgument, so a client never has to wonder how far a
-      // malformed batch got.
-      uint32_t count = 0;
-      if (!r.GetU32(&count)) return malformed();
-      // Each entry is >= 30 wire bytes (ctx 12 | key len 2 | value 16), so a
-      // count the remaining body cannot hold is rejected before allocating.
-      if (static_cast<uint64_t>(count) * 30 > r.remaining()) {
-        return malformed();
-      }
-      struct Entry {
-        OpContext ctx;
-        std::string_view key;
-        CacheValue value;
-      };
-      std::vector<Entry> entries(count);
-      for (auto& e : entries) {
-        if (!r.GetContext(&e.ctx) || !r.GetKey(&e.key) ||
-            !r.GetValue(&e.value)) {
-          return malformed();
-        }
-      }
-      if (!r.Done()) return malformed();
-      std::string resp;
-      wire::PutU32(resp, count);
-      for (auto& e : entries) {
-        wire::PutU8(resp, static_cast<uint8_t>(
-                              instance->Set(e.ctx, e.key, std::move(e.value))
-                                  .code()));
-      }
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kMultiDelete: {
-      uint32_t count = 0;
-      if (!r.GetU32(&count)) return malformed();
-      // Each entry is >= 14 wire bytes (ctx 12 | key len 2).
-      if (static_cast<uint64_t>(count) * 14 > r.remaining()) {
-        return malformed();
-      }
-      struct Entry {
-        OpContext ctx;
-        std::string_view key;
-      };
-      std::vector<Entry> entries(count);
-      for (auto& e : entries) {
-        if (!r.GetContext(&e.ctx) || !r.GetKey(&e.key)) return malformed();
-      }
-      if (!r.Done()) return malformed();
-      std::string resp;
-      wire::PutU32(resp, count);
-      for (auto& e : entries) {
-        wire::PutU8(resp,
-                    static_cast<uint8_t>(instance->Delete(e.ctx, e.key).code()));
-      }
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kIqGet: {
-      OpContext ctx;
-      std::string_view key;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.Done()) {
-        return malformed();
-      }
-      auto res = instance->IqGet(ctx, key);
-      if (!res.ok()) {
-        RespondStatus(conn.out, res.status());
-        return true;
-      }
-      if (res->value.has_value()) {
-        // Hit: zero-copy the value payload (head = hit marker, post = the
-        // fields after the payload bytes — charged | version | i_token).
-        std::string head;
-        wire::PutU8(head, 1);
-        std::string post;
-        wire::PutU32(post, res->value->charged_bytes);
-        wire::PutU64(post, res->value->version);
-        wire::PutU64(post, res->i_token);
-        conn.out.PushPayloadFrame(static_cast<uint8_t>(Code::kOk), head,
-                                  std::move(res->value->data),
-                                  std::move(post));
-        return true;
-      }
-      std::string resp;
-      wire::PutU8(resp, 0);
-      wire::PutU64(resp, res->i_token);
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kIqSet: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t token = 0;
-      CacheValue value;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&token) ||
-          !r.GetValue(&value) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out,
-                    instance->IqSet(ctx, key, std::move(value), token));
-      return true;
-    }
-
-    case wire::Op::kQareg: {
-      OpContext ctx;
-      std::string_view key;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.Done()) {
-        return malformed();
-      }
-      auto token = instance->Qareg(ctx, key);
-      if (!token.ok()) {
-        RespondStatus(conn.out, token.status());
-      } else {
-        RespondToken(conn.out, *token);
-      }
-      return true;
-    }
-
-    case wire::Op::kDar: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t token = 0;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&token) ||
-          !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->Dar(ctx, key, token));
-      return true;
-    }
-
-    case wire::Op::kRar: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t token = 0;
-      CacheValue value;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&token) ||
-          !r.GetValue(&value) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out,
-                    instance->Rar(ctx, key, std::move(value), token));
-      return true;
-    }
-
-    case wire::Op::kISet: {
-      OpContext ctx;
-      std::string_view key;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.Done()) {
-        return malformed();
-      }
-      auto token = instance->ISet(ctx, key);
-      if (!token.ok()) {
-        RespondStatus(conn.out, token.status());
-      } else {
-        RespondToken(conn.out, *token);
-      }
-      return true;
-    }
-
-    case wire::Op::kIDelete: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t token = 0;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&token) ||
-          !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->IDelete(ctx, key, token));
-      return true;
-    }
-
-    case wire::Op::kWriteBackInstall: {
-      OpContext ctx;
-      std::string_view key;
-      uint64_t token = 0;
-      CacheValue value;
-      if (!r.GetContext(&ctx) || !r.GetKey(&key) || !r.GetU64(&token) ||
-          !r.GetValue(&value) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(
-          conn.out,
-          instance->WriteBackInstall(ctx, key, std::move(value), token));
-      return true;
-    }
-
-    case wire::Op::kRedAcquire: {
-      std::string_view key;
-      if (!r.GetKey(&key) || !r.Done()) return malformed();
-      auto token = instance->AcquireRed(key);
-      if (!token.ok()) {
-        RespondStatus(conn.out, token.status());
-      } else {
-        RespondToken(conn.out, *token);
-      }
-      return true;
-    }
-
-    case wire::Op::kRedRelease: {
-      std::string_view key;
-      uint64_t token = 0;
-      if (!r.GetKey(&key) || !r.GetU64(&token) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->ReleaseRed(key, token));
-      return true;
-    }
-
-    case wire::Op::kRedRenew: {
-      std::string_view key;
-      uint64_t token = 0;
-      if (!r.GetKey(&key) || !r.GetU64(&token) || !r.Done()) {
-        return malformed();
-      }
-      RespondStatus(conn.out, instance->RenewRed(key, token));
-      return true;
-    }
-
-    case wire::Op::kDirtyListGet: {
-      uint64_t config_id = 0;
-      uint32_t fragment = 0;
-      if (!r.GetU64(&config_id) || !r.GetU32(&fragment) || !r.Done()) {
-        return malformed();
-      }
-      const OpContext ctx{config_id, kInvalidFragment};
-      auto v = instance->Get(ctx, DirtyListKey(fragment));
-      if (!v.ok()) {
-        RespondStatus(conn.out, v.status());
-        return true;
-      }
-      // Zero-copy: the value payload rides the frame as its own iovec piece
-      // (wire layout matches PutValue: blob | charged | version), so large
-      // values are never memcpy'd into a contiguous response buffer.
-      std::string post;
-      wire::PutU32(post, v->charged_bytes);
-      wire::PutU64(post, v->version);
-      conn.out.PushPayloadFrame(static_cast<uint8_t>(Code::kOk), {},
-                                std::move(v->data), std::move(post));
-      return true;
-    }
-
-    case wire::Op::kDirtyListAppend: {
-      uint64_t config_id = 0;
-      uint32_t fragment = 0;
-      std::string_view record;
-      if (!r.GetU64(&config_id) || !r.GetU32(&fragment) ||
-          !r.GetBlob(&record) || !r.Done()) {
-        return malformed();
-      }
-      const OpContext ctx{config_id, kInvalidFragment};
-      RespondStatus(conn.out,
-                    instance->Append(ctx, DirtyListKey(fragment), record));
-      return true;
-    }
-
-    case wire::Op::kWorkingSetScan: {
-      OpContext ctx;
-      uint32_t num_fragments = 0;
-      uint64_t cursor = 0;
-      uint32_t max_keys = 0;
-      if (!r.GetContext(&ctx) || !r.GetU32(&num_fragments) ||
-          !r.GetU64(&cursor) || !r.GetU32(&max_keys) || !r.Done()) {
-        return malformed();
-      }
-      // Bound the page so a hostile max_keys cannot make the response
-      // outgrow kMaxFrameLen (worst case ~64KiB keys each): the scanner
-      // clamps, the client just sees a smaller page and more cursors.
-      constexpr uint32_t kMaxScanPage = 64 * 1024;
-      auto page = instance->WorkingSetScan(ctx, num_fragments, cursor,
-                                           std::min(max_keys, kMaxScanPage));
-      if (!page.ok()) {
-        RespondStatus(conn.out, page.status());
-        return true;
-      }
-      std::string resp;
-      wire::PutU64(resp, page->next_cursor);
-      wire::PutU32(resp, static_cast<uint32_t>(page->items.size()));
-      uint64_t page_bytes = 0;
-      for (const WorkingSetItem& item : page->items) {
-        wire::PutKey(resp, item.key);
-        wire::PutU32(resp, item.charged_bytes);
-        page_bytes += item.charged_bytes;
-      }
-      shard.ws_scan_pages.fetch_add(1, std::memory_order_relaxed);
-      shard.ws_scan_keys.fetch_add(page->items.size(),
-                                   std::memory_order_relaxed);
-      shard.ws_scan_bytes.fetch_add(page_bytes, std::memory_order_relaxed);
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kConfigIdGet: {
-      if (!r.Done()) return malformed();
-      std::string resp;
-      wire::PutU64(resp, instance->latest_config_id());
-      RespondOk(conn.out, resp);
-      return true;
-    }
-
-    case wire::Op::kConfigIdBump: {
-      uint64_t latest = 0;
-      if (!r.GetU64(&latest) || !r.Done()) return malformed();
-      instance->ObserveConfigId(latest);
-      RespondOk(conn.out, {});
-      return true;
-    }
-
-    case wire::Op::kSnapshot: {
-      // Retired (docs/PROTOCOL.md §10.3): durability is the WAL engine's
-      // job, so the op only validates its body and refuses.
-      std::string_view path;
-      if (!r.GetBlob(&path) || !r.Done()) return malformed();
-      RespondStatus(conn.out, Status(Code::kInvalidArgument,
-                                     "no snapshot path configured"));
-      return true;
-    }
-
-    case wire::Op::kStats: {
-      if (!r.Done()) return malformed();
-      HandleStats(conn);
-      return true;
-    }
-
-    case wire::Op::kLeaseGrant: {
-      uint32_t fragment = 0;
-      uint64_t min_valid = 0;
-      uint64_t ttl_us = 0;
-      uint64_t latest = 0;
-      if (!r.GetU32(&fragment) || !r.GetU64(&min_valid) ||
-          !r.GetU64(&ttl_us) || !r.GetU64(&latest) || !r.Done()) {
-        return malformed();
-      }
-      // Lifetimes cross the wire as TTLs; the expiry is computed in this
-      // instance's own clock domain (docs/PROTOCOL.md §12.3).
-      instance->GrantFragmentLease(
-          fragment, min_valid,
-          instance->clock().Now() + static_cast<Duration>(ttl_us), latest);
-      RespondOk(conn.out, {});
-      return true;
-    }
-
-    case wire::Op::kLeaseRevoke: {
-      uint32_t fragment = 0;
-      uint64_t latest = 0;
-      if (!r.GetU32(&fragment) || !r.GetU64(&latest) || !r.Done()) {
-        return malformed();
-      }
-      instance->RevokeFragmentLease(fragment, latest);
-      RespondOk(conn.out, {});
-      return true;
-    }
-
-    case wire::Op::kCoordRegister:
-    case wire::Op::kCoordHeartbeat:
-    case wire::Op::kCoordConfigGet:
-    case wire::Op::kCoordConfigWatch:
-    case wire::Op::kCoordReport:
-    case wire::Op::kCoordDirtyQuery:
-    case wire::Op::kCoordShadowSync:
-      return HandleControlOp(conn, op, body);
-  }
-  return false;
+  ServeOp(shard, conn, op, body);
+  return true;
 }
 
-bool TransportServer::HandleControlOp(Connection& conn, wire::Op op,
+void TransportServer::ServeOp(Shard& shard, Connection& conn, wire::Op op,
+                              std::string_view body) {
+  using wire::Op;
+  using std::bind_front;
+  CacheInstance* const in = conn.instance;
+  OutQueue& out = conn.out;
+  switch (op) {
+    case Op::kHello:
+    case Op::kCoordRegister:
+    case Op::kCoordHeartbeat:
+    case Op::kCoordConfigGet:
+    case Op::kCoordConfigWatch:
+    case Op::kCoordReport:
+    case Op::kCoordDirtyQuery:
+    case Op::kCoordShadowSync:
+      return;  // routed by HandleFrame
+    case Op::kPing:
+      return Dispatch<Op::kPing>(out, body, [] { return Status::Ok(); });
+    case Op::kInstanceList:
+      return Dispatch<Op::kInstanceList>(out, body,
+                                         [&] { return registry_.ids(); });
+    case Op::kGet:
+      return Dispatch<Op::kGet>(out, body, bind_front(&CacheInstance::Get, in));
+    case Op::kSet:
+      return Dispatch<Op::kSet>(out, body, bind_front(&CacheInstance::Set, in));
+    case Op::kDelete:
+      return Dispatch<Op::kDelete>(out, body,
+                                   bind_front(&CacheInstance::Delete, in));
+    case Op::kCas:
+      return Dispatch<Op::kCas>(out, body, bind_front(&CacheInstance::Cas, in));
+    case Op::kAppend:
+      return Dispatch<Op::kAppend>(out, body,
+                                   bind_front(&CacheInstance::Append, in));
+    case Op::kMultiSet:
+      return Dispatch<Op::kMultiSet>(
+          out, body, [in](std::vector<wire::SetEntry> batch) {
+            return ApplyEach(batch, bind_front(&CacheInstance::Set, in));
+          });
+    case Op::kMultiDelete:
+      return Dispatch<Op::kMultiDelete>(
+          out, body, [in](std::vector<wire::DeleteEntry> batch) {
+            return ApplyEach(batch, bind_front(&CacheInstance::Delete, in));
+          });
+    case Op::kIqGet:
+      return Dispatch<Op::kIqGet>(out, body,
+                                  bind_front(&CacheInstance::IqGet, in));
+    case Op::kIqSet:
+      return Dispatch<Op::kIqSet>(
+          out, body, [in](OpContext ctx, wire::Key key, LeaseToken token,
+                          CacheValue value) {
+            return in->IqSet(ctx, key, std::move(value), token);
+          });
+    case Op::kQareg:
+      return Dispatch<Op::kQareg>(out, body,
+                                  bind_front(&CacheInstance::Qareg, in));
+    case Op::kDar:
+      return Dispatch<Op::kDar>(out, body, bind_front(&CacheInstance::Dar, in));
+    case Op::kRar:
+      return Dispatch<Op::kRar>(
+          out, body, [in](OpContext ctx, wire::Key key, LeaseToken token,
+                          CacheValue value) {
+            return in->Rar(ctx, key, std::move(value), token);
+          });
+    case Op::kISet:
+      return Dispatch<Op::kISet>(out, body,
+                                 bind_front(&CacheInstance::ISet, in));
+    case Op::kIDelete:
+      return Dispatch<Op::kIDelete>(out, body,
+                                    bind_front(&CacheInstance::IDelete, in));
+    case Op::kWriteBackInstall:
+      return Dispatch<Op::kWriteBackInstall>(
+          out, body, [in](OpContext ctx, wire::Key key, LeaseToken token,
+                          CacheValue value) {
+            return in->WriteBackInstall(ctx, key, std::move(value), token);
+          });
+    case Op::kRedAcquire:
+      return Dispatch<Op::kRedAcquire>(
+          out, body, bind_front(&CacheInstance::AcquireRed, in));
+    case Op::kRedRelease:
+      return Dispatch<Op::kRedRelease>(
+          out, body, bind_front(&CacheInstance::ReleaseRed, in));
+    case Op::kRedRenew:
+      return Dispatch<Op::kRedRenew>(out, body,
+                                     bind_front(&CacheInstance::RenewRed, in));
+    case Op::kDirtyListGet:
+      return Dispatch<Op::kDirtyListGet>(
+          out, body, [in](ConfigId config_id, FragmentId fragment) {
+            return in->Get({config_id, kInvalidFragment},
+                           DirtyListKey(fragment));
+          });
+    case Op::kDirtyListAppend:
+      return Dispatch<Op::kDirtyListAppend>(
+          out, body,
+          [in](ConfigId config_id, FragmentId fragment, wire::Blob record) {
+            return in->Append({config_id, kInvalidFragment},
+                              DirtyListKey(fragment), record);
+          });
+    case Op::kWorkingSetScan:
+      return Dispatch<Op::kWorkingSetScan>(
+          out, body, bind_front(&ScanPage, std::ref(shard), in));
+    case Op::kConfigIdGet:
+      return Dispatch<Op::kConfigIdGet>(
+          out, body, [in] { return in->latest_config_id(); });
+    case Op::kConfigIdBump:
+      return Dispatch<Op::kConfigIdBump>(out, body, [in](ConfigId latest) {
+        in->ObserveConfigId(latest);
+        return Status::Ok();
+      });
+    case Op::kSnapshot:
+      // Retired (docs/PROTOCOL.md §10.3): durability is the WAL engine's
+      // job, so the op only validates its body and refuses.
+      return Dispatch<Op::kSnapshot>(out, body, [](wire::Blob) {
+        return Status(Code::kInvalidArgument, "no snapshot path configured");
+      });
+    case Op::kStats:
+      return Dispatch<Op::kStats>(out, body, [&] { return StatsRows(conn); });
+    case Op::kLeaseGrant:
+      // Lifetimes cross the wire as TTLs; the expiry is computed in this
+      // instance's own clock domain (docs/PROTOCOL.md §12.3), saturating
+      // instead of overflowing on a hostile TTL.
+      return Dispatch<Op::kLeaseGrant>(
+          out, body,
+          [in](FragmentId fragment, ConfigId min_valid, uint64_t ttl_us,
+               ConfigId latest) {
+            const Timestamp now = in->clock().Now();
+            const uint64_t room = static_cast<uint64_t>(
+                std::numeric_limits<Timestamp>::max() - now);
+            in->GrantFragmentLease(
+                fragment, min_valid,
+                now + static_cast<Duration>(std::min(ttl_us, room)), latest);
+            return Status::Ok();
+          });
+    case Op::kLeaseRevoke:
+      return Dispatch<Op::kLeaseRevoke>(
+          out, body, [in](FragmentId fragment, ConfigId latest) {
+            in->RevokeFragmentLease(fragment, latest);
+            return Status::Ok();
+          });
+  }
+}
+
+Result<WorkingSetPage> TransportServer::ScanPage(Shard& shard,
+                                                 CacheInstance* instance,
+                                                 const OpContext& ctx,
+                                                 uint32_t num_fragments,
+                                                 uint64_t cursor,
+                                                 uint32_t max_keys) {
+  // Bound the page so a hostile max_keys cannot make the response outgrow
+  // kMaxFrameLen (worst case ~64KiB keys each): the scanner clamps, the
+  // client just sees a smaller page and more cursors.
+  constexpr uint32_t kMaxScanPage = 64 * 1024;
+  Result<WorkingSetPage> page = instance->WorkingSetScan(
+      ctx, num_fragments, cursor, std::min(max_keys, kMaxScanPage));
+  if (!page.ok()) return page;
+  uint64_t page_bytes = 0;
+  for (const WorkingSetItem& item : page->items) {
+    page_bytes += item.charged_bytes;
+  }
+  shard.ws_scan_pages.fetch_add(1, std::memory_order_relaxed);
+  shard.ws_scan_keys.fetch_add(page->items.size(), std::memory_order_relaxed);
+  shard.ws_scan_bytes.fetch_add(page_bytes, std::memory_order_relaxed);
+  return page;
+}
+
+void TransportServer::HandleControlOp(Connection& conn, wire::Op op,
                                       std::string_view body) {
   if (options_.control == nullptr) {
     RespondStatus(conn.out,
                   Status(Code::kInvalidArgument,
                          "this server is not a coordinator"));
-    return true;
+    return;
   }
   ControlPlane::Reply reply = options_.control->HandleControl(op, body);
   if (reply.subscribe) conn.config_subscriber = true;
   if (reply.status.ok()) {
-    RespondOk(conn.out, reply.body);
+    conn.out.PushFrame(static_cast<uint8_t>(Code::kOk), reply.body);
   } else {
     RespondStatus(conn.out, reply.status);
   }
-  return true;
 }
 
-void TransportServer::HandleStats(Connection& conn) {
+std::vector<std::pair<std::string, uint64_t>> TransportServer::StatsRows(
+    const Connection& conn) const {
   std::vector<std::pair<std::string, uint64_t>> kv;
   const Stats server = stats();
   kv.emplace_back("server.connections_accepted", server.connections_accepted);
@@ -1386,13 +1101,7 @@ void TransportServer::HandleStats(Connection& conn) {
       }
     }
   }
-  std::string resp;
-  wire::PutU32(resp, static_cast<uint32_t>(kv.size()));
-  for (const auto& [name, value] : kv) {
-    wire::PutBlob(resp, name);
-    wire::PutU64(resp, value);
-  }
-  RespondOk(conn.out, resp);
+  return kv;
 }
 
 }  // namespace gemini

@@ -83,6 +83,21 @@ class ControlPlane {
   virtual std::vector<std::pair<std::string, uint64_t>> ExtraStats() {
     return {};
   }
+
+ protected:
+  /// Serves one control op from its wire-table row: decodes `body`, calls
+  /// `handle` with the request fields (see wire::Serve) and encodes its ok
+  /// value as the reply body.
+  template <wire::Op op, typename Handler>
+  static Reply Serve(std::string_view body, Handler&& handle) {
+    Reply reply;
+    reply.status = wire::Serve<op>(
+        body, std::forward<Handler>(handle),
+        [&reply](const auto& value) {
+          wire::Encode<wire::ResponseFieldsOf<op>>(reply.body, value);
+        });
+    return reply;
+  }
 };
 
 class TransportServer {
@@ -226,17 +241,29 @@ class TransportServer {
   /// connection's write buffer. Returns false to drop the connection.
   bool HandleFrame(Shard& shard, Connection& conn, uint8_t op,
                    std::string_view body);
+  /// Runs a routed session or instance op and appends its response.
+  void ServeOp(Shard& shard, Connection& conn, wire::Op op,
+               std::string_view body);
+  /// Serves one `op` frame from its wire-table row (wire::Serve) and
+  /// appends the response: the handler's ok value, or its error.
+  template <wire::Op op, typename Handler>
+  static void Dispatch(OutQueue& out, std::string_view body, Handler&& handle);
   /// Handles the mandatory first frame; binds the connection's instance.
-  bool HandleHello(Shard& shard, Connection& conn, wire::Reader& r);
+  bool HandleHello(Shard& shard, Connection& conn, std::string_view body);
   void CountProtocolError(Shard& shard, const Connection& conn);
   /// Routes one control-plane op to options_.control and appends the reply.
-  bool HandleControlOp(Connection& conn, wire::Op op, std::string_view body);
-  /// Appends the kStats response for `conn`'s server + bound instance.
-  void HandleStats(Connection& conn);
-  /// Response-builder helpers (members because OutQueue is private).
+  void HandleControlOp(Connection& conn, wire::Op op, std::string_view body);
+  /// One kWorkingSetScan page off `instance`, counted in the shard's
+  /// recovery.scan_* stats.
+  static Result<WorkingSetPage> ScanPage(Shard& shard, CacheInstance* instance,
+                                         const OpContext& ctx,
+                                         uint32_t num_fragments,
+                                         uint64_t cursor, uint32_t max_keys);
+  /// The kStats rows for `conn`'s server + bound instance.
+  std::vector<std::pair<std::string, uint64_t>> StatsRows(
+      const Connection& conn) const;
+  /// Appends the response frame for a non-ok (or empty ok) Status.
   static void RespondStatus(OutQueue& out, const Status& s);
-  static void RespondToken(OutQueue& out, LeaseToken token);
-  static void RespondOk(OutQueue& out, std::string_view body);
   /// Delivers queued config-push frames to this shard's subscribers.
   void DeliverPushes(Shard& shard, std::vector<std::string> frames);
 

@@ -149,21 +149,22 @@ class TcpCacheBackend : public CacheBackend {
                          std::string_view record);
 
  private:
-  /// One round trip over the shared connection.
-  Status Transact(wire::Op op, std::string_view body, std::string* resp_body);
-
   /// Ships `reqs` as one pipelined burst (TcpConnection::TransactBatch, one
   /// `op` frame per request) and returns one slot per request, by index:
-  /// `encode(req)` builds a request body, `decode(body)` turns a kOk
-  /// response into its slot, and an error response or transport loss
-  /// becomes the slot's status. Oversized keys fail locally and never ship.
-  /// Never retries; MultiGet layers its own retry pass on top.
-  template <typename Slot, typename Req, typename Encode, typename Decode>
-  std::vector<Slot> Burst(wire::Op op, const std::vector<Req>& reqs,
-                          Encode encode, Decode decode);
+  /// `fields(req)` ties the request's row fields, a kOk response decodes
+  /// into the slot's `Target`, and an error response or transport loss
+  /// becomes the slot's status. Oversized requests fail locally and never
+  /// ship. Never retries; MultiGet layers its own retry pass on top.
+  template <wire::Op op, typename Target = wire::ResponseOf<op>, typename Req,
+            typename Fields>
+  std::vector<wire::CallResult<op, Target>> Burst(const std::vector<Req>& reqs,
+                                                  Fields fields);
 
-  /// Shared guard-rail: keys above the wire limit never leave the client.
-  static Status CheckKey(std::string_view key);
+  /// Ships `reqs` as ONE bulk `op` frame (kMultiSet/kMultiDelete) and maps
+  /// its per-entry codes back onto one status per request. Oversized keys
+  /// fail locally and the rest of the batch still ships.
+  template <wire::Op op, typename Req, typename Fields>
+  std::vector<Status> Bulk(const std::vector<Req>& reqs, Fields fields);
 
   std::shared_ptr<TcpConnection> conn_;
 };

@@ -122,10 +122,9 @@ Status ReadFrameFd(int fd, std::string& buf, uint8_t* tag, std::string* body) {
 
 /// Decodes a non-ok response body's optional message blob.
 Status StatusFromError(Code code, std::string_view body) {
-  wire::Reader r(body);
-  std::string_view message;
-  if (r.GetBlob(&message) && r.Done() && !message.empty()) {
-    return Status(code, std::string(message));
+  std::string message;
+  if (wire::Decode<wire::Blob>(body, &message) && !message.empty()) {
+    return Status(code, std::move(message));
   }
   return Status(code);
 }
@@ -687,31 +686,6 @@ std::vector<TcpConnection::BatchResponse> TcpConnection::TransactBatch(
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&] { return pending == 0; });
   return out;
-}
-
-Result<std::vector<InstanceId>> TcpConnection::ListInstances() {
-  std::string resp;
-  if (Status s = Transact(wire::Op::kInstanceList, {}, &resp); !s.ok()) {
-    return s;
-  }
-  wire::Reader r(resp);
-  uint32_t count = 0;
-  if (!r.GetU32(&count)) {
-    return Status(Code::kInternal, "malformed INSTANCE_LIST response");
-  }
-  std::vector<InstanceId> ids;
-  ids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id = 0;
-    if (!r.GetU32(&id)) {
-      return Status(Code::kInternal, "malformed INSTANCE_LIST response");
-    }
-    ids.push_back(id);
-  }
-  if (!r.Done()) {
-    return Status(Code::kInternal, "malformed INSTANCE_LIST response");
-  }
-  return ids;
 }
 
 }  // namespace gemini

@@ -194,6 +194,22 @@ class TcpConnection {
   Status Transact(wire::Op op, std::string_view body,
                   std::string* resp_body);
 
+  /// Transact() typed by `op`'s wire-table row (wire.h): `args` are the
+  /// request fields in row order, and the ok-response decodes into
+  /// `Target`. A key or frame over the wire limits fails locally with
+  /// kInvalidArgument, so the shared connection never carries a frame the
+  /// server must answer by closing it.
+  template <wire::Op op, typename Target = wire::ResponseOf<op>,
+            typename... Args>
+  wire::CallResult<op, Target> Call(const Args&... args) {
+    std::string body;
+    const auto fields = std::forward_as_tuple(args...);
+    if (Status s = wire::EncodeRequest<op>(body, fields); !s.ok()) return s;
+    std::string resp;
+    if (Status s = Transact(op, body, &resp); !s.ok()) return s;
+    return wire::DecodeResponse<op, Target>(resp);
+  }
+
   /// Submits every request back-to-back (one coalesced burst, up to the
   /// window) and waits for all responses. resp[i] corresponds to reqs[i].
   /// A burst rides one connection epoch: only its first request may dial,
@@ -203,9 +219,6 @@ class TcpConnection {
   /// its idempotent gets; lease-op bursts never retry).
   std::vector<BatchResponse> TransactBatch(
       const std::vector<BatchRequest>& reqs);
-
-  /// The instance ids the remote server hosts (wire kInstanceList).
-  Result<std::vector<InstanceId>> ListInstances();
 
  private:
   /// One connection epoch: the fd plus the receive buffer of its response

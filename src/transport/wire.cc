@@ -1,77 +1,28 @@
 #include "src/transport/wire.h"
 
+#include <array>
 #include <cstring>
 
 namespace gemini {
 namespace wire {
 
-bool IsKnownOp(uint8_t op) {
-  switch (static_cast<Op>(op)) {
-    case Op::kHello:
-    case Op::kPing:
-    case Op::kInstanceList:
-    case Op::kGet:
-    case Op::kSet:
-    case Op::kDelete:
-    case Op::kCas:
-    case Op::kAppend:
-    case Op::kMultiSet:
-    case Op::kMultiDelete:
-    case Op::kIqGet:
-    case Op::kIqSet:
-    case Op::kQareg:
-    case Op::kDar:
-    case Op::kRar:
-    case Op::kISet:
-    case Op::kIDelete:
-    case Op::kWriteBackInstall:
-    case Op::kRedAcquire:
-    case Op::kRedRelease:
-    case Op::kRedRenew:
-    case Op::kDirtyListGet:
-    case Op::kDirtyListAppend:
-    case Op::kWorkingSetScan:
-    case Op::kConfigIdGet:
-    case Op::kConfigIdBump:
-    case Op::kSnapshot:
-    case Op::kStats:
-    case Op::kLeaseGrant:
-    case Op::kLeaseRevoke:
-    case Op::kCoordRegister:
-    case Op::kCoordHeartbeat:
-    case Op::kCoordConfigGet:
-    case Op::kCoordConfigWatch:
-    case Op::kCoordReport:
-    case Op::kCoordDirtyQuery:
-    case Op::kCoordShadowSync:
-      return true;
-  }
-  return false;
-}
+namespace {
 
-bool IsIdempotentOp(Op op) {
-  switch (op) {
-    case Op::kPing:
-    case Op::kInstanceList:
-    case Op::kGet:
-    case Op::kDirtyListGet:
-    case Op::kWorkingSetScan:  // pure read over a stable cursor
-    case Op::kConfigIdGet:
-    case Op::kConfigIdBump:  // ObserveConfigId is a max-merge
-    case Op::kStats:
-    case Op::kLeaseGrant:   // coordinator serializes publishes; re-grant is
-    case Op::kLeaseRevoke:  // a no-op re-apply, latest ids max-merge
-    case Op::kCoordRegister:
-    case Op::kCoordHeartbeat:
-    case Op::kCoordConfigGet:
-    case Op::kCoordConfigWatch:
-    case Op::kCoordDirtyQuery:
-    case Op::kCoordShadowSync:  // replaces the receiver's replica of the
-                                // state wholesale; re-applying is a no-op
-      return true;
-    default:
-      return false;
-  }
+/// GEMINI_WIRE_OPS indexed by opcode byte; an empty name marks no row. (An
+/// opcode on two rows does not compile: OpSpec would be defined twice.)
+constexpr std::array<OpRow, 256> kRows = [] {
+  std::array<OpRow, 256> rows{};
+#define GEMINI_WIRE_OP_ROW(op, code, name, retry, scope, request, response) \
+  rows[code] = OpRow{name, retry, Scope::scope};
+  GEMINI_WIRE_OPS(GEMINI_WIRE_OP_ROW)
+#undef GEMINI_WIRE_OP_ROW
+  return rows;
+}();
+
+}  // namespace
+
+const OpRow* FindOp(uint8_t op) {
+  return kRows[op].name.empty() ? nullptr : &kRows[op];
 }
 
 void PutU8(std::string& out, uint8_t v) {

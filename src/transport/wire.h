@@ -16,19 +16,24 @@
 // order — responses carry no correlation id, so FIFO-per-connection ordering
 // (docs/PROTOCOL.md §10.6) is the matching rule.
 //
-// Body grammar (docs/PROTOCOL.md §10 is the normative spec):
-//   key   = u16 len | bytes               (max 64 KiB - 1)
-//   blob  = u32 len | bytes
-//   value = blob data | u32 charged_bytes | u64 version
-//   ctx   = u64 config_id | u32 fragment
+// Bodies follow the op table below (GEMINI_WIRE_OPS), which implements
+// docs/PROTOCOL.md §10, the normative spec: one row per opcode, read by the
+// server dispatch and every client stub alike.
 //
-// Decoding never over-reads: every Get* checks the remaining span first, and
-// DecodeFrame refuses to consume bytes until the full frame has arrived.
+// Decoding never over-reads: every Get* checks the remaining span first, a
+// vector count is checked against the bytes left before anything is
+// allocated for it, and DecodeFrame refuses to consume bytes until the full
+// frame has arrived.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/cache/cache_backend.h"
 #include "src/common/status.h"
@@ -62,115 +67,131 @@ inline constexpr size_t kMaxKeyLen = 0xFFFF;
 /// Frame header: u32 len + u8 tag.
 inline constexpr size_t kFrameHeaderLen = 5;
 
-enum class Op : uint8_t {
-  // Session management.
-  kHello = 0x01,  // u32 version [| u32 instance_id (v2)]
-                  //                        -> u32 version | u32 instance_id
-  kPing = 0x02,   // empty                  -> empty
-  kInstanceList = 0x03,  // empty           -> u32 count | count * u32 id
+// ---- The op table ----------------------------------------------------------
+//
+// Every opcode is one row of GEMINI_WIRE_OPS: its enumerator and value, its
+// docs/PROTOCOL.md §10.3 name, its retry class (§11.2), its scope, and its
+// request and ok-response fields in wire order. The enum, the server
+// dispatch, every client stub, IsKnownOp/IsIdempotentOp and the codec all
+// read the row, so adding an op is one row, one server case and one client
+// stub. Each field type has one encoding:
+//   u8/u16/u32/u64             little-endian
+//   OpContext                  u64 config_id | u32 fragment
+//   CacheValue                 Blob data | u32 charged_bytes | u64 version
+//   Key, Blob                  u16 / u32 len | bytes (a key is < 64 KiB)
+//   std::optional<CacheValue>  u8 hit | [value]
+//   std::vector<T>             u32 count | count * T
+//   std::tuple<Ts...>          the Ts in order (a multi-field vector element)
+//
+// Reasons the rows do not show:
+// - COORD_REPORT fails fast: recovery transitions are mode-guarded, but a
+//   report duplicated after the mode advanced would be indistinguishable
+//   from a stale straggler.
+// - MULTI_SET/MULTI_DELETE carry N independent writes (each with its own
+//   ctx: a batch may span fragments), answered by one status code per entry
+//   in order. They fail fast like their strictest member: a replayed batch
+//   re-executes N writes, any one of which can resurrect a concurrently
+//   deleted value, so a client fails the whole frame with kUnavailable on
+//   transport loss — never retry, never split.
+// - HELLO's row is the v2 body; both ends parse it by hand because a v1
+//   peer sends only the version (§10.5).
 
-  // Plain data ops.
-  kGet = 0x10,     // ctx | key              -> value
-  kSet = 0x11,     // ctx | key | value      -> empty
-  kDelete = 0x12,  // ctx | key              -> empty
-  kCas = 0x13,     // ctx | key | u64 expected | value -> empty
-  kAppend = 0x14,  // ctx | key | blob       -> empty
+using u8 = uint8_t;
+using u16 = uint16_t;
+using u32 = uint32_t;
+using u64 = uint64_t;
 
-  // Pipelined bulk writes: one frame carries N independent single-key ops,
-  // executed sequentially under the §10.6 FIFO contract, answered by ONE
-  // kOk frame carrying a per-key status slot for each op:
-  //   u32 count | count * u8 code
-  // The frame-level tag reports only whether the batch parsed and ran; the
-  // per-key outcome (kOk/kNotFound/kStaleConfig/...) lives in the slots.
-  // Each entry carries its own ctx because a batch may span fragments,
-  // exactly like MultiGet. Both ops are non-idempotent (a replayed batch
-  // re-applies N writes), so clients fail the whole batch fast with
-  // kUnavailable on transport loss — never retry, never split.
-  kMultiSet = 0x15,     // u32 count | count * (ctx | key | value)
-                        //                       -> u32 count | count * u8 code
-  kMultiDelete = 0x16,  // u32 count | count * (ctx | key)
-                        //                       -> u32 count | count * u8 code
-
-  // IQ lease ops (Section 2.3) and recovery primitives (Algorithms 1-3).
-  kIqGet = 0x20,    // ctx | key                    -> u8 hit | [value] | u64 token
-  kIqSet = 0x21,    // ctx | key | u64 token | value -> empty
-  kQareg = 0x22,    // ctx | key                    -> u64 token
-  kDar = 0x23,      // ctx | key | u64 token        -> empty
-  kRar = 0x24,      // ctx | key | u64 token | value -> empty
-  kISet = 0x25,     // ctx | key                    -> u64 token
-  kIDelete = 0x26,  // ctx | key | u64 token        -> empty
-  kWriteBackInstall = 0x27,  // ctx | key | u64 token | value -> empty
-
-  // Redleases (recovery workers).
-  kRedAcquire = 0x30,  // key             -> u64 token
-  kRedRelease = 0x31,  // key | u64 token -> empty
-  kRedRenew = 0x32,    // key | u64 token -> empty
-
-  // Dirty lists (Section 3.1): server-side aliases for get/append on
-  // DirtyListKey(fragment), so remote clients need not know the key scheme.
-  kDirtyListGet = 0x40,     // u64 config_id | u32 fragment        -> value
-  kDirtyListAppend = 0x41,  // u64 config_id | u32 fragment | blob -> empty
-
-  // Working-set scan (Section 3.2.2, docs/PROTOCOL.md §13): paginated,
-  // priority-ordered enumeration of a fragment's hot keys on this instance.
-  // The request carries the cluster's fragment count because the instance
-  // does not know the fragment table — the server filters keys by
-  // Fnv1a64(key) % num_fragments == ctx.fragment. Earlier pages are hotter
-  // (approximate LRU priority bands); cursor 0 starts a scan, next_cursor 0
-  // means done. Pure read — idempotent, resumable from any returned cursor.
-  kWorkingSetScan = 0x42,  // ctx | u32 num_fragments | u64 cursor
-                           //     | u32 max_keys
-                           //     -> u64 next_cursor | u32 count
-                           //        | count * (key | u32 charged_bytes)
-
-  // Configuration ids (Rejig, Section 3.2.4).
-  kConfigIdGet = 0x50,   // empty     -> u64 latest_config_id
-  kConfigIdBump = 0x51,  // u64 latest -> empty
-
-  // Retired: durability is the WAL engine's (--data-dir). Kept so the
-  // opcode space stays append-only; always answers kInvalidArgument.
-  kSnapshot = 0x60,  // blob path -> kInvalidArgument
-
-  // Introspection.
-  kStats = 0x61,  // empty -> u32 count | count * (blob name | u64 value)
-
-  // Fragment leases (coordinator -> instance control ops; docs/PROTOCOL.md
-  // §12.3). Lease lifetimes cross the wire as TTLs relative to the
-  // receiver's clock — processes do not share a clock, so an absolute
-  // expiry would be meaningless on arrival.
-  kLeaseGrant = 0x62,   // u32 fragment | u64 min_valid_config | u64 ttl_us
-                        //                | u64 latest_config -> empty
-  kLeaseRevoke = 0x63,  // u32 fragment | u64 latest_config -> empty
-
-  // Coordinator control plane (docs/PROTOCOL.md §12). Served only by a
-  // server with a coordinator attached; a plain geminid answers
-  // kInvalidArgument.
-  kCoordRegister = 0x70,   // u32 instance | blob host | u16 port
-                           //                         -> u64 latest_config_id
-  kCoordHeartbeat = 0x71,  // u32 count | count * u32 instance
-                           //         -> u64 latest_config_id | u8 registered
-                           // registered=0: some beaten instance is unknown
-                           // or failed — the sender must re-register (a beat
-                           // never revives a failed instance by itself).
-  kCoordConfigGet = 0x72,  // empty -> blob serialized_configuration
-  kCoordConfigWatch = 0x73,  // u64 known_config_id
-                             //       -> blob serialized_configuration;
-                             // also subscribes this connection to
-                             // kPushConfig frames.
-  kCoordReport = 0x74,      // u8 event (CoordEvent) | u32 fragment -> empty
-  kCoordDirtyQuery = 0x75,  // u32 fragment -> u8 processed
-
-  // Coordinator replication (docs/PROTOCOL.md §12.7): the master pushes its
-  // full CoordinatorState to each shadow after every state-mutating event
-  // and on a periodic beat. The frame carries the sender's master epoch and
-  // election rank so the receiver can fence stale ex-masters: a receiver
-  // that has seen a strictly newer claim answers kNotMaster, and the sender
-  // must demote itself to shadow. A sync doubles as the master's liveness
-  // beat for the shadows' election timers. Idempotent: re-applying the same
-  // state is a no-op.
-  kCoordShadowSync = 0x76,  // u64 epoch | u32 rank | blob state
-                            //                       -> u64 acked_epoch
+/// A `u16 len | bytes` field. A view: decoding aliases the frame body,
+/// encoding the caller's bytes, so whatever backs it must outlive the call.
+struct Key : std::string_view {
+  using std::string_view::string_view;
+  Key(std::string_view v) : std::string_view(v) {}  // NOLINT
 };
+
+/// A `u32 len | bytes` field; a view, like Key.
+struct Blob : std::string_view {
+  using std::string_view::string_view;
+  Blob(std::string_view v) : std::string_view(v) {}  // NOLINT
+};
+
+using SetEntry = std::tuple<OpContext, Key, CacheValue>;  // MULTI_SET entry
+using DeleteEntry = std::tuple<OpContext, Key>;           // MULTI_DELETE entry
+using ScanItem = std::tuple<Key, u32>;  // WORKING_SET_SCAN: key | charged
+using StatRow = std::tuple<Blob, u64>;  // STATS: name | value
+
+/// Which connections an op is served on: kSession on any past HELLO;
+/// kInstance by the connection's bound instance (a coordinator-only server
+/// binds none and answers kUnavailable); kControl by the server's
+/// ControlPlane (§12), without which it answers kInvalidArgument.
+enum class Scope : uint8_t { kSession, kInstance, kControl };
+
+/// Retry classes: a kRetrySafe op may be re-sent after an ambiguous failure
+/// (the connection dropped with the response unread).
+inline constexpr bool kRetrySafe = true;
+inline constexpr bool kFailFast = false;
+
+// clang-format off
+#define GEMINI_WIRE_OPS(X)                                                                                                                     \
+  X(kHello,            0x01, "HELLO",              kFailFast,  kSession,  (u32, u32),                        (u32, u32))                       \
+  X(kPing,             0x02, "PING",               kRetrySafe, kSession,  (),                                ())                               \
+  X(kInstanceList,     0x03, "INSTANCE_LIST",      kRetrySafe, kSession,  (),                                (std::vector<u32>))               \
+  X(kGet,              0x10, "GET",                kRetrySafe, kInstance, (OpContext, Key),                  (CacheValue))                     \
+  X(kSet,              0x11, "SET",                kFailFast,  kInstance, (OpContext, Key, CacheValue),      ())                               \
+  X(kDelete,           0x12, "DELETE",             kFailFast,  kInstance, (OpContext, Key),                  ())                               \
+  X(kCas,              0x13, "CAS",                kFailFast,  kInstance, (OpContext, Key, u64, CacheValue), ())                               \
+  X(kAppend,           0x14, "APPEND",             kFailFast,  kInstance, (OpContext, Key, Blob),            ())                               \
+  X(kMultiSet,         0x15, "MULTI_SET",          kFailFast,  kInstance, (std::vector<SetEntry>),           (std::vector<u8>))                \
+  X(kMultiDelete,      0x16, "MULTI_DELETE",       kFailFast,  kInstance, (std::vector<DeleteEntry>),        (std::vector<u8>))                \
+  X(kIqGet,            0x20, "IQGET",              kFailFast,  kInstance, (OpContext, Key),                  (std::optional<CacheValue>, u64)) \
+  X(kIqSet,            0x21, "IQSET",              kFailFast,  kInstance, (OpContext, Key, u64, CacheValue), ())                               \
+  X(kQareg,            0x22, "QAREG",              kFailFast,  kInstance, (OpContext, Key),                  (u64))                            \
+  X(kDar,              0x23, "DAR",                kFailFast,  kInstance, (OpContext, Key, u64),             ())                               \
+  X(kRar,              0x24, "RAR",                kFailFast,  kInstance, (OpContext, Key, u64, CacheValue), ())                               \
+  X(kISet,             0x25, "ISET",               kFailFast,  kInstance, (OpContext, Key),                  (u64))                            \
+  X(kIDelete,          0x26, "IDELETE",            kFailFast,  kInstance, (OpContext, Key, u64),             ())                               \
+  X(kWriteBackInstall, 0x27, "WRITEBACK_INSTALL",  kFailFast,  kInstance, (OpContext, Key, u64, CacheValue), ())                               \
+  X(kRedAcquire,       0x30, "RED_ACQUIRE",        kFailFast,  kInstance, (Key),                             (u64))                            \
+  X(kRedRelease,       0x31, "RED_RELEASE",        kFailFast,  kInstance, (Key, u64),                        ())                               \
+  X(kRedRenew,         0x32, "RED_RENEW",          kFailFast,  kInstance, (Key, u64),                        ())                               \
+  X(kDirtyListGet,     0x40, "DIRTYLIST_GET",      kRetrySafe, kInstance, (u64, u32),                        (CacheValue))                     \
+  X(kDirtyListAppend,  0x41, "DIRTYLIST_APPEND",   kFailFast,  kInstance, (u64, u32, Blob),                  ())                               \
+  X(kWorkingSetScan,   0x42, "WORKING_SET_SCAN",   kRetrySafe, kInstance, (OpContext, u32, u64, u32),        (u64, std::vector<ScanItem>))     \
+  X(kConfigIdGet,      0x50, "CONFIGID_GET",       kRetrySafe, kInstance, (),                                (u64))                            \
+  X(kConfigIdBump,     0x51, "CONFIGID_BUMP",      kRetrySafe, kInstance, (u64),                             ())                               \
+  X(kSnapshot,         0x60, "SNAPSHOT",           kFailFast,  kInstance, (Blob),                            ())                               \
+  X(kStats,            0x61, "STATS",              kRetrySafe, kSession,  (),                                (std::vector<StatRow>))           \
+  X(kLeaseGrant,       0x62, "LEASE_GRANT",        kRetrySafe, kInstance, (u32, u64, u64, u64),              ())                               \
+  X(kLeaseRevoke,      0x63, "LEASE_REVOKE",       kRetrySafe, kInstance, (u32, u64),                        ())                               \
+  X(kCoordRegister,    0x70, "COORD_REGISTER",     kRetrySafe, kControl,  (u32, Blob, u16),                  (u64))                            \
+  X(kCoordHeartbeat,   0x71, "COORD_HEARTBEAT",    kRetrySafe, kControl,  (std::vector<u32>),                (u64, u8))                        \
+  X(kCoordConfigGet,   0x72, "COORD_CONFIG_GET",   kRetrySafe, kControl,  (),                                (Blob))                           \
+  X(kCoordConfigWatch, 0x73, "COORD_CONFIG_WATCH", kRetrySafe, kControl,  (u64),                             (Blob))                           \
+  X(kCoordReport,      0x74, "COORD_REPORT",       kFailFast,  kControl,  (u8, u32),                         ())                               \
+  X(kCoordDirtyQuery,  0x75, "COORD_DIRTY_QUERY",  kRetrySafe, kControl,  (u32),                             (u8))                             \
+  X(kCoordShadowSync,  0x76, "COORD_SHADOW_SYNC",  kRetrySafe, kControl,  (u64, u32, Blob),                  (u64))
+// clang-format on
+
+enum class Op : uint8_t {
+#define GEMINI_WIRE_OP_ENUM(op, code, ...) op = code,
+  GEMINI_WIRE_OPS(GEMINI_WIRE_OP_ENUM)
+#undef GEMINI_WIRE_OP_ENUM
+};
+
+/// One row's fields: `Request` and `Response` are tuples of the request and
+/// ok-response field types, in wire order.
+template <Op op>
+struct OpSpec;
+
+#define GEMINI_WIRE_FIELDS(...) std::tuple<__VA_ARGS__>
+#define GEMINI_WIRE_OP_SPEC(op, code, name, retry, scope, request, response) \
+  template <>                                                                \
+  struct OpSpec<Op::op> {                                                    \
+    using Request = GEMINI_WIRE_FIELDS request;                              \
+    using Response = GEMINI_WIRE_FIELDS response;                            \
+  };
+GEMINI_WIRE_OPS(GEMINI_WIRE_OP_SPEC)
+#undef GEMINI_WIRE_OP_SPEC
+#undef GEMINI_WIRE_FIELDS
 
 /// Events a recovery-side client reports to the coordinator (kCoordReport).
 enum class CoordEvent : uint8_t {
@@ -200,32 +221,29 @@ inline constexpr uint8_t kPushConfigTag = 0xF0;
 /// True iff `tag` is an unsolicited push frame, not a response.
 inline bool IsPushTag(uint8_t tag) { return tag >= kMinPushTag; }
 
-/// True iff `op` is a defined opcode (decode-side validation).
-bool IsKnownOp(uint8_t op);
+/// The runtime facts of one table row.
+struct OpRow {
+  std::string_view name;  // docs/PROTOCOL.md §10.3
+  bool retry_safe = false;
+  Scope scope = Scope::kSession;
+};
 
-/// True iff re-sending `op` after an ambiguous failure (connection dropped
-/// with the response unread — the server may or may not have executed it)
-/// cannot change the outcome. These are the only ops a client-side retry
-/// layer may resend automatically (docs/PROTOCOL.md §11): pure reads (kGet,
-/// kDirtyListGet, kWorkingSetScan, kConfigIdGet, kPing, kInstanceList, kStats,
-/// kCoordConfigGet, kCoordConfigWatch, kCoordDirtyQuery), kConfigIdBump
-/// (a max-merge into the instance's observed configuration id), and the
-/// coordinator control ops whose state is level- rather than edge-triggered:
-/// kCoordRegister (re-registering re-installs the same endpoint),
-/// kCoordHeartbeat (a duplicate beat only refreshes a deadline),
-/// kCoordShadowSync (re-applying a full-state sync is a no-op), and the
-/// lease ops kLeaseGrant/kLeaseRevoke (the coordinator serializes publishes,
-/// so a duplicate re-applies the same lease state; latest-config ids are
-/// max-merged). kCoordReport stays fail-fast: the coordinator's recovery
-/// transitions are mode-guarded, but a duplicated report after the mode
-/// advanced would be indistinguishable from a stale straggler.
-/// Everything that touches data-plane leases, versions, or dirty lists stays
-/// fail-fast — a duplicated kIqSet/kDar/kAppend could double-apply or
-/// resurrect a lease the protocol already voided. The bulk write ops
-/// (kMultiSet/kMultiDelete) inherit the strictest member of their batch:
-/// a replayed batch re-executes N writes, any one of which can resurrect a
-/// concurrently deleted value, so the whole frame fails fast.
-bool IsIdempotentOp(Op op);
+/// The row defining opcode `op`, or nullptr when no row does.
+const OpRow* FindOp(uint8_t op);
+
+/// True iff `op` is a defined opcode (decode-side validation).
+inline bool IsKnownOp(uint8_t op) { return FindOp(op) != nullptr; }
+
+/// True iff the retry layer may re-send `op` after an ambiguous failure
+/// (docs/PROTOCOL.md §11.2; the reasons sit above GEMINI_WIRE_OPS).
+inline bool IsIdempotentOp(Op op) {
+  return FindOp(static_cast<uint8_t>(op))->retry_safe;
+}
+
+/// The op's docs/PROTOCOL.md name, as client errors report it.
+inline std::string_view OpName(Op op) {
+  return FindOp(static_cast<uint8_t>(op))->name;
+}
 
 // ---- Primitive writers (append to `out`) ----------------------------------
 
@@ -298,6 +316,310 @@ DecodeResult DecodeFrame(std::string_view buf, size_t* consumed, uint8_t* tag,
 /// Status-code <-> wire tag mapping. Unknown tags map to kInternal so a
 /// newer peer cannot make an older client misbehave.
 Code CodeFromWire(uint8_t tag);
+
+// ---- The field codec -------------------------------------------------------
+//
+// Field<T> encodes and decodes one field of row type T. Put returns false
+// only for a key over kMaxKeyLen (the frame limit catches oversized blobs and
+// values). Get decodes into T itself or, on the client, into an owning or
+// domain type: Field<T>::Owned (a Key or Blob as std::string), or a struct
+// whose members AsFields ties in wire order.
+
+inline auto AsFields(IqGetResult& r) { return std::tie(r.value, r.i_token); }
+inline auto AsFields(WorkingSetPage& p) {
+  return std::tie(p.next_cursor, p.items);
+}
+inline auto AsFields(WorkingSetItem& i) {
+  return std::tie(i.key, i.charged_bytes);
+}
+inline auto AsFields(const WorkingSetItem& i) {
+  return std::tie(i.key, i.charged_bytes);
+}
+
+template <typename T>
+concept TupleLike = requires { std::tuple_size<T>::value; };
+
+template <typename T>
+struct Field;
+
+#define GEMINI_WIRE_FIELD(T, min_size, put, get)          \
+  template <>                                             \
+  struct Field<T> {                                       \
+    using Owned = T;                                      \
+    static constexpr size_t kMinSize = min_size;          \
+    static bool Put(std::string& out, const T& v) {       \
+      put(out, v);                                        \
+      return true;                                        \
+    }                                                     \
+    static bool Get(Reader& r, T* v) { return r.get(v); } \
+  };
+GEMINI_WIRE_FIELD(uint8_t, 1, PutU8, GetU8)
+GEMINI_WIRE_FIELD(uint16_t, 2, PutU16, GetU16)
+GEMINI_WIRE_FIELD(uint32_t, 4, PutU32, GetU32)
+GEMINI_WIRE_FIELD(uint64_t, 8, PutU64, GetU64)
+GEMINI_WIRE_FIELD(OpContext, 12, PutContext, GetContext)
+GEMINI_WIRE_FIELD(CacheValue, 16, PutValue, GetValue)
+#undef GEMINI_WIRE_FIELD
+
+/// Key and Blob: a `prefix`-byte length, then the bytes.
+template <size_t prefix, size_t max_len, auto put, auto get>
+struct BytesField {
+  using Owned = std::string;
+  static constexpr size_t kMinSize = prefix;
+  static bool Put(std::string& out, std::string_view bytes) {
+    if (bytes.size() > max_len) return false;
+    put(out, bytes);
+    return true;
+  }
+  static bool Get(Reader& r, std::string_view* bytes) {
+    return (r.*get)(bytes);
+  }
+  static bool Get(Reader& r, std::string* bytes) {
+    std::string_view view;
+    if (!(r.*get)(&view)) return false;
+    bytes->assign(view);
+    return true;
+  }
+};
+template <>
+struct Field<Key> : BytesField<2, kMaxKeyLen, PutKey, &Reader::GetKey> {};
+template <>
+struct Field<Blob> : BytesField<4, ~size_t{0}, PutBlob, &Reader::GetBlob> {};
+
+template <>
+struct Field<std::optional<CacheValue>> {
+  using Owned = std::optional<CacheValue>;
+  static constexpr size_t kMinSize = 1;
+  static bool Put(std::string& out, const std::optional<CacheValue>& value) {
+    PutU8(out, value.has_value() ? 1 : 0);
+    if (value.has_value()) PutValue(out, *value);
+    return true;
+  }
+  static bool Get(Reader& r, std::optional<CacheValue>* value) {
+    uint8_t hit = 0;
+    if (!r.GetU8(&hit)) return false;
+    value->reset();
+    return hit == 0 || r.GetValue(&value->emplace());
+  }
+};
+
+template <typename T>
+struct Field<std::vector<T>> {
+  using Owned = std::vector<typename Field<T>::Owned>;
+  static constexpr size_t kMinSize = 4;
+  template <typename Items>
+  static bool Put(std::string& out, const Items& items) {
+    PutU32(out, static_cast<uint32_t>(items.size()));
+    for (const auto& item : items) {
+      if (!Field<T>::Put(out, item)) return false;
+    }
+    return true;
+  }
+  template <typename U>
+  static bool Get(Reader& r, std::vector<U>* items) {
+    static_assert(Field<T>::kMinSize > 0);
+    uint32_t count = 0;
+    // A count the rest of the body cannot hold is refused before anything
+    // is allocated for it.
+    if (!r.GetU32(&count) ||
+        static_cast<uint64_t>(count) * Field<T>::kMinSize > r.remaining()) {
+      return false;
+    }
+    items->resize(count);
+    for (U& item : *items) {
+      if (!Field<T>::Get(r, &item)) return false;
+    }
+    return true;
+  }
+};
+
+template <typename... Ts>
+struct Field<std::tuple<Ts...>> {
+  using Owned = std::tuple<typename Field<Ts>::Owned...>;
+  static constexpr size_t kMinSize = (size_t{0} + ... + Field<Ts>::kMinSize);
+  template <typename Src>
+  static bool Put(std::string& out, const Src& src) {
+    if constexpr (!TupleLike<Src>) {
+      return Put(out, AsFields(src));
+    } else {
+      return std::apply(
+          [&out](const auto&... f) { return (Field<Ts>::Put(out, f) && ...); },
+          src);
+    }
+  }
+  template <typename Dst>
+  static bool Get(Reader& r, Dst* dst) {
+    if constexpr (!TupleLike<Dst>) {
+      auto fields = AsFields(*dst);
+      return Get(r, &fields);
+    } else {
+      return std::apply(
+          [&r](auto&... f) { return (Field<Ts>::Get(r, &f) && ...); }, *dst);
+    }
+  }
+};
+
+/// Appends `value` encoded as row type T; false for a key over kMaxKeyLen.
+template <typename T, typename U>
+bool Encode(std::string& out, const U& value) {
+  return Field<T>::Put(out, value);
+}
+
+/// Decodes all of `bytes` as row type T into `out`: false on a short input
+/// or trailing bytes.
+template <typename T, typename U>
+bool Decode(std::string_view bytes, U* out) {
+  Reader r(bytes);
+  return Field<T>::Get(r, out) && r.Done();
+}
+
+/// A row's fields as one codec type: the only field of a one-field row,
+/// else the tuple of all of them.
+template <typename Fields>
+struct Unwrap {
+  using type = Fields;
+};
+template <typename T>
+struct Unwrap<std::tuple<T>> {
+  using type = T;
+};
+template <Op op>
+using RequestOf = typename OpSpec<op>::Request;
+template <Op op>
+using ResponseFieldsOf = typename Unwrap<typename OpSpec<op>::Response>::type;
+
+// ---- Client side of a row --------------------------------------------------
+
+/// What a client decodes `op`'s ok-response into by default: the row's
+/// types, owning their bytes (a Key or Blob as std::string).
+template <Op op>
+using ResponseOf = typename Field<ResponseFieldsOf<op>>::Owned;
+
+/// A client call's outcome: Status for an op whose ok-response is empty,
+/// else Result<Target>.
+template <Op op, typename Target = ResponseOf<op>>
+using CallResult =
+    std::conditional_t<std::tuple_size_v<typename OpSpec<op>::Response> == 0,
+                       Status, Result<Target>>;
+
+/// Encodes `fields` (tuple-like, in row order) as `op`'s request body. A key
+/// over kMaxKeyLen or a body over the frame limit is kInvalidArgument: such
+/// a request must not be sent.
+template <Op op, typename Fields>
+Status EncodeRequest(std::string& body, const Fields& fields) {
+  if (!Encode<RequestOf<op>>(body, fields)) {
+    return Status(Code::kInvalidArgument, "key exceeds wire limit");
+  }
+  if (1 + body.size() > kMaxFrameLen) {
+    return Status(Code::kInvalidArgument,
+                  std::string(OpName(op)) + " request exceeds frame limit");
+  }
+  return Status::Ok();
+}
+
+/// Decodes `op`'s ok-response body into `Target`; a body that does not
+/// match the row is kInternal, naming the op.
+template <Op op, typename Target = ResponseOf<op>>
+CallResult<op, Target> DecodeResponse(std::string_view body) {
+  if constexpr (std::is_same_v<CallResult<op, Target>, Status>) {
+    if (body.empty()) return Status::Ok();
+  } else {
+    Target out{};
+    if (Decode<ResponseFieldsOf<op>>(body, &out)) return out;
+  }
+  return Status(Code::kInternal,
+                "malformed " + std::string(OpName(op)) + " response");
+}
+
+// ---- Server side of a row --------------------------------------------------
+
+template <typename T>
+inline constexpr bool kIsResult = false;
+template <typename T>
+inline constexpr bool kIsResult<Result<T>> = true;
+
+/// Serves one `op` request: decodes `body` into the row's request fields,
+/// calls `handle(fields...)`, and passes its ok value to `respond` as a
+/// non-const lvalue (the encoder may move payload bytes out of it).
+/// `handle` returns Status for an empty ok-response, else Result<V> or V,
+/// where V is the response's only field or a tuple-like (or AsFields
+/// struct) of all of them. A Key or Blob in V is encoded from a view, so
+/// whatever backs it must live in V or outlive this call. Returns
+/// kInvalidArgument "malformed request body" when the body does not parse,
+/// else the handler's status.
+template <Op op, typename Handler, typename Respond>
+Status Serve(std::string_view body, Handler&& handle, Respond&& respond) {
+  RequestOf<op> request;
+  if (!Decode<RequestOf<op>>(body, &request)) {
+    return Status(Code::kInvalidArgument, "malformed request body");
+  }
+  auto result = std::apply(std::forward<Handler>(handle), std::move(request));
+  if constexpr (std::is_same_v<decltype(result), Status>) {
+    static_assert(std::tuple_size_v<typename OpSpec<op>::Response> == 0,
+                  "only an op with an empty ok-response may return Status");
+    if (!result.ok()) return result;
+    std::tuple<> none;
+    respond(none);
+  } else if constexpr (kIsResult<decltype(result)>) {
+    if (!result.ok()) return result.status();
+    respond(*result);
+  } else {
+    respond(result);
+  }
+  return Status::Ok();
+}
+
+/// An ok-response body split around its first CacheValue's data, so a
+/// server can send those bytes from where they lie instead of copying them
+/// into a contiguous frame: `head` holds the fields before the data's u32
+/// length prefix, `post` the fields after the data. Without a value
+/// (`split` false) the whole body is `head`.
+struct SplitBody {
+  std::string head;
+  std::string payload;
+  std::string post;
+  bool split = false;
+};
+
+template <typename T, typename V>
+void PutSplit(SplitBody& body, V& value) {
+  std::string& out = body.split ? body.post : body.head;
+  if constexpr (std::is_same_v<T, std::optional<CacheValue>>) {
+    PutU8(out, value.has_value() ? 1 : 0);
+    if (value.has_value()) PutSplit<CacheValue>(body, *value);
+  } else if constexpr (std::is_same_v<T, CacheValue>) {
+    if (body.split) {
+      PutValue(out, value);
+      return;
+    }
+    body.split = true;
+    body.payload = std::move(value.data);
+    PutU32(body.post, value.charged_bytes);
+    PutU64(body.post, value.version);
+  } else {
+    Field<T>::Put(out, value);
+  }
+}
+
+/// Encodes a Serve handler's ok value as `op`'s ok-response body, split
+/// around the first CacheValue, whose data it moves out of `value`.
+template <Op op, typename V>
+SplitBody EncodeResponseSplit(V& value) {
+  using Response = typename OpSpec<op>::Response;
+  SplitBody body;
+  if constexpr (std::tuple_size_v<Response> == 1) {
+    PutSplit<std::tuple_element_t<0, Response>>(body, value);
+  } else if constexpr (TupleLike<V>) {
+    [&]<size_t... I>(std::index_sequence<I...>) {
+      (PutSplit<std::tuple_element_t<I, Response>>(body, std::get<I>(value)),
+       ...);
+    }(std::make_index_sequence<std::tuple_size_v<Response>>());
+  } else {
+    auto fields = AsFields(value);
+    return EncodeResponseSplit<op>(fields);
+  }
+  return body;
+}
 
 }  // namespace wire
 }  // namespace gemini

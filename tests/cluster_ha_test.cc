@@ -202,6 +202,27 @@ TEST(CoordinatorStateCodecTest, RejectsMalformedInput) {
   EXPECT_FALSE(DecodeCoordinatorState(reversioned, &out));
 }
 
+/// A valid state blob whose fragment count (or, with `believed_up`, whose
+/// believed_up count) claims 0xFFFFFFFF entries. Trusted, the fragment
+/// count would reserve ~200 GB.
+std::string OverclaimedStateBlob(bool believed_up = false) {
+  const CoordinatorState state = SampleState();
+  std::string bytes;
+  EncodeCoordinatorState(bytes, state);
+  // version | 4 x u64 | u32 believed_up count | bytes | u32 fragment count
+  const size_t up_count = 4 + 4 * 8;
+  const size_t at =
+      believed_up ? up_count : up_count + 4 + state.believed_up.size();
+  for (size_t i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(0xFF);
+  return bytes;
+}
+
+TEST(CoordinatorStateCodecTest, RejectsOverclaimedCountsWithoutAllocating) {
+  CoordinatorState out;
+  EXPECT_FALSE(DecodeCoordinatorState(OverclaimedStateBlob(), &out));
+  EXPECT_FALSE(DecodeCoordinatorState(OverclaimedStateBlob(true), &out));
+}
+
 TEST(CoordinatorReplicaTest, SoloReplicaPromotesImmediately) {
   ReplicaNode node(PickFreePort(), /*peers=*/{}, /*rank=*/0,
                    /*instances=*/2, /*fragments=*/2);
@@ -252,6 +273,25 @@ std::string SyncBody(uint64_t epoch, uint32_t rank,
   wire::PutU32(body, rank);
   wire::PutBlob(body, blob);
   return body;
+}
+
+TEST(CoordinatorReplicaTest, OverclaimedShadowSyncIsRefusedOverTheWire) {
+  // A trusted count would reserve ~200 GB on a server shard thread and take
+  // the process down; it must be an ordinary malformed request instead.
+  ReplicaNode node(PickFreePort(), /*peers=*/{}, /*rank=*/0,
+                   /*instances=*/2, /*fragments=*/2);
+  TcpConnection conn("127.0.0.1", node.server->port(), wire::kAnyInstance,
+                     TcpConnection::Options{});
+  ASSERT_TRUE(conn.Connect().ok());
+  std::string body;
+  wire::PutU64(body, 9);  // epoch
+  wire::PutU32(body, 1);  // rank
+  wire::PutBlob(body, OverclaimedStateBlob());
+  std::string resp;
+  const Status s = conn.Transact(wire::Op::kCoordShadowSync, body, &resp);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  EXPECT_TRUE(conn.Transact(wire::Op::kPing, "", &resp).ok());
+  EXPECT_TRUE(node.replica->is_master());
 }
 
 TEST(CoordinatorReplicaTest, SyncFencingRejectsStaleClaimAndDemotesOnNewer) {

@@ -55,6 +55,13 @@ TEST(ParserRobustness, ConfigurationMutatedValidPayload) {
   }
 }
 
+TEST(ParserRobustness, ConfigurationCountBeyondItsTextFailsClosed) {
+  // 2^31 fragments in a 16-byte payload: the parse must fail, not reserve
+  // 48 GiB for entries the text cannot hold.
+  EXPECT_FALSE(Configuration::Deserialize("v2 1 2147483648 ").has_value());
+  EXPECT_FALSE(Configuration::Deserialize("v2 1 3 0 0 1 0 1").has_value());
+}
+
 TEST(ParserRobustness, DirtyListRandomBytes) {
   Rng rng(3);
   for (int i = 0; i < 2000; ++i) {

@@ -460,6 +460,38 @@ TEST_F(PipelineE2eTest, ConcurrentSubmittersNeverMismatchResponses) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(PipelineE2eTest, OversizedSetFailsLocallyWithoutDroppingSharers) {
+  // A frame over kMaxFrameLen makes the server close the connection, which
+  // would fail every sharer's in-flight requests and force a redial: the
+  // client must refuse it before anything is sent.
+  ASSERT_TRUE(backend_->Set(kInternalCtx, "k", CacheValue::OfData("v")).ok());
+  const uint64_t accepted = server_->stats().connections_accepted;
+  TcpCacheBackend sharer("127.0.0.1", server_->port());  // same connection
+  std::atomic<bool> stop{false};
+  std::atomic<int> bursts{0};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    const std::vector<GetRequest> burst(64, GetRequest{kInternalCtx, "k"});
+    while (!stop.load()) {
+      for (const auto& r : sharer.MultiGet(burst)) {
+        if (!r.ok()) failures.fetch_add(1);
+      }
+      bursts.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(WaitFor([&] { return bursts.load() > 0; }));
+  const Status s = backend_->Set(
+      kInternalCtx, "big", CacheValue::OfData(std::string(17u << 20, 'x')));
+  const int after = bursts.load();
+  EXPECT_TRUE(WaitFor([&] { return bursts.load() >= after + 3; }));
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+  EXPECT_EQ(server_->stats().connections_accepted, accepted);
+}
+
 // ---- WarmUp over the in-process backend ------------------------------------
 
 TEST(WarmUpTest, ProbesThenFillsOnlyMisses) {

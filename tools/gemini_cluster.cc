@@ -296,15 +296,9 @@ bool QueryStat(uint16_t port, const std::string& name, uint64_t* value) {
   copts.io_timeout = Millis(500);
   auto conn =
       TcpConnection::Acquire("127.0.0.1", port, wire::kAnyInstance, copts);
-  std::string resp;
-  if (!conn->Transact(wire::Op::kStats, "", &resp).ok()) return false;
-  wire::Reader r(resp);
-  uint32_t count = 0;
-  if (!r.GetU32(&count)) return false;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view key;
-    uint64_t v = 0;
-    if (!r.GetBlob(&key) || !r.GetU64(&v)) return false;
+  const auto rows = conn->Call<wire::Op::kStats>();
+  if (!rows.ok()) return false;
+  for (const auto& [key, v] : *rows) {
     if (key == name) {
       *value = v;
       return true;
