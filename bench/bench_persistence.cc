@@ -1,7 +1,7 @@
 // bench_persistence: what durability costs on the write path, and what it
 // buys back at restart.
 //
-// Three result groups, one JSON file (BENCH_persistence.json):
+// Four result groups, one JSON file (BENCH_persistence.json):
 //
 //  persist_set — closed-loop SETs at window 32 through a real loopback
 //  TransportServer, once against a plain CacheInstance (wal=0) and once
@@ -26,9 +26,22 @@
 //  storage and network latency on top, and the paper's Figure 6 shows the
 //  hit-ratio dip lasting minutes at production scale.
 //
+//  eager_contention — what eager records cost connections that write none.
+//  A 1-loop loopback server over a PersistentStore (default options); one
+//  reader connection sends serial 32-key GET bursts while 0, 1 or 4 writer
+//  connections each send serial Qareg+Dar pairs, the cache half of a
+//  look-aside write, whose QBegin record is eager. ops_per_sec is the
+//  reader's GET rate, so tools/check_bench.py normalizes it by writers=0:
+//  a loop that waited out each fsync would halve it with one writer. The
+//  eager_contention_writers rows carry the writers' pair rate (all writers
+//  together), normalized by writers=1: group commit lets four writers share
+//  fsyncs instead of queueing for them.
+//
 // Flags: --quick (CI smoke: shrinks persist_set ops only — restore sweeps
 //        keep their sizes so curves stay comparable to the committed
 //        baseline), --full, --ops=N, --keys=K, --value-bytes=B, --json=PATH.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -38,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <ftw.h>
@@ -172,6 +186,138 @@ SetRun RunSetPoint(bool wal, const std::string& dir, size_t ops,
   }
   (void)value_bytes;
   (void)num_keys;
+  return out;
+}
+
+// ---- eager_contention: writers vs an unrelated reader on one loop ------------
+
+struct ContentionRun {
+  double gets_per_sec = 0;   // reader keys/s
+  Histogram burst_us;        // reader: one 32-key GET burst
+  double pairs_per_sec = 0;  // all writers together
+  Histogram pair_us;         // writer: one Qareg+Dar pair
+  uint64_t errors = 0;
+};
+
+/// Runs the reader and `writers` writers against a fresh persistent 1-loop
+/// server for `seconds` (after a short unmeasured warm-up).
+ContentionRun RunContentionPoint(const std::string& dir, size_t writers,
+                                 double seconds) {
+  constexpr size_t kBurst = 32;
+  constexpr size_t kReaderKeys = 1024;
+  ContentionRun out;
+  RemoveTree(dir);
+  PersistentStore store(dir);
+  CacheInstance::Options copts;
+  copts.persistence = &store;
+  CacheInstance instance(0, &SystemClock::Global(), copts);
+  if (Status s = store.Open(instance); !s.ok()) {
+    std::fprintf(stderr, "store open failed: %s\n", s.ToString().c_str());
+    out.errors = 1;
+    return out;
+  }
+  const std::string payload(100, 'r');
+  for (size_t k = 0; k < kReaderKeys; ++k) {
+    (void)instance.Set(kCtx, "r" + std::to_string(k),
+                       CacheValue::OfData(payload));
+  }
+  TransportServer::Options sopts;
+  sopts.num_loops = 1;
+  TransportServer server(&instance, sopts);
+  if (Status s = server.Start(); !s.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());
+    out.errors = 1;
+    return out;
+  }
+
+  std::atomic<bool> measuring{false};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> errors{0};
+  std::mutex hist_mu;
+  uint64_t bursts = 0;
+  uint64_t pairs = 0;
+  const auto connect = [&server, &errors] {
+    auto conn = std::make_unique<TcpConnection>(
+        "127.0.0.1", server.port(), wire::kAnyInstance,
+        TcpConnection::Options());
+    if (!conn->Connect().ok()) errors.fetch_add(1);
+    return conn;
+  };
+  const auto elapsed_us = [](SteadyClock::time_point since) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               SteadyClock::now() - since)
+        .count();
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    auto conn = connect();
+    std::vector<TcpConnection::BatchRequest> burst(kBurst);
+    size_t next = 0;
+    Histogram local;
+    uint64_t done = 0;
+    while (!stop.load()) {
+      for (auto& req : burst) {
+        req.op = wire::Op::kGet;
+        req.body.clear();
+        wire::PutContext(req.body, kCtx);
+        wire::PutKey(req.body, "r" + std::to_string(next++ % kReaderKeys));
+      }
+      const bool record = measuring.load();
+      const auto t0 = SteadyClock::now();
+      for (const auto& resp : conn->TransactBatch(burst)) {
+        if (!resp.status.ok()) errors.fetch_add(1);
+      }
+      if (record) {
+        local.Record(std::max<int64_t>(1, elapsed_us(t0)));
+        ++done;
+      }
+    }
+    std::lock_guard<std::mutex> lock(hist_mu);
+    out.burst_us.Merge(local);
+    bursts += done;
+  });
+  for (size_t w = 0; w < writers; ++w) {
+    threads.emplace_back([&, w] {
+      auto conn = connect();
+      Histogram local;
+      uint64_t done = 0;
+      for (size_t i = 0; !stop.load(); ++i) {
+        const std::string key =
+            "w" + std::to_string(w) + "_" + std::to_string(i % 64);
+        const bool record = measuring.load();
+        const auto t0 = SteadyClock::now();
+        auto token = conn->Call<wire::Op::kQareg>(kCtx, key);
+        if (!token.ok() ||
+            !conn->Call<wire::Op::kDar>(kCtx, key, *token).ok()) {
+          errors.fetch_add(1);
+        }
+        if (record) {
+          local.Record(std::max<int64_t>(1, elapsed_us(t0)));
+          ++done;
+        }
+      }
+      std::lock_guard<std::mutex> lock(hist_mu);
+      out.pair_us.Merge(local);
+      pairs += done;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  measuring.store(true);
+  const auto t0 = SteadyClock::now();
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  measuring.store(false);
+  const double secs =
+      std::chrono::duration<double>(SteadyClock::now() - t0).count();
+  stop.store(true);
+  for (auto& t : threads) t.join();
+  server.Stop();
+  out.gets_per_sec = static_cast<double>(bursts * kBurst) / secs;
+  out.pairs_per_sec = static_cast<double>(pairs) / secs;
+  out.errors = errors.load();
+  if (!store.error().ok()) ++out.errors;
+  store.Close();
+  RemoveTree(dir);
   return out;
 }
 
@@ -315,8 +461,9 @@ int Run(int argc, char** argv) {
 
   bench::PrintHeader(
       "bench_persistence",
-      "WAL overhead on the SET path (loopback geminid, window 32) and "
-      "warm-vs-cold restart: WAL replay vs per-key network refill");
+      "WAL overhead on the SET path (loopback geminid, window 32), "
+      "warm-vs-cold restart (WAL replay vs per-key network refill), and "
+      "eager-record writers vs a reader on one event loop");
   std::printf("  ops=%zu  value=%zuB  keys=%zu  scratch=%s\n\n", ops,
               value_bytes, num_keys, scratch.c_str());
 
@@ -415,6 +562,59 @@ int Run(int argc, char** argv) {
       br.ops_per_sec = r.ops_per_sec;
       br.p50_us = r.millis * 1e3;  // total time-to-warm, in us
       br.p99_us = r.millis * 1e3;
+      results.push_back(std::move(br));
+    }
+  }
+
+  // Best of kSetRepeats per metric, as above: each point runs ~10 threads
+  // (client connections, loop, WAL writer) on a few cores, so a single run
+  // mostly measures its neighbours. Each round runs every point back to
+  // back, so a drift in the machine's speed moves the points together
+  // instead of skewing their ratios.
+  const double contention_secs = flags.quick ? 0.5 : (flags.full ? 2.0 : 1.0);
+  std::printf("\n  eager_contention (1 loop; reader: serial 32-key GET bursts; "
+              "writers: serial Qareg+Dar pairs; %.1fs per run):\n",
+              contention_secs);
+  std::printf("  %8s %12s %12s %14s %12s\n", "writers", "GET/s",
+              "burst p50 us", "writer pairs/s", "pair p50 us");
+  const double cpus = static_cast<double>(std::thread::hardware_concurrency());
+  const std::vector<size_t> writer_counts = {0, 1, 4};
+  std::vector<ContentionRun> best_read(writer_counts.size());
+  std::vector<ContentionRun> best_write(writer_counts.size());
+  for (int rep = 0; rep < kSetRepeats; ++rep) {
+    for (size_t p = 0; p < writer_counts.size(); ++p) {
+      ContentionRun r = RunContentionPoint(scratch + "/contention",
+                                           writer_counts[p], contention_secs);
+      total_errors += r.errors;
+      if (rep == 0 || r.gets_per_sec > best_read[p].gets_per_sec) {
+        best_read[p] = r;
+      }
+      if (rep == 0 || r.pairs_per_sec > best_write[p].pairs_per_sec) {
+        best_write[p] = r;
+      }
+    }
+  }
+  for (size_t p = 0; p < writer_counts.size(); ++p) {
+    const size_t writers = writer_counts[p];
+    std::printf("  %8zu %12.0f %12.1f %14.0f %12.1f\n", writers,
+                best_read[p].gets_per_sec,
+                best_read[p].burst_us.Percentile(0.50),
+                best_write[p].pairs_per_sec,
+                writers > 0 ? best_write[p].pair_us.Percentile(0.50) : 0.0);
+    bench::BenchResult br;
+    br.name = "eager_contention";
+    br.params = {{"writers", static_cast<double>(writers)},
+                 {"burst", 32},
+                 {"cpus", cpus}};
+    br.ops_per_sec = best_read[p].gets_per_sec;
+    br.p50_us = best_read[p].burst_us.Percentile(0.50);
+    br.p99_us = best_read[p].burst_us.Percentile(0.99);
+    results.push_back(br);
+    if (writers > 0) {
+      br.name = "eager_contention_writers";
+      br.ops_per_sec = best_write[p].pairs_per_sec;
+      br.p50_us = best_write[p].pair_us.Percentile(0.50);
+      br.p99_us = best_write[p].pair_us.Percentile(0.99);
       results.push_back(std::move(br));
     }
   }

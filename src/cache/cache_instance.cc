@@ -104,6 +104,7 @@ void CacheInstance::RecoverPersistent() {
 }
 
 void CacheInstance::RecoverVolatile() {
+  EagerScope scope;
   {
     std::unique_lock<std::shared_mutex> meta(meta_mu_);
     available_ = true;
@@ -121,6 +122,22 @@ void CacheInstance::RecoverVolatile() {
     if (sink_ != nullptr) sink_->OnVolatileWipe();
   }
   leases_.Clear();
+  // The wipe record is eager, waited for with no lock held. A failed log is
+  // the store owner's to act on (PersistentStore::error()).
+  (void)WaitEager(scope);
+}
+
+template <typename Op>
+auto CacheInstance::AfterEagerDurable(Op op) -> decltype(op()) {
+  EagerScope scope;
+  auto result = op();
+  if (Status s = WaitEager(scope); !s.ok()) return s;
+  return result;
+}
+
+Status CacheInstance::WaitEager(const EagerScope& scope) {
+  if (scope.lsn() == 0) return Status::Ok();
+  return sink_->WaitDurable(scope.lsn());
 }
 
 bool CacheInstance::available() const {
@@ -130,28 +147,32 @@ bool CacheInstance::available() const {
 
 // ---- Coordinator-facing fragment management ---------------------------------
 
-void CacheInstance::GrantFragmentLease(FragmentId fragment,
-                                       ConfigId min_valid_config,
-                                       Timestamp expiry,
-                                       ConfigId latest_config) {
-  std::unique_lock<std::shared_mutex> meta(meta_mu_);
-  fragments_[fragment] = FragmentLease{min_valid_config, expiry};
-  const ConfigId before = latest_config_;
-  latest_config_ = std::max(latest_config_, latest_config);
-  if (sink_ != nullptr && latest_config_ > before) {
-    sink_->OnConfigObserved(latest_config_);
-  }
+Status CacheInstance::GrantFragmentLease(FragmentId fragment,
+                                         ConfigId min_valid_config,
+                                         Timestamp expiry,
+                                         ConfigId latest_config) {
+  return AfterEagerDurable([&] {
+    std::unique_lock<std::shared_mutex> meta(meta_mu_);
+    fragments_[fragment] = FragmentLease{min_valid_config, expiry};
+    AdvanceConfigMeta(latest_config);
+    return Status::Ok();
+  });
 }
 
-void CacheInstance::RevokeFragmentLease(FragmentId fragment,
-                                        ConfigId latest_config) {
-  std::unique_lock<std::shared_mutex> meta(meta_mu_);
-  fragments_.erase(fragment);
-  const ConfigId before = latest_config_;
-  latest_config_ = std::max(latest_config_, latest_config);
-  if (sink_ != nullptr && latest_config_ > before) {
-    sink_->OnConfigObserved(latest_config_);
-  }
+Status CacheInstance::RevokeFragmentLease(FragmentId fragment,
+                                          ConfigId latest_config) {
+  return AfterEagerDurable([&] {
+    std::unique_lock<std::shared_mutex> meta(meta_mu_);
+    fragments_.erase(fragment);
+    AdvanceConfigMeta(latest_config);
+    return Status::Ok();
+  });
+}
+
+void CacheInstance::AdvanceConfigMeta(ConfigId latest) {
+  if (latest <= latest_config_) return;
+  latest_config_ = latest;
+  if (sink_ != nullptr) sink_->OnConfigObserved(latest_config_);
 }
 
 ConfigId CacheInstance::latest_config_id() const {
@@ -159,13 +180,12 @@ ConfigId CacheInstance::latest_config_id() const {
   return latest_config_;
 }
 
-void CacheInstance::ObserveConfigId(ConfigId latest) {
-  std::unique_lock<std::shared_mutex> meta(meta_mu_);
-  const ConfigId before = latest_config_;
-  latest_config_ = std::max(latest_config_, latest);
-  if (sink_ != nullptr && latest_config_ > before) {
-    sink_->OnConfigObserved(latest_config_);
-  }
+Status CacheInstance::ObserveConfigId(ConfigId latest) {
+  return AfterEagerDurable([&] {
+    std::unique_lock<std::shared_mutex> meta(meta_mu_);
+    AdvanceConfigMeta(latest);
+    return Status::Ok();
+  });
 }
 
 bool CacheInstance::HoldsFragmentLease(FragmentId fragment) const {
@@ -401,16 +421,18 @@ Status CacheInstance::IqSet(const OpContext& ctx, std::string_view key,
 
 Result<LeaseToken> CacheInstance::Qareg(const OpContext& ctx,
                                         std::string_view key) {
-  std::shared_lock<std::shared_mutex> meta(meta_mu_);
-  if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
-  Result<LeaseToken> token = leases_.AcquireQ(key);
-  if (token.ok() && sink_ != nullptr) {
-    // Durable (eagerly synced) before the token escapes: once the writer
-    // holds it, it may update the data store at any moment, and a crash
-    // must then treat this key as quarantined.
-    sink_->OnQuarantineBegin(key);
-  }
-  return token;
+  return AfterEagerDurable([&]() -> Result<LeaseToken> {
+    std::shared_lock<std::shared_mutex> meta(meta_mu_);
+    if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
+    Result<LeaseToken> token = leases_.AcquireQ(key);
+    if (token.ok() && sink_ != nullptr) {
+      // Durable (eagerly synced) before the token escapes: once the writer
+      // holds it, it may update the data store at any moment, and a crash
+      // must then treat this key as quarantined.
+      sink_->OnQuarantineBegin(key);
+    }
+    return token;
+  });
 }
 
 Status CacheInstance::Dar(const OpContext& ctx, std::string_view key,
@@ -454,9 +476,12 @@ Status CacheInstance::WriteBackInstall(const OpContext& ctx,
     std::lock_guard<std::mutex> flush_lock(flush_mu_);
     pending_flush_.push_back(PendingFlush{std::string(key), std::move(copy)});
   }
-  // Logged pinned + eagerly synced by the sink: the ack'd value exists
-  // nowhere but this cache until its flush lands.
+  // Logged pinned and waited for here, under the stripe lock, even inside
+  // the server's scope: the ack'd value exists nowhere but this cache until
+  // its flush lands, so no reader may see it before it is durable.
+  EagerScope isolated(/*isolated=*/true);
   LogUpsertLocked(st, PersistOp::kWriteBack, key);
+  if (Status s = WaitEager(isolated); !s.ok()) return s;
   if (sink_ != nullptr) sink_->OnQuarantineEnd(key);
   leases_.ReleaseQ(key, token);
   return Status::Ok();
@@ -521,35 +546,39 @@ Status CacheInstance::Rar(const OpContext& ctx, std::string_view key,
 
 Result<LeaseToken> CacheInstance::ISet(const OpContext& ctx,
                                        std::string_view key) {
-  std::shared_lock<std::shared_mutex> meta(meta_mu_);
-  if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
-  Stripe& st = StripeOf(key);
-  std::lock_guard<std::mutex> lock(st.mu);
-  Result<LeaseToken> lease = leases_.AcquireI(key);
-  if (!lease.ok()) {
-    return lease.status();
-  }
-  auto it = st.table.find(key);
-  if (it != st.table.end()) {
-    EraseLocked(st, it->second, /*count_as_delete=*/true);
-  }
-  if (sink_ != nullptr) sink_->OnDelete(PersistOp::kISet, key);
-  return *lease;
+  return AfterEagerDurable([&]() -> Result<LeaseToken> {
+    std::shared_lock<std::shared_mutex> meta(meta_mu_);
+    if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
+    Stripe& st = StripeOf(key);
+    std::lock_guard<std::mutex> lock(st.mu);
+    Result<LeaseToken> lease = leases_.AcquireI(key);
+    if (!lease.ok()) {
+      return lease.status();
+    }
+    auto it = st.table.find(key);
+    if (it != st.table.end()) {
+      EraseLocked(st, it->second, /*count_as_delete=*/true);
+    }
+    if (sink_ != nullptr) sink_->OnDelete(PersistOp::kISet, key);
+    return lease;
+  });
 }
 
 Status CacheInstance::IDelete(const OpContext& ctx, std::string_view key,
                               LeaseToken token) {
-  std::shared_lock<std::shared_mutex> meta(meta_mu_);
-  if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
-  Stripe& st = StripeOf(key);
-  std::lock_guard<std::mutex> lock(st.mu);
-  auto it = st.table.find(key);
-  if (it != st.table.end()) {
-    EraseLocked(st, it->second, /*count_as_delete=*/true);
-  }
-  if (sink_ != nullptr) sink_->OnDelete(PersistOp::kIDelete, key);
-  leases_.ReleaseI(key, token);
-  return Status::Ok();
+  return AfterEagerDurable([&] {
+    std::shared_lock<std::shared_mutex> meta(meta_mu_);
+    if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
+    Stripe& st = StripeOf(key);
+    std::lock_guard<std::mutex> lock(st.mu);
+    auto it = st.table.find(key);
+    if (it != st.table.end()) {
+      EraseLocked(st, it->second, /*count_as_delete=*/true);
+    }
+    if (sink_ != nullptr) sink_->OnDelete(PersistOp::kIDelete, key);
+    leases_.ReleaseI(key, token);
+    return Status::Ok();
+  });
 }
 
 Status CacheInstance::Delete(const OpContext& ctx, std::string_view key) {

@@ -65,6 +65,7 @@
 
 namespace gemini {
 
+class EagerScope;
 class PersistenceSink;
 enum class PersistOp : uint8_t;
 
@@ -120,12 +121,14 @@ class CacheInstance : public CacheBackend {
 
   /// Grants/renews this instance's lease on `fragment` with the given
   /// minimum-valid configuration id and expiry. Also advances the memoized
-  /// latest configuration id.
-  void GrantFragmentLease(FragmentId fragment, ConfigId min_valid_config,
-                          Timestamp expiry, ConfigId latest_config);
+  /// latest configuration id. An advance is an eager WAL record: the call
+  /// returns once it is durable, or kUnavailable once the log has failed
+  /// (RevokeFragmentLease and ObserveConfigId alike).
+  Status GrantFragmentLease(FragmentId fragment, ConfigId min_valid_config,
+                            Timestamp expiry, ConfigId latest_config);
 
   /// Revokes the lease (fragment reassigned elsewhere).
-  void RevokeFragmentLease(FragmentId fragment, ConfigId latest_config);
+  Status RevokeFragmentLease(FragmentId fragment, ConfigId latest_config);
 
   /// The latest configuration id this instance has observed.
   [[nodiscard]] ConfigId latest_config_id() const;
@@ -133,7 +136,7 @@ class CacheInstance : public CacheBackend {
   /// Advances the memoized latest configuration id without touching any
   /// fragment lease (the wire protocol's config-bump op; a coordinator uses
   /// it to make an instance bounce stale clients before leases arrive).
-  void ObserveConfigId(ConfigId latest);
+  Status ObserveConfigId(ConfigId latest);
 
   /// True iff this instance currently holds a live lease on `fragment`.
   [[nodiscard]] bool HoldsFragmentLease(FragmentId fragment) const;
@@ -381,6 +384,19 @@ class CacheInstance : public CacheBackend {
   [[nodiscard]] ConfigId StampForMeta(const OpContext& ctx) const;
   // The fragment's minimum-valid config id (0 when not fragment-scoped).
   [[nodiscard]] ConfigId MinValidMeta(const OpContext& ctx) const;
+  // Raises latest_config_ to `latest` and logs the advance (an eager
+  // record). Requires meta_mu_ held exclusively.
+  void AdvanceConfigMeta(ConfigId latest);
+  // Runs `op`, which takes the instance's locks and may append eager WAL
+  // records, then waits for those records once every lock is released
+  // (persistence_sink.h). Inside an outer EagerScope the wait is its
+  // owner's. kUnavailable once the log has failed: the op is not
+  // acknowledged.
+  template <typename Op>
+  auto AfterEagerDurable(Op op) -> decltype(op());
+  // Waits for the eager records `scope` owns: Ok once durable (or when it
+  // owns none), kUnavailable when the log failed first.
+  Status WaitEager(const EagerScope& scope);
 
   struct FragmentLease {
     ConfigId min_valid_config = 0;

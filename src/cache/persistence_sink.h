@@ -8,14 +8,27 @@
 //
 // Locking contract: OnUpsert/OnDelete are invoked under the key's stripe
 // mutex, OnQuarantineBegin/End under the meta lock (shared), and
-// OnConfigObserved under the meta lock (exclusive). Implementations must not
-// call back into the cache and must not block unboundedly — an append to a
-// buffered log is the intended cost.
+// OnConfigObserved/OnVolatileWipe under the meta lock (exclusive).
+// Implementations must not call back into the cache and must not block
+// unboundedly — an append to a buffered log is the intended cost. That
+// includes eager records (PROTOCOL.md §9): the sink never waits for their
+// fsync. It hands the record's log sequence number (LSN) to the EagerScope
+// open on the calling thread, and the scope's owner waits once every lock
+// is released. CacheInstance opens a scope around each method that can
+// append an eager record; geminid's event loop opens one around each frame
+// and holds that frame's reply until the LSN is durable, so the loop never
+// waits at all. The one exception is CacheInstance::WriteBackInstall, which
+// waits under its stripe lock: its pinned value is the only copy of a
+// write.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <string_view>
 
 #include "src/cache/cache_backend.h"
+#include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace gemini {
@@ -34,6 +47,27 @@ enum class PersistOp : uint8_t {
   kIDelete = 7,    // invalidate under an I lease
   kISet = 8,       // ISet (refill marker → delete on this path)
   kQExpiry = 9,    // entry dropped because its Q lease expired unreleased
+};
+
+/// Position of a record in a sink's log, counted from 1. An LSN is durable
+/// once an fsync covers it, and so is every lower LSN of the same sink.
+using Lsn = uint64_t;
+/// The LSN a sink hands out for an eager record it refused because its log
+/// had already failed: it never becomes durable.
+inline constexpr Lsn kFailedLsn = UINT64_MAX;
+
+/// Where an LSN stands (PersistenceSink::CheckDurable).
+enum class Durability : uint8_t { kPending, kDurable, kFailed };
+
+/// Told when a sink's durable LSN advances or its log fails.
+class DurableListener {
+ public:
+  /// Runs on the sink's writer thread. Must be cheap (geminid's event loop
+  /// writes one byte to its wake-up pipe) and must not call into the sink.
+  virtual void OnDurable() = 0;
+
+ protected:
+  ~DurableListener() = default;
 };
 
 class PersistenceSink {
@@ -69,6 +103,62 @@ class PersistenceSink {
   /// RecoverVolatile wiped the instance: all prior entries, pins, and
   /// quarantines are gone (the observed config id survives).
   virtual void OnVolatileWipe() = 0;
+
+  /// Non-blocking: kDurable once an fsync covers `lsn`, kFailed once the log
+  /// failed before it did, kPending otherwise.
+  [[nodiscard]] virtual Durability CheckDurable(Lsn lsn) const = 0;
+
+  /// Blocks until CheckDurable(lsn) leaves kPending. Ok when durable,
+  /// kUnavailable when the log failed first. Never call it holding a cache
+  /// lock.
+  virtual Status WaitDurable(Lsn lsn) = 0;
+
+  /// Registers / unregisters a listener. Once Remove returns, the sink no
+  /// longer calls it.
+  virtual void AddDurableListener(DurableListener* listener) = 0;
+  virtual void RemoveDurableListener(DurableListener* listener) = 0;
+};
+
+/// Collects the eager records appended on this thread while it is open, so
+/// the thread can wait for their fsync after it has released its locks.
+/// Every eager record is appended inside a scope: CacheInstance opens one
+/// around each method that can append one. Scopes nest: an inner scope
+/// hands its records to the scope that owns the enclosing one (the
+/// outermost, unless an isolated one intervenes), which waits instead
+/// (geminid's event loop, which holds the reply rather than blocking). An
+/// `isolated` scope owns its records even when nested; WriteBackInstall
+/// uses one to wait under its stripe lock. The owner knows the sink: every
+/// eager method runs against a single instance.
+class EagerScope {
+ public:
+  EagerScope() : EagerScope(false) {}
+  explicit EagerScope(bool isolated)
+      : outer_(current_),
+        owner_(outer_ != nullptr && !isolated ? outer_->owner_ : this) {
+    current_ = this;
+  }
+  ~EagerScope() { current_ = outer_; }
+  EagerScope(const EagerScope&) = delete;
+  EagerScope& operator=(const EagerScope&) = delete;
+
+  /// Called by a sink for each eager record it appends (kFailedLsn for one
+  /// it refused). A scope must be open on this thread.
+  static void Record(Lsn lsn) {
+    assert(current_ != nullptr && "eager record outside an EagerScope");
+    Lsn& owned = current_->owner_->lsn_;
+    owned = std::max(owned, lsn);
+  }
+
+  /// The highest LSN this scope owns: 0 when it collected none, and always
+  /// in a nested, non-isolated scope, whose records its owner waits for.
+  [[nodiscard]] Lsn lsn() const { return lsn_; }
+
+ private:
+  static constinit inline thread_local EagerScope* current_ = nullptr;
+
+  EagerScope* const outer_;
+  EagerScope* const owner_;
+  Lsn lsn_ = 0;
 };
 
 }  // namespace gemini

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -118,8 +119,12 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
     ConfigId config_id;
     bool pinned = false;
   };
+  // The header's count is untrusted until the entries parse: reserve only
+  // what the remaining bytes can hold, or a damaged count that passed the
+  // checksum would abort the load with bad_alloc instead of failing closed.
+  constexpr uint64_t kMinEntryBytes = 4 + 4 + 4 + 8 + 8 + 4;
   std::vector<Pending> entries;
-  entries.reserve(entry_count);
+  entries.reserve(std::min(entry_count, reader.remaining() / kMinEntryBytes));
   for (uint64_t i = 0; i < entry_count; ++i) {
     Pending p;
     uint64_t version = 0, config_id = 0;

@@ -228,8 +228,7 @@ Status PersistentStore::Checkpoint() {
     if (!error_.ok()) return error_;
     const uint64_t closing_bytes = wal_.segment_bytes();
     if (Status s = wal_.Rotate(); !s.ok()) {
-      error_ = s;
-      recording_.store(false, std::memory_order_release);
+      LatchErrorLocked(s);
       return s;
     }
     // The closed segment stays replay debt until the snapshot below lands;
@@ -241,8 +240,7 @@ Status PersistentStore::Checkpoint() {
     head.type = WalRecordType::kConfigId;
     head.config_id = max_config_.load(std::memory_order_relaxed);
     if (Status s = wal_.Append(head, /*sync_now=*/true); !s.ok()) {
-      error_ = s;
-      recording_.store(false, std::memory_order_release);
+      LatchErrorLocked(s);
       return s;
     }
     appended_records_.fetch_add(1, std::memory_order_relaxed);
@@ -305,8 +303,7 @@ Status PersistentStore::SyncOffThread() {
   Status s = wal_.CompleteSync(token);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    error_ = s;
-    recording_.store(false, std::memory_order_release);
+    LatchErrorLocked(s);
   }
   return s;
 }
@@ -339,9 +336,63 @@ Status PersistentStore::error() const {
   return error_;
 }
 
+void PersistentStore::LatchErrorLocked(Status s) {
+  if (!error_.ok()) return;
+  error_ = std::move(s);
+  {
+    // Under q_mu_, which WaitDurable's and Sync's predicates read under.
+    // (No path takes mu_ while holding q_mu_.) failed_ goes first:
+    // AppendImpl reads recording_ with no lock, and a thread that sees it
+    // false must see failed_ set too, or RefuseEager would let its eager
+    // op be acknowledged.
+    std::lock_guard<std::mutex> lock(q_mu_);
+    failed_.store(true);
+    recording_.store(false, std::memory_order_release);
+  }
+  NotifyDurable();
+}
+
+void PersistentStore::NotifyDurable() {
+  q_done_cv_.notify_all();
+  // Called under the lock so that RemoveDurableListener, once it returns,
+  // guarantees no call is still running.
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  for (DurableListener* listener : listeners_) listener->OnDurable();
+}
+
+Durability PersistentStore::CheckDurable(Lsn lsn) const {
+  // durable_ first: a record an fsync covered stays durable even if the
+  // log fails afterwards.
+  if (durable_.load() >= lsn) return Durability::kDurable;
+  return failed_.load() ? Durability::kFailed : Durability::kPending;
+}
+
+Status PersistentStore::WaitDurable(Lsn lsn) {
+  {
+    std::unique_lock<std::mutex> lock(q_mu_);
+    q_done_cv_.wait(lock, [this, lsn] {
+      return CheckDurable(lsn) != Durability::kPending;
+    });
+  }
+  if (CheckDurable(lsn) == Durability::kDurable) return Status::Ok();
+  return Status(Code::kUnavailable,
+                "eager record not durable: " + error().ToString());
+}
+
+void PersistentStore::AddDurableListener(DurableListener* listener) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  listeners_.push_back(listener);
+}
+
+void PersistentStore::RemoveDurableListener(DurableListener* listener) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  std::erase(listeners_, listener);
+}
+
 PersistentStore::Stats PersistentStore::stats() const {
   Stats s;
   s.appended_records = appended_records_.load(std::memory_order_relaxed);
+  s.eager_records = eager_records_.load(std::memory_order_relaxed);
   s.appended_bytes = appended_bytes_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -377,49 +428,58 @@ constexpr size_t kGroupCommitBytes = 512 << 10;
 }  // namespace
 
 template <typename Record>
-void PersistentStore::AppendImpl(const Record& record, bool sync_now) {
-  if (!recording_.load(std::memory_order_acquire)) return;
-  uint64_t my_seq = 0;
+void PersistentStore::AppendImpl(const Record& record, bool eager) {
+  if (!recording_.load(std::memory_order_acquire)) {
+    if (eager) RefuseEager();
+    return;
+  }
+  Lsn lsn = 0;
   bool wake = false;
   {
     std::unique_lock<std::mutex> lock(q_mu_);
     q_space_cv_.wait(lock, [this] {
       return pending_.size() < kMaxPendingBytes || writer_stop_;
     });
-    if (writer_stop_ || !recording_.load(std::memory_order_acquire)) return;
+    if (writer_stop_ || !recording_.load(std::memory_order_acquire)) {
+      lock.unlock();
+      if (eager) RefuseEager();
+      return;
+    }
     // Notify only on the empty -> non-empty transition: while the writer is
     // busy with a previous batch its wait predicate re-checks the buffer,
     // so the wakeup cannot be lost — and the common case (writer already
-    // draining) skips the futex wake entirely.
-    wake = pending_.empty() || sync_now;
+    // draining) skips the futex wake entirely. An eager record wakes it at
+    // once; records that arrive during its fsync ride the next one.
+    wake = pending_.empty() || eager;
     const size_t before = pending_.size();
     Wal::EncodeFrame(pending_, record);
     ++pending_records_;
-    pending_eager_ |= sync_now;
-    my_seq = ++enqueued_;
+    pending_eager_ |= eager;
+    lsn = ++enqueued_;
     appended_records_.fetch_add(1, std::memory_order_relaxed);
     appended_bytes_.fetch_add(pending_.size() - before,
                               std::memory_order_relaxed);
   }
   if (wake) q_cv_.notify_one();
-  if (sync_now) {
-    // An eager record must be durable before the triggering operation
-    // returns (e.g. before a Qareg token escapes). FIFO order means the
-    // group fsync that covers it covers everything enqueued before it.
-    std::unique_lock<std::mutex> lock(q_mu_);
-    q_done_cv_.wait(lock, [this, my_seq] {
-      return durable_ >= my_seq ||
-             !recording_.load(std::memory_order_acquire);
-    });
+  if (eager) {
+    eager_records_.fetch_add(1, std::memory_order_relaxed);
+    // Durable before the op is acknowledged (e.g. before a Qareg token
+    // escapes), but not waited for here, under the caller's cache locks:
+    // the scope's owner waits once they are released.
+    EagerScope::Record(lsn);
   }
 }
 
-void PersistentStore::Append(const WalRecord& record, bool sync_now) {
-  AppendImpl(record, sync_now);
+void PersistentStore::RefuseEager() {
+  if (failed_.load()) EagerScope::Record(kFailedLsn);
 }
 
-void PersistentStore::Append(const WalUpsertRef& record, bool sync_now) {
-  AppendImpl(record, sync_now);
+void PersistentStore::Append(const WalRecord& record, bool eager) {
+  AppendImpl(record, eager);
+}
+
+void PersistentStore::Append(const WalUpsertRef& record, bool eager) {
+  AppendImpl(record, eager);
 }
 
 void PersistentStore::WriterLoop() {
@@ -471,8 +531,7 @@ void PersistentStore::WriterLoop() {
           // recording so the owner (error()) can fail the instance over
           // rather than let a future recovery miss a delete and serve a
           // stale value.
-          error_ = s;
-          recording_.store(false, std::memory_order_release);
+          LatchErrorLocked(s);
         } else {
           nudge = !has_eager &&
                   wal_.unsynced_bytes() >= options_.sync_batch_bytes &&
@@ -485,12 +544,15 @@ void PersistentStore::WriterLoop() {
       std::lock_guard<std::mutex> lock(q_mu_);
       if (s.ok()) {
         written_ += count;
-        if (has_eager) durable_ = written_;
+        if (has_eager) durable_.store(written_);
       }
     }
-    // On failure eager waiters are released by the recording_ flip above;
-    // notify unconditionally so none of them sleeps through it.
-    q_done_cv_.notify_all();
+    // Eager waiters and listeners learn of a failure from LatchErrorLocked.
+    if (s.ok() && has_eager) {
+      NotifyDurable();
+    } else {
+      q_done_cv_.notify_all();
+    }
     if (nudge) bg_cv_.notify_one();
   }
 }
@@ -516,7 +578,6 @@ void PersistentStore::BackgroundLoop() {
 void PersistentStore::OnUpsert(PersistOp op, std::string_view key,
                                const CacheValue& value, ConfigId config_id,
                                bool pinned) {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalUpsertRef rec;  // view: framed under q_mu_ before the sink returns
   rec.origin = static_cast<uint8_t>(op);
   rec.pinned = pinned;
@@ -527,39 +588,34 @@ void PersistentStore::OnUpsert(PersistOp op, std::string_view key,
   rec.config_id = config_id;
   // A write-back install is ack'd to the client while the value exists
   // nowhere but this cache: it must survive a crash, so it skips the batch.
-  Append(rec, /*sync_now=*/op == PersistOp::kWriteBack);
+  Append(rec, /*eager=*/op == PersistOp::kWriteBack);
 }
 
 void PersistentStore::OnDelete(PersistOp op, std::string_view key) {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kDelete;
   rec.origin = static_cast<uint8_t>(op);
   rec.key = std::string(key);
   // Recovery-mode invalidations (iset/idelete) erase entries the protocol
   // has proven unrecoverable; losing one to the batch would resurrect it.
-  const bool eager =
-      op == PersistOp::kISet || op == PersistOp::kIDelete;
-  Append(std::move(rec), eager);
+  Append(rec, /*eager=*/op == PersistOp::kISet || op == PersistOp::kIDelete);
 }
 
 void PersistentStore::OnQuarantineBegin(std::string_view key) {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kQBegin;
   rec.key = std::string(key);
   // Must be durable before the Qareg token escapes to the writer: once the
   // writer may have touched the data store, a crash must quarantine the key.
-  Append(std::move(rec), /*sync_now=*/true);
+  Append(rec, /*eager=*/true);
 }
 
 void PersistentStore::OnQuarantineEnd(std::string_view key) {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kQEnd;
   rec.key = std::string(key);
   // Batched: a lost QEnd merely re-quarantines (over-deletes) after a crash.
-  Append(std::move(rec), /*sync_now=*/false);
+  Append(rec, /*eager=*/false);
 }
 
 void PersistentStore::OnConfigObserved(ConfigId latest) {
@@ -569,27 +625,24 @@ void PersistentStore::OnConfigObserved(ConfigId latest) {
          !max_config_.compare_exchange_weak(seen, latest,
                                             std::memory_order_relaxed)) {
   }
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kConfigId;
   rec.config_id = latest;
   // Serving under an older config after a crash would resurrect entries the
   // Rejig rule already discarded in O(1): sync before the grant is usable.
-  Append(std::move(rec), /*sync_now=*/true);
+  Append(rec, /*eager=*/true);
 }
 
 void PersistentStore::OnQuarantineClear() {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kQClear;
-  Append(std::move(rec), /*sync_now=*/false);
+  Append(rec, /*eager=*/false);
 }
 
 void PersistentStore::OnVolatileWipe() {
-  if (!recording_.load(std::memory_order_acquire)) return;
   WalRecord rec;
   rec.type = WalRecordType::kWipe;
-  Append(std::move(rec), /*sync_now=*/true);
+  Append(rec, /*eager=*/true);
 }
 
 }  // namespace gemini

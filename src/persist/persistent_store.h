@@ -20,17 +20,27 @@
 //
 // Fsync policy: appends are batched (sync_batch_bytes / background
 // sync_interval) except the records whose loss could cause a *stale read*
-// rather than a mere cache miss, which sync eagerly before the triggering
-// operation returns:
+// rather than a mere cache miss. Those are eager: durable before the
+// triggering operation is acknowledged.
 //   - kQBegin        (a Qareg token escapes to a writer; a crash must
 //                     quarantine the key)
 //   - kConfigId      (serving under an older config would resurrect entries
 //                     Rejig already discarded)
 //   - write-back upserts (the ack'd value exists nowhere but this cache)
 //   - ISet/IDelete deletes (recovery-mode invalidations)
+//   - kWipe          (RecoverVolatile)
 // Losing a batched record is always conservative: a lost upsert is a miss, a
 // lost QEnd re-quarantines (over-deletes), a lost plain delete cannot
 // resurface because the preceding QBegin (if any) was synced first.
+//
+// An eager append does not wait for its fsync. It hands the record's LSN to
+// the EagerScope open on the calling thread (persistence_sink.h) and
+// returns; the scope's owner calls WaitDurable once it holds no cache lock,
+// or, on geminid, holds the reply until CheckDurable says the LSN is
+// durable. The writer thread wakes at once for an eager record, and one
+// fsync covers every record queued before it, from any thread (group
+// commit). From the first WAL I/O error on, every pending and every later
+// eager LSN reports kFailed, so no eager op is acknowledged again.
 #pragma once
 
 #include <atomic>
@@ -124,6 +134,7 @@ class PersistentStore final : public PersistenceSink {
 
   struct Stats {
     uint64_t appended_records = 0;
+    uint64_t eager_records = 0;   // records that must be durable before ack
     uint64_t appended_bytes = 0;  // framed WAL bytes accepted since Open
     uint64_t fsyncs = 0;          // journal commits (group fsyncs)
     uint64_t checkpoints = 0;
@@ -153,23 +164,38 @@ class PersistentStore final : public PersistenceSink {
   void OnQuarantineClear() override;
   void OnVolatileWipe() override;
 
+  // ---- Eager durability (persistence_sink.h) --------------------------------
+  [[nodiscard]] Durability CheckDurable(Lsn lsn) const override;
+  Status WaitDurable(Lsn lsn) override;
+  void AddDurableListener(DurableListener* listener) override;
+  void RemoveDurableListener(DurableListener* listener) override;
+
  private:
   /// Loads the highest checkpoint + replays segments >= its seq into
   /// `instance`; `next_seq` receives the sequence for the fresh segment.
   Status Replay(CacheInstance& instance, uint64_t& next_seq);
   /// Frames the record into pending_ for the writer thread. The serving
-  /// thread's only WAL cost is this encode-under-lock; with `sync_now` it
-  /// then blocks until the writer's group fsync has passed the record
-  /// (everything enqueued before it is durable too, so an eager record is a
-  /// durability barrier). On writer failure error_ latches and recording
-  /// stops.
-  void Append(const WalRecord& record, bool sync_now);
+  /// thread's only WAL cost is this encode-under-lock. An `eager` record's
+  /// LSN goes to the EagerScope open on the calling thread. The writer's
+  /// group fsync that covers it covers everything enqueued before it too,
+  /// so an eager record is a durability barrier.
+  void Append(const WalRecord& record, bool eager);
   /// Zero-copy overload for the upsert hot path: frames straight from the
   /// cache's buffers (the views must stay valid for the duration of the
   /// call, which is all the queue needs — framing copies them).
-  void Append(const WalUpsertRef& record, bool sync_now);
+  void Append(const WalUpsertRef& record, bool eager);
   template <typename Record>
-  void AppendImpl(const Record& record, bool sync_now);
+  void AppendImpl(const Record& record, bool eager);
+  /// An eager record arrived after recording stopped. Once the log failed,
+  /// the scope gets kFailedLsn so the op is not acknowledged; before Open
+  /// (replay) and after Close the record is simply not logged.
+  void RefuseEager();
+  /// Latches the first WAL error: recording stops and every pending eager
+  /// LSN turns kFailed. Requires mu_.
+  void LatchErrorLocked(Status s);
+  /// Wakes WaitDurable callers and listeners after durable_ or failed_
+  /// changed.
+  void NotifyDurable();
   /// Two-phase batched sync: snapshots the tail under mu_, fsyncs with mu_
   /// released so appends keep flowing. Holds sync_mu_ throughout so
   /// Rotate/Close cannot invalidate the fd mid-fsync.
@@ -201,6 +227,7 @@ class PersistentStore final : public PersistenceSink {
   std::atomic<uint64_t> max_config_{0};
 
   std::atomic<uint64_t> appended_records_{0};
+  std::atomic<uint64_t> eager_records_{0};
   std::atomic<uint64_t> appended_bytes_{0};
   uint64_t replay_micros_ = 0;
   uint64_t replayed_segments_ = 0;
@@ -221,11 +248,18 @@ class PersistentStore final : public PersistenceSink {
   std::string pending_;                 // framed bytes not yet written
   size_t pending_records_ = 0;
   bool pending_eager_ = false;
-  uint64_t enqueued_ = 0;  // records ever queued
+  uint64_t enqueued_ = 0;  // records ever queued; the last one's LSN
   uint64_t written_ = 0;   // records handed to write(2)
-  uint64_t durable_ = 0;   // records covered by an fsync
+  /// Records covered by an fsync: the durable LSN. Written under q_mu_,
+  /// read lock-free by CheckDurable.
+  std::atomic<uint64_t> durable_{0};
+  /// Set with error_ (LatchErrorLocked); read lock-free by CheckDurable.
+  std::atomic<bool> failed_{false};
   bool writer_stop_ = false;
   std::thread writer_thread_;
+
+  std::mutex listeners_mu_;  // leaf lock: OnDurable never calls back
+  std::vector<DurableListener*> listeners_;
 
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/cache/persistence_sink.h"
 #include "src/common/clock.h"
 #include "src/common/logging.h"
 #include "src/transport/wire.h"
@@ -57,6 +58,9 @@ struct OutFrame {
   std::string pre;      // u32 len | u8 tag | fields before the payload
   std::string payload;  // bulk bytes, moved from the cache result
   std::string post;     // fields after the payload
+  /// The eager WAL record this reply waits for (0 = none): the frame, and
+  /// every frame after it, stays queued until the record is durable.
+  Lsn lsn = 0;
   [[nodiscard]] size_t size() const {
     return pre.size() + payload.size() + post.size();
   }
@@ -65,16 +69,22 @@ struct OutFrame {
 /// Per-connection write queue: whole response frames in FIFO order plus a
 /// byte offset into the front frame. FlushWrites gathers the unsent pieces
 /// into one iovec chain per sendmsg call, so N pipelined responses cost one
-/// syscall and zero coalescing copies.
+/// syscall and zero coalescing copies. Only the ready prefix leaves: a
+/// reply held for an eager record's fsync (HoldBack) holds every later
+/// frame too, so replies still leave in request order (§10.6).
 class TransportServer::OutQueue {
  public:
   [[nodiscard]] bool empty() const { return frames_.empty(); }
+  /// Some frame may be sent now.
+  [[nodiscard]] bool has_ready() const { return ready_ > 0; }
+  /// Some frame waits for an eager record.
+  [[nodiscard]] bool has_held() const { return ready_ < frames_.size(); }
 
   /// Single-piece frame: status-only and small structured responses.
   void PushFrame(uint8_t tag, std::string_view body) {
     OutFrame f;
     wire::AppendFrame(f.pre, tag, body);
-    frames_.push_back(std::move(f));
+    Push(std::move(f));
   }
 
   /// Three-piece frame. `head` holds the response fields before the bulk
@@ -90,21 +100,53 @@ class TransportServer::OutQueue {
     wire::PutU32(f.pre, static_cast<uint32_t>(payload.size()));
     f.payload = std::move(payload);
     f.post = std::move(post);
-    frames_.push_back(std::move(f));
+    Push(std::move(f));
   }
 
   /// Already-encoded frame bytes (config pushes arrive fully framed).
   void PushRaw(std::string frame) {
     OutFrame f;
     f.pre = std::move(frame);
-    frames_.push_back(std::move(f));
+    Push(std::move(f));
   }
 
-  /// Fills up to `max` iovecs with the unsent bytes; returns the count.
+  /// Holds the newest frame, and every frame queued after it, until
+  /// Release sees `lsn` durable.
+  void HoldBack(Lsn lsn) {
+    frames_.back().lsn = lsn;
+    ready_ = std::min(ready_, frames_.size() - 1);
+  }
+
+  /// Readies held frames in order, up to the first whose record `sink` has
+  /// not made durable yet. A reply whose record the log failed to persist
+  /// is replaced by kUnavailable: the op must not be acknowledged. Returns
+  /// whether any frame became ready.
+  bool Release(const PersistenceSink& sink) {
+    const size_t before = ready_;
+    for (; ready_ < frames_.size(); ++ready_) {
+      OutFrame& f = frames_[ready_];
+      if (f.lsn == 0) continue;
+      const Durability d = sink.CheckDurable(f.lsn);
+      if (d == Durability::kPending) break;
+      if (d == Durability::kFailed) {
+        f = OutFrame();
+        std::string body;
+        wire::PutBlob(body, "write-ahead log failed before the op was durable");
+        wire::AppendFrame(f.pre, static_cast<uint8_t>(Code::kUnavailable),
+                          body);
+      }
+      f.lsn = 0;
+    }
+    return ready_ != before;
+  }
+
+  /// Fills up to `max` iovecs with the unsent bytes of the ready frames;
+  /// returns the count.
   size_t Gather(struct iovec* iov, size_t max) const {
     size_t n = 0;
     size_t skip = offset_;
-    for (const OutFrame& f : frames_) {
+    for (size_t i = 0; i < ready_; ++i) {
+      const OutFrame& f = frames_[i];
       for (const std::string* piece : {&f.pre, &f.payload, &f.post}) {
         if (piece->empty()) continue;
         if (skip >= piece->size()) {
@@ -132,11 +174,18 @@ class TransportServer::OutQueue {
       frames_.pop_front();
       ++done;
     }
+    ready_ -= done;
     return done;
   }
 
  private:
+  void Push(OutFrame f) {
+    frames_.push_back(std::move(f));
+    if (ready_ + 1 == frames_.size()) ++ready_;  // nothing held before it
+  }
+
   std::deque<OutFrame> frames_;
+  size_t ready_ = 0;   // frames at the front that may be sent
   size_t offset_ = 0;  // bytes of the front frame already sent
 };
 
@@ -161,7 +210,11 @@ struct TransportServer::Connection {
   InstanceId bound_id = kInvalidInstance;
   size_t instance_slot = InstanceRegistry::npos;
   const InstanceOptions* instance_options = nullptr;
+  // On its shard's parked list: some reply waits for an eager record of
+  // the instance's sink.
+  bool parked = false;
 
+  /// Held replies count: Stop()'s drain waits for them too.
   [[nodiscard]] bool has_pending_writes() const { return !out.empty(); }
 };
 
@@ -231,11 +284,20 @@ class TransportServer::Poller {
 /// One event-loop shard: its own poller, connections, self-pipe, thread, and
 /// atomic counters. Everything except the inbox (and the counters, read by
 /// stats()) is touched only by the shard's own loop thread.
-struct TransportServer::Shard {
+struct TransportServer::Shard final : DurableListener {
   Shard(size_t index_in, size_t nslots)
       : index(index_in),
         per_instance_frames(nslots),
         per_instance_errors(nslots) {}
+
+  /// A WAL writer advanced its durable LSN: wake the loop if it holds
+  /// replies. The loop sets awaiting_durable before it re-checks the held
+  /// LSNs, so either it sees the new LSN or this sees the flag.
+  void OnDurable() override {
+    if (!awaiting_durable.load()) return;
+    const char byte = 'd';
+    [[maybe_unused]] ssize_t n = ::write(wake_fds[1], &byte, 1);
+  }
 
   const size_t index;
   int wake_fds[2] = {-1, -1};  // self-pipe: Stop()/the acceptor wake the loop
@@ -250,6 +312,10 @@ struct TransportServer::Shard {
   // Config-push frames queued by PushConfigToSubscribers (same lock + wake
   // pipe as the inbox), delivered to subscribed connections on wake-up.
   std::vector<std::string> pushes;
+  // Connections holding replies for eager records, and whether any exist
+  // (read by OnDurable on WAL writer threads).
+  std::vector<int> parked;
+  std::atomic<bool> awaiting_durable{false};
 
   std::atomic<uint64_t> frames_handled{0};
   std::atomic<uint64_t> protocol_errors{0};
@@ -373,6 +439,21 @@ Status TransportServer::Start() {
   shards_[0]->poller.Add(listen_fd_);
   next_shard_ = 0;
 
+  // Every shard hears every hosted instance's WAL writer: a connection on
+  // any shard may hold replies for any instance's eager records.
+  durable_sinks_.clear();
+  for (InstanceId id : slot_ids_) {
+    PersistenceSink* sink = registry_.Find(id)->options().persistence;
+    if (sink != nullptr &&
+        std::find(durable_sinks_.begin(), durable_sinks_.end(), sink) ==
+            durable_sinks_.end()) {
+      durable_sinks_.push_back(sink);
+    }
+  }
+  for (PersistenceSink* sink : durable_sinks_) {
+    for (auto& shard : shards_) sink->AddDurableListener(shard.get());
+  }
+
   running_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     Shard* s = shard.get();
@@ -401,6 +482,11 @@ void TransportServer::Stop() {
   }
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
+  }
+  // Detach from the WAL writers before their wake-ups could hit a closed
+  // pipe.
+  for (PersistenceSink* sink : durable_sinks_) {
+    for (auto& shard : shards_) sink->RemoveDurableListener(shard.get());
   }
   // Every loop thread has exited: closing the listen socket and the
   // self-pipes here (not in Loop()) keeps the wake writes above from racing
@@ -545,6 +631,7 @@ void TransportServer::Loop(Shard& shard) {
         while (::read(shard.wake_fds[0], buf, sizeof(buf)) > 0) {
         }
         AdoptInbox(shard, draining);
+        ReleaseParked(shard, draining);
         continue;
       }
       if (ev.fd == listen_fd_ && shard.index == 0) {
@@ -701,16 +788,52 @@ bool TransportServer::ProcessInput(Shard& shard, Connection& conn) {
     }
   }
   conn.in.erase(0, cursor);
+  // Re-check after HoldReply raised awaiting_durable: a record made durable
+  // before the flag was up woke nobody.
+  if (conn.parked) ReleaseHeld(shard, conn);
   return FlushWrites(shard, conn);
 }
 
+void TransportServer::HoldReply(Shard& shard, Connection& conn, Lsn lsn) {
+  conn.out.HoldBack(lsn);
+  if (conn.parked) return;
+  conn.parked = true;
+  shard.parked.push_back(conn.fd);
+  shard.awaiting_durable.store(true);
+}
+
+bool TransportServer::ReleaseHeld(Shard& shard, Connection& conn) {
+  const bool released =
+      conn.out.Release(*conn.instance->options().persistence);
+  if (!conn.out.has_held()) {
+    conn.parked = false;
+    std::erase(shard.parked, conn.fd);
+    if (shard.parked.empty()) shard.awaiting_durable.store(false);
+  }
+  return released;
+}
+
+void TransportServer::ReleaseParked(Shard& shard, bool draining) {
+  // A copy: ReleaseHeld and CloseConnection unpark as they go.
+  const std::vector<int> parked = shard.parked;
+  for (int fd : parked) {
+    Connection& conn = *shard.connections.at(fd);
+    if (!ReleaseHeld(shard, conn)) continue;
+    bool alive = FlushWrites(shard, conn);
+    if (alive && draining && !conn.has_pending_writes()) alive = false;
+    if (!alive) CloseConnection(shard, fd);
+  }
+}
+
 bool TransportServer::FlushWrites(Shard& shard, Connection& conn) {
-  if (!conn.has_pending_writes()) {
+  // Held replies never leave early, and a connection with nothing ready
+  // keeps EPOLLOUT off: the level-triggered loop would spin on it.
+  if (!conn.out.has_ready()) {
     shard.poller.Update(conn.fd, /*want_write=*/false);
     return true;
   }
   shard.flush_calls.fetch_add(1, std::memory_order_relaxed);
-  while (conn.has_pending_writes()) {
+  while (conn.out.has_ready()) {
     struct iovec iov[32];
     struct msghdr msg = {};
     msg.msg_iov = iov;
@@ -738,6 +861,9 @@ void TransportServer::CloseConnection(Shard& shard, int fd) {
   shard.poller.Remove(fd);
   ::close(fd);
   shard.connections.erase(fd);
+  if (std::erase(shard.parked, fd) > 0 && shard.parked.empty()) {
+    shard.awaiting_durable.store(false);
+  }
 }
 
 // ---- Request dispatch -------------------------------------------------------
@@ -865,7 +991,12 @@ bool TransportServer::HandleFrame(Shard& shard, Connection& conn,
     return true;
   }
 
+  // The op's eager WAL records are not waited for here: the scope collects
+  // their LSN and the reply is held until it is durable, while the loop
+  // goes on serving this and every other connection.
+  EagerScope eager;
   ServeOp(shard, conn, op, body);
+  if (eager.lsn() != 0) HoldReply(shard, conn, eager.lsn());
   return true;
 }
 
@@ -973,10 +1104,8 @@ void TransportServer::ServeOp(Shard& shard, Connection& conn, wire::Op op,
       return Dispatch<Op::kConfigIdGet>(
           out, body, [in] { return in->latest_config_id(); });
     case Op::kConfigIdBump:
-      return Dispatch<Op::kConfigIdBump>(out, body, [in](ConfigId latest) {
-        in->ObserveConfigId(latest);
-        return Status::Ok();
-      });
+      return Dispatch<Op::kConfigIdBump>(
+          out, body, bind_front(&CacheInstance::ObserveConfigId, in));
     case Op::kSnapshot:
       // Retired (docs/PROTOCOL.md §10.3): durability is the WAL engine's
       // job, so the op only validates its body and refuses.
@@ -996,17 +1125,13 @@ void TransportServer::ServeOp(Shard& shard, Connection& conn, wire::Op op,
             const Timestamp now = in->clock().Now();
             const uint64_t room = static_cast<uint64_t>(
                 std::numeric_limits<Timestamp>::max() - now);
-            in->GrantFragmentLease(
+            return in->GrantFragmentLease(
                 fragment, min_valid,
                 now + static_cast<Duration>(std::min(ttl_us, room)), latest);
-            return Status::Ok();
           });
     case Op::kLeaseRevoke:
       return Dispatch<Op::kLeaseRevoke>(
-          out, body, [in](FragmentId fragment, ConfigId latest) {
-            in->RevokeFragmentLease(fragment, latest);
-            return Status::Ok();
-          });
+          out, body, bind_front(&CacheInstance::RevokeFragmentLease, in));
   }
 }
 

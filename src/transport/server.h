@@ -17,7 +17,12 @@
 // to the write buffer in that same order. Because a connection is pinned to
 // one shard, this is the FIFO-per-connection guarantee (docs/PROTOCOL.md
 // §10.6) pipelined clients match responses against — sharding does not
-// weaken it, it only removes cross-connection serialization. Selecting
+// weaken it, it only removes cross-connection serialization. A reply whose
+// op appended an eager WAL record (Qareg, ISet, IDelete, config-id advance)
+// is held, with every later reply on its connection, until the instance's
+// WAL writer reports the record durable and wakes the shard; the loop keeps
+// serving every connection meanwhile, so one fsync covers the eager records
+// of many frames (group commit). Selecting
 // an instance the registry does not host fails the handshake cleanly: the
 // server answers kWrongInstance, then closes. Each connection owns a read
 // buffer (frames are reassembled across short reads) and a write buffer
@@ -46,6 +51,7 @@
 #include <vector>
 
 #include "src/cache/cache_instance.h"
+#include "src/cache/persistence_sink.h"
 #include "src/common/status.h"
 #include "src/transport/instance_registry.h"
 #include "src/transport/wire.h"
@@ -138,7 +144,8 @@ class TransportServer {
   };
 
   /// Multi-instance server. The registry must stay unchanged (and its
-  /// instances alive) for the server's lifetime.
+  /// instances and their persistence sinks alive) for the server's
+  /// lifetime.
   TransportServer(InstanceRegistry registry, Options options);
   /// Single-instance sugar: a one-entry registry.
   TransportServer(CacheInstance* instance, Options options);
@@ -234,8 +241,18 @@ class TransportServer {
   bool ReadReady(Shard& shard, Connection& conn);
   /// Decodes and handles every complete frame in conn.in, then flushes.
   bool ProcessInput(Shard& shard, Connection& conn);
-  /// Flushes the write queue; returns false on a dead socket.
+  /// Flushes the write queue's ready frames; returns false on a dead socket.
   bool FlushWrites(Shard& shard, Connection& conn);
+  /// Holds the reply just queued until the connection's instance makes
+  /// `lsn` durable, and parks the connection on its shard.
+  void HoldReply(Shard& shard, Connection& conn, Lsn lsn);
+  /// Readies the connection's replies whose records are durable (or
+  /// failed); unparks it once nothing is held. Returns whether any reply
+  /// became ready.
+  bool ReleaseHeld(Shard& shard, Connection& conn);
+  /// ReleaseHeld + flush for every parked connection of the shard; runs
+  /// when a WAL writer's OnDurable wakes the loop.
+  void ReleaseParked(Shard& shard, bool draining);
   void CloseConnection(Shard& shard, int fd);
   /// Dispatches one request frame, appending the response frame to the
   /// connection's write buffer. Returns false to drop the connection.
@@ -280,6 +297,9 @@ class TransportServer {
   std::vector<InstanceId> slot_ids_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The hosted instances' persistence sinks, each told to wake every
+  /// shard when its durable LSN advances (registered Start → Stop).
+  std::vector<PersistenceSink*> durable_sinks_;
   /// Round-robin cursor for connection assignment (acceptor thread only).
   size_t next_shard_ = 0;
   std::atomic<uint64_t> connections_accepted_{0};

@@ -2,7 +2,8 @@
 // it over TCP, then SIGTERM or SIGKILL it and assert that a restart on the
 // same --data-dir serves everything that was acknowledged. Also pins the
 // CLI's fail-closed flag validation (a typo'd number, or a flag of a removed
-// mode, must exit 2 rather than boot something else).
+// mode, must exit 2 rather than boot something else), and crash-stop on a
+// WAL I/O error: no eager op is acknowledged after it, and geminid exits 1.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -13,12 +14,14 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/cache/cache_backend.h"
 #include "src/common/clock.h"
 #include "src/transport/tcp_backend.h"
+#include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
 
 #ifndef GEMINID_PATH
@@ -36,11 +39,19 @@ struct Child {
 };
 
 /// fork/execs geminid with `args`; the child's stdout arrives on stdout_fd.
-Child SpawnGeminid(const std::vector<std::string>& args) {
+/// A nonzero `file_size_limit` caps RLIMIT_FSIZE with SIGXFSZ ignored (both
+/// survive exec), so a write past it fails with EFBIG, like a full disk.
+Child SpawnGeminid(const std::vector<std::string>& args,
+                   rlim_t file_size_limit = 0) {
   int pipefd[2];
   EXPECT_EQ(::pipe(pipefd), 0);
   const pid_t pid = ::fork();
   if (pid == 0) {
+    if (file_size_limit != 0) {
+      std::signal(SIGXFSZ, SIG_IGN);
+      const rlimit limit{file_size_limit, file_size_limit};
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+    }
     ::dup2(pipefd[1], STDOUT_FILENO);
     ::close(pipefd[0]);
     ::close(pipefd[1]);
@@ -172,6 +183,51 @@ TEST(GeminidCli, SigtermDrainsCheckpointsAndRestartServesAcknowledgedWrites) {
   backend.Disconnect();
   ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
   EXPECT_EQ(WaitForExit(child.pid), 0);
+  ::close(child.stdout_fd);
+}
+
+uint64_t StatValue(TcpConnection& conn, const std::string& name) {
+  auto rows = conn.Call<wire::Op::kStats>();
+  EXPECT_TRUE(rows.ok());
+  if (!rows.ok()) return 0;
+  for (const auto& [row_name, value] : *rows) {
+    if (row_name == name) return value;
+  }
+  ADD_FAILURE() << "no stat " << name;
+  return 0;
+}
+
+TEST(GeminidCli, WalWriteErrorRefusesEagerOpsAndExitsOne) {
+  const std::string dir = ::testing::TempDir() + "/geminid_cli_walerr";
+  WipeDataDir(dir);
+  Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                              dir, "--threads", "1"},
+                             /*file_size_limit=*/64 << 10);
+  ASSERT_GT(child.pid, 0);
+  const std::string banner = ReadUntil(child.stdout_fd, "serving on");
+  const uint16_t port = PortFromBanner(banner);
+  ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
+
+  TcpConnection conn("127.0.0.1", port, 7, TcpConnection::Options());
+  // Before the error an eager op is acknowledged, and counted.
+  auto token = conn.Call<wire::Op::kQareg>(kInternalCtx, "k");
+  EXPECT_TRUE(token.ok()) << token.status().ToString();
+  if (token.ok()) {
+    EXPECT_TRUE(conn.Call<wire::Op::kDar>(kInternalCtx, "k", *token).ok());
+  }
+  EXPECT_GE(StatValue(conn, "persist.eager_records"), 1u);
+  // A batched SET larger than the room left: the WAL writer's write fails.
+  EXPECT_TRUE(conn.Call<wire::Op::kSet>(
+                      kInternalCtx, "big",
+                      CacheValue::OfData(std::string(128 << 10, 'b')))
+                  .ok());
+  // From the error on, no eager op is acknowledged: whether its record
+  // shared the failed write or came after it, the reply is kUnavailable.
+  EXPECT_EQ(conn.Call<wire::Op::kQareg>(kInternalCtx, "k").code(),
+            Code::kUnavailable);
+  conn.Disconnect();
+  // And geminid stops, so the coordinator fails the instance over.
+  EXPECT_EQ(ExitWithin5s(child.pid), 1);
   ::close(child.stdout_fd);
 }
 

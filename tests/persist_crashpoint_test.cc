@@ -7,6 +7,12 @@
 //
 // Seeded via GEMINI_FAULT_SEED (echoed below so CI failures replay exactly);
 // each base seed expands to a 21-seed x 3-kind matrix.
+//
+// The crash-window cases at the end cover the eager records geminid does not
+// wait for under its locks (QBegin, the recovery-mode ISet/IDelete deletes,
+// the config-id advance): another client sees the op's in-memory effect
+// before the record is durable, the log is cut just before the record, and
+// the restart must lose no acknowledged op and serve no stale value.
 #include "src/persist/fault_file.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +23,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,6 +31,7 @@
 #include <sys/stat.h>
 
 #include "src/cache/cache_instance.h"
+#include "src/cache/persistence_sink.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/persistent_store.h"
 #include "src/persist/wal.h"
@@ -181,7 +189,27 @@ class CrashPointTest : public ::testing::Test {
     ASSERT_TRUE(instance.Append(kCtx, "chain", "a;").ok());
     ASSERT_TRUE(instance.Append(kCtx, "chain", "b;").ok());
     ASSERT_TRUE(instance.Delete(kCtx, "s0").ok());
-    instance.ObserveConfigId(5);
+    ASSERT_TRUE(instance.ObserveConfigId(5).ok());
+    // Recovery-mode invalidations and a lease grant that advances the
+    // config id, run as geminid's event loop runs them: inside an outer
+    // EagerScope, so the ops do not wait and the records' durability is
+    // awaited once per op, the way a held reply is released. Every prefix
+    // cut before one of these records is a crash inside its window.
+    for (int i = 1; i <= 3; ++i) {
+      const std::string key = "s" + std::to_string(i);
+      EagerScope loop;
+      auto token = instance.ISet(kCtx, key);
+      ASSERT_TRUE(token.ok());
+      ASSERT_TRUE(instance.IDelete(kCtx, key, *token).ok());
+      ASSERT_TRUE(store->WaitDurable(loop.lsn()).ok());
+    }
+    {
+      EagerScope loop;
+      ASSERT_TRUE(
+          instance.GrantFragmentLease(2, 6, clock_.Now() + Seconds(60), 6)
+              .ok());
+      ASSERT_TRUE(store->WaitDurable(loop.lsn()).ok());
+    }
     // Write-around delete cycle.
     auto td = instance.Qareg(kCtx, "q0");
     ASSERT_TRUE(td.ok());
@@ -338,6 +366,230 @@ TEST_F(CrashPointTest, SeededMatrixRecoversOrFailsClosed) {
   EXPECT_GT(recovered, cases / 2);
   std::printf("[ crashpt  ] %zu/%zu mutations recovered, %zu failed closed\n",
               recovered, cases, cases - recovered);
+}
+
+// ---- Crash windows of the deferred eager records ----------------------------
+
+/// What another client could observe of a key: the data store's value, and
+/// whether recovery bookkeeping (a dirty list) still marks the key for
+/// invalidation before it may be served.
+struct World {
+  std::map<std::string, std::string> data_store;
+  std::set<std::string> dirty;
+};
+
+class CrashWindowTest : public CrashPointTest {
+ protected:
+  struct Process {
+    std::unique_ptr<PersistentStore> store;
+    std::unique_ptr<CacheInstance> instance;
+  };
+
+  Process Boot(const std::string& dir) {
+    Process p;
+    p.store = std::make_unique<PersistentStore>(dir, StoreOptions());
+    CacheInstance::Options opts;
+    opts.persistence = p.store.get();
+    p.instance = std::make_unique<CacheInstance>(1, &clock_, opts);
+    EXPECT_TRUE(p.store->Open(*p.instance).ok());
+    return p;
+  }
+
+  /// Syncs every acknowledged op and returns the log's length: the cut
+  /// point just before the next op's records.
+  uint64_t SyncedEnd(Process& p) {
+    EXPECT_TRUE(p.store->Sync().ok());
+    wal_seq_ = p.store->wal_seq();
+    return Wal::ScanFile(Wal::SegmentPath(dir_, wal_seq_)).valid_bytes;
+  }
+
+  /// SIGKILL, then the crash tears the log at `cut`, before the deferred
+  /// record (which the kill itself had already written).
+  void KillAndCut(Process& p, uint64_t cut) {
+    p.store.reset();
+    p.instance.reset();
+    const std::string segment = Wal::SegmentPath(dir_, wal_seq_);
+    ASSERT_GT(Wal::ScanFile(segment).valid_bytes, cut)
+        << "the op appended no record to cut";
+    FaultPlan plan;
+    plan.kind = FaultPlan::Kind::kTruncateRecord;
+    plan.truncate_to = cut;
+    ASSERT_TRUE(FaultFile::Apply(segment, plan).ok());
+  }
+
+  static std::map<std::string, EntryImage> ImageOf(
+      const CacheInstance& instance) {
+    std::map<std::string, EntryImage> image;
+    instance.ForEachEntry([&image](std::string_view key,
+                                   const CacheValue& value,
+                                   ConfigId config_id, bool pinned) {
+      image[std::string(key)] =
+          EntryImage{value.data, value.version, config_id, pinned};
+    });
+    return image;
+  }
+
+  /// No stale read: every cached key that no dirty list still marks equals
+  /// the data store.
+  static void ExpectNoStaleRead(const CacheInstance& instance,
+                                const World& world) {
+    for (const auto& [key, image] : ImageOf(instance)) {
+      if (world.dirty.count(key) > 0) continue;
+      const auto it = world.data_store.find(key);
+      ASSERT_NE(it, world.data_store.end()) << key;
+      EXPECT_EQ(image.data, it->second) << "stale read of " << key;
+    }
+  }
+
+  void SetUp() override { dir_ = TempDir("window"); }
+
+  std::string dir_;
+};
+
+TEST_F(CrashWindowTest, QBeginWindow) {
+  Process p = Boot(dir_);
+  World world;
+  world.data_store = {{"k", "v1"}, {"cached", "c1"}};
+  ASSERT_TRUE(p.instance->Set(kCtx, "cached", CacheValue::OfData("c1")).ok());
+  // A reader missed on k and holds an I lease to fill it from the store.
+  auto iq = p.instance->IqGet(kCtx, "k");
+  ASSERT_TRUE(iq.ok());
+  ASSERT_FALSE(iq->value.has_value());
+  const uint64_t cut = SyncedEnd(p);
+  const auto acked = ImageOf(*p.instance);
+
+  {
+    EagerScope loop;  // the writer's Qareg reply is held, not waited for
+    ASSERT_TRUE(p.instance->Qareg(kCtx, "k").ok());
+    ASSERT_NE(loop.lsn(), 0u);
+  }
+  // Another client sees the Q lease at once: the reader's fill is refused.
+  EXPECT_EQ(p.instance
+                ->IqSet(kCtx, "k", CacheValue::OfData(world.data_store["k"]),
+                        iq->i_token)
+                .code(),
+            Code::kLeaseInvalid);
+  // The writer never got its token, so it never touched the data store.
+  KillAndCut(p, cut);
+
+  Process q = Boot(dir_);
+  EXPECT_EQ(ImageOf(*q.instance), acked);
+  ExpectNoStaleRead(*q.instance, world);
+}
+
+TEST_F(CrashWindowTest, RecoveryModeIsetAndIdeleteWindows) {
+  Process p = Boot(dir_);
+  // Written while this instance was down: its cached v0 copies are stale,
+  // and the fragment's dirty list names all three keys.
+  World world;
+  world.data_store = {{"a", "v1"}, {"b", "v1"}, {"c", "v1"}, {"clean", "x"}};
+  world.dirty = {"a", "b", "c"};
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(p.instance->Set(kCtx, key, CacheValue::OfData("v0")).ok());
+  }
+  ASSERT_TRUE(p.instance->Set(kCtx, "clean", CacheValue::OfData("x")).ok());
+
+  // Key a is fully processed (acknowledged): invalidated, then off the list.
+  auto ta = p.instance->ISet(kCtx, "a");
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE(p.instance->IDelete(kCtx, "a", *ta).ok());
+  world.dirty.erase("a");
+  // Key c's ISet is acknowledged too; a plain Set raced in before its
+  // IDelete.
+  auto tc = p.instance->ISet(kCtx, "c");
+  ASSERT_TRUE(tc.ok());
+  ASSERT_TRUE(p.instance->Set(kCtx, "c", CacheValue::OfData("v0")).ok());
+  const uint64_t cut = SyncedEnd(p);
+  const auto acked = ImageOf(*p.instance);
+
+  {
+    EagerScope loop;  // the worker's replies are held
+    ASSERT_TRUE(p.instance->ISet(kCtx, "b").ok());
+    ASSERT_TRUE(p.instance->IDelete(kCtx, "c", *tc).ok());
+  }
+  // Other clients see both deletes at once, and cannot fill b: the worker's
+  // I lease makes their IqGet back off.
+  EXPECT_EQ(p.instance->Get(kCtx, "b").code(), Code::kNotFound);
+  EXPECT_EQ(p.instance->Get(kCtx, "c").code(), Code::kNotFound);
+  EXPECT_EQ(p.instance->IqGet(kCtx, "b").code(), Code::kBackoff);
+  // Without the acks the worker keeps b and c on the dirty list.
+  KillAndCut(p, cut);
+
+  Process q = Boot(dir_);
+  EXPECT_EQ(ImageOf(*q.instance), acked);
+  EXPECT_FALSE(q.instance->ContainsRaw("a"));
+  ExpectNoStaleRead(*q.instance, world);
+}
+
+TEST_F(CrashWindowTest, ConfigAdvanceWindow) {
+  Process p = Boot(dir_);
+  World world;
+  world.data_store = {{"k", "old"}};
+  ASSERT_TRUE(
+      p.instance->GrantFragmentLease(0, 1, clock_.Now() + Seconds(60), 1)
+          .ok());
+  ASSERT_TRUE(
+      p.instance->Set(OpContext{1, 0}, "k", CacheValue::OfData("old")).ok());
+  const uint64_t cut = SyncedEnd(p);
+  const auto acked = ImageOf(*p.instance);
+
+  {
+    // Config 2 makes every entry of fragment 0 stamped below 2 obsolete;
+    // the coordinator's LEASE_GRANT reply is held.
+    EagerScope loop;
+    ASSERT_TRUE(
+        p.instance->GrantFragmentLease(0, 2, clock_.Now() + Seconds(60), 2)
+            .ok());
+    ASSERT_NE(loop.lsn(), 0u);
+  }
+  // Other clients see config 2 at once: a config-1 client is bounced, and a
+  // refreshed one finds k discarded. The fragment then moves on: k is
+  // rewritten in the data store.
+  EXPECT_EQ(p.instance->Get(OpContext{1, 0}, "k").code(),
+            Code::kStaleConfig);
+  EXPECT_EQ(p.instance->Get(OpContext{2, 0}, "k").code(), Code::kNotFound);
+  world.data_store["k"] = "new";
+  KillAndCut(p, cut);
+
+  Process q = Boot(dir_);
+  EXPECT_EQ(ImageOf(*q.instance), acked);
+  EXPECT_EQ(q.instance->latest_config_id(), 1u);
+  // Leases did not survive the crash, so nothing is served until the
+  // coordinator grants again; unacknowledged, its grant of config 2 is
+  // re-sent, and k stays discarded for every client.
+  EXPECT_EQ(q.instance->Get(OpContext{1, 0}, "k").code(),
+            Code::kWrongInstance);
+  ASSERT_TRUE(
+      q.instance->GrantFragmentLease(0, 2, clock_.Now() + Seconds(60), 2)
+          .ok());
+  EXPECT_EQ(q.instance->Get(OpContext{1, 0}, "k").code(),
+            Code::kStaleConfig);
+  EXPECT_EQ(q.instance->Get(OpContext{2, 0}, "k").code(), Code::kNotFound);
+}
+
+TEST_F(CrashWindowTest, VolatileWipeWindow) {
+  Process p = Boot(dir_);
+  World world;
+  world.data_store = {{"a", "va"}, {"b", "vb"}};
+  for (const auto& [key, value] : world.data_store) {
+    ASSERT_TRUE(p.instance->Set(kCtx, key, CacheValue::OfData(value)).ok());
+  }
+  const uint64_t cut = SyncedEnd(p);
+  const auto acked = ImageOf(*p.instance);
+
+  {
+    EagerScope loop;  // the caller of RecoverVolatile is not yet answered
+    p.instance->RecoverVolatile();
+    ASSERT_NE(loop.lsn(), 0u);
+  }
+  // Other clients see an empty cache at once: every read misses.
+  EXPECT_EQ(p.instance->Get(kCtx, "a").code(), Code::kNotFound);
+  KillAndCut(p, cut);
+
+  // The restart is the instance that crashed before the wipe.
+  Process q = Boot(dir_);
+  EXPECT_EQ(ImageOf(*q.instance), acked);
+  ExpectNoStaleRead(*q.instance, world);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // PersistentStore tests: kill-and-restart roundtrips restore byte-exact
 // entries and metadata, the crash-spanning Q rule drops in-flight writes,
 // write-back pins and their flush queue survive, checkpoints truncate the
-// log, damage fails closed, and a SIGKILL'd primary rejoins the cluster
+// log, damage fails closed, a WAL write error stops every later eager op
+// from being acknowledged, and a SIGKILL'd primary rejoins the cluster
 // through the normal failover -> transient -> recovery cycle with zero
 // stale reads and a warm cache.
 #include "src/persist/persistent_store.h"
@@ -14,7 +15,10 @@
 #include <tuple>
 #include <vector>
 
+#include <csignal>
+
 #include <ftw.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -425,6 +429,82 @@ TEST_F(PersistentStoreTest, TornTailInMiddleSegmentFailsClosed) {
   opts.persistence = &store;
   CacheInstance instance(1, &clock_, opts);
   EXPECT_EQ(store.Open(instance).code(), Code::kInternal);
+}
+
+/// Lowers RLIMIT_FSIZE for the process with SIGXFSZ ignored, so a write
+/// past `bytes` fails with EFBIG (the shape of a full disk); restores both
+/// on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+TEST_F(PersistentStoreTest, WalWriteErrorStopsAcknowledgingEagerOps) {
+  const std::string dir = TempDir("wal_error");
+  Process p = Boot(dir);
+  CacheInstance& a = *p.instance;
+  std::string data_store = "v1";  // the writer's backing store for "k"
+  ASSERT_TRUE(a.Set(kCtx, "k", CacheValue::OfData(data_store, 1)).ok());
+  ASSERT_TRUE(p.store->Sync().ok());
+
+  struct stat segment{};
+  ASSERT_EQ(::stat(Wal::SegmentPath(dir, p.store->wal_seq()).c_str(),
+                   &segment), 0);
+  Status sync;
+  {
+    // A batched upsert larger than the room left: its write(2) fails.
+    FileSizeLimit limit(static_cast<rlim_t>(segment.st_size) + 1024);
+    ASSERT_TRUE(
+        a.Set(kCtx, "big", CacheValue::OfData(std::string(64 << 10, 'b')))
+            .ok());
+    sync = p.store->Sync();
+  }
+  EXPECT_FALSE(sync.ok());
+  ASSERT_FALSE(p.store->error().ok());
+  EXPECT_NE(p.store->error().message().find("wal write failed"),
+            std::string::npos)
+      << p.store->error().ToString();
+
+  // From the error on, no eager op is acknowledged.
+  const Result<LeaseToken> token = a.Qareg(kCtx, "k");
+  EXPECT_EQ(token.code(), Code::kUnavailable);
+  EXPECT_EQ(a.ISet(kCtx, "i").code(), Code::kUnavailable);
+  EXPECT_EQ(a.IDelete(kCtx, "i", LeaseToken{1}).code(), Code::kUnavailable);
+  EXPECT_EQ(a.ObserveConfigId(77).code(), Code::kUnavailable);
+  EXPECT_EQ(a.GrantFragmentLease(0, 78, clock_.Now() + Seconds(60), 78).code(),
+            Code::kUnavailable);
+
+  // A writer acts only on an acknowledged Qareg. Had the token escaped, the
+  // write below would land in the data store while the log, which stopped
+  // recording, never learns of the quarantine: after a kill the restart
+  // would serve v1 against a store holding v2.
+  if (token.ok()) {
+    data_store = "v2";
+    ASSERT_TRUE(a.Dar(kCtx, "k", *token).ok());
+  }
+  Kill(p);
+
+  Process q = Boot(dir);
+  auto cached = q.instance->Get(kCtx, "k");
+  if (cached.ok()) {
+    EXPECT_EQ(cached->data, data_store) << "stale read";
+  }
 }
 
 // The acceptance-criteria integration test: a SIGKILL'd primary rejoins

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+
+#include "src/common/hash.h"
 
 namespace gemini {
 namespace {
@@ -100,6 +103,20 @@ TEST_F(SnapshotTest, CorruptionFailsClosed) {
   EXPECT_EQ(Snapshot::Load(restored_, wrong).code(), Code::kInternal);
 
   // Nothing was partially installed from the corrupt payloads.
+  EXPECT_EQ(restored_.stats().entry_count, 0u);
+}
+
+TEST_F(SnapshotTest, HugeEntryCountFailsClosedWithoutAllocating) {
+  // A well-formed 32-byte checkpoint (valid checksum) whose header claims
+  // 2^40 entries: the loader must report damage, not reserve 2^40 slots.
+  std::string payload = "GEMSNAP1";
+  for (const uint64_t field : {uint64_t{1} << 40, uint64_t{0}}) {
+    payload.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  }
+  const uint64_t sum = Fnv1a64(payload);
+  payload.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  ASSERT_EQ(payload.size(), 32u);
+  EXPECT_EQ(Snapshot::Load(restored_, payload).code(), Code::kInternal);
   EXPECT_EQ(restored_.stats().entry_count, 0u);
 }
 

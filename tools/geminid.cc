@@ -22,6 +22,9 @@
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, drain connections,
 // and checkpoint every --data-dir instance so restart skips log replay.
+// A WAL I/O error on any instance shuts geminid down with exit status 1:
+// from the error on no eager op is acknowledged, and the coordinator fails
+// the instance over (crash-stop).
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -273,6 +276,7 @@ int main(int argc, char** argv) {
         const gemini::PersistentStore::Stats ps = store->stats();
         return std::vector<std::pair<std::string, uint64_t>>{
             {"persist.appended_records", ps.appended_records},
+            {"persist.eager_records", ps.eager_records},
             {"persist.appended_bytes", ps.appended_bytes},
             {"persist.journal_commits", ps.fsyncs},
             {"persist.checkpoints", ps.checkpoints},
@@ -358,7 +362,12 @@ int main(int argc, char** argv) {
               << std::endl;
   }
 
-  while (g_shutdown == 0) {
+  const auto any_store_failed = [&stores] {
+    return std::any_of(stores.begin(), stores.end(), [](const auto& store) {
+      return !store->error().ok();
+    });
+  };
+  while (g_shutdown == 0 && !any_store_failed()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
