@@ -86,7 +86,7 @@ void AblationDirtyListGrowth(const BenchFlags& flags) {
       sim->ScheduleFailure(0, Seconds(p.warmup_seconds), Seconds(fail_for));
       sim->Run(Seconds(p.warmup_seconds + fail_for - 0.5));
       uint64_t max_bytes = 0;
-      auto cfg = sim->coordinator().GetConfiguration();
+      auto cfg = sim->master()->GetConfiguration();
       OpContext internal{kInternalConfigId, kInvalidFragment};
       for (FragmentId f = 0; f < cfg->num_fragments(); ++f) {
         const auto& a = cfg->fragment(f);

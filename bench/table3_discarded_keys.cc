@@ -43,7 +43,7 @@ CellResult RunCell(const BenchFlags& flags, size_t total_fragments,
     // cache-1 fails; its fragments get secondaries on the other instances.
     sim->ScheduleFailure(1, Seconds(w + 1), Seconds(60));
     sim->Run(Seconds(w + 2));
-    auto mid = sim->coordinator().GetConfiguration();
+    auto mid = sim->master()->GetConfiguration();
     // The second victim is the instance hosting the secondary of cache-1's
     // first fragment (the paper's "cache-2").
     InstanceId victim2 = kInvalidInstance;
@@ -59,7 +59,7 @@ CellResult RunCell(const BenchFlags& flags, size_t total_fragments,
     // discarded.
     sim->ScheduleFailure(victim2, Seconds(w + 3), Seconds(60));
     sim->Run(Seconds(w + 4));
-    auto cfg = sim->coordinator().GetConfiguration();
+    auto cfg = sim->master()->GetConfiguration();
 
     // Count cache-1-resident entries of the discarded fragments whose
     // config id is now below the fragment's minimum (the entries clients

@@ -72,14 +72,9 @@ bool DecodeCoordinatorState(std::string_view in, CoordinatorState* state) {
 }
 
 CoordinatorReplica::CoordinatorReplica(const Clock* clock, Options options)
-    : clock_(clock), options_(std::move(options)) {
-  if (options_.sync_interval == 0) {
-    options_.sync_interval = options_.control.heartbeat.interval;
-  }
-  if (options_.sync_interval == 0) options_.sync_interval = Millis(100);
-  if (options_.election_timeout == 0) {
-    options_.election_timeout = 6 * options_.sync_interval;
-  }
+    : clock_(clock),
+      options_(std::move(options)),
+      core_(options_.election, options_.control.heartbeat.interval) {
   // Chain the mutation hook: the control nudges replication, and any hook
   // the deployment supplied still fires.
   auto user_hook = options_.control.on_state_mutation;
@@ -95,7 +90,7 @@ CoordinatorReplica::CoordinatorReplica(const Clock* clock, Options options)
     // A dead shadow must cost the sync round as little as possible: trip
     // the breaker quickly, probe again within a few beats.
     c.breaker_failure_threshold = 3;
-    c.breaker_cooldown = std::max<Duration>(Millis(250), options_.sync_interval);
+    c.breaker_cooldown = std::max<Duration>(Millis(250), core_.sync_interval());
     peer_conns_.push_back(
         TcpConnection::Acquire(peer.host, peer.port, wire::kAnyInstance, c));
   }
@@ -107,10 +102,7 @@ void CoordinatorReplica::Start(TransportServer* server) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     server_ = server;
-    last_master_contact_ = clock_->Now();
-    // Single-coordinator deployment: no one to elect against, become the
-    // master right away (pre-HA geminicoordd behavior).
-    if (options_.peers.empty()) PromoteLocked();
+    if (core_.Start(clock_->Now(), !options_.peers.empty())) PromoteLocked();
   }
   {
     std::lock_guard<std::mutex> lock(wake_mu_);
@@ -132,7 +124,6 @@ void CoordinatorReplica::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     control = std::move(control_);
-    role_ = Role::kShadow;
     server_ = nullptr;
   }
   if (control) control->Stop();
@@ -152,70 +143,48 @@ void CoordinatorReplica::ReplicaLoop() {
     {
       std::unique_lock<std::mutex> lock(wake_mu_);
       wake_cv_.wait_for(lock,
-                        std::chrono::microseconds(options_.sync_interval),
+                        std::chrono::microseconds(core_.sync_interval()),
                         [&] { return stop_ || wake_; });
       if (stop_) return;
       wake_ = false;
     }
-    bool master = false;
+    ElectionCore::Action action;
     {
       std::lock_guard<std::mutex> lock(mu_);
       retired.swap(retired_);
-      if (role_ == Role::kMaster) {
-        master = true;
-      } else {
-        // Rank-staggered election: the lowest live rank's deadline fires
-        // first, and its first sync resets every later rank's timer.
-        const Duration deadline =
-            options_.election_timeout *
-            (static_cast<Duration>(options_.rank) + 1);
-        if (clock_->Now() - last_master_contact_ >= deadline) {
-          PromoteLocked();
-          master = true;
-        }
-      }
+      action = core_.Tick(clock_->Now());
+      if (action == ElectionCore::Action::kPromote) PromoteLocked();
     }
     // Joining a demoted control's ticker happens here, never on a shard
     // thread and never under mu_.
     for (auto& c : retired) c->Stop();
     retired.clear();
-    if (master) ReplicateOnce();
+    if (action != ElectionCore::Action::kNone) ReplicateOnce();
   }
 }
 
 void CoordinatorReplica::PromoteLocked() {
-  epoch_ += 1;
   auto control = std::make_shared<CoordinatorControl>(clock_, options_.control);
-  // Promotion = ImportState + registration grace window: adopt the dead
-  // master's replicated state (or this control's own fresh table on a cold
-  // boot), stamped with the new epoch so the config-id floor fences any
-  // still-live ex-master, then let believed-up instances re-register
-  // without reading as a cluster-wide outage.
+  // Promotion = ImportState + registration grace window: adopt the last
+  // replicated state (or this control's own fresh table on a cold boot),
+  // stamped with the new epoch for the config-id floor.
   CoordinatorState state = replicated_state_.has_value()
                                ? *replicated_state_
                                : control->coordinator().ExportState();
-  state.master_epoch = epoch_;
+  state.master_epoch = core_.epoch();
   control->ImportState(state);
   control->Start(server_);
   control_ = std::move(control);
-  role_ = Role::kMaster;
-  master_rank_ = options_.rank;
   promotions_.fetch_add(1, std::memory_order_relaxed);
-  LOG_INFO << "coordinator replica rank " << options_.rank
-           << ": promoted to master (epoch " << epoch_ << ")";
+  LOG_INFO << "coordinator replica rank " << options_.election.rank
+           << ": promoted to master (epoch " << core_.epoch() << ")";
 }
 
 void CoordinatorReplica::StepDownLocked() {
   if (control_) retired_.push_back(std::move(control_));
-  control_.reset();
-  role_ = Role::kShadow;
-  master_rank_ = UINT32_MAX;
-  // Full election delay before this replica may claim mastership again; by
-  // then the real master's syncs will have reset the timer.
-  last_master_contact_ = clock_->Now();
   demotions_.fetch_add(1, std::memory_order_relaxed);
-  LOG_WARN << "coordinator replica rank " << options_.rank
-           << ": demoted to shadow (saw epoch " << epoch_ << ")";
+  LOG_WARN << "coordinator replica rank " << options_.election.rank
+           << ": demoted to shadow (saw epoch " << core_.epoch() << ")";
 }
 
 void CoordinatorReplica::ReplicateOnce() {
@@ -223,18 +192,17 @@ void CoordinatorReplica::ReplicateOnce() {
   std::shared_ptr<CoordinatorControl> control;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (role_ != Role::kMaster) return;
-    epoch = epoch_;
+    if (!core_.is_master()) return;
+    epoch = core_.epoch();
     control = control_;
   }
-  CoordinatorState state = control->coordinator().ExportState();
-  state.master_epoch = epoch;
+  // The control's state carries `epoch`: PromoteLocked imported it so.
   std::string blob;
-  EncodeCoordinatorState(blob, state);
+  EncodeCoordinatorState(blob, control->coordinator().ExportState());
   bool all_acked = true;
   for (auto& conn : peer_conns_) {
-    const Result<uint64_t> acked =
-        conn->Call<wire::Op::kCoordShadowSync>(epoch, options_.rank, blob);
+    const Result<uint64_t> acked = conn->Call<wire::Op::kCoordShadowSync>(
+        epoch, options_.election.rank, blob);
     if (acked.ok()) {
       syncs_sent_.fetch_add(1, std::memory_order_relaxed);
       replication_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
@@ -244,7 +212,10 @@ void CoordinatorReplica::ReplicateOnce() {
       // A peer has seen a strictly newer mastership claim: fence ourselves.
       sync_rejections_rx_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu_);
-      if (role_ == Role::kMaster && epoch_ == epoch) StepDownLocked();
+      if (core_.OnSyncRejected(epoch, clock_->Now()) ==
+          ElectionCore::Action::kStepDown) {
+        StepDownLocked();
+      }
       return;
     }
     // Unreachable shadow: it will be caught up by a later beat (full-state
@@ -265,29 +236,19 @@ Result<uint64_t> CoordinatorReplica::ApplyShadowSync(uint64_t epoch,
     return Status(Code::kInvalidArgument, "malformed coordinator state");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  // A claim carrying our own rank is our own sync echoed back: ranks are
-  // unique within a group, so this only happens when the operator listed
-  // this replica in its own --peers. Ack without applying — treating the
-  // echo as a foreign claim would make a boot master demote itself.
-  if (rank == options_.rank) return epoch_;
-  // Mastership claims are ordered by (epoch, rank): higher epoch wins, and
-  // within one epoch the lower rank wins (two shadows that promoted off the
-  // same dead master both bumped to the same epoch).
-  const bool current =
-      epoch > epoch_ || (epoch == epoch_ && rank <= master_rank_);
-  if (!current) {
+  const ElectionCore::Verdict verdict =
+      core_.OnClaim(epoch, rank, clock_->Now());
+  if (verdict == ElectionCore::Verdict::kOwnEcho) return core_.epoch();
+  if (verdict == ElectionCore::Verdict::kStale) {
     syncs_rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status(Code::kNotMaster, "stale mastership claim");
   }
-  epoch_ = epoch;  // raise first so a step-down logs the epoch that won
-  if (role_ == Role::kMaster) StepDownLocked();
-  master_rank_ = rank;
-  last_master_contact_ = clock_->Now();
+  if (verdict == ElectionCore::Verdict::kStepDown) StepDownLocked();
   replicated_state_ = std::move(state);
   syncs_received_.fetch_add(1, std::memory_order_relaxed);
   // A step-down queued a retired control; make sure the loop drains it.
   if (!retired_.empty()) Nudge();
-  return epoch_;
+  return core_.epoch();
 }
 
 ControlPlane::Reply CoordinatorReplica::HandleControl(wire::Op op,
@@ -314,18 +275,17 @@ ControlPlane::Reply CoordinatorReplica::HandleControl(wire::Op op,
 std::vector<std::pair<std::string, uint64_t>> CoordinatorReplica::ExtraStats() {
   std::shared_ptr<CoordinatorControl> control;
   uint64_t epoch = 0;
-  bool master = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     control = control_;
-    epoch = epoch_;
-    master = role_ == Role::kMaster;
+    epoch = core_.epoch();
   }
+  const bool master = control != nullptr;
   std::vector<std::pair<std::string, uint64_t>> kv;
   if (control) kv = control->ExtraStats();
   kv.emplace_back("cluster.is_master", master ? 1 : 0);
   kv.emplace_back("cluster.epoch", epoch);
-  kv.emplace_back("cluster.rank", options_.rank);
+  kv.emplace_back("cluster.rank", options_.election.rank);
   kv.emplace_back("cluster.promotions",
                   promotions_.load(std::memory_order_relaxed));
   kv.emplace_back("cluster.demotions",
@@ -353,12 +313,12 @@ std::vector<std::pair<std::string, uint64_t>> CoordinatorReplica::ExtraStats() {
 
 bool CoordinatorReplica::is_master() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return role_ == Role::kMaster;
+  return control_ != nullptr;
 }
 
 uint64_t CoordinatorReplica::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
+  return core_.epoch();
 }
 
 CoordinatorControl* CoordinatorReplica::control() {

@@ -2,42 +2,29 @@
 // master + shadow coordinator processes with election and epoch fencing
 // (Section 2.1; docs/PROTOCOL.md §12.7).
 //
-// The paper backs the coordinator with one master and shadow coordinators
-// behind ZooKeeper. CoordinatorGroup models that in-process; this class is
-// the multi-process form: every geminicoordd hosts a CoordinatorReplica,
-// which owns at most one CoordinatorControl (the actual coordinator) and
-// decides, via a small replication protocol, whether this process is the
-// master running it or a shadow holding a replica of its state.
+// Every geminicoordd hosts a CoordinatorReplica, which owns at most one
+// CoordinatorControl (the actual coordinator) and is either the master
+// running it or a shadow holding a replica of its state. Every election
+// decision is ElectionCore's (src/coordinator/election.h), the core
+// ClusterSim runs too; this class carries them out over the network.
 //
-// Replication: after every state-mutating event (a registration, a
-// failure/recovery edge and its Rejig, a dirty-list/WST report — the
-// CoordinatorControl on_state_mutation hook) and on a periodic beat, the
-// master pushes its full serialized CoordinatorState to every peer as a
-// kCoordShadowSync frame carrying (master epoch, rank). The state is small —
-// one entry per fragment — so full-state replication beats a delta protocol
-// on simplicity and is self-healing: one received sync makes any shadow
-// current.
+// Replication: after every state-mutating event (the CoordinatorControl
+// on_state_mutation hook) and on each beat, the master pushes its full
+// serialized CoordinatorState to every peer as a kCoordShadowSync frame
+// carrying (master epoch, rank). The state is one entry per fragment, and
+// one received sync makes any shadow current.
 //
-// Election: deterministic and rank-staggered, no quorum. All replicas boot
-// as shadows; a shadow that has heard no master sync for
-// election_timeout * (rank + 1) promotes itself. Staggering means the
-// lowest-ranked live shadow claims mastership first and its syncs reset
-// everyone else's timers before their own deadlines fire. Promotion bumps
-// the master epoch past every epoch this replica has seen, imports the
-// replicated state into a fresh CoordinatorControl (Coordinator::ImportState
-// re-publishes and re-grants fragment leases; the heartbeat monitor opens
-// the registration grace window so surviving geminids re-attach without
-// reading as a cluster outage), and starts serving kCoord* ops.
+// Promotion imports the replicated state into a fresh CoordinatorControl
+// (ImportState re-publishes and re-grants fragment leases; the heartbeat
+// monitor opens the registration grace window) and starts serving kCoord*
+// ops. A master whose sync a peer rejects demotes itself.
 //
-// Fencing: two replicas can transiently both believe they are master (the
-// old one was partitioned, not dead). Syncs resolve it: a receiver that has
-// seen a strictly newer claim — higher epoch, or same epoch and lower rank —
-// answers kNotMaster, and a master whose sync is rejected demotes itself
-// back to shadow. Clients are protected even before the loser hears a
-// rejection: a promoted master at epoch E >= 2 mints configuration ids
-// above (E << 32) (see CoordinatorState::master_epoch), so everything the
-// stale ex-master publishes is older by id and clients — which adopt
-// configurations only forward — ignore it.
+// Fencing: a promoted master at epoch E >= 2 mints configuration ids above
+// (E << 32), so clients, which adopt configurations only forward, ignore
+// what a stale ex-master publishes later. The floor orders ids, not
+// content: a shadow that promotes from a replica older than a configuration
+// the master had already published re-publishes the older assignments
+// under a higher id, and clients adopt them (docs/PROTOCOL.md §12.7).
 //
 // Threading: kCoord* handlers run on server shard threads and only copy the
 // active control pointer under mu_; the replication loop runs on its own
@@ -61,6 +48,7 @@
 #include "src/cluster/coordinator_control.h"
 #include "src/common/clock.h"
 #include "src/coordinator/coordinator.h"
+#include "src/coordinator/election.h"
 #include "src/transport/server.h"
 #include "src/transport/tcp_connection.h"
 
@@ -83,26 +71,17 @@ class CoordinatorReplica final : public ControlPlane {
     /// Its on_state_mutation hook is chained: the replica installs its own
     /// replication nudge and still calls any hook supplied here.
     CoordinatorControl::Options control;
-    /// The other members of the coordinator group. Listing this process
-    /// itself is harmless (its own echoed claim is acked and ignored — ranks
-    /// are unique), so every member may be handed the identical full list.
-    /// Empty = single-coordinator deployment: the replica promotes itself
-    /// immediately on Start(), preserving the pre-HA geminicoordd behavior.
+    /// The other members of the coordinator group; listing this process too
+    /// is harmless (its echoed claim is acked, not applied). Empty = a
+    /// single-coordinator deployment, master from Start().
     std::vector<PeerEndpoint> peers;
-    /// This replica's election rank (its index in the deployment's ordered
-    /// coordinator list). Must be unique across the group: ties in epoch
-    /// are broken lowest-rank-wins, and the election delay is staggered by
-    /// rank so the lowest live rank claims mastership first.
-    uint32_t rank = 0;
-    /// Master -> shadow sync beat; a sync is also sent immediately after
-    /// every state mutation. 0 = the control heartbeat interval.
-    Duration sync_interval = 0;
-    /// Base election delay: a shadow promotes after hearing no master sync
-    /// for election_timeout * (rank + 1). Must comfortably exceed
-    /// sync_interval plus the worst-case stall of one sync round (a dead
-    /// peer costs up to peer_connect_timeout until its breaker opens).
-    /// 0 = 6 * sync_interval.
-    Duration election_timeout = 0;
+    /// Rank (the replica's index in the deployment's ordered coordinator
+    /// list) and timing; a 0 sync_interval defaults to the control's
+    /// heartbeat interval. A sync also follows every state mutation. The
+    /// election timeout must comfortably exceed sync_interval plus the
+    /// worst-case stall of one sync round (a dead peer costs up to
+    /// peer_connect_timeout until its breaker opens).
+    ElectionCore::Options election;
     /// Dial/IO budget per peer sync. Short on purpose: a dead shadow must
     /// not stall the master's beat to the live ones past their deadlines.
     Duration peer_connect_timeout = Millis(200);
@@ -135,7 +114,6 @@ class CoordinatorReplica final : public ControlPlane {
   [[nodiscard]] bool is_master() const;
   /// Highest master epoch this replica has seen (its own while master).
   [[nodiscard]] uint64_t epoch() const;
-  [[nodiscard]] uint32_t rank() const { return options_.rank; }
   [[nodiscard]] uint64_t promotions() const {
     return promotions_.load(std::memory_order_relaxed);
   }
@@ -147,16 +125,11 @@ class CoordinatorReplica final : public ControlPlane {
   [[nodiscard]] CoordinatorControl* control();
 
  private:
-  enum class Role : uint8_t { kShadow, kMaster };
-
   void ReplicaLoop();
   /// Wakes the loop now (state mutated -> replicate promptly).
   void Nudge();
-  /// Builds + starts a CoordinatorControl from the replicated state (or
-  /// fresh when none was ever received), under mu_.
+  /// Carry out core_'s promote / step-down. Require mu_.
   void PromoteLocked();
-  /// Stops and drops the active control; epoch_ has already been raised to
-  /// the newer claim. Requires mu_.
   void StepDownLocked();
   /// Sends one full-state sync to every peer; demotes on a kNotMaster
   /// rejection. Runs on the loop thread, without mu_ held across RPCs.
@@ -171,13 +144,9 @@ class CoordinatorReplica final : public ControlPlane {
   std::vector<std::shared_ptr<TcpConnection>> peer_conns_;
 
   mutable std::mutex mu_;  // role state; never held across peer RPCs
-  Role role_ = Role::kShadow;
-  /// Highest master epoch seen; our own epoch while master.
-  uint64_t epoch_ = 0;
-  /// Rank of the replica whose mastership claim we currently accept
-  /// (UINT32_MAX until the first sync or promotion).
-  uint32_t master_rank_ = UINT32_MAX;
-  Timestamp last_master_contact_ = 0;
+  /// Every election decision (guarded by mu_; its sync_interval() is fixed
+  /// at construction and read without it).
+  ElectionCore core_;
   std::optional<CoordinatorState> replicated_state_;
   /// shared_ptr so a shard thread mid-delegation keeps the control alive
   /// across a concurrent step-down.

@@ -496,9 +496,4 @@ uint64_t Coordinator::discarded_fragment_count() const {
   return discarded_fragments_;
 }
 
-uint64_t Coordinator::master_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return master_epoch_;
-}
-
 }  // namespace gemini

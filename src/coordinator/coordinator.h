@@ -25,11 +25,12 @@
 //
 // The paper's prototype backs the coordinator with one master and shadow
 // coordinators via ZooKeeper. This class is a single master; replication is
-// layered on top of it: CoordinatorGroup replicates CoordinatorState to
-// in-process shadows, and CoordinatorReplica (src/cluster) replicates it to
-// shadow geminicoordd processes over the wire with rank-based election and
-// epoch fencing (docs/PROTOCOL.md §12.7). Both promote a shadow by calling
-// ImportState on a fresh Coordinator.
+// layered on top of it: the master's CoordinatorState is pushed to shadow
+// replicas, and ElectionCore (election.h) decides which replica is master
+// (docs/PROTOCOL.md §12.7). CoordinatorReplica (src/cluster) runs that
+// election between geminicoordd processes, ClusterSim (src/sim) between
+// simulated replicas; both promote a shadow by calling ImportState on a
+// fresh Coordinator.
 //
 // Thread-safe.
 #pragma once
@@ -69,10 +70,8 @@ struct CoordinatorState {
   uint64_t discarded_fragments = 0;
   /// Mastership generation. 0/1 = the first master; each promotion adopts
   /// the state with a strictly larger epoch. For epoch >= 2, ImportState
-  /// floors next_config_id at (master_epoch << 32) + 1 so configuration ids
-  /// minted by the new master always exceed every id a stale ex-master
-  /// could have published — clients adopt configurations only forward by
-  /// id, which fences the ex-master's output (docs/PROTOCOL.md §12.7).
+  /// floors next_config_id at (master_epoch << 32) + 1, above every id an
+  /// earlier epoch minted (docs/PROTOCOL.md §12.7, "Fencing").
   uint64_t master_epoch = 0;
 };
 
@@ -191,10 +190,6 @@ class Coordinator : public CoordinatorService {
   /// CoordinatorState::master_epoch is applied, fencing any ids a stale
   /// ex-master might still publish.
   void ImportState(const CoordinatorState& state);
-
-  /// Mastership generation this coordinator publishes under (imported with
-  /// its state; 0 until a replicated deployment sets one).
-  [[nodiscard]] uint64_t master_epoch() const;
 
  private:
   struct FragmentState {

@@ -3,14 +3,10 @@
 //
 // Section 2.1: "Gemini's coordinator consists of one master and one or more
 // shadow coordinators ... When the coordinator fails, one of the shadow
-// coordinators is promoted." Client code therefore talks to an interface,
-// and the repo provides three implementations at increasing deployment
-// scale: a single Coordinator directly, a CoordinatorGroup that replicates
-// CoordinatorState to in-process shadows and fails over transparently, and —
-// for real multi-process deployments — RemoteCoordinator (src/cluster)
-// talking to a replicated group of geminicoordd processes (CoordinatorReplica
-// per process: master/shadow roles, rank-based election, epoch fencing;
-// docs/PROTOCOL.md §12.7) with client-side endpoint failover.
+// coordinators is promoted." Client code therefore talks to an interface:
+// a Coordinator directly; ClusterSim's router to its lowest-ranked live
+// master; or RemoteCoordinator (src/cluster), which fails over across a
+// replicated group of geminicoordd processes (docs/PROTOCOL.md §12.7).
 #pragma once
 
 #include "src/common/types.h"

@@ -7,6 +7,36 @@
 
 namespace gemini {
 
+/// Routes every call to the lowest-ranked live master, the way
+/// RemoteCoordinator walks its ordered endpoint list. While none is up
+/// there is no configuration, and reports are dropped.
+class ClusterSim::MasterRoute final : public CoordinatorService {
+ public:
+  explicit MasterRoute(ClusterSim* sim) : sim_(sim) {}
+
+  [[nodiscard]] ConfigurationPtr GetConfiguration() const override {
+    return sim_->master() ? sim_->master()->GetConfiguration() : nullptr;
+  }
+  [[nodiscard]] ConfigId latest_id() const override {
+    return sim_->master() ? sim_->master()->latest_id() : 0;
+  }
+  void OnDirtyListProcessed(FragmentId f) override {
+    sim_->Mutate([f](Coordinator& m) { m.OnDirtyListProcessed(f); });
+  }
+  void OnWorkingSetTransferTerminated(FragmentId f) override {
+    sim_->Mutate([f](Coordinator& m) { m.OnWorkingSetTransferTerminated(f); });
+  }
+  void OnDirtyListUnavailable(FragmentId f) override {
+    sim_->Mutate([f](Coordinator& m) { m.OnDirtyListUnavailable(f); });
+  }
+  [[nodiscard]] bool DirtyProcessed(FragmentId f) const override {
+    return sim_->master() && sim_->master()->DirtyProcessed(f);
+  }
+
+ private:
+  ClusterSim* sim_;
+};
+
 ClusterSim::ClusterSim(SimOptions options, std::shared_ptr<Workload> workload)
     : options_(options),
       workload_(std::move(workload)),
@@ -28,19 +58,28 @@ ClusterSim::ClusterSim(SimOptions options, std::shared_ptr<Workload> workload)
     raw.push_back(instances_.back().get());
   }
 
-  Coordinator::Options copts;
-  copts.policy = options_.policy;
-  copts.fragment_lease_lifetime = options_.fragment_lease_lifetime;
-  coordinator_ = std::make_unique<CoordinatorGroup>(
-      &clock_, raw, options_.num_fragments, options_.coordinator_shadows,
-      copts);
+  // Rank 0 is master at t=0 and publishes config id 1; every shadow's
+  // election deadline starts at t=0.
+  route_ = std::make_unique<MasterRoute>(this);
+  detected_down_.assign(options_.num_instances, false);
+  replicas_.resize(options_.coordinator_shadows + 1);
+  for (uint32_t rank = 0; rank < replicas_.size(); ++rank) {
+    Replica& r = replicas_[rank];
+    r.core = ElectionCore({rank});
+    if (r.core.Start(0, replicas_.size() > 1, /*first_master=*/rank == 0)) {
+      r.coordinator = NewCoordinator();
+      SendSync(r);
+    }
+    events_.At(r.core.sync_interval(),
+               [this, &r](Timestamp now) { ElectionTick(r, now); });
+  }
 
   GeminiClient::Options cl_opts;
   cl_opts.working_set_transfer = options_.policy.working_set_transfer;
   cl_opts.maintain_dirty_lists = options_.policy.maintain_dirty_lists;
   for (size_t c = 0; c < options_.num_client_objects; ++c) {
     clients_.push_back(std::make_unique<GeminiClient>(
-        &clock_, coordinator_.get(), raw, &store_, cl_opts));
+        &clock_, route_.get(), raw, &store_, cl_opts));
     clients_.back()->BindRecoveryState(&recovery_state_);
   }
 
@@ -50,7 +89,7 @@ ClusterSim::ClusterSim(SimOptions options, std::shared_ptr<Workload> workload)
     w_opts.keys_per_step = options_.worker_keys_per_step;
     for (size_t w = 0; w < options_.num_recovery_workers; ++w) {
       workers_.push_back(std::make_unique<RecoveryWorker>(
-          &clock_, coordinator_.get(), raw, w_opts));
+          &clock_, route_.get(), raw, w_opts));
     }
   }
 
@@ -60,10 +99,101 @@ ClusterSim::ClusterSim(SimOptions options, std::shared_ptr<Workload> workload)
     auditor_ = std::make_unique<InvariantAuditor>(
         raw, options_.policy.maintain_dirty_lists);
   }
-  monitor_config_ = coordinator_->GetConfiguration();
 }
 
 ClusterSim::~ClusterSim() = default;
+
+CoordinatorService& ClusterSim::coordinator() { return *route_; }
+
+ClusterSim::Replica* ClusterSim::LiveMaster() {
+  for (Replica& r : replicas_) {
+    if (r.alive && r.coordinator != nullptr) return &r;
+  }
+  return nullptr;
+}
+
+template <typename Fn>
+void ClusterSim::Mutate(Fn&& fn) {
+  if (Replica* r = LiveMaster()) {
+    fn(*r->coordinator);
+    SendSync(*r);
+  }
+}
+
+std::unique_ptr<Coordinator> ClusterSim::NewCoordinator() const {
+  std::vector<CacheInstance*> raw;
+  for (const auto& instance : instances_) raw.push_back(instance.get());
+  Coordinator::Options copts;
+  copts.policy = options_.policy;
+  copts.fragment_lease_lifetime = options_.fragment_lease_lifetime;
+  return std::make_unique<Coordinator>(&clock_, std::move(raw),
+                                       options_.num_fragments, copts);
+}
+
+void ClusterSim::ElectionTick(Replica& r, Timestamp now) {
+  if (!r.alive) return;  // a dead replica's beat stops
+  const ElectionCore::Action action = r.core.Tick(now);
+  if (action == ElectionCore::Action::kPromote) Promote(r);
+  if (action == ElectionCore::Action::kSendSync) SendSync(r);
+  events_.At(now + r.core.sync_interval(),
+             [this, &r](Timestamp t) { ElectionTick(r, t); });
+}
+
+void ClusterSim::Promote(Replica& r) {
+  r.coordinator = NewCoordinator();
+  CoordinatorState state =
+      r.state != nullptr ? *r.state : r.coordinator->ExportState();
+  state.master_epoch = r.core.epoch();
+  r.coordinator->ImportState(state);
+  // Stand-in for §12.2's registration grace window: the new master learns
+  // the failure detector's verdicts its state lacks, failures first (a
+  // fragment put into recovery just before its secondary fails is stranded).
+  std::vector<InstanceId> failed;
+  for (InstanceId i = 0; i < detected_down_.size(); ++i) {
+    if (state.believed_up[i] && detected_down_[i]) failed.push_back(i);
+  }
+  if (!failed.empty()) r.coordinator->OnInstancesFailed(failed);
+  for (InstanceId i = 0; i < detected_down_.size(); ++i) {
+    if (!state.believed_up[i] && !detected_down_[i]) {
+      ReportRecovered(*r.coordinator, i);
+    }
+  }
+  SendSync(r);
+}
+
+void ClusterSim::SendSync(Replica& from) {
+  std::shared_ptr<const CoordinatorState> state =
+      std::make_shared<CoordinatorState>(from.coordinator->ExportState());
+  const uint64_t epoch = from.core.epoch();
+  const uint32_t rank = from.core.rank();
+  const Duration one_way = options_.net.client_coordinator_rtt / 2;
+  for (Replica& to : replicas_) {
+    if (&to == &from || !to.alive) continue;
+    events_.After(one_way, [this, &from, &to, epoch, rank, state,
+                            one_way](Timestamp now) {
+      if (!to.alive) return;
+      switch (to.core.OnClaim(epoch, rank, now)) {
+        case ElectionCore::Verdict::kStale:
+          // The rejection travels back to the sender.
+          events_.After(one_way, [&from, epoch](Timestamp t) {
+            if (from.alive && from.core.OnSyncRejected(epoch, t) ==
+                                  ElectionCore::Action::kStepDown) {
+              from.coordinator.reset();
+            }
+          });
+          return;
+        case ElectionCore::Verdict::kStepDown:
+          to.coordinator.reset();
+          [[fallthrough]];
+        case ElectionCore::Verdict::kAccepted:
+          to.state = state;
+          return;
+        case ElectionCore::Verdict::kOwnEcho:
+          return;
+      }
+    });
+  }
+}
 
 void ClusterSim::StartLoad() {
   if (load_started_) return;
@@ -210,25 +340,27 @@ void ClusterSim::WorkerStep(size_t worker, Timestamp now) {
   events_.At(next, [this, worker](Timestamp t) { WorkerStep(worker, t); });
 }
 
-ClusterSim::RecoveryRecord* ClusterSim::ActiveRecord(InstanceId instance) {
+const ClusterSim::RecoveryRecord* ClusterSim::ActiveRecord(
+    InstanceId instance) const {
   for (auto it = recoveries_.rbegin(); it != recoveries_.rend(); ++it) {
     if (it->instance == instance) return &*it;
   }
   return nullptr;
 }
 
+ClusterSim::RecoveryRecord* ClusterSim::ActiveRecord(InstanceId instance) {
+  const ClusterSim& self = *this;
+  return const_cast<RecoveryRecord*>(self.ActiveRecord(instance));
+}
+
 void ClusterSim::ScheduleFailure(InstanceId instance, Timestamp at,
                                  Duration down_for) {
-  events_.At(at, [this, instance](Timestamp now) { FailNow(instance, now); });
-  events_.At(at + down_for,
-             [this, instance](Timestamp now) { RecoverNow(instance, now); });
+  ScheduleGroupFailure({instance}, at, down_for);
 }
 
 void ClusterSim::ScheduleGroupFailure(std::vector<InstanceId> instances,
                                       Timestamp at, Duration down_for) {
-  events_.At(at, [this, instances](Timestamp now) {
-    FailGroupNow(instances, now);
-  });
+  events_.At(at, [this, instances](Timestamp now) { FailNow(instances, now); });
   for (InstanceId i : instances) {
     events_.At(at + down_for,
                [this, i](Timestamp now) { RecoverNow(i, now); });
@@ -239,12 +371,12 @@ void ClusterSim::SchedulePhaseChange(Timestamp at, int phase) {
   events_.At(at, [this, phase](Timestamp) { workload_->SetPhase(phase); });
 }
 
-void ClusterSim::ScheduleCoordinatorFailure(Timestamp at,
-                                            Duration failover_delay) {
-  events_.At(at, [this](Timestamp) { coordinator_->FailMaster(); });
-  events_.At(at + failover_delay, [this](Timestamp) {
-    coordinator_->PromoteShadow();
-    monitor_config_ = coordinator_->GetConfiguration();
+void ClusterSim::ScheduleCoordinatorFailure(Timestamp at) {
+  events_.At(at, [this](Timestamp) {
+    if (Replica* r = LiveMaster()) {
+      r->alive = false;
+      r->coordinator.reset();
+    }
   });
 }
 
@@ -258,38 +390,30 @@ void ClusterSim::RecordFailure(InstanceId instance, Timestamp now) {
   recoveries_.push_back(rec);
 }
 
-void ClusterSim::FailGroupNow(const std::vector<InstanceId>& group,
-                              Timestamp now) {
+void ClusterSim::FailNow(const std::vector<InstanceId>& group,
+                         Timestamp now) {
   for (InstanceId i : group) RecordFailure(i, now);
   if (options_.crash_failures) {
     for (InstanceId i : group) instances_[i]->Fail();
     events_.At(now + options_.failure_detection_delay,
-               [this, group](Timestamp) {
-                 coordinator_->OnInstancesFailed(group);
-                 monitor_config_ = coordinator_->GetConfiguration();
-               });
+               [this, group](Timestamp) { ReportFailed(group); });
   } else {
-    coordinator_->OnInstancesFailed(group);
-    monitor_config_ = coordinator_->GetConfiguration();
+    // Emulated failure (Section 5.2): the coordinator removes the instances
+    // from the configuration; the processes keep running, content intact.
+    ReportFailed(group);
   }
 }
 
-void ClusterSim::FailNow(InstanceId instance, Timestamp now) {
-  RecordFailure(instance, now);
+void ClusterSim::ReportFailed(const std::vector<InstanceId>& failed) {
+  for (InstanceId i : failed) detected_down_[i] = true;
+  Mutate([&failed](Coordinator& m) { m.OnInstancesFailed(failed); });
+}
 
-  if (options_.crash_failures) {
-    instances_[instance]->Fail();
-    events_.At(now + options_.failure_detection_delay,
-               [this, instance](Timestamp) {
-                 coordinator_->OnInstanceFailed(instance);
-                 monitor_config_ = coordinator_->GetConfiguration();
-               });
-  } else {
-    // Emulated failure (Section 5.2): the coordinator removes the instance
-    // from the configuration; the process keeps running, content intact.
-    coordinator_->OnInstanceFailed(instance);
-    monitor_config_ = coordinator_->GetConfiguration();
+void ClusterSim::ReportRecovered(Coordinator& m, InstanceId instance) {
+  for (FragmentId f : m.FragmentsWithPrimary(instance)) {
+    recovery_state_.ResetWst(f);
   }
+  m.OnInstanceRecovered(instance);
 }
 
 void ClusterSim::RecoverNow(InstanceId instance, Timestamp now) {
@@ -304,11 +428,8 @@ void ClusterSim::RecoverNow(InstanceId instance, Timestamp now) {
     instances_[instance]->RecoverVolatile();
   }
 
-  for (FragmentId f : coordinator_->FragmentsWithPrimary(instance)) {
-    recovery_state_.ResetWst(f);
-  }
-  coordinator_->OnInstanceRecovered(instance);
-  monitor_config_ = coordinator_->GetConfiguration();
+  detected_down_[instance] = false;
+  Mutate([this, instance](Coordinator& m) { ReportRecovered(m, instance); });
 
   RecoveryRecord* rec = ActiveRecord(instance);
   if (rec != nullptr) {
@@ -325,11 +446,15 @@ void ClusterSim::RecoverNow(InstanceId instance, Timestamp now) {
 void ClusterSim::RecoveryCheck(InstanceId instance, Timestamp now) {
   RecoveryRecord* rec = ActiveRecord(instance);
   if (rec == nullptr || rec->fragments_normal_at >= 0) return;
-  bool all_normal = true;
-  for (FragmentId f : coordinator_->FragmentsWithPrimary(instance)) {
-    if (coordinator_->ModeOf(f) != FragmentMode::kNormal) {
-      all_normal = false;
-      break;
+  // No master, no verdict: check again after the election.
+  const Coordinator* m = master();
+  bool all_normal = m != nullptr;
+  if (m != nullptr) {
+    for (FragmentId f : m->FragmentsWithPrimary(instance)) {
+      if (m->ModeOf(f) != FragmentMode::kNormal) {
+        all_normal = false;
+        break;
+      }
     }
   }
   if (all_normal) {
@@ -341,15 +466,15 @@ void ClusterSim::RecoveryCheck(InstanceId instance, Timestamp now) {
 }
 
 void ClusterSim::MonitorTick(Timestamp now) {
-  coordinator_->RenewLeases();
-  monitor_config_ = coordinator_->GetConfiguration();
-  if (auditor_ != nullptr && monitor_config_ != nullptr) {
-    auto violations = auditor_->Audit(*monitor_config_);
+  Coordinator* const m = master();
+  if (m != nullptr) m->RenewLeases();
+  if (auditor_ != nullptr && m != nullptr) {
+    auto violations = auditor_->Audit(*m->GetConfiguration());
     for (auto& v : violations) {
       invariant_violations_.push_back(std::move(v));
     }
   }
-  if (options_.policy.working_set_transfer) {
+  if (options_.policy.working_set_transfer && m != nullptr) {
     const auto sec = static_cast<size_t>(now / kSecond);
     for (auto& rec : recoveries_) {
       if (rec.recovered_at < 0 || rec.fragments_normal_at >= 0) continue;
@@ -373,11 +498,11 @@ void ClusterSim::MonitorTick(Timestamp now) {
       const bool m_exceeded = have_probes && probe_miss > options_.wst.m;
       if (!h_reached && !m_exceeded) continue;
 
-      for (FragmentId f : coordinator_->FragmentsWithPrimary(i)) {
-        if (coordinator_->ModeOf(f) != FragmentMode::kRecovery) continue;
+      for (FragmentId f : m->FragmentsWithPrimary(i)) {
+        if (m->ModeOf(f) != FragmentMode::kRecovery) continue;
         if (recovery_state_.WstTerminated(f)) continue;
         recovery_state_.TerminateWst(f);
-        coordinator_->OnWorkingSetTransferTerminated(f);
+        route_->OnWorkingSetTransferTerminated(f);
       }
     }
   }
@@ -386,13 +511,7 @@ void ClusterSim::MonitorTick(Timestamp now) {
 }
 
 double ClusterSim::SecondsToRestoreHitRatio(InstanceId instance) const {
-  const RecoveryRecord* rec = nullptr;
-  for (auto it = recoveries_.rbegin(); it != recoveries_.rend(); ++it) {
-    if (it->instance == instance) {
-      rec = &*it;
-      break;
-    }
-  }
+  const RecoveryRecord* rec = ActiveRecord(instance);
   if (rec == nullptr || rec->recovered_at < 0) return -1.0;
   const double target =
       std::max(0.0, rec->prefailure_hit_ratio - options_.wst_epsilon);
@@ -401,13 +520,7 @@ double ClusterSim::SecondsToRestoreHitRatio(InstanceId instance) const {
 }
 
 double ClusterSim::RecoveryDurationSeconds(InstanceId instance) const {
-  const RecoveryRecord* rec = nullptr;
-  for (auto it = recoveries_.rbegin(); it != recoveries_.rend(); ++it) {
-    if (it->instance == instance) {
-      rec = &*it;
-      break;
-    }
-  }
+  const RecoveryRecord* rec = ActiveRecord(instance);
   if (rec == nullptr || rec->recovered_at < 0 ||
       rec->fragments_normal_at < 0) {
     return -1.0;

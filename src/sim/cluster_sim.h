@@ -22,6 +22,12 @@
 //    terminates the transfer when it reaches h (default: the instance's own
 //    pre-failure hit ratio minus epsilon) or when the secondary's probe miss
 //    ratio exceeds m.
+//  - Coordinator (Section 2.1): 1 + `coordinator_shadows` replicas run
+//    geminicoordd's election (ElectionCore) at its default timing; rank 0
+//    is master at t=0. A sync leaves at each mutation and on every beat and
+//    arrives half a `client_coordinator_rtt` later; links are never cut. A
+//    promoted master learns the failure detector's verdicts its imported
+//    state lacks (the stand-in for PROTOCOL.md §12.2's grace window).
 #pragma once
 
 #include <memory>
@@ -31,7 +37,8 @@
 
 #include "src/client/gemini_client.h"
 #include "src/client/recovery_state.h"
-#include "src/coordinator/coordinator_group.h"
+#include "src/coordinator/coordinator.h"
+#include "src/coordinator/election.h"
 #include "src/net/cost_model.h"
 #include "src/recovery/recovery_worker.h"
 #include "src/sim/event_queue.h"
@@ -73,8 +80,8 @@ struct SimOptions {
   /// Shadow coordinators standing by for failover (Section 2.1).
   size_t coordinator_shadows = 1;
   /// Fragment lease lifetime granted by the coordinator (paper: seconds to
-  /// minutes). The monitor tick renews them; leases lapse while the
-  /// coordinator group is down.
+  /// minutes). The monitor tick renews them; leases lapse while no
+  /// coordinator master is up.
   Duration fragment_lease_lifetime = Seconds(30);
   /// Audit structural invariants (InvariantAuditor) every monitor tick.
   /// Off by default: O(F x M) per tick. Tests turn it on.
@@ -104,9 +111,9 @@ class ClusterSim {
   /// ties the switch to the failure).
   void SchedulePhaseChange(Timestamp at, int phase);
 
-  /// Kills the coordinator master at `at`; a shadow is promoted after
-  /// `failover_delay` (the ZooKeeper-election stand-in).
-  void ScheduleCoordinatorFailure(Timestamp at, Duration failover_delay);
+  /// Kills the live coordinator master at `at` (no-op if none is up); the
+  /// election decides when a shadow takes over.
+  void ScheduleCoordinatorFailure(Timestamp at);
 
   /// Runs the simulation until virtual time `until` (absolute; call
   /// repeatedly to run in stages).
@@ -116,7 +123,18 @@ class ClusterSim {
 
   [[nodiscard]] const SimMetrics& metrics() const { return *metrics_; }
   VirtualClock& clock() { return clock_; }
-  CoordinatorGroup& coordinator() { return *coordinator_; }
+  /// What clients and recovery workers call: routed to master().
+  CoordinatorService& coordinator();
+  /// The lowest-ranked live master's coordinator; nullptr while no master
+  /// is up (an election gap, or every replica dead).
+  [[nodiscard]] Coordinator* master() {
+    Replica* r = LiveMaster();
+    return r != nullptr ? r->coordinator.get() : nullptr;
+  }
+  /// Coordinator replica `rank`'s election state.
+  [[nodiscard]] const ElectionCore& election(size_t rank) const {
+    return replicas_[rank].core;
+  }
   CacheInstance& instance(InstanceId i) { return *instances_[i]; }
   DataStore& store() { return store_; }
   Workload& workload() { return *workload_; }
@@ -165,11 +183,34 @@ class ClusterSim {
   void WorkerStep(size_t worker, Timestamp now);
   void MonitorTick(Timestamp now);
   void RecoveryCheck(InstanceId instance, Timestamp now);
-  void FailNow(InstanceId instance, Timestamp now);
-  void FailGroupNow(const std::vector<InstanceId>& group, Timestamp now);
+  void FailNow(const std::vector<InstanceId>& group, Timestamp now);
   void RecordFailure(InstanceId instance, Timestamp now);
   void RecoverNow(InstanceId instance, Timestamp now);
+  void ReportFailed(const std::vector<InstanceId>& failed);
+  void ReportRecovered(Coordinator& m, InstanceId instance);
+  const RecoveryRecord* ActiveRecord(InstanceId instance) const;
   RecoveryRecord* ActiveRecord(InstanceId instance);
+
+  /// One simulated geminicoordd.
+  struct Replica {
+    ElectionCore core{{}};
+    bool alive = true;
+    /// The state the last accepted sync carried.
+    std::shared_ptr<const CoordinatorState> state;
+    /// Non-null while master.
+    std::unique_ptr<Coordinator> coordinator;
+  };
+  class MasterRoute;
+  Replica* LiveMaster();
+  /// Runs `fn` on the live master, then syncs its state to the shadows;
+  /// a no-op while no master is up.
+  template <typename Fn>
+  void Mutate(Fn&& fn);
+  std::unique_ptr<Coordinator> NewCoordinator() const;
+  void ElectionTick(Replica& r, Timestamp now);
+  void Promote(Replica& r);
+  /// Sends master `from`'s full state to every live peer.
+  void SendSync(Replica& from);
 
   SimOptions options_;
   std::shared_ptr<Workload> workload_;
@@ -177,14 +218,17 @@ class ClusterSim {
   EventQueue events_;
   DataStore store_;
   std::vector<std::unique_ptr<CacheInstance>> instances_;
-  std::unique_ptr<CoordinatorGroup> coordinator_;
+  std::vector<Replica> replicas_;  // index = rank; never resized after
+                                   // construction (events hold Replica&)
+  std::unique_ptr<MasterRoute> route_;
+  /// Instances the failure detector has reported failed and not recovered.
+  std::vector<bool> detected_down_;
   CostModel cost_model_;
   RecoveryState recovery_state_;
   std::vector<std::unique_ptr<GeminiClient>> clients_;
   std::vector<std::unique_ptr<RecoveryWorker>> workers_;
   std::unique_ptr<SimMetrics> metrics_;
   Rng rng_;
-  ConfigurationPtr monitor_config_;
   std::vector<RecoveryRecord> recoveries_;
   std::vector<double> wst_h_target_;  // per instance; <0 = not recovering
   std::unique_ptr<InvariantAuditor> auditor_;

@@ -85,9 +85,7 @@ struct ReplicaNode {
     ropts.control.heartbeat.interval = kBeat;
     ropts.control.heartbeat.miss_threshold = 3;
     ropts.peers = std::move(peers);
-    ropts.rank = rank;
-    ropts.sync_interval = kSync;
-    ropts.election_timeout = election_timeout;
+    ropts.election = {rank, kSync, election_timeout};
     replica = std::make_unique<CoordinatorReplica>(&SystemClock::Global(),
                                                    ropts);
     TransportServer::Options sopts;

@@ -193,9 +193,9 @@ TEST_P(RandomSimTest, FullSimPreservesConsistencyAndConverges) {
   EXPECT_EQ(sim.metrics().stale.total_stale(), 0u) << "seed " << seed;
   // The cluster converges: no fragment stuck outside normal mode.
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kTransient).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kRecovery).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
   // Load kept flowing.
   EXPECT_GT(sim.metrics().ops.Total(), 5000u);
   // Structural invariants held on every monitor tick.

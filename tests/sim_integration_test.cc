@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/workload/ycsb.h"
 
@@ -47,9 +50,9 @@ TEST(SimIntegration, GeminiRecoversWithZeroStaleReads) {
   // Recovery completed: all fragments back to normal.
   EXPECT_GE(sim.RecoveryDurationSeconds(0), 0.0);
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kRecovery).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kTransient).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
 }
 
 TEST(SimIntegration, StaleCacheServesStaleReads) {
@@ -113,7 +116,7 @@ TEST(SimIntegration, SuspendedWritesResumeAfterPublication) {
   EXPECT_GT(sim.metrics().suspended_writes.Total(), 0u);
   EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kTransient).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
 }
 
 TEST(SimIntegration, EvolvingPatternWstImprovesHitRatio) {
@@ -201,25 +204,246 @@ TEST(SimIntegration, CoordinatorFailoverMidInstanceFailure) {
   o.coordinator_shadows = 2;
   ClusterSim sim(o, SmallYcsb(0.10));
   sim.ScheduleFailure(0, Seconds(10), Seconds(8));
-  sim.ScheduleCoordinatorFailure(Seconds(12), Seconds(4));
+  sim.ScheduleCoordinatorFailure(Seconds(12));
   sim.Run(Seconds(40));
   EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
-  EXPECT_TRUE(sim.coordinator().master_available());
+  ASSERT_NE(sim.master(), nullptr);
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kRecovery).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
   EXPECT_TRUE(
-      sim.coordinator().FragmentsInMode(FragmentMode::kTransient).empty());
+      sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
   EXPECT_GT(sim.metrics().ops.At(Seconds(38)), 1000u);
 }
 
 TEST(SimIntegration, DeterministicForSameSeed) {
-  auto run = [] {
+  auto run = [](bool kill_master) {
     ClusterSim sim(SmallCluster(RecoveryPolicy::GeminiOW()), SmallYcsb());
     sim.ScheduleFailure(0, Seconds(5), Seconds(3));
+    if (kill_master) sim.ScheduleCoordinatorFailure(Seconds(7));
     sim.Run(Seconds(15));
-    return sim.metrics().ops.Total();
+    return std::make_tuple(sim.metrics().ops.Total(),
+                           sim.metrics().suspended_writes.Total(),
+                           sim.master() != nullptr ? sim.master()->latest_id()
+                                                   : 0);
   };
-  EXPECT_EQ(run(), run());
+  EXPECT_EQ(run(false), run(false));
+  EXPECT_EQ(run(true), run(true));
+}
+
+// ---- Coordinator failover (Section 2.1): the master/shadow election -------
+//
+// SmallCluster's replicas use ElectionCore's default timing: a 100 ms sync
+// beat, and rank r promotes 600 ms x (r + 1) after the last sync it heard.
+
+/// Runs `sim` in 1 ms steps until a coordinator master is up; false if none
+/// is by `limit`.
+bool RunUntilMaster(ClusterSim& sim, Timestamp limit) {
+  while (sim.master() == nullptr) {
+    if (sim.clock().Now() >= limit) return false;
+    sim.Run(sim.clock().Now() + Millis(1));
+  }
+  return true;
+}
+
+std::vector<CacheInstance*> Instances(ClusterSim& sim) {
+  std::vector<CacheInstance*> raw;
+  for (size_t i = 0; i < sim.options().num_instances; ++i) {
+    raw.push_back(&sim.instance(static_cast<InstanceId>(i)));
+  }
+  return raw;
+}
+
+/// A key whose fragment's primary is `instance` in `config`.
+std::string KeyOnInstance(ClusterSim& sim, const Configuration& config,
+                          InstanceId instance) {
+  for (uint64_t r = 0; r < sim.workload().num_records(); ++r) {
+    std::string key = sim.workload().KeyOfRecord(r);
+    if (config.fragment(config.FragmentOf(key)).primary == instance) {
+      return key;
+    }
+  }
+  ADD_FAILURE() << "no key on instance " << instance;
+  return "";
+}
+
+TEST(SimCoordinatorFailover, NoShadowPromotesWhileTheMasterSyncs) {
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiOW());
+  o.coordinator_shadows = 2;
+  ClusterSim sim(o, SmallYcsb(0.10));
+  sim.ScheduleFailure(0, Seconds(3), Seconds(3));
+  sim.Run(Seconds(12));
+  EXPECT_TRUE(sim.election(0).is_master());
+  for (size_t rank = 0; rank < 3; ++rank) {
+    EXPECT_EQ(sim.election(rank).epoch(), 1u) << "rank " << rank;
+  }
+  EXPECT_FALSE(sim.election(1).is_master());
+  EXPECT_FALSE(sim.election(2).is_master());
+  EXPECT_LT(sim.master()->latest_id(), uint64_t{1} << 32);
+}
+
+TEST(SimCoordinatorFailover, KeepsAssignmentsAndMintsAboveTheEpochFloor) {
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiO());
+  o.coordinator_shadows = 2;
+  ClusterSim sim(o, SmallYcsb());
+  sim.ScheduleFailure(0, Seconds(2), Seconds(8));
+  sim.ScheduleCoordinatorFailure(Seconds(4));
+  sim.Run(Seconds(4) - 1);
+  const ConfigurationPtr before = sim.master()->GetConfiguration();
+  ASSERT_FALSE(sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
+
+  sim.Run(Seconds(4));
+  EXPECT_EQ(sim.master(), nullptr);
+  EXPECT_EQ(sim.coordinator().GetConfiguration(), nullptr);
+  ASSERT_TRUE(RunUntilMaster(sim, Seconds(8)));
+  // The lowest live rank wins, after its own staggered deadline.
+  EXPECT_TRUE(sim.election(1).is_master());
+  EXPECT_FALSE(sim.election(2).is_master());
+  EXPECT_EQ(sim.election(1).epoch(), 2u);
+  EXPECT_GE(sim.clock().Now(), Seconds(4) + 2 * Millis(600) - Millis(100));
+
+  // Every fragment keeps its assignment and mode; the re-publish carries
+  // an id at the epoch-2 floor.
+  const ConfigurationPtr after = sim.master()->GetConfiguration();
+  EXPECT_EQ(after->id(), uint64_t{2} << 32);
+  ASSERT_EQ(after->num_fragments(), before->num_fragments());
+  for (FragmentId f = 0; f < before->num_fragments(); ++f) {
+    EXPECT_EQ(after->fragment(f).primary, before->fragment(f).primary);
+    EXPECT_EQ(after->fragment(f).secondary, before->fragment(f).secondary);
+    EXPECT_EQ(after->fragment(f).mode, before->fragment(f).mode);
+  }
+  // Ids minted afterwards (instance 0's recovery) sit above the floor.
+  sim.Run(Seconds(30));
+  EXPECT_GE(sim.master()->latest_id(), (uint64_t{2} << 32) + 1);
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
+  EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
+}
+
+TEST(SimCoordinatorFailover, CachedConfigurationRidesThroughTheElectionGap) {
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiO());
+  ClusterSim sim(o, SmallYcsb());
+  sim.ScheduleCoordinatorFailure(Seconds(5));
+  sim.Run(Seconds(5) + Millis(300));
+  ASSERT_EQ(sim.master(), nullptr);
+
+  // A client with a cached configuration keeps hitting the cache; it needs
+  // no coordinator round trip for that.
+  GeminiClient& cached = sim.client(0);
+  Session s;
+  const std::string key = sim.workload().KeyOfRecord(0);
+  ASSERT_TRUE(cached.Read(s, key).ok());
+  auto hit = cached.Read(s, key);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_TRUE(cached.Write(s, key).ok());
+
+  // A client with none fails until a shadow promotes.
+  GeminiClient fresh(&sim.clock(), &sim.coordinator(), Instances(sim),
+                     &sim.store());
+  EXPECT_FALSE(fresh.Read(s, key).ok());
+  ASSERT_TRUE(RunUntilMaster(sim, Seconds(8)));
+  EXPECT_TRUE(fresh.Read(s, key).ok());
+
+  sim.Run(Seconds(10));
+  EXPECT_GT(sim.metrics().overall_hit.RatioBetween(5, 6), 0.8);
+  EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
+}
+
+TEST(SimCoordinatorFailover, FailoverMidRecoveryKeepsRecoveringConsistently) {
+  // Long dirty lists and one slow worker keep instance 0's fragments in
+  // recovery well past the master kill.
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiO());
+  o.num_recovery_workers = 1;
+  o.worker_keys_per_step = 2;
+  ClusterSim sim(o, SmallYcsb(0.5));
+  sim.ScheduleFailure(0, Seconds(3), Seconds(4));
+  sim.ScheduleCoordinatorFailure(Seconds(7) + Millis(20));
+  sim.Run(Seconds(7) + Millis(10));
+  ASSERT_FALSE(sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
+
+  sim.Run(Seconds(7) + Millis(20));
+  ASSERT_EQ(sim.master(), nullptr);
+  ASSERT_TRUE(RunUntilMaster(sim, Seconds(10)));
+  // The promoted master carries on with the recovery its state recorded.
+  const auto recovering =
+      sim.master()->FragmentsInMode(FragmentMode::kRecovery);
+  EXPECT_FALSE(recovering.empty());
+  for (FragmentId f : recovering) {
+    EXPECT_EQ(sim.master()->GetConfiguration()->fragment(f).primary, 0u);
+  }
+
+  sim.Run(Seconds(40));
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
+  EXPECT_GE(sim.RecoveryDurationSeconds(0), 0.0);
+  EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
+}
+
+TEST(SimCoordinatorFailover, InstanceEventsSeenWithoutAMasterReachTheNext) {
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiO());
+  ClusterSim sim(o, SmallYcsb(0.10));
+  // Instance 1 fails under the old master and recovers in the gap;
+  // instance 2 fails in the gap.
+  sim.ScheduleFailure(1, Seconds(2), Seconds(3.5));
+  sim.ScheduleCoordinatorFailure(Seconds(5));
+  sim.ScheduleFailure(2, Seconds(5.5), Seconds(10));
+  sim.Run(Seconds(5.6));
+  ASSERT_EQ(sim.master(), nullptr);
+  ASSERT_TRUE(RunUntilMaster(sim, Seconds(8)));
+
+  Coordinator& m = *sim.master();
+  const ConfigurationPtr config = m.GetConfiguration();
+  for (FragmentId f : m.FragmentsWithPrimary(2)) {
+    EXPECT_EQ(m.ModeOf(f), FragmentMode::kTransient) << "fragment " << f;
+  }
+  for (FragmentId f : m.FragmentsWithPrimary(1)) {
+    EXPECT_NE(m.ModeOf(f), FragmentMode::kTransient) << "fragment " << f;
+  }
+  // Reads of instance 2's keys go to the secondaries now.
+  Session s;
+  auto r = sim.client(0).Read(s, KeyOnInstance(sim, *config, 2));
+  ASSERT_TRUE(r.ok());
+  EXPECT_NE(r->instance, 2u);
+
+  sim.Run(Seconds(40));
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kTransient).empty());
+  EXPECT_TRUE(sim.master()->FragmentsInMode(FragmentMode::kRecovery).empty());
+  EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
+}
+
+TEST(SimCoordinatorFailover, EveryReplicaDeadLapsesLeasesFailSafe) {
+  // Fragment leases have a finite lifetime (Section 2.3). Once every
+  // replica is dead, nothing renews them: instances stop serving, reads
+  // come from the store, writes suspend, and no read is stale.
+  SimOptions o = SmallCluster(RecoveryPolicy::GeminiO());
+  o.fragment_lease_lifetime = Seconds(3);
+  ClusterSim sim(o, SmallYcsb());
+  sim.ScheduleCoordinatorFailure(Seconds(2));
+  sim.ScheduleCoordinatorFailure(Seconds(5));
+  sim.Run(Seconds(4));
+  ASSERT_NE(sim.master(), nullptr);
+  EXPECT_TRUE(sim.election(1).is_master());
+  sim.Run(Seconds(9));
+  EXPECT_EQ(sim.master(), nullptr);
+
+  GeminiClient& client = sim.client(0);
+  Session s;
+  const std::string key = sim.workload().KeyOfRecord(0);
+  for (int i = 0; i < 2; ++i) {
+    auto r = client.Read(s, key);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->cache_hit);
+    EXPECT_EQ(r->value.version, sim.store().VersionOf(key));
+  }
+  EXPECT_EQ(client.Write(s, key).code(), Code::kSuspended);
+  // The leases rank 1 last renewed at t=4 s lapsed at 7 s: from then on
+  // the load's reads all missed, and its writes suspended.
+  const auto& reads = sim.metrics().overall_hit.denominator().buckets();
+  ASSERT_GT(reads.size(), 7u);
+  EXPECT_GT(reads[7], 0u);
+  EXPECT_EQ(sim.metrics().overall_hit.RatioBetween(7, 9), 0.0);
+  EXPECT_GT(sim.metrics().suspended_writes.Total(), 0u);
+  EXPECT_EQ(sim.metrics().stale.total_stale(), 0u);
 }
 
 }  // namespace

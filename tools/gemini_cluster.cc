@@ -23,7 +23,7 @@
 // fenced config ids, while geminids and clients redial through their
 // endpoint lists. The run measures time-to-new-master per kill and fails
 // unless every master kill produced an observed promotion and at least one
-// client redial.
+// client redial, and every converged cycle ends with exactly one master.
 //
 // A StaleReadChecker audits every foreground read against the data store;
 // any read-after-write violation fails the run (exit 1). Each client thread
@@ -36,8 +36,9 @@
 //                  [--fragments M] [--cycles C] [--keys K] [--ops N]
 //                  [--verbose]
 //
-// Exit codes: 0 clean sweep, 1 stale reads, a dead daemon, or missing
-// failover evidence, 2 bad flags, 3 recovery never converged.
+// Exit codes: 0 clean sweep, 1 stale reads, a dead daemon, missing
+// failover evidence, or a cycle that ends with no master or two, 2 bad
+// flags, 3 recovery never converged.
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -307,17 +308,18 @@ bool QueryStat(uint16_t port, const std::string& name, uint64_t* value) {
   return false;
 }
 
-/// Index of the group member currently answering as master; -1 if none.
-int FindMaster(const std::vector<Coord>& coords) {
+/// Indices of the live group members answering as master.
+std::vector<int> Masters(const std::vector<Coord>& coords) {
+  std::vector<int> masters;
   for (size_t i = 0; i < coords.size(); ++i) {
-    if (!coords[i].alive) continue;
     uint64_t is_master = 0;
-    if (QueryStat(coords[i].port, "cluster.is_master", &is_master) &&
+    if (coords[i].alive &&
+        QueryStat(coords[i].port, "cluster.is_master", &is_master) &&
         is_master != 0) {
-      return static_cast<int>(i);
+      masters.push_back(static_cast<int>(i));
     }
   }
-  return -1;
+  return masters;
 }
 
 bool AllFragmentsNormal(const ConfigurationPtr& config, size_t fragments) {
@@ -540,12 +542,13 @@ int Run(const Flags& flags) {
   for (size_t cycle = 0; cycle < flags.cycles && exit_code == 0; ++cycle) {
     const size_t victim = rng() % flags.instances;
     const ConfigId before = coordinator.latest_id();
-    int old_master = -1;
-    if (flags.coordinators > 1 && (old_master = FindMaster(coords)) < 0) {
+    std::vector<int> masters;
+    if (flags.coordinators > 1 && (masters = Masters(coords)).empty()) {
       std::cerr << "gemini_cluster: no coordinator answers as master\n";
       exit_code = 3;
       break;
     }
+    const int old_master = masters.empty() ? -1 : masters.front();
 
     // Phase A: load, then kill -9 mid-burst — no snapshot, no checkpoint,
     // no goodbye heartbeat. Detection must come from the missed-beat
@@ -575,11 +578,11 @@ int Run(const Flags& flags) {
       promotion_watch = std::thread([&coords, &promoted_idx, &ttnm_us,
                                      killed_at] {
         while (SystemClock::Global().Now() - killed_at < Seconds(10)) {
-          const int m = FindMaster(coords);
-          if (m >= 0) {
+          const std::vector<int> m = Masters(coords);
+          if (!m.empty()) {
             ttnm_us.store(SystemClock::Global().Now() - killed_at,
                           std::memory_order_relaxed);
-            promoted_idx.store(m, std::memory_order_release);
+            promoted_idx.store(m.front(), std::memory_order_release);
             return;
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -660,6 +663,20 @@ int Run(const Flags& flags) {
     // Phase B: audited load against the recovered cluster.
     threads = run_bursts(cycle * 2 + 1);
     for (auto& th : threads) th.join();
+
+    // The election must settle on one master: none, or two that stay
+    // masters (split brain), fails the run.
+    if (flags.coordinators > 1) {
+      if (!WaitFor([&] { return (masters = Masters(coords)).size() == 1; },
+                   Seconds(2))) {
+        std::cerr << "gemini_cluster: cycle " << cycle << " settled with "
+                  << masters.size() << " live masters, want 1\n";
+        exit_code = 1;
+        break;
+      }
+      std::cout << "gemini_cluster: cycle " << cycle << ": one master, rank "
+                << coords[masters.front()].rank << std::endl;
+    }
   }
 
   workers_stop.store(true, std::memory_order_release);

@@ -239,13 +239,9 @@ int main(int argc, char** argv) {
   ropts.control.heartbeat.miss_threshold =
       static_cast<uint32_t>(miss_threshold);
   ropts.peers = peers;
-  ropts.rank = static_cast<uint32_t>(rank);
-  if (sync_interval_ms > 0) {
-    ropts.sync_interval = gemini::Millis(sync_interval_ms);
-  }
-  if (election_timeout_ms > 0) {
-    ropts.election_timeout = gemini::Millis(election_timeout_ms);
-  }
+  ropts.election = {static_cast<uint32_t>(rank),
+                    gemini::Millis(sync_interval_ms),
+                    gemini::Millis(election_timeout_ms)};
   gemini::CoordinatorReplica replica(&gemini::SystemClock::Global(), ropts);
 
   gemini::TransportServer::Options options;

@@ -5,7 +5,7 @@
 //
 //   ./build/tools/scenario_cli --policy=gemini-ow --records=100000
 //       --instances=5 --fragments=1000 --threads=40 --updates=5
-//       --fail=0:20:10 --fail=1:60:5 --coordfail=30:5 --evolve=100
+//       --fail=0:20:10 --fail=1:60:5 --coordfail=30 --evolve=100
 //       --seconds=120 --seed=7        (single command line)
 //
 // Output: CSV with one row per virtual second: throughput, overall hit
@@ -43,7 +43,6 @@ struct CliOptions {
   bool crash = false;
   std::vector<FailureSpec> failures;
   double coord_fail_at = -1;
-  double coord_failover = 2;
 };
 
 RecoveryPolicy ParsePolicy(const std::string& name) {
@@ -99,10 +98,12 @@ CliOptions Parse(int argc, char** argv) {
       }
       o.failures.push_back(f);
     } else if (ParseArg(argv[i], "--coordfail=", &v)) {
-      if (std::sscanf(v.c_str(), "%lf:%lf", &o.coord_fail_at,
-                      &o.coord_failover) != 2) {
-        std::fprintf(stderr, "bad --coordfail=%s (want at:failover)\n",
-                     v.c_str());
+      // --coordfail=<at_seconds>: kill the coordinator master; the shadows'
+      // election decides when one takes over.
+      int used = 0;
+      if (std::sscanf(v.c_str(), "%lf%n", &o.coord_fail_at, &used) != 1 ||
+          static_cast<size_t>(used) != v.size()) {
+        std::fprintf(stderr, "bad --coordfail=%s (want at)\n", v.c_str());
         std::exit(2);
       }
     } else {
@@ -144,8 +145,7 @@ int main(int argc, char** argv) {
     sim.SchedulePhaseChange(Seconds(first_failure), 1);
   }
   if (cli.coord_fail_at >= 0) {
-    sim.ScheduleCoordinatorFailure(Seconds(cli.coord_fail_at),
-                                   Seconds(cli.coord_failover));
+    sim.ScheduleCoordinatorFailure(Seconds(cli.coord_fail_at));
   }
   sim.Run(Seconds(cli.seconds));
 
