@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/recovery/write_back_flusher.h"
 
 namespace gemini::bench {
 namespace {
@@ -45,7 +44,6 @@ RunResult RunOnce(const BenchFlags& flags, WritePolicy policy,
   cl.write_policy = policy;
   GeminiClient client(&clock, &coordinator, raw, &store, cl);
   RecoveryWorker worker(&clock, &coordinator, raw);
-  WriteBackFlusher flusher(&clock, raw, &store);
   StaleReadChecker checker(&store);
   CostModel model(NetParams{}, 5);
   Session session;
@@ -77,10 +75,6 @@ RunResult RunOnce(const BenchFlags& flags, WritePolicy policy,
         (void)client.Write(ws, op.key, "w");
         write_lat.Record(ws.Elapsed());
       }
-      // The background flusher keeps the write-back backlog bounded.
-      if (policy == WritePolicy::kWriteBack && i % 256 == 0) {
-        (void)flusher.FlushOnce(session);
-      }
     }
   };
 
@@ -94,13 +88,7 @@ RunResult RunOnce(const BenchFlags& flags, WritePolicy policy,
   out.store_queries = store.stats().queries;
   out.write_ack_us = write_lat.Mean();
 
-  // Failure episode: measure read-back hits right after recovery. For
-  // write-back, flush the backlog first (an unflushed backlog would show as
-  // the failure-window staleness the write-back tests quantify).
-  if (policy == WritePolicy::kWriteBack) {
-    while (flusher.FlushOnce(session) > 0) {
-    }
-  }
+  // Failure episode: measure read-back hits right after recovery.
   coordinator.OnInstanceFailed(0);
   run_ops(flags.quick ? 10'000 : 40'000, nullptr, nullptr);
   coordinator.OnInstanceRecovered(0);
@@ -113,10 +101,6 @@ RunResult RunOnce(const BenchFlags& flags, WritePolicy policy,
   run_ops(flags.quick ? 10'000 : 30'000, &post_hits, &post_reads);
   out.post_recovery_hit =
       post_reads > 0 ? double(post_hits) / double(post_reads) : 0;
-  if (policy == WritePolicy::kWriteBack) {
-    while (flusher.FlushOnce(session) > 0) {
-    }
-  }
   out.stale = checker.total_stale();
   return out;
 }
@@ -133,7 +117,6 @@ int Main(int argc, char** argv) {
   for (double update : {0.05, 0.2}) {
     RunResult wa = RunOnce(flags, WritePolicy::kWriteAround, update);
     RunResult wt = RunOnce(flags, WritePolicy::kWriteThrough, update);
-    RunResult wb = RunOnce(flags, WritePolicy::kWriteBack, update);
     std::printf(
         "  %7.0f   write-around   %5.2f   %13llu   %12.0f   %18.2f   %5llu\n",
         update * 100, wa.hit_ratio * 100, (unsigned long long)wa.store_queries,
@@ -144,28 +127,17 @@ int Main(int argc, char** argv) {
         update * 100, wt.hit_ratio * 100, (unsigned long long)wt.store_queries,
         wt.write_ack_us, wt.post_recovery_hit * 100,
         (unsigned long long)wt.stale);
-    std::printf(
-        "  %7.0f   write-back     %5.2f   %13llu   %12.0f   %18.2f   %5llu\n",
-        update * 100, wb.hit_ratio * 100, (unsigned long long)wb.store_queries,
-        wb.write_ack_us, wb.post_recovery_hit * 100,
-        (unsigned long long)wb.stale);
     // Write-through must trade store read-backs for cache installs, and
-    // every policy must stay consistent (write-back: because the backlog
-    // was flushed before the failure here; the unflushed-failure hole is
-    // quantified by tests/write_back_test.cc).
+    // both policies must stay consistent.
     ok = ok && wt.store_queries <= wa.store_queries &&
-         wt.hit_ratio >= wa.hit_ratio && wa.stale == 0 && wt.stale == 0 &&
-         wb.stale == 0 && wb.hit_ratio >= wa.hit_ratio &&
-         wb.write_ack_us < wa.write_ack_us;
+         wt.hit_ratio >= wa.hit_ratio && wa.stale == 0 && wt.stale == 0;
   }
 
   PrintClaim(
       "(Section 2, unevaluated) write-through avoids the read-back misses "
-      "write-around creates; write-back additionally acknowledges writes "
-      "without a synchronous store update",
-      ok ? "write-through/back: higher hit ratio, fewer store queries; "
-           "write-back acks fastest; zero stale reads across all policies "
-           "(write-back with its backlog flushed before the failure)"
+      "write-around creates",
+      ok ? "write-through: higher hit ratio, fewer store queries; zero stale "
+           "reads under both policies"
          : "UNEXPECTED ORDERING");
   return ok ? 0 : 1;
 }

@@ -102,10 +102,9 @@ int main() {
   std::printf("  read clean key %s: cache_hit=%d from instance %u (warm!)\n",
               keys[2].c_str(), clean->cache_hit, clean->instance);
   auto dirty = client.Read(session, keys[1]);
+  const bool dirty_fresh = dirty->value.version == store.VersionOf(keys[1]);
   std::printf("  read dirty key %s: value=%s (fresh=%s)\n", keys[1].c_str(),
-              dirty->value.data.c_str(),
-              dirty->value.version == store.VersionOf(keys[1]) ? "yes"
-                                                               : "NO");
+              dirty->value.data.c_str(), dirty_fresh ? "yes" : "NO");
 
   std::printf("\n== recovery worker drains the dirty list ==\n");
   auto adopted = worker.TryAdoptFragment(session);
@@ -123,11 +122,10 @@ int main() {
   std::printf("\n== back to normal mode ==\n");
   ShowFragment(coordinator, f);
   auto final_read = client.Read(session, keys[0]);
+  const bool final_fresh =
+      final_read->value.version == store.VersionOf(keys[0]);
   std::printf("  final read %s: %s (cache_hit=%d, fresh=%s)\n",
               keys[0].c_str(), final_read->value.data.c_str(),
-              final_read->cache_hit,
-              final_read->value.version == store.VersionOf(keys[0])
-                  ? "yes"
-                  : "NO");
-  return 0;
+              final_read->cache_hit, final_fresh ? "yes" : "NO");
+  return dirty_fresh && final_fresh ? 0 : 1;
 }

@@ -87,11 +87,9 @@ int main() {
   instances[owner]->RecoverPersistent();
   coordinator.OnInstanceRecovered(owner);
   auto after_recovery = client.Read(session, "user:42:profile");
+  const bool fresh = after_recovery->value.version ==
+                     store.VersionOf("user:42:profile");
   std::printf("after recovery: %s (fresh=%s)\n",
-              after_recovery->value.data.c_str(),
-              after_recovery->value.version ==
-                      store.VersionOf("user:42:profile")
-                  ? "yes"
-                  : "NO - STALE");
-  return 0;
+              after_recovery->value.data.c_str(), fresh ? "yes" : "NO - STALE");
+  return fresh ? 0 : 1;
 }

@@ -75,5 +75,8 @@ int main() {
   std::printf("stale reads (both must be zero): %llu / %llu\n",
               (unsigned long long)sims[0]->metrics().stale.total_stale(),
               (unsigned long long)sims[1]->metrics().stale.total_stale());
-  return 0;
+  return sims[0]->metrics().stale.total_stale() == 0 &&
+                 sims[1]->metrics().stale.total_stale() == 0
+             ? 0
+             : 1;
 }

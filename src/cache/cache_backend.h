@@ -271,9 +271,14 @@ class CacheBackend {
   virtual Status Cas(const OpContext& ctx, std::string_view key,
                      Version expected, CacheValue value) = 0;
 
-  /// Write-back install: buffer the value under the Q lease, pin the entry.
-  virtual Status WriteBackInstall(const OpContext& ctx, std::string_view key,
-                                  CacheValue value, LeaseToken token) = 0;
+  /// Retired write-back install: always kInvalidArgument, and no backend in
+  /// src/ overrides it. It stays only while perfbench's TracingBackend still
+  /// declares an override.
+  virtual Status WriteBackInstall(const OpContext& /*ctx*/,
+                                  std::string_view /*key*/,
+                                  CacheValue /*value*/, LeaseToken /*token*/) {
+    return Status(Code::kInvalidArgument, "write-back is not supported");
+  }
 
   /// Appends bytes to an entry's payload, creating the entry if absent
   /// (dirty-list append semantics).

@@ -81,22 +81,6 @@ void CacheInstance::RecoverPersistent() {
     // Fragment leases did not survive the crash; the coordinator re-grants
     // them as part of publishing the recovery-mode configuration.
     fragments_.clear();
-    // Buffered write-back values are pinned in the persistent payload; the
-    // in-memory flush queue is rebuilt from them (the durability payoff of
-    // write-back on a persistent cache).
-    std::deque<PendingFlush> rebuilt;
-    for (const auto& sp : stripes_) {
-      std::lock_guard<std::mutex> lock(sp->mu);
-      for (const Entry& e : sp->lru) {
-        if (e.pinned) {
-          rebuilt.push_back(PendingFlush{e.key, e.value});
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> flush_lock(flush_mu_);
-      pending_flush_ = std::move(rebuilt);
-    }
     // Every outstanding quarantine is now resolved (swept above).
     if (sink_ != nullptr) sink_->OnQuarantineClear();
   }
@@ -114,10 +98,6 @@ void CacheInstance::RecoverVolatile() {
       sp->table.clear();
       sp->lru.clear();
       sp->used_bytes = 0;
-    }
-    {
-      std::lock_guard<std::mutex> flush_lock(flush_mu_);
-      pending_flush_.clear();  // volatile cache: buffered writes are LOST
     }
     if (sink_ != nullptr) sink_->OnVolatileWipe();
   }
@@ -238,17 +218,9 @@ void CacheInstance::EvictLocked(Stripe& st) {
   // operation just wrote. A single entry above capacity therefore survives
   // (memcached instead rejects items above its item-size cap; UpsertLocked
   // applies that rejection for values, and dirty lists stay usable).
-  // Pinned entries (buffered write-back values) are skipped: evicting one
-  // would lose an acknowledged write.
-  auto victim = st.lru.end();
-  while (st.used_bytes > stripe_capacity_ && victim != st.lru.begin()) {
-    --victim;
-    if (victim == st.lru.begin()) break;  // never the MRU entry
-    if (victim->pinned) continue;
-    auto doomed = victim;
-    ++victim;  // keep the cursor valid past the erase
+  while (st.used_bytes > stripe_capacity_ && st.lru.size() > 1) {
     counters_.evictions.fetch_add(1, std::memory_order_relaxed);
-    EraseLocked(st, doomed, /*count_as_delete=*/false);
+    EraseLocked(st, std::prev(st.lru.end()), /*count_as_delete=*/false);
   }
 }
 
@@ -315,7 +287,7 @@ void CacheInstance::LogUpsertLocked(Stripe& st, PersistOp op,
   auto it = st.table.find(key);
   if (it == st.table.end()) return;  // upsert was rejected (over budget)
   const Entry& e = *it->second;
-  sink_->OnUpsert(op, key, e.value, e.config_id, e.pinned);
+  sink_->OnUpsert(op, key, e.value, e.config_id);
 }
 
 CacheInstance::Table::iterator CacheInstance::FindValidLocked(
@@ -453,75 +425,6 @@ Status CacheInstance::Dar(const OpContext& ctx, std::string_view key,
   return Status::Ok();
 }
 
-Status CacheInstance::WriteBackInstall(const OpContext& ctx,
-                                       std::string_view key, CacheValue value,
-                                       LeaseToken token) {
-  std::shared_lock<std::shared_mutex> meta(meta_mu_);
-  if (Status s = CheckRequestMeta(ctx); !s.ok()) return s;
-  const ConfigId cfg = StampForMeta(ctx);
-  Stripe& st = StripeOf(key);
-  std::lock_guard<std::mutex> lock(st.mu);
-  if (!leases_.CheckQ(key, token)) {
-    return Status(Code::kLeaseInvalid);
-  }
-  CacheValue copy = value;
-  if (!UpsertLocked(st, key, std::move(value), cfg)) {
-    // Larger than the stripe's budget: the write cannot be buffered; the
-    // caller must fall back to a synchronous policy.
-    return Status(Code::kInvalidArgument, "value larger than cache capacity");
-  }
-  auto it = st.table.find(key);
-  it->second->pinned = true;
-  {
-    std::lock_guard<std::mutex> flush_lock(flush_mu_);
-    pending_flush_.push_back(PendingFlush{std::string(key), std::move(copy)});
-  }
-  // Logged pinned and waited for here, under the stripe lock, even inside
-  // the server's scope: the ack'd value exists nowhere but this cache until
-  // its flush lands, so no reader may see it before it is durable.
-  EagerScope isolated(/*isolated=*/true);
-  LogUpsertLocked(st, PersistOp::kWriteBack, key);
-  if (Status s = WaitEager(isolated); !s.ok()) return s;
-  if (sink_ != nullptr) sink_->OnQuarantineEnd(key);
-  leases_.ReleaseQ(key, token);
-  return Status::Ok();
-}
-
-std::vector<CacheInstance::PendingFlush> CacheInstance::TakePendingFlushes(
-    size_t max) {
-  std::lock_guard<std::mutex> lock(flush_mu_);
-  std::vector<PendingFlush> out;
-  while (!pending_flush_.empty() && out.size() < max) {
-    out.push_back(std::move(pending_flush_.front()));
-    pending_flush_.pop_front();
-  }
-  return out;
-}
-
-void CacheInstance::Unpin(std::string_view key, Version version) {
-  Stripe& st = StripeOf(key);
-  std::lock_guard<std::mutex> lock(st.mu);
-  auto it = st.table.find(key);
-  if (it == st.table.end()) return;
-  // A newer buffered write keeps the pin until its own flush lands.
-  if (it->second->value.version <= version) {
-    it->second->pinned = false;
-  }
-  EvictLocked(st);
-}
-
-size_t CacheInstance::pending_flush_count() const {
-  size_t pinned = 0;
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    for (const Entry& e : sp->lru) {
-      if (e.pinned) ++pinned;
-    }
-  }
-  std::lock_guard<std::mutex> lock(flush_mu_);
-  return std::max(pinned, pending_flush_.size());
-}
-
 Status CacheInstance::Rar(const OpContext& ctx, std::string_view key,
                           CacheValue value, LeaseToken token) {
   std::shared_lock<std::shared_mutex> meta(meta_mu_);
@@ -533,11 +436,6 @@ Status CacheInstance::Rar(const OpContext& ctx, std::string_view key,
     return Status(Code::kLeaseInvalid);
   }
   UpsertLocked(st, key, std::move(value), cfg);
-  // A synchronous write supersedes any buffered one for this key: the
-  // installed value is already committed, so the pin can go (a late flush
-  // of the older buffered version is a no-op at the store).
-  auto it = st.table.find(key);
-  if (it != st.table.end()) it->second->pinned = false;
   LogUpsertLocked(st, PersistOp::kRar, key);
   if (sink_ != nullptr) sink_->OnQuarantineEnd(key);
   leases_.ReleaseQ(key, token);
@@ -807,8 +705,8 @@ std::optional<ConfigId> CacheInstance::RawConfigIdOf(
 }
 
 void CacheInstance::ForEachEntry(
-    const std::function<void(std::string_view, const CacheValue&, ConfigId,
-                             bool)>& fn) const {
+    const std::function<void(std::string_view, const CacheValue&, ConfigId)>&
+        fn) const {
   // Lock every stripe, in ascending index order, for the whole iteration:
   // the callback observes one coherent cut of the table even while writers
   // run on other threads (they block on their stripe until we finish).
@@ -819,27 +717,17 @@ void CacheInstance::ForEachEntry(
   }
   for (const auto& sp : stripes_) {
     for (const Entry& e : sp->lru) {
-      fn(e.key, e.value, e.config_id, e.pinned);
+      fn(e.key, e.value, e.config_id);
     }
   }
 }
 
 Status CacheInstance::RestoreEntry(std::string_view key, CacheValue value,
-                                   ConfigId config_id, bool pinned) {
+                                   ConfigId config_id) {
   Stripe& st = StripeOf(key);
   std::lock_guard<std::mutex> lock(st.mu);
-  CacheValue copy = pinned ? value : CacheValue{};
   if (!UpsertLocked(st, key, std::move(value), config_id)) {
     return Status(Code::kInvalidArgument, "entry larger than cache capacity");
-  }
-  // The pin state is restored explicitly both ways: WAL replay re-installs a
-  // key several times, and a later unpinned record must clear the pin a
-  // prior pinned record set.
-  auto it = st.table.find(key);
-  it->second->pinned = pinned;
-  if (pinned) {
-    std::lock_guard<std::mutex> flush_lock(flush_mu_);
-    pending_flush_.push_back(PendingFlush{std::string(key), std::move(copy)});
   }
   return Status::Ok();
 }
@@ -851,21 +739,6 @@ void CacheInstance::RestoreErase(std::string_view key) {
   if (it != st.table.end()) {
     EraseLocked(st, it->second, /*count_as_delete=*/false);
   }
-}
-
-void CacheInstance::RebuildFlushQueue() {
-  std::unique_lock<std::shared_mutex> meta(meta_mu_);
-  std::deque<PendingFlush> rebuilt;
-  for (const auto& sp : stripes_) {
-    std::lock_guard<std::mutex> lock(sp->mu);
-    for (const Entry& e : sp->lru) {
-      if (e.pinned) {
-        rebuilt.push_back(PendingFlush{e.key, e.value});
-      }
-    }
-  }
-  std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  pending_flush_ = std::move(rebuilt);
 }
 
 void CacheInstance::SetPersistenceSink(PersistenceSink* sink) {

@@ -40,12 +40,11 @@
 //
 // Lock order (never take a later lock while holding an earlier one in
 // reverse): meta (shared_mutex) → stripe mutex (ascending index when taking
-// several) → flush-queue mutex → LeaseTable's internal lock.
+// several) → LeaseTable's internal lock.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -206,32 +205,6 @@ class CacheInstance : public CacheBackend {
   Status Cas(const OpContext& ctx, std::string_view key, Version expected,
              CacheValue value) override;
 
-  /// Write-back install (extension; Section 2 names write-back as a write
-  /// policy): installs the buffered value under the Q lease, *pins* the
-  /// entry (pinned entries are never evicted — losing a buffered write
-  /// before its flush would lose the write), and enqueues it for the
-  /// flusher. The entry's version is the store's reserved version.
-  Status WriteBackInstall(const OpContext& ctx, std::string_view key,
-                          CacheValue value, LeaseToken token) override;
-
-  /// A buffered write awaiting its data-store flush.
-  struct PendingFlush {
-    std::string key;
-    CacheValue value;
-  };
-
-  /// Pops up to `max` buffered writes for flushing (pins stay until Unpin).
-  std::vector<PendingFlush> TakePendingFlushes(size_t max);
-
-  /// Releases the pin placed by WriteBackInstall once the flush for
-  /// `version` committed. A newer buffered write (higher version) keeps the
-  /// entry pinned.
-  void Unpin(std::string_view key, Version version);
-
-  /// Number of buffered writes not yet handed to a flusher + pinned entries
-  /// (diagnostics).
-  [[nodiscard]] size_t pending_flush_count() const;
-
   /// Appends bytes to an entry's payload, creating the entry if absent
   /// (memcached "append" semantics as Gemini needs them: a re-created dirty
   /// list is detectable because it lacks the marker).
@@ -300,26 +273,20 @@ class CacheInstance : public CacheBackend {
   /// not call back into the instance. Used by the snapshot writer.
   void ForEachEntry(
       const std::function<void(std::string_view key, const CacheValue& value,
-                               ConfigId config_id, bool pinned)>& fn) const;
+                               ConfigId config_id)>& fn) const;
 
   /// Installs an entry with an explicit config-id stamp, bypassing leases
   /// and the config-staleness check. Snapshot restore only: the stamp must
   /// reproduce what the entry carried when it was persisted, or the Rejig
-  /// validity rule would mis-classify it. A pinned entry (buffered
-  /// write-back value) is re-pinned and re-enqueued for flushing.
+  /// validity rule would mis-classify it. kInvalidArgument when the entry
+  /// is larger than its stripe's budget.
   Status RestoreEntry(std::string_view key, CacheValue value,
-                      ConfigId config_id, bool pinned = false);
+                      ConfigId config_id);
 
   /// Erases the physically present entry for `key` without touching leases,
   /// op counters, or the persistence sink. Recovery replay only (the
   /// durable log already accounts for the deletion being re-applied).
   void RestoreErase(std::string_view key);
-
-  /// Clears the pending-flush queue and rebuilds it from the entries that
-  /// are pinned *now* — the post-replay analogue of RecoverPersistent's
-  /// sweep. WAL replay enqueues one flush per pinned upsert record, some of
-  /// them superseded; only the final pinned state may be flushed.
-  void RebuildFlushQueue();
 
   /// Swaps the persistence sink (see Options::persistence). Used when a
   /// recovered process re-attaches a fresh store to an existing instance
@@ -339,9 +306,6 @@ class CacheInstance : public CacheBackend {
     std::string key;
     CacheValue value;
     ConfigId config_id = 0;
-    /// Pinned entries hold a not-yet-flushed write-back value and are
-    /// exempt from eviction.
-    bool pinned = false;
   };
   using LruList = std::list<Entry>;
   using Table = std::unordered_map<std::string_view, LruList::iterator>;
@@ -435,9 +399,6 @@ class CacheInstance : public CacheBackend {
   std::vector<std::unique_ptr<Stripe>> stripes_;
   uint64_t stripe_mask_ = 0;
   uint64_t stripe_capacity_ = 0;  // capacity_bytes / num_stripes
-
-  mutable std::mutex flush_mu_;
-  std::deque<PendingFlush> pending_flush_;
 
   mutable Counters counters_;
 };

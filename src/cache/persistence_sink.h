@@ -17,9 +17,7 @@
 // is released. CacheInstance opens a scope around each method that can
 // append an eager record; geminid's event loop opens one around each frame
 // and holds that frame's reply until the LSN is durable, so the loop never
-// waits at all. The one exception is CacheInstance::WriteBackInstall, which
-// waits under its stripe lock: its pinned value is the only copy of a
-// write.
+// waits at all. No thread waits for an fsync while it holds a cache lock.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +39,8 @@ enum class PersistOp : uint8_t {
   kIqSet = 1,      // IqSet filling a miss under an I lease
   kRar = 2,        // read-after-recovery copy-in
   kAppend = 3,     // read-modify-write append
-  kWriteBack = 4,  // WriteBackInstall of a buffered dirty write
+  // 4 stays unassigned: it was the retired write-back install, and origin
+  // bytes already on disk carry it.
   kDelete = 5,     // plain Delete
   kDar = 6,        // delete-after-recovery
   kIDelete = 7,    // invalidate under an I lease
@@ -75,11 +74,8 @@ class PersistenceSink {
   virtual ~PersistenceSink() = default;
 
   /// `key` now maps to `value` (exact bytes, version, charge) at `config_id`.
-  /// `pinned` mirrors the flush-queue pin (buffered write not yet persisted
-  /// to the data store).
   virtual void OnUpsert(PersistOp op, std::string_view key,
-                        const CacheValue& value, ConfigId config_id,
-                        bool pinned) = 0;
+                        const CacheValue& value, ConfigId config_id) = 0;
 
   /// `key` no longer maps to anything.
   virtual void OnDelete(PersistOp op, std::string_view key) = 0;
@@ -89,8 +85,8 @@ class PersistenceSink {
   /// value may be about to diverge from the data store.
   virtual void OnQuarantineBegin(std::string_view key) = 0;
 
-  /// The Q lease on `key` resolved (Dar applied, write-back installed, or
-  /// the lease expired and the entry was dropped).
+  /// The Q lease on `key` resolved (Dar or Rar applied, or the lease
+  /// expired and the entry was dropped).
   virtual void OnQuarantineEnd(std::string_view key) = 0;
 
   /// The instance-wide latest config id advanced to `latest`.
@@ -100,8 +96,8 @@ class PersistenceSink {
   /// resolved (the swept keys were reported through OnDelete first).
   virtual void OnQuarantineClear() = 0;
 
-  /// RecoverVolatile wiped the instance: all prior entries, pins, and
-  /// quarantines are gone (the observed config id survives).
+  /// RecoverVolatile wiped the instance: all prior entries and quarantines
+  /// are gone (the observed config id survives).
   virtual void OnVolatileWipe() = 0;
 
   /// Non-blocking: kDurable once an fsync covers `lsn`, kFailed once the log
@@ -123,18 +119,13 @@ class PersistenceSink {
 /// the thread can wait for their fsync after it has released its locks.
 /// Every eager record is appended inside a scope: CacheInstance opens one
 /// around each method that can append one. Scopes nest: an inner scope
-/// hands its records to the scope that owns the enclosing one (the
-/// outermost, unless an isolated one intervenes), which waits instead
-/// (geminid's event loop, which holds the reply rather than blocking). An
-/// `isolated` scope owns its records even when nested; WriteBackInstall
-/// uses one to wait under its stripe lock. The owner knows the sink: every
-/// eager method runs against a single instance.
+/// hands its records to the outermost one, whose owner waits instead
+/// (geminid's event loop, which holds the reply rather than blocking). The
+/// owner knows the sink: every eager method runs against a single instance.
 class EagerScope {
  public:
-  EagerScope() : EagerScope(false) {}
-  explicit EagerScope(bool isolated)
-      : outer_(current_),
-        owner_(outer_ != nullptr && !isolated ? outer_->owner_ : this) {
+  EagerScope()
+      : outer_(current_), owner_(outer_ != nullptr ? outer_->owner_ : this) {
     current_ = this;
   }
   ~EagerScope() { current_ = outer_; }
@@ -150,7 +141,7 @@ class EagerScope {
   }
 
   /// The highest LSN this scope owns: 0 when it collected none, and always
-  /// in a nested, non-isolated scope, whose records its owner waits for.
+  /// in a nested scope, whose records its owner waits for.
   [[nodiscard]] Lsn lsn() const { return lsn_; }
 
  private:

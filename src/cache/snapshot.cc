@@ -73,14 +73,14 @@ std::string Snapshot::Serialize(CacheInstance& instance) {
   uint64_t entry_count = 0;
   std::string body;
   instance.ForEachEntry([&](std::string_view key, const CacheValue& value,
-                            ConfigId config_id, bool pinned) {
+                            ConfigId config_id) {
     ++entry_count;
     PutBytes(body, key);
     PutBytes(body, value.data);
     PutU32(body, value.charged_bytes);
     PutU64(body, value.version);
     PutU64(body, config_id);
-    PutU32(body, pinned ? 1 : 0);
+    PutU32(body, 0);  // flags: reserved
   });
   PutU64(out, entry_count);
   PutU64(out, quarantined.size());
@@ -117,7 +117,6 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
     std::string key;
     CacheValue value;
     ConfigId config_id;
-    bool pinned = false;
   };
   // The header's count is untrusted until the entries parse: reserve only
   // what the remaining bytes can hold, or a damaged count that passed the
@@ -134,10 +133,19 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
         !reader.GetU64(&config_id) || !reader.GetU32(&flags)) {
       return Status(Code::kInternal, "snapshot entry corrupt");
     }
+    if ((flags & 1) != 0) {
+      return Status(Code::kInternal,
+                    "snapshot holds a pinned write-back value for key " +
+                        p.key +
+                        " that never reached the data store; write-back is "
+                        "no longer supported");
+    }
+    if (flags != 0) {
+      return Status(Code::kInternal, "snapshot entry flags corrupt");
+    }
     p.value.charged_bytes = charged;
     p.value.version = version;
     p.config_id = config_id;
-    p.pinned = (flags & 1) != 0;
     entries.push_back(std::move(p));
   }
   std::unordered_set<std::string> quarantined;
@@ -153,12 +161,12 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
   }
 
   // Install in reverse so LRU order (most-recent-first in the snapshot) is
-  // reconstructed; skip quarantined keys (the crash-spanning Q rule).
+  // reconstructed; skip quarantined keys (the crash-spanning Q rule). An
+  // entry over this instance's stripe budget is rejected and dropped, as
+  // WAL replay drops it: a miss.
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     if (quarantined.count(it->key) > 0) continue;
-    Status s = instance.RestoreEntry(it->key, std::move(it->value),
-                                     it->config_id, it->pinned);
-    if (!s.ok()) return s;
+    (void)instance.RestoreEntry(it->key, std::move(it->value), it->config_id);
   }
   return Status::Ok();
 }

@@ -10,15 +10,21 @@
 // Format (little-endian, versioned):
 //   header:  magic "GEMSNAP1" | u64 entry_count | u64 quarantined_count
 //   entry:   u32 key_len | key bytes | u32 data_len | data bytes |
-//            u32 charged_bytes | u64 version | u64 config_id
+//            u32 charged_bytes | u64 version | u64 config_id | u32 flags
 //   quarantined keys: u32 key_len | key bytes  (per key)
 //   trailer: u64 FNV-1a checksum of everything before it
+//
+// `flags` is reserved and always written 0. Bit 0 marked a write-back value
+// the data store had not seen yet; Load refuses an entry that carries it,
+// naming write-back, and treats any other set bit as corruption.
 //
 // Load validates the magic and checksum and fails closed (kInternal) on any
 // corruption: a persistent cache must never serve a torn snapshot. Loading
 // applies the crash-spanning Q rule: quarantined keys are NOT restored
 // (their writers may have updated the data store without completing the
-// delete).
+// delete). An entry larger than the instance's per-stripe budget (a restart
+// with a smaller --capacity-mb or more stripes) is skipped: a miss, never a
+// stale read.
 #pragma once
 
 #include <string>
@@ -38,7 +44,8 @@ class Snapshot {
 
   /// Parses `payload` and installs its entries into `instance` (which
   /// should be empty — existing entries are replaced on key collision).
-  /// Quarantined keys are skipped. Fails closed on corruption.
+  /// Quarantined and over-budget entries are skipped. Fails closed on
+  /// corruption, and before installing anything.
   static Status Load(CacheInstance& instance, std::string_view payload);
 
   /// Reads `path` and Load()s it.

@@ -537,36 +537,9 @@ Result<GeminiClient::ReadResult> GeminiClient::ReadRecovery(
 Status GeminiClient::CommitWrite(Session& session, CacheBackend& inst,
                                  InstanceId instance, const OpContext& ctx,
                                  std::string_view key, LeaseToken q_token,
-                                 std::optional<std::string>& data,
-                                 bool allow_write_back) {
-  if (options_.write_policy == WritePolicy::kWriteBack && allow_write_back) {
-    // Write-back: reserve the version (cheap metadata round trip), install
-    // the buffered value under the Q lease, acknowledge. The flusher
-    // applies the payload to the store later.
-    session.BillStoreRoundTrip();  // version reservation, not a full update
-    const Version version = store_->ReserveVersion(key);
-    CacheValue value = data.has_value()
-                           ? CacheValue::OfData(std::move(*data), version)
-                           : CacheValue::OfSize(0, version);
-    data.reset();
-    session.BillCacheOp(instance);
-    Status s = inst.WriteBackInstall(ctx, key, std::move(value), q_token);
-    if (s.ok() || s.code() == Code::kLeaseInvalid) {
-      // kLeaseInvalid: Q expired mid-session; the entry is deleted by the
-      // expiry rule and the reservation commits vacuously later.
-      return Status::Ok();
-    }
-    // Could not buffer (e.g. value larger than the cache): fall through to
-    // a synchronous write so the reservation is committed immediately.
-    store_->CommitReserved(key, version, std::nullopt);
-    session.BillStoreUpdate();
-    session.BillCacheOp(instance);
-    return inst.Dar(ctx, key, q_token);
-  }
+                                 std::optional<std::string>& data) {
   session.BillStoreUpdate();
-  if (options_.write_policy == WritePolicy::kWriteThrough ||
-      (options_.write_policy == WritePolicy::kWriteBack &&
-       !allow_write_back)) {
+  if (options_.write_policy == WritePolicy::kWriteThrough) {
     // Write-through: install the post-update record under the same Q lease
     // (replace-and-release) instead of deleting the entry.
     StoreRecord rec = store_->UpdateAndGet(key, std::move(data));
@@ -613,8 +586,7 @@ Status GeminiClient::Write(Session& session, std::string_view key,
           s = q.status();
           break;
         }
-        s = CommitWrite(session, inst, a.primary, ctx, key, *q, data,
-                        /*allow_write_back=*/true);
+        s = CommitWrite(session, inst, a.primary, ctx, key, *q, data);
         break;
       }
       case FragmentMode::kTransient: {
@@ -643,8 +615,7 @@ Status GeminiClient::Write(Session& session, std::string_view key,
             break;
           }
         }
-        s = CommitWrite(session, inst, a.secondary, ctx, key, *q, data,
-                        /*allow_write_back=*/false);
+        s = CommitWrite(session, inst, a.secondary, ctx, key, *q, data);
         break;
       }
       case FragmentMode::kRecovery: {
@@ -671,8 +642,7 @@ Status GeminiClient::Write(Session& session, std::string_view key,
           // about to terminate the transfer anyway (Section 3.3).
           (void)instances_.at(a.secondary)->Delete(ctx, key);
         }
-        s = CommitWrite(session, pr, a.primary, ctx, key, *q, data,
-                        /*allow_write_back=*/false);
+        s = CommitWrite(session, pr, a.primary, ctx, key, *q, data);
         if (s.ok()) MarkKeyClean(f, a.epoch, key);
         break;
       }

@@ -58,14 +58,6 @@ namespace gemini {
 enum class WritePolicy : uint8_t {
   kWriteAround,
   kWriteThrough,
-  /// Extension: acknowledge after installing the value in the (persistent)
-  /// cache; a WriteBackFlusher applies it to the data store asynchronously.
-  /// Read-after-write holds while the primary is reachable; an unflushed
-  /// write is invisible to other replicas until flushed — the failure-window
-  /// hole bench/ablation_write_policy quantifies (and the reason the paper
-  /// evaluates write-around). Outside normal mode the client falls back to
-  /// write-through.
-  kWriteBack,
 };
 
 class GeminiClient {
@@ -79,7 +71,7 @@ class GeminiClient {
     int max_config_retries = 8;
     /// Working set transfer enabled (policy +W variants).
     bool working_set_transfer = false;
-    /// Write processing policy (Section 2). Write-back is out of scope.
+    /// Write processing policy (Section 2).
     WritePolicy write_policy = WritePolicy::kWriteAround;
     /// Record written keys on the fragment's dirty list in transient mode.
     /// True for Gemini; the VolatileCache/StaleCache baselines do not
@@ -246,7 +238,7 @@ class GeminiClient {
   Status CommitWrite(Session& session, CacheBackend& inst,
                      InstanceId instance, const OpContext& ctx,
                      std::string_view key, LeaseToken q_token,
-                     std::optional<std::string>& data, bool allow_write_back);
+                     std::optional<std::string>& data);
 
   // Fetches (or reuses) the dirty list of a fragment in recovery mode.
   // Returns nullptr if the list is unavailable (primary being discarded).

@@ -66,12 +66,6 @@ void Session::BillStoreUpdate() {
   cursor_ = done + p.client_store_rtt / 2;
 }
 
-void Session::BillStoreRoundTrip() {
-  ++counts_.store_queries;
-  if (model_ == nullptr) return;
-  cursor_ += model_->params().client_store_rtt;
-}
-
 void Session::BillCoordinatorOp() {
   ++counts_.coordinator_ops;
   if (model_ == nullptr) return;

@@ -108,9 +108,6 @@ class Session {
   void BillCacheOp(InstanceId id);
   void BillStoreQuery();
   void BillStoreUpdate();
-  /// A metadata-only store round trip (e.g. a write-back version
-  /// reservation): pays the network RTT but no data-path service time.
-  void BillStoreRoundTrip();
   void BillCoordinatorOp();
   /// Client-side back-off before retrying a lease collision.
   void BillBackoff(Duration d);

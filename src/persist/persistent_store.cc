@@ -147,14 +147,23 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
       ++replayed_records_;
       switch (rec.type) {
         case WalRecordType::kUpsert: {
+          if (rec.pinned) {
+            // The retired write-back policy acknowledged this value before
+            // the data store had it, and nothing can flush it now.
+            return Status(Code::kInternal,
+                          "wal segment " + Wal::SegmentPath(dir_, seq) +
+                              " holds a pinned write-back value for key " +
+                              rec.key +
+                              " that never reached the data store; "
+                              "write-back is no longer supported");
+          }
           CacheValue value;
           value.data = rec.data;
           value.charged_bytes = rec.charged_bytes;
           value.version = rec.version;
-          // Rejected only when larger than the cache budget — then it was
-          // never accepted live either.
+          // Rejected only when larger than the cache budget: a miss.
           (void)instance.RestoreEntry(rec.key, std::move(value),
-                                      rec.config_id, rec.pinned);
+                                      rec.config_id);
           break;
         }
         case WalRecordType::kDelete:
@@ -192,13 +201,8 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
     }
   }
 
-  // Replay re-enqueued a flush per pinned upsert record; rebuild the queue
-  // from the *final* pinned entries so superseded buffered writes are not
-  // re-flushed over newer data-store state.
-  instance.RebuildFlushQueue();
-
   instance.ForEachEntry([&max_config](std::string_view, const CacheValue&,
-                                      ConfigId config_id, bool) {
+                                      ConfigId config_id) {
     max_config = std::max(max_config, config_id);
   });
   if (max_config > 0) instance.ObserveConfigId(max_config);
@@ -576,19 +580,16 @@ void PersistentStore::BackgroundLoop() {
 // ---- PersistenceSink --------------------------------------------------------
 
 void PersistentStore::OnUpsert(PersistOp op, std::string_view key,
-                               const CacheValue& value, ConfigId config_id,
-                               bool pinned) {
+                               const CacheValue& value, ConfigId config_id) {
   WalUpsertRef rec;  // view: framed under q_mu_ before the sink returns
   rec.origin = static_cast<uint8_t>(op);
-  rec.pinned = pinned;
   rec.key = key;
   rec.data = value.data;
   rec.charged_bytes = value.charged_bytes;
   rec.version = value.version;
   rec.config_id = config_id;
-  // A write-back install is ack'd to the client while the value exists
-  // nowhere but this cache: it must survive a crash, so it skips the batch.
-  Append(rec, /*eager=*/op == PersistOp::kWriteBack);
+  // Always batched: a lost upsert is a miss, never a stale read.
+  Append(rec, /*eager=*/false);
 }
 
 void PersistentStore::OnDelete(PersistOp op, std::string_view key) {

@@ -26,7 +26,6 @@
 //                     quarantine the key)
 //   - kConfigId      (serving under an older config would resurrect entries
 //                     Rejig already discarded)
-//   - write-back upserts (the ack'd value exists nowhere but this cache)
 //   - ISet/IDelete deletes (recovery-mode invalidations)
 //   - kWipe          (RecoverVolatile)
 // Losing a batched record is always conservative: a lost upsert is a miss, a
@@ -106,7 +105,9 @@ class PersistentStore final : public PersistenceSink {
   /// (construct it with Options::persistence == this), and starts recording.
   /// Fails closed (kInternal) on corruption: a damaged checkpoint, a
   /// mid-log CRC mismatch, a torn tail anywhere but the newest segment, or
-  /// a gap in the segment sequence. One-shot per store.
+  /// a gap in the segment sequence. Also kInternal, naming write-back, when
+  /// a record or checkpoint entry carries the retired write-back pin: that
+  /// write never reached the data store. One-shot per store.
   Status Open(CacheInstance& instance);
 
   /// Rotates the log, snapshots the instance, and garbage-collects covered
@@ -156,7 +157,7 @@ class PersistentStore final : public PersistenceSink {
 
   // ---- PersistenceSink (called by CacheInstance under its locks) ----------
   void OnUpsert(PersistOp op, std::string_view key, const CacheValue& value,
-                ConfigId config_id, bool pinned) override;
+                ConfigId config_id) override;
   void OnDelete(PersistOp op, std::string_view key) override;
   void OnQuarantineBegin(std::string_view key) override;
   void OnQuarantineEnd(std::string_view key) override;

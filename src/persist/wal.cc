@@ -138,7 +138,7 @@ void WalUpsertRef::EncodeTo(std::string& out) const {
   // decodes both through WalRecord::Decode.
   PutU8(out, static_cast<uint8_t>(WalRecordType::kUpsert));
   PutU8(out, origin);
-  PutU8(out, pinned ? 1 : 0);
+  PutU8(out, 0);  // pinned: reserved
   PutU64(out, config_id);
   PutU64(out, version);
   PutU32(out, charged_bytes);

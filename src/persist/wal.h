@@ -7,6 +7,17 @@
 //   frame:   u32 payload_len | u32 crc32c(payload) | payload
 //   payload: u8 type | type-specific fields        (little-endian throughout)
 //
+// Type-specific fields (strings are u32 length | bytes):
+//   kUpsert:   u8 origin | u8 pinned | u64 config_id | u64 version |
+//              u32 charged_bytes | string key | string data
+//   kDelete:   u8 origin | string key
+//   kQBegin, kQEnd: string key
+//   kConfigId: u64 config_id
+//   kQClear, kWipe: nothing
+// `origin` is the PersistOp that caused the mutation (persistence_sink.h).
+// `pinned` is reserved and always written 0: it marked a write-back value
+// the data store had not seen yet. Replay refuses a record that carries 1.
+//
 // Appends go through a buffered write() immediately (so the record is visible
 // to a same-OS reader and survives a process crash) and are fsync-batched for
 // power-loss durability: a record is synced either eagerly (`sync_now`, used
@@ -52,6 +63,7 @@ enum class WalRecordType : uint8_t {
 struct WalRecord {
   WalRecordType type = WalRecordType::kUpsert;
   uint8_t origin = 0;  // PersistOp that caused the mutation (log legibility)
+  /// kUpsert's reserved write-back byte, decoded so replay can refuse a 1.
   bool pinned = false;
   std::string key;
   std::string data;
@@ -72,7 +84,6 @@ struct WalRecord {
 /// buffers, skipping the two string copies a WalRecord would cost per Set.
 struct WalUpsertRef {
   uint8_t origin = 0;
-  bool pinned = false;
   std::string_view key;
   std::string_view data;
   uint32_t charged_bytes = 0;

@@ -1,6 +1,5 @@
 #include "src/store/data_store.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -32,46 +31,7 @@ Result<StoreRecord> DataStore::Query(std::string_view key) const {
 
 Version DataStore::Update(std::string_view key,
                           std::optional<std::string> data) {
-  SimulateLatency();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.updates;
-  auto& rec = records_[std::string(key)];
-  if (data.has_value()) {
-    rec.size_bytes = static_cast<uint32_t>(data->size());
-    rec.data = std::move(*data);
-  }
-  rec.version = std::max(rec.version, rec.reserved) + 1;
-  rec.reserved = rec.version;
-  return rec.version;
-}
-
-Version DataStore::ReserveVersion(std::string_view key) {
-  SimulateLatency();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& rec = records_[std::string(key)];
-  rec.reserved = std::max(rec.reserved, rec.version) + 1;
-  return rec.reserved;
-}
-
-void DataStore::CommitReserved(std::string_view key, Version version,
-                               std::optional<std::string> data) {
-  SimulateLatency();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.updates;
-  auto& rec = records_[std::string(key)];
-  if (version > rec.version) {
-    rec.version = version;
-    if (data.has_value()) {
-      rec.size_bytes = static_cast<uint32_t>(data->size());
-      rec.data = std::move(*data);
-    }
-  }
-}
-
-Version DataStore::CommittedVersionOf(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(std::string(key));
-  return it == records_.end() ? 0 : it->second.version;
+  return UpdateAndGet(key, std::move(data)).version;
 }
 
 StoreRecord DataStore::UpdateAndGet(std::string_view key,
@@ -84,16 +44,14 @@ StoreRecord DataStore::UpdateAndGet(std::string_view key,
     rec.size_bytes = static_cast<uint32_t>(data->size());
     rec.data = std::move(*data);
   }
-  rec.version = std::max(rec.version, rec.reserved) + 1;
-  rec.reserved = rec.version;
+  ++rec.version;
   return rec;
 }
 
 Version DataStore::VersionOf(std::string_view key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.find(std::string(key));
-  if (it == records_.end()) return 0;
-  return std::max(it->second.version, it->second.reserved);
+  return it == records_.end() ? 0 : it->second.version;
 }
 
 uint64_t DataStore::size() const {

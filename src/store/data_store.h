@@ -34,9 +34,6 @@ struct StoreRecord {
   std::string data;
   uint32_t size_bytes = 0;
   Version version = 0;
-  /// Highest version handed out by ReserveVersion (>= version). The gap
-  /// between `reserved` and `version` is the write-back flush backlog.
-  Version reserved = 0;
 };
 
 class DataStore {
@@ -69,11 +66,11 @@ class DataStore {
   /// Models the store's per-operation round trip: the system of record is a
   /// database across a network hop, not an in-process map, and the cost
   /// asymmetry between a cache hit and a store fetch is what makes cache
-  /// warmth worth preserving. When nonzero, Query/Update/ReserveVersion/
-  /// CommitReserved each sleep this long (outside the lock — concurrent
-  /// callers overlap, as requests to a real store would) before touching
-  /// the records. Off by default; process-level harnesses and benches
-  /// opt in. Bulk loads (Put, LoadSynthetic*) are never delayed.
+  /// warmth worth preserving. When nonzero, each Query and update sleeps
+  /// this long (outside the lock — concurrent callers overlap, as requests
+  /// to a real store would) before touching the records. Off by default;
+  /// process-level harnesses and benches opt in. Bulk loads (Put,
+  /// LoadSynthetic*) are never delayed.
   void set_synthetic_latency(Duration latency) {
     synthetic_latency_us_.store(latency, std::memory_order_relaxed);
   }
@@ -95,22 +92,9 @@ class DataStore {
   StoreRecord UpdateAndGet(std::string_view key,
                            std::optional<std::string> data = std::nullopt);
 
-  /// Write-back support: reserves the next version for `key` without
-  /// touching the payload (the metadata op a write-back write performs
-  /// synchronously; the data follows via CommitReserved).
-  Version ReserveVersion(std::string_view key);
-
-  /// Applies a previously reserved write. Out-of-order commits are handled:
-  /// the payload lands only if `version` is newer than what is committed.
-  void CommitReserved(std::string_view key, Version version,
-                      std::optional<std::string> data);
-
-  /// Latest *acknowledged* version (committed or reserved): the version a
+  /// Latest version of `key` (0 if never written): the version a
   /// read-after-write-consistent read must observe.
   [[nodiscard]] Version VersionOf(std::string_view key) const;
-
-  /// Latest *committed* version (flushed to the store's own media).
-  [[nodiscard]] Version CommittedVersionOf(std::string_view key) const;
 
   [[nodiscard]] uint64_t size() const;
 

@@ -1070,10 +1070,12 @@ void TransportServer::ServeOp(Shard& shard, Connection& conn, wire::Op op,
       return Dispatch<Op::kIDelete>(out, body,
                                     bind_front(&CacheInstance::IDelete, in));
     case Op::kWriteBackInstall:
+      // Retired (docs/PROTOCOL.md §10.3): no op could flush what it
+      // installed, so it only validates its body and refuses.
       return Dispatch<Op::kWriteBackInstall>(
-          out, body, [in](OpContext ctx, wire::Key key, LeaseToken token,
-                          CacheValue value) {
-            return in->WriteBackInstall(ctx, key, std::move(value), token);
+          out, body, [](OpContext, wire::Key, LeaseToken, CacheValue) {
+            return Status(Code::kInvalidArgument,
+                          "write-back is not supported");
           });
     case Op::kRedAcquire:
       return Dispatch<Op::kRedAcquire>(

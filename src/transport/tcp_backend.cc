@@ -233,12 +233,6 @@ Status TcpCacheBackend::Cas(const OpContext& ctx, std::string_view key,
   return conn_->Call<Op::kCas>(ctx, key, expected, value);
 }
 
-Status TcpCacheBackend::WriteBackInstall(const OpContext& ctx,
-                                         std::string_view key,
-                                         CacheValue value, LeaseToken token) {
-  return conn_->Call<Op::kWriteBackInstall>(ctx, key, token, value);
-}
-
 Status TcpCacheBackend::Append(const OpContext& ctx, std::string_view key,
                                std::string_view data) {
   return conn_->Call<Op::kAppend>(ctx, key, data);

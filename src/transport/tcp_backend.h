@@ -118,8 +118,6 @@ class TcpCacheBackend : public CacheBackend {
       const std::vector<IDeleteRequest>& reqs) override;
   Status Cas(const OpContext& ctx, std::string_view key, Version expected,
              CacheValue value) override;
-  Status WriteBackInstall(const OpContext& ctx, std::string_view key,
-                          CacheValue value, LeaseToken token) override;
   Status Append(const OpContext& ctx, std::string_view key,
                 std::string_view data) override;
   Result<LeaseToken> AcquireRed(std::string_view key) override;

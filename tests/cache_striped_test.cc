@@ -168,10 +168,11 @@ TEST(CacheStriped, HammerExactClientObservedAccounting) {
   EXPECT_EQ(s.config_discards, 0u);
 }
 
-// The full op mix — leases, write-back pins, appends, recovery primitives —
-// hammered across stripes. Afterwards the byte/entry accounting must
-// reconcile against a fresh walk of the table: a single lost lock-ordering
-// edge or double-charged entry shows up here (and as a TSan report).
+// The full op mix — leases, write-through installs, appends, recovery
+// primitives — hammered across stripes. Afterwards the byte/entry accounting
+// must reconcile against a fresh walk of the table: a single lost
+// lock-ordering edge or double-charged entry shows up here (and as a TSan
+// report).
 TEST(CacheStriped, HammerMixedLeaseOpsStaysCoherent) {
   SystemClock clock;
   CacheInstance::Options opts;
@@ -188,7 +189,7 @@ TEST(CacheStriped, HammerMixedLeaseOpsStaysCoherent) {
       Rng rng(static_cast<uint64_t>(t) + 42);
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key = "m" + std::to_string(rng.NextBounded(128));
-        switch (rng.NextBounded(8)) {
+        switch (rng.NextBounded(7)) {
           case 0: {
             auto r = inst.IqGet(ctx, key);
             if (r.ok() && !r->value.has_value()) {
@@ -204,25 +205,19 @@ TEST(CacheStriped, HammerMixedLeaseOpsStaysCoherent) {
           case 2: {
             auto q = inst.Qareg(ctx, key);
             if (q.ok()) {
-              (void)inst.WriteBackInstall(
-                  ctx, key, CacheValue::OfSize(24, static_cast<Version>(i)),
-                  *q);
+              (void)inst.Rar(ctx, key,
+                             CacheValue::OfSize(24, static_cast<Version>(i)),
+                             *q);
             }
             break;
           }
-          case 3: {
-            for (auto& flush : inst.TakePendingFlushes(8)) {
-              inst.Unpin(flush.key, flush.value.version);
-            }
-            break;
-          }
-          case 4:
+          case 3:
             (void)inst.Append(ctx, key, "x");
             break;
-          case 5:
+          case 4:
             (void)inst.Set(ctx, key, CacheValue::OfSize(16));
             break;
-          case 6: {
+          case 5: {
             auto s = inst.ISet(ctx, key);
             if (s.ok()) (void)inst.IDelete(ctx, key, *s);
             break;
@@ -238,7 +233,7 @@ TEST(CacheStriped, HammerMixedLeaseOpsStaysCoherent) {
 
   uint64_t walked_bytes = 0, walked_entries = 0;
   inst.ForEachEntry([&](std::string_view key, const CacheValue& value,
-                        ConfigId, bool) {
+                        ConfigId) {
     walked_bytes += key.size() + value.charged_bytes +
                     inst.options().per_entry_overhead;
     ++walked_entries;
@@ -296,7 +291,7 @@ TEST(CacheStriped, SnapshotWhileWritingSeesCoherentCut) {
   ASSERT_TRUE(Snapshot::LoadFromFile(restored, path).ok());
   size_t checked = 0;
   restored.ForEachEntry([&](std::string_view key, const CacheValue& value,
-                            ConfigId, bool) {
+                            ConfigId) {
     // Self-consistency: the payload names the key it was written under.
     const std::string prefix = std::string(key) + "#";
     EXPECT_EQ(value.data.substr(0, prefix.size()), prefix)
@@ -329,14 +324,6 @@ TEST(CacheStriped, PersistentRecoverySweepsQuarantineAcrossStripes) {
     ASSERT_TRUE(q.ok());
     quarantined.push_back(key);
   }
-  // One buffered write-back value survives pinned in the persistent payload.
-  auto q = inst.Qareg(kLooseCtx, "pinned");
-  ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(
-      inst.WriteBackInstall(kLooseCtx, "pinned", CacheValue::OfData("buf"), *q)
-          .ok());
-  (void)inst.TakePendingFlushes(100);  // the flusher took it, crash pre-flush
-
   inst.Fail();
   EXPECT_EQ(inst.Get(kLooseCtx, "r1").status().code(), Code::kUnavailable);
   inst.RecoverPersistent();
@@ -348,9 +335,6 @@ TEST(CacheStriped, PersistentRecoverySweepsQuarantineAcrossStripes) {
   EXPECT_TRUE(inst.ContainsRaw("r1"));  // non-quarantined content intact
   // Fragment leases are volatile process state.
   EXPECT_FALSE(inst.HoldsFragmentLease(0));
-  // The flush queue was rebuilt from pinned entries.
-  EXPECT_GE(inst.pending_flush_count(), 1u);
-  EXPECT_TRUE(inst.ContainsRaw("pinned"));
 }
 
 }  // namespace

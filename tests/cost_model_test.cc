@@ -110,17 +110,6 @@ TEST(Session, BackoffAdvancesCursor) {
   EXPECT_EQ(s.counts().backoffs, 1u);
 }
 
-TEST(Session, StoreRoundTripIsMetadataOnly) {
-  NetParams p;
-  CostModel model(p, 1);
-  Session meta(&model, 0), query(&model, Seconds(5));
-  meta.BillStoreRoundTrip();
-  query.BillStoreQuery();
-  EXPECT_EQ(meta.Elapsed(), p.client_store_rtt);
-  EXPECT_GT(query.Elapsed(), meta.Elapsed());  // no service time, no queue
-  EXPECT_EQ(meta.counts().store_queries, 1u);
-}
-
 TEST(Session, StoreUpdateSlowerThanQuery) {
   NetParams p;  // defaults: update 2000us > query 1500us
   CostModel model(p, 1);

@@ -2,8 +2,9 @@
 // it over TCP, then SIGTERM or SIGKILL it and assert that a restart on the
 // same --data-dir serves everything that was acknowledged. Also pins the
 // CLI's fail-closed flag validation (a typo'd number, or a flag of a removed
-// mode, must exit 2 rather than boot something else), and crash-stop on a
-// WAL I/O error: no eager op is acknowledged after it, and geminid exits 1.
+// mode, must exit 2 rather than boot something else), crash-stop on a WAL
+// I/O error (no eager op is acknowledged after it, and geminid exits 1), and
+// the refusal of a data dir that holds a write-back value.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -15,11 +16,13 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/cache/cache_backend.h"
 #include "src/common/clock.h"
+#include "src/persist/wal.h"
 #include "src/transport/tcp_backend.h"
 #include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
@@ -262,6 +265,34 @@ TEST(GeminidCli, RemovedFlagsExitTwo) {
     EXPECT_EQ(ExitWithin5s(child.pid), 2) << args[0] << " " << args.back();
     ::close(child.stdout_fd);
   }
+}
+
+/// An upsert whose reserved pinned byte is set is a write-back value the
+/// data store never saw, and nothing can flush it: geminid exits 1 rather
+/// than serve the data dir.
+TEST(GeminidCli, WriteBackRecordInDataDirRefusesToBoot) {
+  const std::string dir = ::testing::TempDir() + "/geminid_cli_writeback";
+  WipeDataDir(dir);
+  const std::string instance_dir = dir + "/instance_7";
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir(instance_dir.c_str(), 0755), 0);
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.Open(instance_dir, 0, {}).ok());
+    WalRecord rec;
+    rec.type = WalRecordType::kUpsert;
+    rec.pinned = true;
+    rec.key = "buffered";
+    rec.data = "never flushed";
+    ASSERT_TRUE(wal.Append(rec, /*sync_now=*/true).ok());
+  }
+  Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                              dir, "--threads", "1"});
+  ASSERT_GT(child.pid, 0);
+  EXPECT_EQ(ExitWithin5s(child.pid), 1);
+  const std::string out = ReadUntil(child.stdout_fd, "serving on");
+  EXPECT_EQ(out.find("serving on"), std::string::npos) << out;
+  ::close(child.stdout_fd);
 }
 
 /// The acceptance test for the durable engine at the process level: kill -9

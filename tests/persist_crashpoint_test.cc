@@ -77,11 +77,10 @@ struct EntryImage {
   std::string data;
   Version version = 0;
   ConfigId config_id = 0;
-  bool pinned = false;
 
   bool operator==(const EntryImage& o) const {
     return data == o.data && version == o.version &&
-           config_id == o.config_id && pinned == o.pinned;
+           config_id == o.config_id;
   }
 };
 
@@ -97,8 +96,7 @@ struct OracleState {
   void Apply(const WalRecord& rec) {
     switch (rec.type) {
       case WalRecordType::kUpsert:
-        entries[rec.key] =
-            EntryImage{rec.data, rec.version, rec.config_id, rec.pinned};
+        entries[rec.key] = EntryImage{rec.data, rec.version, rec.config_id};
         break;
       case WalRecordType::kDelete:
         entries.erase(rec.key);
@@ -268,9 +266,9 @@ class CrashPointTest : public ::testing::Test {
     std::map<std::string, EntryImage> recovered;
     instance.ForEachEntry([&recovered](std::string_view key,
                                        const CacheValue& value,
-                                       ConfigId config_id, bool pinned) {
+                                       ConfigId config_id) {
       recovered[std::string(key)] =
-          EntryImage{value.data, value.version, config_id, pinned};
+          EntryImage{value.data, value.version, config_id};
     });
     EXPECT_EQ(recovered, oracle.entries) << label;
     EXPECT_EQ(instance.latest_config_id(), oracle.max_config) << label;
@@ -422,9 +420,9 @@ class CrashWindowTest : public CrashPointTest {
     std::map<std::string, EntryImage> image;
     instance.ForEachEntry([&image](std::string_view key,
                                    const CacheValue& value,
-                                   ConfigId config_id, bool pinned) {
+                                   ConfigId config_id) {
       image[std::string(key)] =
-          EntryImage{value.data, value.version, config_id, pinned};
+          EntryImage{value.data, value.version, config_id};
     });
     return image;
   }

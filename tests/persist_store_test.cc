@@ -1,10 +1,10 @@
 // PersistentStore tests: kill-and-restart roundtrips restore byte-exact
 // entries and metadata, the crash-spanning Q rule drops in-flight writes,
-// write-back pins and their flush queue survive, checkpoints truncate the
-// log, damage fails closed, a WAL write error stops every later eager op
-// from being acknowledged, and a SIGKILL'd primary rejoins the cluster
-// through the normal failover -> transient -> recovery cycle with zero
-// stale reads and a warm cache.
+// checkpoints truncate the log, a restart with a smaller stripe budget drops
+// what no longer fits, damage fails closed, a WAL write error stops every
+// later eager op from being acknowledged, and a SIGKILL'd primary rejoins
+// the cluster through the normal failover -> transient -> recovery cycle
+// with zero stale reads and a warm cache.
 #include "src/persist/persistent_store.h"
 
 #include <gtest/gtest.h>
@@ -48,22 +48,19 @@ struct EntryImage {
   uint32_t charged_bytes = 0;
   Version version = 0;
   ConfigId config_id = 0;
-  bool pinned = false;
 
   bool operator==(const EntryImage& o) const {
     return data == o.data && charged_bytes == o.charged_bytes &&
-           version == o.version && config_id == o.config_id &&
-           pinned == o.pinned;
+           version == o.version && config_id == o.config_id;
   }
 };
 
 std::map<std::string, EntryImage> ImageOf(const CacheInstance& instance) {
   std::map<std::string, EntryImage> image;
   instance.ForEachEntry([&image](std::string_view key, const CacheValue& value,
-                                 ConfigId config_id, bool pinned) {
+                                 ConfigId config_id) {
     image[std::string(key)] =
-        EntryImage{value.data, value.charged_bytes, value.version, config_id,
-                   pinned};
+        EntryImage{value.data, value.charged_bytes, value.version, config_id};
   });
   return image;
 }
@@ -95,12 +92,11 @@ class PersistentStoreTest : public ::testing::Test {
     std::unique_ptr<CacheInstance> instance;
   };
 
-  Process Boot(const std::string& dir, InstanceId id = 1) {
+  Process Boot(const std::string& dir, CacheInstance::Options opts = {}) {
     Process p;
     p.store = std::make_unique<PersistentStore>(dir, StoreOptions());
-    CacheInstance::Options opts;
     opts.persistence = p.store.get();
-    p.instance = std::make_unique<CacheInstance>(id, &clock_, opts);
+    p.instance = std::make_unique<CacheInstance>(1, &clock_, opts);
     EXPECT_TRUE(p.store->Open(*p.instance).ok());
     return p;
   }
@@ -217,50 +213,6 @@ TEST_F(PersistentStoreTest, CrashSpanningQuarantineRuleDropsInFlightWrites) {
   EXPECT_GE(q.store->stats().quarantine_drops, 1u);
 }
 
-TEST_F(PersistentStoreTest, WriteBackPinsAndFlushQueueSurviveRestart) {
-  const std::string dir = TempDir("writeback");
-  Process p = Boot(dir);
-  CacheInstance& a = *p.instance;
-
-  // Two buffered writes on one key (the second supersedes the first) plus
-  // one on another key.
-  for (Version v = 1; v <= 2; ++v) {
-    auto t = a.Qareg(kCtx, "hot");
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(a.WriteBackInstall(kCtx, "hot",
-                                   CacheValue::OfData("h" + std::to_string(v),
-                                                      v),
-                                   *t).ok());
-  }
-  auto t = a.Qareg(kCtx, "cold");
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(
-      a.WriteBackInstall(kCtx, "cold", CacheValue::OfData("c1", 10), *t).ok());
-  Kill(p);
-
-  Process q = Boot(dir);
-  CacheInstance& b = *q.instance;
-  const auto image = ImageOf(b);
-  ASSERT_TRUE(image.count("hot"));
-  EXPECT_TRUE(image.at("hot").pinned);
-  EXPECT_EQ(image.at("hot").data, "h2");
-  ASSERT_TRUE(image.count("cold"));
-  EXPECT_TRUE(image.at("cold").pinned);
-
-  // The flush queue was rebuilt from the final pinned entries: exactly one
-  // flush per key, carrying the latest buffered value — never the
-  // superseded "h1".
-  auto flushes = b.TakePendingFlushes(10);
-  ASSERT_EQ(flushes.size(), 2u);
-  std::map<std::string, Version> versions;
-  for (const auto& f : flushes) versions[f.key] = f.value.version;
-  EXPECT_EQ(versions.at("hot"), 2u);
-  EXPECT_EQ(versions.at("cold"), 10u);
-  b.Unpin("hot", 2);
-  b.Unpin("cold", 10);
-  EXPECT_EQ(b.pending_flush_count(), 0u);
-}
-
 TEST_F(PersistentStoreTest, CheckpointTruncatesLogAndRestartStaysExact) {
   const std::string dir = TempDir("checkpoint");
   Process p = Boot(dir);
@@ -295,6 +247,43 @@ TEST_F(PersistentStoreTest, CheckpointTruncatesLogAndRestartStaysExact) {
   EXPECT_EQ(ImageOf(*q.instance), before);
   EXPECT_FALSE(q.instance->ContainsRaw("k5"));
   EXPECT_EQ(q.instance->stats().entry_count, 100u);  // 100 - k5 + post
+}
+
+// A checkpointed entry over the restarted instance's stripe budget is
+// dropped, as WAL replay drops it: a miss, and the rest still boots. A
+// smaller capacity and a higher stripe count both shrink that budget.
+TEST_F(PersistentStoreTest, CheckpointEntryOverNewStripeBudgetIsDropped) {
+  struct Shape {
+    const char* name;
+    uint64_t capacity_bytes;
+    uint32_t num_stripes;
+    size_t big_bytes;
+  };
+  for (const Shape& shape : {Shape{"smaller_capacity", 1 << 20, 1, 2 << 20},
+                             Shape{"more_stripes", 4 << 20, 8, 1 << 20}}) {
+    SCOPED_TRACE(shape.name);
+    const std::string dir = TempDir(shape.name);
+    CacheInstance::Options before;
+    before.capacity_bytes = 4 << 20;
+    Process p = Boot(dir, before);
+    ASSERT_TRUE(p.instance->Set(kCtx, "big",
+                                CacheValue::OfData(std::string(
+                                    shape.big_bytes, 'b')))
+                    .ok());
+    ASSERT_TRUE(
+        p.instance->Set(kCtx, "small", CacheValue::OfData("s")).ok());
+    // A clean shutdown: both entries live only in the checkpoint.
+    ASSERT_TRUE(p.store->Checkpoint().ok());
+    Kill(p);
+
+    CacheInstance::Options after;
+    after.capacity_bytes = shape.capacity_bytes;
+    after.num_stripes = shape.num_stripes;
+    Process q = Boot(dir, after);
+    EXPECT_EQ(q.store->stats().restored_entries, 1u);
+    EXPECT_TRUE(q.instance->ContainsRaw("small"));
+    EXPECT_FALSE(q.instance->ContainsRaw("big"));
+  }
 }
 
 TEST_F(PersistentStoreTest, ConfigIdSurvivesThroughCheckpointHeadRecord) {

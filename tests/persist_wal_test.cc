@@ -1,6 +1,10 @@
 // WAL unit tests: record encode/decode roundtrips, the torn-tail vs
 // corruption classification that recovery's fail-closed rule hangs on,
 // fsync batching, segment rotation, and checkpoint-directory listing/GC.
+// Golden bytes lock one WAL upsert frame and one checkpoint, so an encoder
+// change that would strand existing data dirs fails here first; a data dir
+// built from them must keep booting, and one whose reserved write-back bits
+// are set must be refused by name.
 #include "src/persist/wal.h"
 
 #include <gtest/gtest.h>
@@ -9,14 +13,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <ftw.h>
 #include <sys/stat.h>
 
+#include "src/cache/snapshot.h"
 #include "src/common/hash.h"
 #include "src/persist/checkpoint.h"
+#include "src/persist/persistent_store.h"
 
 namespace gemini {
 namespace {
@@ -58,8 +65,7 @@ class WalTest : public ::testing::Test {
   static WalRecord FullUpsert() {
     WalRecord rec;
     rec.type = WalRecordType::kUpsert;
-    rec.origin = 4;
-    rec.pinned = true;
+    rec.origin = 2;
     rec.key = "user42";
     rec.data = std::string("payload\0with\xffbytes", 18);
     rec.charged_bytes = 329;
@@ -105,7 +111,6 @@ TEST_F(WalTest, RecordRoundTripsEveryType) {
     switch (type) {
       case WalRecordType::kUpsert:
         EXPECT_EQ(out.origin, rec.origin);
-        EXPECT_EQ(out.pinned, rec.pinned);
         EXPECT_EQ(out.key, rec.key);
         EXPECT_EQ(out.data, rec.data);
         EXPECT_EQ(out.charged_bytes, rec.charged_bytes);
@@ -153,7 +158,6 @@ TEST_F(WalTest, AppendScanRoundTrip) {
     WalRecord rec = FullUpsert();
     rec.key = "k" + std::to_string(i);
     rec.version = static_cast<Version>(i);
-    rec.pinned = (i % 2) == 0;
     written.push_back(rec);
     ASSERT_TRUE(wal.Append(rec, /*sync_now=*/false).ok());
   }
@@ -170,7 +174,6 @@ TEST_F(WalTest, AppendScanRoundTrip) {
     EXPECT_EQ(scan.records[i].key, written[i].key);
     EXPECT_EQ(scan.records[i].data, written[i].data);
     EXPECT_EQ(scan.records[i].version, written[i].version);
-    EXPECT_EQ(scan.records[i].pinned, written[i].pinned);
   }
 }
 
@@ -409,6 +412,149 @@ TEST_F(WalTest, EmptyAndMissingFilesScanClean) {
 
   scan = Wal::ScanFile(dir + "/no-such-file.log");
   EXPECT_FALSE(scan.error.ok());
+}
+
+// ---- On-disk golden bytes ---------------------------------------------------
+
+// frame: u32 len 36 | u32 crc32c | payload: u8 type 1 (kUpsert) | u8 origin
+// 0 (kSet) | u8 pinned 0 | u64 config_id 7 | u64 version 5 | u32 charged 3 |
+// u32 2 "k2" | u32 3 "val".
+constexpr char kGoldenUpsertFrame[] =
+    "24000000" "b5d94c5c"
+    "01" "00" "00" "0700000000000000" "0500000000000000" "03000000"
+    "02000000" "6b32" "03000000" "76616c";
+constexpr size_t kUpsertPinnedOffset = 8 + 2;
+
+// magic "GEMSNAP1" | u64 1 entry | u64 1 quarantined key | entry: u32 2 "k1"
+// | u32 3 "val" | u32 charged 3 | u64 version 5 | u64 config_id 7 | u32
+// flags 0 | quarantined: u32 2 "q1" | u64 FNV-1a of everything before it.
+constexpr char kGoldenCheckpoint[] =
+    "47454d534e415031" "0100000000000000" "0100000000000000"
+    "02000000" "6b31" "03000000" "76616c" "03000000" "0500000000000000"
+    "0700000000000000" "00000000"
+    "02000000" "7131"
+    "2477d488d813a10e";
+constexpr size_t kCheckpointFlagsOffset = 8 + 8 + 8 + 6 + 7 + 4 + 8 + 8;
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return out;
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// A store booted from checkpoint 1 plus WAL segment 1 holding one frame:
+/// the shape a killed geminid leaves.
+struct BootedDir {
+  VirtualClock clock;
+  std::unique_ptr<PersistentStore> store;
+  std::unique_ptr<CacheInstance> instance;
+  Status opened;
+
+  BootedDir(const std::string& dir, const std::string& checkpoint,
+            const std::string& frame) {
+    WriteFileBytes(CheckpointManager(dir).CheckpointPath(1), checkpoint);
+    WriteFileBytes(Wal::SegmentPath(dir, 1), frame);
+    PersistentStore::Options options;
+    options.sync_interval = 0;
+    store = std::make_unique<PersistentStore>(dir, options);
+    CacheInstance::Options opts;
+    opts.persistence = store.get();
+    instance = std::make_unique<CacheInstance>(1, &clock, opts);
+    opened = store->Open(*instance);
+  }
+};
+
+/// A refusal names write-back and is not reported as corruption.
+void ExpectWriteBackRefusal(const Status& s) {
+  EXPECT_EQ(s.code(), Code::kInternal);
+  EXPECT_NE(s.message().find("write-back"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(s.message().find("corrupt"), std::string::npos) << s.ToString();
+}
+
+TEST_F(WalTest, UpsertFrameGoldenBytes) {
+  WalUpsertRef view;  // the live path's encoder
+  view.key = "k2";
+  view.data = "val";
+  view.charged_bytes = 3;
+  view.version = 5;
+  view.config_id = 7;
+  std::string frame;
+  Wal::EncodeFrame(frame, view);
+  EXPECT_EQ(Hex(frame), kGoldenUpsertFrame);
+
+  // Replay decodes both through WalRecord, which encodes the same bytes.
+  WalRecord rec;
+  rec.type = WalRecordType::kUpsert;
+  rec.key = "k2";
+  rec.data = "val";
+  rec.charged_bytes = 3;
+  rec.version = 5;
+  rec.config_id = 7;
+  std::string owned;
+  Wal::EncodeFrame(owned, rec);
+  EXPECT_EQ(Hex(owned), kGoldenUpsertFrame);
+}
+
+TEST_F(WalTest, CheckpointGoldenBytes) {
+  VirtualClock clock;
+  CacheInstance instance(1, &clock);
+  ASSERT_TRUE(
+      instance.RestoreEntry("k1", CacheValue::OfData("val", 5), 7).ok());
+  // An outstanding Q lease: the checkpoint lists the key as quarantined.
+  ASSERT_TRUE(
+      instance.Qareg(OpContext{kInternalConfigId, kInvalidFragment}, "q1")
+          .ok());
+  EXPECT_EQ(Hex(Snapshot::Serialize(instance)), kGoldenCheckpoint);
+}
+
+TEST_F(WalTest, GoldenDataDirBoots) {
+  BootedDir booted(TempDir("golden"), Unhex(kGoldenCheckpoint),
+                   Unhex(kGoldenUpsertFrame));
+  ASSERT_TRUE(booted.opened.ok()) << booted.opened.ToString();
+  EXPECT_EQ(booted.store->stats().restored_entries, 2u);
+  for (const char* key : {"k1", "k2"}) {
+    auto v = booted.instance->RawGet(key);
+    ASSERT_TRUE(v.has_value()) << key;
+    EXPECT_EQ(v->data, "val");
+    EXPECT_EQ(v->version, 5u);
+    EXPECT_EQ(booted.instance->RawConfigIdOf(key).value_or(0), 7u);
+  }
+  EXPECT_FALSE(booted.instance->ContainsRaw("q1"));
+}
+
+// The checksums are recomputed: a valid frame and file, not corruption.
+TEST_F(WalTest, UpsertWithPinnedByteRefusesToBoot) {
+  std::string frame = Unhex(kGoldenUpsertFrame);
+  frame[kUpsertPinnedOffset] = 1;
+  const uint32_t crc = Crc32c(std::string_view(frame).substr(8));
+  std::memcpy(frame.data() + 4, &crc, 4);
+  ExpectWriteBackRefusal(
+      BootedDir(TempDir("pinned"), Unhex(kGoldenCheckpoint), frame).opened);
+}
+
+TEST_F(WalTest, CheckpointEntryWithWriteBackFlagRefusesToBoot) {
+  std::string checkpoint = Unhex(kGoldenCheckpoint);
+  checkpoint[kCheckpointFlagsOffset] = 1;
+  const uint64_t sum = Fnv1a64(
+      std::string_view(checkpoint).substr(0, checkpoint.size() - 8));
+  std::memcpy(checkpoint.data() + checkpoint.size() - 8, &sum, 8);
+  ExpectWriteBackRefusal(
+      BootedDir(TempDir("flagged"), checkpoint, Unhex(kGoldenUpsertFrame))
+          .opened);
 }
 
 }  // namespace

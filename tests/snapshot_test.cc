@@ -131,23 +131,6 @@ TEST_F(SnapshotTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotTest, PinnedWriteBackEntriesSurviveSnapshot) {
-  // The durability chain end to end: buffered write-back value -> snapshot
-  // -> restore into a new process -> flush queue rebuilt.
-  auto q = inst_.Qareg(Ctx(), "buffered");
-  ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(inst_.WriteBackInstall(Ctx(), "buffered",
-                                     CacheValue::OfData("payload", 9), *q)
-                  .ok());
-  ASSERT_TRUE(Snapshot::Load(restored_, Snapshot::Serialize(inst_)).ok());
-  EXPECT_EQ(restored_.pending_flush_count(), 1u);
-  auto batch = restored_.TakePendingFlushes(10);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].key, "buffered");
-  EXPECT_EQ(batch[0].value.data, "payload");
-  EXPECT_EQ(batch[0].value.version, 9u);
-}
-
 TEST_F(SnapshotTest, OnDiskCorruptionFailsClosed) {
   // File-level fail-closed check: a snapshot torn *on disk* (bit rot, a
   // crash mid-write that fsync ordering did not cover) must be rejected by

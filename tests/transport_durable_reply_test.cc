@@ -17,8 +17,7 @@
 //    the loop appends a whole burst's, and many connections', eager records
 //    before any is durable; a reply never leaves before its record is
 //    durable, the loop keeps serving other connections meanwhile, a failed
-//    log answers kUnavailable, Stop() drains held replies, and
-//    WriteBackInstall alone still waits under its stripe lock.
+//    log answers kUnavailable, and Stop() drains held replies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -194,10 +193,8 @@ std::string IsetBurst(const std::string& prefix, int n) {
 /// when the test says so. Batched records are ignored.
 class ManualSink final : public PersistenceSink {
  public:
-  void OnUpsert(PersistOp op, std::string_view, const CacheValue&, ConfigId,
-                bool) override {
-    if (op == PersistOp::kWriteBack) Eager();
-  }
+  void OnUpsert(PersistOp, std::string_view, const CacheValue&,
+                ConfigId) override {}
   void OnDelete(PersistOp op, std::string_view) override {
     if (op == PersistOp::kISet || op == PersistOp::kIDelete) Eager();
   }
@@ -558,32 +555,6 @@ TEST_F(DurableReplyManualTest, InProcessCallersWaitWithNoLockHeld) {
                   .ok());
   sink_.MakeDurable();
   EXPECT_TRUE(token.get().ok());
-}
-
-TEST_F(DurableReplyManualTest, WriteBackInstallWaitsUnderItsStripeLock) {
-  auto qareg = std::async(std::launch::async,
-                          [&] { return rig_->instance->Qareg(kCtx, "wb"); });
-  ASSERT_TRUE(sink_.WaitIssued(1));
-  sink_.MakeDurable();
-  const Result<LeaseToken> q = qareg.get();
-  ASSERT_TRUE(q.ok());
-  auto install = std::async(std::launch::async, [&] {
-    return rig_->instance->WriteBackInstall(kCtx, "wb",
-                                            CacheValue::OfData("buffered", 5),
-                                            *q);
-  });
-  ASSERT_TRUE(sink_.WaitIssued(2));
-  // A reader of the key blocks on the stripe lock until the pinned value's
-  // record is durable: nobody sees the only copy of a write early.
-  auto read = std::async(std::launch::async,
-                         [&] { return rig_->instance->Get(kCtx, "wb"); });
-  EXPECT_EQ(read.wait_for(milliseconds(100)), std::future_status::timeout);
-  EXPECT_EQ(install.wait_for(milliseconds(0)), std::future_status::timeout);
-  sink_.MakeDurable();
-  EXPECT_TRUE(install.get().ok());
-  auto value = read.get();
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(value->data, "buffered");
 }
 
 }  // namespace

@@ -36,8 +36,9 @@ constexpr OpContext kInternalCtx{kInternalConfigId, kInvalidFragment};
 
 class TransportE2eTest : public ::testing::Test {
  protected:
-  void StartServer(TransportServer::Options options = {}) {
-    instance_ = std::make_unique<CacheInstance>(7, &clock_);
+  void StartServer(TransportServer::Options options = {},
+                   CacheInstance::Options instance_options = {}) {
+    instance_ = std::make_unique<CacheInstance>(7, &clock_, instance_options);
     options.port = 0;  // ephemeral
     server_ = std::make_unique<TransportServer>(instance_.get(), options);
     ASSERT_TRUE(server_->Start().ok());
@@ -220,7 +221,9 @@ TEST_F(TransportE2eTest, StaleConfigIsReportedOverTheWire) {
 }
 
 TEST_F(TransportE2eTest, RetiredSnapshotOpIsRefusedAndConnectionLivesOn) {
-  StartServer();
+  CacheInstance::Options budget;
+  budget.capacity_bytes = 1 << 20;
+  StartServer({}, budget);
   ASSERT_TRUE(
       backend_->Set(kInternalCtx, "k", CacheValue::OfData("still here"))
           .ok());
@@ -241,6 +244,32 @@ TEST_F(TransportE2eTest, RetiredSnapshotOpIsRefusedAndConnectionLivesOn) {
   }
   struct stat st;
   EXPECT_NE(::stat(path.c_str(), &st), 0) << path << " was created";
+
+  // WRITEBACK_INSTALL (0x27) is retired the same way: no op could ever
+  // flush what it installed to the data store. Qareg+install pairs worth
+  // twice the budget leave the instance holding nothing new.
+  const CacheInstance::Stats before = instance_->stats();
+  const CacheValue kilobyte = CacheValue::OfData(std::string(1024, 'w'), 1);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key = "wb" + std::to_string(i);
+    std::string body;
+    wire::PutContext(body, kInternalCtx);
+    wire::PutKey(body, key);
+    std::string token_resp;
+    ASSERT_TRUE(conn.Transact(wire::Op::kQareg, body, &token_resp).ok());
+    uint64_t token = 0;
+    wire::Reader token_reader(token_resp);
+    ASSERT_TRUE(token_reader.GetU64(&token));
+    wire::PutU64(body, token);
+    wire::PutValue(body, kilobyte);
+    std::string resp;
+    ASSERT_EQ(conn.Transact(wire::Op::kWriteBackInstall, body, &resp).code(),
+              Code::kInvalidArgument)
+        << key;
+  }
+  const CacheInstance::Stats after = instance_->stats();
+  EXPECT_EQ(after.entry_count, before.entry_count);
+  EXPECT_LE(after.used_bytes, budget.capacity_bytes);
 
   // The refusal is an answer, not a protocol error: the connection serves.
   std::string get_body;
