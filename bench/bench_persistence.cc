@@ -5,9 +5,9 @@
 //
 //  persist_set — closed-loop SETs at window 32 through a real loopback
 //  TransportServer, once against a plain CacheInstance (wal=0) and once
-//  against an instance recording through a PersistentStore with the default
-//  fsync policy (wal=1, batched syncs + the background 50ms cadence; eager
-//  syncs never fire because plain SETs are miss-on-loss records). The
+//  against an instance recording through a PersistentStore (wal=1: its WAL
+//  writer fsyncs the batched records at 1 MiB unsynced or 50 ms age; no
+//  eager fsync fires because plain SETs are miss-on-loss records). The
 //  wal=1/wal=0 ratio is the WAL overhead; tools/check_bench.py enforces a
 //  floor on it in CI via --min-point persist_set:wal=1:FLOOR.
 //
@@ -27,7 +27,7 @@
 //  hit-ratio dip lasting minutes at production scale.
 //
 //  eager_contention — what eager records cost connections that write none.
-//  A 1-loop loopback server over a PersistentStore (default options); one
+//  A 1-loop loopback server over a PersistentStore; one
 //  reader connection sends serial 32-key GET bursts while 0, 1 or 4 writer
 //  connections each send serial Qareg+Dar pairs, the cache half of a
 //  look-aside write, whose QBegin record is eager. ops_per_sec is the

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
@@ -174,15 +173,10 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
 Status Snapshot::WriteToFile(CacheInstance& instance,
                              const std::string& path) {
   const std::string payload = Serialize(instance);
-  // Unique temp name per writer: a periodic snapshot thread, a wire
-  // kSnapshot trigger, and a shutdown's final write may all target `path`
-  // concurrently. With a shared ".tmp" they could truncate or rename each
-  // other's half-written file; with unique temps each rename publishes one
-  // complete, checksummed snapshot and the last writer wins.
-  static std::atomic<uint64_t> seq{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(::getpid()) + "." +
-      std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+  // One temp name per path: writers of one path are serialized (the only
+  // production writer, PersistentStore, checkpoints one at a time). A kill
+  // mid-write leaves the temp behind; PersistentStore::Open deletes it.
+  const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status(Code::kInternal, "cannot open " + tmp);

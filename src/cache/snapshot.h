@@ -39,7 +39,8 @@ class Snapshot {
   /// Serializes the instance's current entries and quarantined-key set.
   static std::string Serialize(CacheInstance& instance);
 
-  /// Writes Serialize() to `path` atomically (temp file + rename).
+  /// Writes Serialize() to `path` atomically (`<path>.tmp` + rename). Not
+  /// safe for concurrent writers of one path.
   static Status WriteToFile(CacheInstance& instance, const std::string& path);
 
   /// Parses `payload` and installs its entries into `instance` (which

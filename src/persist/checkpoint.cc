@@ -67,6 +67,9 @@ Status CheckpointManager::List(DirListing& out) const {
     return Status(Code::kInternal, "cannot open data dir " + dir_ + ": " +
                                        std::strerror(errno));
   }
+  // A temp is a checkpoint name plus ".tmp", with or without the
+  // ".<pid>.<n>" suffix older writers appended.
+  constexpr size_t kCheckpointNameLen = 11 + 16 + 5;
   while (struct dirent* e = ::readdir(d)) {
     uint64_t seq = 0;
     const std::string_view name = e->d_name;
@@ -74,6 +77,10 @@ Status CheckpointManager::List(DirListing& out) const {
       out.wal_seqs.push_back(seq);
     } else if (ParseCheckpointName(name, seq)) {
       out.checkpoint_seqs.push_back(seq);
+    } else if (name.size() > kCheckpointNameLen &&
+               ParseCheckpointName(name.substr(0, kCheckpointNameLen), seq) &&
+               name.substr(kCheckpointNameLen).starts_with(".tmp")) {
+      out.checkpoint_temps.push_back(dir_ + "/" + std::string(name));
     }
   }
   ::closedir(d);

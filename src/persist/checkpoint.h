@@ -14,6 +14,7 @@
 // same state.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,11 +24,13 @@
 
 namespace gemini {
 
-/// Sorted sequence numbers of the persistence files present in a data dir.
-/// Unrelated names are ignored (temp files, user droppings).
+/// Sorted sequence numbers of the persistence files present in a data dir,
+/// plus the checkpoint temp files an interrupted write left behind. Unrelated
+/// names are ignored.
 struct DirListing {
   std::vector<uint64_t> wal_seqs;
   std::vector<uint64_t> checkpoint_seqs;
+  std::vector<std::string> checkpoint_temps;  // paths
 };
 
 class CheckpointManager {
@@ -46,7 +49,8 @@ class CheckpointManager {
   /// the first unlink failure but attempts every file.
   Status GarbageCollect(uint64_t keep_seq);
 
-  /// Scans the data dir for wal-*.log / checkpoint-*.snap names.
+  /// Scans the data dir for wal-*.log / checkpoint-*.snap names and
+  /// checkpoint temps (checkpoint-*.snap.tmp*).
   Status List(DirListing& out) const;
 
   std::string CheckpointPath(uint64_t seq) const;
@@ -54,11 +58,13 @@ class CheckpointManager {
   static bool ParseCheckpointName(std::string_view name, uint64_t& seq);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
-  [[nodiscard]] uint64_t checkpoints_written() const { return written_; }
+  [[nodiscard]] uint64_t checkpoints_written() const {
+    return written_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::string dir_;
-  uint64_t written_ = 0;
+  std::atomic<uint64_t> written_{0};  // read by stats() on any thread
 };
 
 }  // namespace gemini

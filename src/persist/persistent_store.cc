@@ -3,14 +3,31 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
 
 #include <sys/stat.h>
 
+#include "src/common/clock.h"
+
 namespace gemini {
 namespace {
+
+/// Batched records are fsynced once this many bytes are unsynced, or once
+/// the oldest unsynced byte is kSyncInterval old. Sized so a write burst
+/// triggers few journal commits (each one steals CPU from serving); a lost
+/// batched record is a cache miss, never a stale read.
+constexpr size_t kSyncBatchBytes = 1 << 20;
+constexpr auto kSyncInterval = std::chrono::milliseconds(50);
+/// Group commit: a burst of batched records may accumulate this long, or to
+/// this size, before the writer pays for the write(2).
+constexpr auto kGroupCommitWindow = std::chrono::milliseconds(4);
+constexpr size_t kGroupCommitBytes = 512 << 10;
+/// Backpressure bound on the writer queue: when the disk cannot keep up,
+/// producers wait rather than buffering framed bytes without limit.
+constexpr size_t kMaxPendingBytes = 8 << 20;
 
 /// mkdir -p: creates every missing component of `dir`.
 Status EnsureDir(const std::string& dir) {
@@ -31,8 +48,8 @@ Status EnsureDir(const std::string& dir) {
 
 }  // namespace
 
-PersistentStore::PersistentStore(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options), checkpoints_(dir_) {}
+PersistentStore::PersistentStore(std::string dir)
+    : dir_(std::move(dir)), checkpoints_(dir_) {}
 
 PersistentStore::~PersistentStore() { Close(); }
 
@@ -47,26 +64,10 @@ Status PersistentStore::Open(CacheInstance& instance) {
   if (Status s = Replay(instance, next_seq); !s.ok()) return s;
   replay_micros_ = SystemClock::Global().Now() - replay_start;
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Wal::Options wal_options;
-    // With a background thread the batch trigger hands the fsync off to it
-    // (Append nudges bg_cv_); without one the Wal syncs inline at the
-    // threshold as before.
-    wal_options.sync_batch_bytes = options_.sync_interval > 0
-                                       ? SIZE_MAX
-                                       : options_.sync_batch_bytes;
-    wal_options.preallocate_bytes = options_.wal_preallocate_bytes;
-    if (Status s = wal_.Open(dir_, next_seq, wal_options); !s.ok()) return s;
-    // Head every segment with the latest observed config id: checkpoints
-    // (Snapshot format) do not store it, and the segments that did are about
-    // to be garbage-collected.
-    WalRecord head;
-    head.type = WalRecordType::kConfigId;
-    head.config_id = max_config_.load(std::memory_order_relaxed);
-    if (Status s = wal_.Append(head, /*sync_now=*/true); !s.ok()) return s;
-    appended_records_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (Status s = wal_.Open(dir_, next_seq); !s.ok()) return s;
+  if (Status s = AppendSegmentHead(); !s.ok()) return s;
+  wal_seq_ = next_seq;
+  lag_bytes_ = wal_.segment_bytes();
   instance_ = &instance;
   writer_thread_ = std::thread([this] { WriterLoop(); });
   recording_.store(true, std::memory_order_release);
@@ -76,15 +77,27 @@ Status PersistentStore::Open(CacheInstance& instance) {
   if (Status s = checkpoints_.Write(instance, next_seq); !s.ok()) return s;
   if (Status s = checkpoints_.GarbageCollect(next_seq); !s.ok()) return s;
 
-  if (options_.sync_interval > 0) {
-    bg_thread_ = std::thread([this] { BackgroundLoop(); });
-  }
+  checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
+  return Status::Ok();
+}
+
+Status PersistentStore::AppendSegmentHead() {
+  WalRecord head;
+  head.type = WalRecordType::kConfigId;
+  head.config_id = max_config_.load(std::memory_order_relaxed);
+  if (Status s = wal_.Append(head, /*sync_now=*/true); !s.ok()) return s;
+  appended_records_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   DirListing listing;
   if (Status s = checkpoints_.List(listing); !s.ok()) return s;
+  // A checkpoint write killed mid-way leaves its temp behind, and nothing
+  // else would ever delete it.
+  for (const std::string& temp : listing.checkpoint_temps) {
+    std::remove(temp.c_str());
+  }
 
   uint64_t cp_seq = 0;
   if (!listing.checkpoint_seqs.empty()) {
@@ -223,99 +236,75 @@ Status PersistentStore::Checkpoint() {
   if (instance_ == nullptr) {
     return Status(Code::kInvalidArgument, "persistent store not open");
   }
+  std::lock_guard<std::mutex> checkpoint(checkpoint_mu_);
   uint64_t new_seq = 0;
+  uint64_t covered = 0;
   {
-    // sync_mu_ first: Rotate closes the old segment's fd, which must not
-    // happen while an off-thread fsync is in flight on it.
-    std::lock_guard<std::mutex> sync_lock(sync_mu_);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_.ok()) return error_;
-    const uint64_t closing_bytes = wal_.segment_bytes();
-    if (Status s = wal_.Rotate(); !s.ok()) {
-      LatchErrorLocked(s);
-      return s;
+    std::unique_lock<std::mutex> lock(q_mu_);
+    if (writer_stop_) {
+      return Status(Code::kInvalidArgument, "persistent store closed");
     }
-    // The closed segment stays replay debt until the snapshot below lands;
-    // if it fails, these bytes keep counting toward the next lag-triggered
-    // attempt instead of vanishing with the rotation.
-    uncovered_bytes_ += closing_bytes;
-    new_seq = wal_.seq();
-    WalRecord head;
-    head.type = WalRecordType::kConfigId;
-    head.config_id = max_config_.load(std::memory_order_relaxed);
-    if (Status s = wal_.Append(head, /*sync_now=*/true); !s.ok()) {
-      LatchErrorLocked(s);
-      return s;
-    }
-    appended_records_.fetch_add(1, std::memory_order_relaxed);
+    rotate_requested_ = true;
+    q_cv_.notify_one();
+    q_done_cv_.wait(lock, [this] {
+      return !rotate_requested_ || failed_.load();
+    });
+    if (failed_.load()) return error_;
+    new_seq = wal_seq_;
+    covered = rotated_lag_;
   }
-  // Serialize outside mu_: ForEachEntry holds every stripe lock, and writers
-  // blocked on stripes must not be deadlocked against the log mutex. Records
-  // racing into segment new_seq before the cut are replayed on top of the
-  // checkpoint — idempotent, they carry exact values in original order.
+  // Serialize outside q_mu_: ForEachEntry holds every stripe lock, and a
+  // writer holding a stripe takes q_mu_ to append. Records racing into
+  // segment new_seq before the cut are replayed on top of the checkpoint —
+  // idempotent, they carry exact values in original order.
   if (Status s = checkpoints_.Write(*instance_, new_seq); !s.ok()) return s;
   if (Status s = checkpoints_.GarbageCollect(new_seq); !s.ok()) return s;
-  {
-    // The checkpoint covers every segment below new_seq; only the live
-    // segment's bytes (records that raced in since the cut) remain as lag.
-    std::lock_guard<std::mutex> lock(mu_);
-    uncovered_bytes_ = 0;
-  }
+  // The checkpoint covers every segment below new_seq; only the live
+  // segment's bytes (records that raced in since the rotation) remain.
+  std::lock_guard<std::mutex> lock(q_mu_);
+  lag_bytes_ -= covered;
   return Status::Ok();
 }
 
-Result<bool> PersistentStore::MaybeCheckpoint() {
-  if (instance_ == nullptr) {
-    return Status(Code::kInvalidArgument, "persistent store not open");
+void PersistentStore::CheckpointLoop() {
+  std::unique_lock<std::mutex> lock(q_mu_);
+  for (;;) {
+    checkpoint_cv_.wait(
+        lock, [this] { return checkpoint_due_ || checkpointer_stop_; });
+    if (checkpointer_stop_) return;
+    checkpoint_due_ = false;
+    lock.unlock();
+    // A failure is not retried here: the writer asks again once the segment
+    // this attempt's rotation opened reaches kSegmentBytes.
+    (void)Checkpoint();
+    lock.lock();
   }
-  bool want = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    want = options_.checkpoint_lag_bytes > 0 && wal_.is_open() &&
-           uncovered_bytes_ + wal_.segment_bytes() >
-               options_.checkpoint_lag_bytes;
-  }
-  if (!want) return false;
-  if (Status s = Checkpoint(); !s.ok()) return s;
-  return true;
 }
 
 Status PersistentStore::Sync() {
-  // Wait for the writer to drain everything enqueued so far, then fsync.
-  {
-    std::unique_lock<std::mutex> lock(q_mu_);
-    const uint64_t target = enqueued_;
+  std::unique_lock<std::mutex> lock(q_mu_);
+  const uint64_t target = enqueued_;
+  if (durable_.load() < target) {
+    sync_next_ = true;
+    q_cv_.notify_one();
     q_done_cv_.wait(lock, [this, target] {
-      return written_ >= target ||
-             !recording_.load(std::memory_order_acquire);
+      return durable_.load() >= target || failed_.load();
     });
   }
-  return SyncOffThread();
-}
-
-Status PersistentStore::SyncOffThread() {
-  std::lock_guard<std::mutex> sync_lock(sync_mu_);
-  Wal::SyncToken token;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_.ok()) return error_;
-    if (!wal_.is_open()) return Status::Ok();
-    token = wal_.PrepareSync();
-  }
-  // The fsync runs with mu_ released: appends land in the page cache and
-  // ride to the next sync. sync_mu_ keeps the fd alive under us.
-  Status s = wal_.CompleteSync(token);
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    LatchErrorLocked(s);
-  }
-  return s;
+  return error_;
 }
 
 void PersistentStore::Close() {
-  // Stop the writer first: it drains the queue fully before exiting, so
-  // every record accepted by Append reaches write(2); wal_.Close() below
-  // then makes the tail durable.
+  // The checkpoint thread first: a checkpoint in flight needs the writer
+  // to rotate.
+  {
+    std::lock_guard<std::mutex> lock(q_mu_);
+    checkpointer_stop_ = true;
+  }
+  checkpoint_cv_.notify_all();
+  if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
+  // The writer drains the queue fully before exiting, so every record
+  // accepted by Append reaches write(2), then fsyncs and closes the log.
   {
     std::lock_guard<std::mutex> lock(q_mu_);
     writer_stop_ = true;
@@ -323,33 +312,23 @@ void PersistentStore::Close() {
   q_cv_.notify_all();
   q_space_cv_.notify_all();
   if (writer_thread_.joinable()) writer_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    stop_ = true;
-  }
-  bg_cv_.notify_all();
-  if (bg_thread_.joinable()) bg_thread_.join();
   recording_.store(false, std::memory_order_release);
-  std::lock_guard<std::mutex> sync_lock(sync_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  wal_.Close();
 }
 
 Status PersistentStore::error() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(q_mu_);
   return error_;
 }
 
-void PersistentStore::LatchErrorLocked(Status s) {
-  if (!error_.ok()) return;
-  error_ = std::move(s);
+void PersistentStore::LatchError(Status s) {
   {
     // Under q_mu_, which WaitDurable's and Sync's predicates read under.
-    // (No path takes mu_ while holding q_mu_.) failed_ goes first:
-    // AppendImpl reads recording_ with no lock, and a thread that sees it
-    // false must see failed_ set too, or RefuseEager would let its eager
-    // op be acknowledged.
+    // failed_ goes first: AppendImpl reads recording_ with no lock, and a
+    // thread that sees it false must see failed_ set too, or RefuseEager
+    // would let its eager op be acknowledged.
     std::lock_guard<std::mutex> lock(q_mu_);
+    if (failed_.load()) return;
+    error_ = std::move(s);
     failed_.store(true);
     recording_.store(false, std::memory_order_release);
   }
@@ -399,13 +378,9 @@ PersistentStore::Stats PersistentStore::stats() const {
   s.eager_records = eager_records_.load(std::memory_order_relaxed);
   s.appended_bytes = appended_bytes_.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.fsyncs = wal_.fsync_count();
-    // Live-segment bytes plus closed-but-uncovered segments = log the next
-    // boot would replay; a successful checkpoint resets this to (nearly)
-    // zero, so it doubles as distance-to-next-size-triggered-checkpoint.
-    s.checkpoint_lag_bytes = uncovered_bytes_;
-    if (wal_.is_open()) s.checkpoint_lag_bytes += wal_.segment_bytes();
+    std::lock_guard<std::mutex> lock(q_mu_);
+    s.fsyncs = fsyncs_;
+    s.checkpoint_lag_bytes = lag_bytes_;
   }
   s.checkpoints = checkpoints_.checkpoints_written();
   s.replayed_segments = replayed_segments_;
@@ -418,18 +393,9 @@ PersistentStore::Stats PersistentStore::stats() const {
 }
 
 uint64_t PersistentStore::wal_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return wal_.seq();
+  std::lock_guard<std::mutex> lock(q_mu_);
+  return wal_seq_;
 }
-
-namespace {
-/// Backpressure bound on the writer queue: when the disk cannot keep up,
-/// producers wait rather than buffering framed bytes without limit.
-constexpr size_t kMaxPendingBytes = 8 << 20;
-/// Enough pending bytes to skip the writer's accumulation window and write
-/// immediately — a burst this large no longer benefits from waiting.
-constexpr size_t kGroupCommitBytes = 512 << 10;
-}  // namespace
 
 template <typename Record>
 void PersistentStore::AppendImpl(const Record& record, bool eager) {
@@ -458,7 +424,7 @@ void PersistentStore::AppendImpl(const Record& record, bool eager) {
     const size_t before = pending_.size();
     Wal::EncodeFrame(pending_, record);
     ++pending_records_;
-    pending_eager_ |= eager;
+    sync_next_ |= eager;
     lsn = ++enqueued_;
     appended_records_.fetch_add(1, std::memory_order_relaxed);
     appended_bytes_.fetch_add(pending_.size() - before,
@@ -487,93 +453,113 @@ void PersistentStore::Append(const WalUpsertRef& record, bool eager) {
 }
 
 void PersistentStore::WriterLoop() {
+  using Clock = std::chrono::steady_clock;
   std::string batch;
+  Clock::time_point sync_due;  // the oldest unsynced byte turns 50 ms old
+  bool checkpoint_asked = false;  // for the live segment
   for (;;) {
     size_t count = 0;
-    bool has_eager = false;
+    bool sync = false;
+    bool rotate = false;
+    bool stop = false;
+    Status s;
     batch.clear();
     {
       std::unique_lock<std::mutex> lock(q_mu_);
-      q_cv_.wait(lock, [this] { return !pending_.empty() || writer_stop_; });
-      if (pending_.empty() && writer_stop_) return;
-      if (!writer_stop_ && !pending_eager_ &&
-          pending_.size() < kGroupCommitBytes) {
+      const auto work = [this] {
+        return !pending_.empty() || sync_next_ || rotate_requested_ ||
+               writer_stop_;
+      };
+      if (error_.ok() && wal_.unsynced_bytes() > 0) {
+        q_cv_.wait_until(lock, sync_due, work);
+      } else {
+        q_cv_.wait(lock, work);
+      }
+      if (!pending_.empty() && !sync_next_ && !rotate_requested_ &&
+          !writer_stop_ && pending_.size() < kGroupCommitBytes) {
         // Group commit: let a burst of batched-class records accumulate
         // before paying for the write. Crucially this also keeps the writer
         // from preempting the serving thread once per record on small
         // machines — producers only signal on empty->non-empty or eager, and
         // by the time this timer fires the whole burst drains in one
-        // write(2). Batched-class records already tolerate the sync_interval
-        // loss window (a lost record is a cache miss, never a stale read),
-        // so a few milliseconds of page-cache delay changes nothing; eager
-        // records skip the wait via the predicate below.
-        q_cv_.wait_for(lock, std::chrono::milliseconds(4), [this] {
-          return writer_stop_ || pending_eager_ ||
+        // write(2). Batched-class records already tolerate a loss window (a
+        // lost record is a cache miss, never a stale read), so a few
+        // milliseconds in the queue changes nothing; eager records skip the
+        // wait via the predicate below.
+        q_cv_.wait_for(lock, kGroupCommitWindow, [this] {
+          return sync_next_ || rotate_requested_ || writer_stop_ ||
                  pending_.size() >= kGroupCommitBytes;
         });
       }
       batch.swap(pending_);  // pending_ inherits batch's grown capacity
       count = pending_records_;
       pending_records_ = 0;
-      has_eager = pending_eager_;
-      pending_eager_ = false;
+      sync = sync_next_;
+      sync_next_ = false;
+      rotate = rotate_requested_;
+      stop = writer_stop_;  // producers refuse from now on: this is the last
+      s = error_;
     }
     q_space_cv_.notify_all();
 
-    Status s;
-    bool nudge = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!error_.ok()) {
-        s = error_;
-      } else {
-        // One write(2) for the whole batch; fsync only when a record in it
-        // demands durability-before-return (group commit).
-        s = wal_.AppendRaw(batch, has_eager);
-        if (!s.ok()) {
-          // A log with a hole must not pretend to be complete: stop
-          // recording so the owner (error()) can fail the instance over
-          // rather than let a future recovery miss a delete and serve a
-          // stale value.
-          LatchErrorLocked(s);
-        } else {
-          nudge = !has_eager &&
-                  wal_.unsynced_bytes() >= options_.sync_batch_bytes &&
-                  options_.sync_interval > 0 &&
-                  !sync_requested_.exchange(true, std::memory_order_relaxed);
-        }
+    bool rotated = false;
+    if (s.ok()) {
+      if (wal_.unsynced_bytes() == 0) sync_due = Clock::now() + kSyncInterval;
+      s = wal_.AppendRaw(batch);
+      // One fsync per burst holding an eager record (group commit); batched
+      // records wait for 1 MiB or 50 ms.
+      if (s.ok() && (sync || stop || Clock::now() >= sync_due ||
+                     wal_.unsynced_bytes() >= kSyncBatchBytes)) {
+        s = wal_.Sync();
       }
+      if (s.ok() && rotate) {
+        s = wal_.Rotate();
+        if (s.ok()) s = AppendSegmentHead();
+        rotated = s.ok();
+      }
+      // A log with a hole must not pretend to be complete: stop recording
+      // so the owner (error()) can fail the instance over rather than let a
+      // future recovery miss a delete and serve a stale value.
+      if (!s.ok()) LatchError(s);
     }
+    if (rotated) checkpoint_asked = false;
+    const bool want_checkpoint =
+        s.ok() && !checkpoint_asked &&
+        wal_.segment_bytes() >= Wal::kSegmentBytes;
+    checkpoint_asked |= want_checkpoint;
+    bool advanced = false;
     {
       std::lock_guard<std::mutex> lock(q_mu_);
       if (s.ok()) {
         written_ += count;
-        if (has_eager) durable_.store(written_);
+        advanced = wal_.unsynced_bytes() == 0 && durable_.load() < written_;
+        if (advanced) durable_.store(written_);
+        fsyncs_ = wal_.fsync_count();
+        lag_bytes_ += batch.size();
       }
+      if (rotated) {
+        // The closed segments hold what a checkpoint cut after this
+        // rotation covers; the fresh one starts with its head record.
+        rotated_lag_ = lag_bytes_;
+        lag_bytes_ += wal_.segment_bytes();
+        wal_seq_ = wal_.seq();
+        // A checkpoint asked for by the closed segment is the one in flight.
+        checkpoint_due_ = false;
+      }
+      if (rotate) rotate_requested_ = false;
+      checkpoint_due_ |= want_checkpoint;
     }
-    // Eager waiters and listeners learn of a failure from LatchErrorLocked.
-    if (s.ok() && has_eager) {
+    if (want_checkpoint) checkpoint_cv_.notify_one();
+    // Eager waiters and listeners learn of a failure from LatchError.
+    if (advanced) {
       NotifyDurable();
     } else {
       q_done_cv_.notify_all();
     }
-    if (nudge) bg_cv_.notify_one();
-  }
-}
-
-void PersistentStore::BackgroundLoop() {
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!stop_) {
-    bg_cv_.wait_for(
-        lock, std::chrono::microseconds(options_.sync_interval), [this] {
-          return stop_ || sync_requested_.load(std::memory_order_relaxed);
-        });
-    if (stop_) break;
-    sync_requested_.store(false, std::memory_order_relaxed);
-    lock.unlock();
-    (void)SyncOffThread();
-    (void)MaybeCheckpoint();
-    lock.lock();
+    if (stop) {
+      wal_.Close();
+      return;
+    }
   }
 }
 

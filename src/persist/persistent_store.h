@@ -18,10 +18,9 @@
 // recording: a fresh segment is opened, a post-recovery checkpoint truncates
 // the replayed log, and every subsequent sink callback appends a record.
 //
-// Fsync policy: appends are batched (sync_batch_bytes / background
-// sync_interval) except the records whose loss could cause a *stale read*
-// rather than a mere cache miss. Those are eager: durable before the
-// triggering operation is acknowledged.
+// Fsync policy: appends are batched except the records whose loss could
+// cause a *stale read* rather than a mere cache miss. Those are eager:
+// durable before the triggering operation is acknowledged.
 //   - kQBegin        (a Qareg token escapes to a writer; a crash must
 //                     quarantine the key)
 //   - kConfigId      (serving under an older config would resurrect entries
@@ -32,13 +31,31 @@
 // lost QEnd re-quarantines (over-deletes), a lost plain delete cannot
 // resurface because the preceding QBegin (if any) was synced first.
 //
+// One thread owns the log. Serving threads frame records into a queue; after
+// Open, the WAL writer thread alone writes, fsyncs, rotates and closes it:
+//   - each queued burst goes out in one write(2), after a group-commit
+//     window of up to 4 ms or 512 KiB (none for an eager record);
+//   - a burst holding an eager record is fsynced at once, and one fsync
+//     covers every record queued before it, from any thread (group commit);
+//     a record that arrives during an fsync rides the next one;
+//   - batched records are fsynced once 1 MiB is unsynced or the oldest
+//     unsynced byte is 50 ms old: the power-loss window of a batched record;
+//   - Sync(), a checkpoint's rotation and Close() are requests it serves.
+// Producers wait only when 8 MiB of framed records are queued (backpressure).
+//
+// Checkpoints run on a checkpoint thread. The writer wakes it when the live
+// segment reaches Wal::kSegmentBytes (8 MiB); it asks the writer to rotate,
+// then snapshots the instance and garbage-collects (checkpoint.h has the
+// rotate-then-cut argument). A checkpoint that fails (say, the disk is full)
+// is retried only once the segment its rotation opened reaches the same
+// size, so it never rotates and re-serializes the cache in a loop.
+// Checkpoint() runs one on the caller's thread, serialized with that thread.
+//
 // An eager append does not wait for its fsync. It hands the record's LSN to
 // the EagerScope open on the calling thread (persistence_sink.h) and
 // returns; the scope's owner calls WaitDurable once it holds no cache lock,
 // or, on geminid, holds the reply until CheckDurable says the LSN is
-// durable. The writer thread wakes at once for an eager record, and one
-// fsync covers every record queued before it, from any thread (group
-// commit). From the first WAL I/O error on, every pending and every later
+// durable. From the first WAL I/O error on, every pending and every later
 // eager LSN reports kFailed, so no eager op is acknowledged again.
 #pragma once
 
@@ -48,12 +65,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/cache_instance.h"
 #include "src/cache/persistence_sink.h"
-#include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/persist/checkpoint.h"
 #include "src/persist/wal.h"
@@ -62,47 +77,14 @@ namespace gemini {
 
 class PersistentStore final : public PersistenceSink {
  public:
-  struct Options {
-    /// fsync the log once this many unsynced bytes accumulate. With the
-    /// background thread enabled this is a *nudge*, not an inline sync: the
-    /// serving thread signals the background thread and keeps appending, so
-    /// the write path never waits on the disk for batched-class records
-    /// (whose loss is a cache miss, never a stale read). Bytes appended
-    /// while one fsync is in flight ride to the next one; sync_interval is
-    /// the backstop bound on the loss window. With sync_interval == 0 the
-    /// trigger syncs inline on the appending thread as there is nobody
-    /// else to hand the work to. The default is sized so a write burst
-    /// triggers few journal commits (each one steals CPU from serving);
-    /// the batched-record loss window is bounded by sync_interval either
-    /// way, and batched loss is a cache miss, never a stale read.
-    size_t sync_batch_bytes = 1024 * 1024;
-    /// Background fsync cadence. 0 disables the background thread (tests
-    /// drive Sync()/Checkpoint() by hand).
-    Duration sync_interval = Millis(50);
-    /// Rotate + checkpoint once the checkpoint lag — WAL bytes not yet
-    /// covered by a checkpoint, summed across segments — exceeds this many
-    /// bytes. Checked by the background thread after every sync; stores
-    /// running without one call MaybeCheckpoint() to apply the same
-    /// byte-growth-driven schedule by hand. Lag, not live-segment size, is
-    /// the trigger so a failed checkpoint's uncovered rotated segments keep
-    /// counting toward the next attempt (the replay debt a crash would pay
-    /// never silently resets). 0 disables size-triggered checkpoints.
-    uint64_t checkpoint_lag_bytes = 8ull << 20;
-    /// Reserve this many bytes for the next WAL segment ahead of rotation
-    /// (fallocate, best effort — see Wal::Options::preallocate_bytes). The
-    /// default matches the rotation threshold, so a rotated-into segment is
-    /// fully reserved up front. 0 disables.
-    size_t wal_preallocate_bytes = 8ull << 20;
-  };
-
-  explicit PersistentStore(std::string dir) : PersistentStore(dir, Options()) {}
-  PersistentStore(std::string dir, Options options);
+  explicit PersistentStore(std::string dir);
   ~PersistentStore() override;
   PersistentStore(const PersistentStore&) = delete;
   PersistentStore& operator=(const PersistentStore&) = delete;
 
-  /// Creates the data dir if needed, replays existing state into `instance`
-  /// (construct it with Options::persistence == this), and starts recording.
+  /// Creates the data dir if needed, deletes checkpoint temps an interrupted
+  /// write left behind, replays existing state into `instance` (construct it
+  /// with Options::persistence == this), and starts recording.
   /// Fails closed (kInternal) on corruption: a damaged checkpoint, a
   /// mid-log CRC mismatch, a torn tail anywhere but the newest segment, or
   /// a gap in the segment sequence. Also kInternal, naming write-back, when
@@ -110,22 +92,17 @@ class PersistentStore final : public PersistenceSink {
   /// write never reached the data store. One-shot per store.
   Status Open(CacheInstance& instance);
 
-  /// Rotates the log, snapshots the instance, and garbage-collects covered
-  /// segments and older checkpoints.
+  /// Has the writer rotate the log, snapshots the instance, and
+  /// garbage-collects covered segments and older checkpoints.
   Status Checkpoint();
 
-  /// Checkpoints iff the checkpoint lag exceeds Options::checkpoint_lag_bytes
-  /// (see the option for the schedule's rationale). Returns whether a
-  /// checkpoint ran. The background thread calls this after every sync;
-  /// deterministic deployments (sync_interval == 0) call it by hand.
-  Result<bool> MaybeCheckpoint();
-
-  /// fsyncs any unsynced log tail.
+  /// Waits until every record appended so far is fsynced.
   Status Sync();
 
-  /// Stops the background thread and syncs. Idempotent; the destructor
-  /// calls it. Does NOT checkpoint — callers wanting a compact shutdown
-  /// state call Checkpoint() first.
+  /// Stops the checkpoint thread, then the writer, which writes what is
+  /// queued, fsyncs and closes the log. Idempotent; the destructor calls
+  /// it. Does NOT checkpoint — callers wanting a compact shutdown state call
+  /// Checkpoint() first.
   void Close();
 
   /// First WAL I/O error since Open, if any. Once set, the store stops
@@ -147,10 +124,11 @@ class PersistentStore final : public PersistenceSink {
     uint64_t torn_tail_bytes = 0;   // bytes discarded from a torn final segment
     /// WAL bytes not yet covered by a checkpoint, across segments: the
     /// truncation lag — how much log the next boot would replay if the
-    /// process died right now, and the driver of size-triggered checkpoint
-    /// scheduling (Options::checkpoint_lag_bytes).
+    /// process died right now. A failed checkpoint leaves its rotated
+    /// segments in it.
     uint64_t checkpoint_lag_bytes = 0;
   };
+  /// stats(), error() and wal_seq() never wait behind log I/O.
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] uint64_t wal_seq() const;
@@ -177,9 +155,7 @@ class PersistentStore final : public PersistenceSink {
   Status Replay(CacheInstance& instance, uint64_t& next_seq);
   /// Frames the record into pending_ for the writer thread. The serving
   /// thread's only WAL cost is this encode-under-lock. An `eager` record's
-  /// LSN goes to the EagerScope open on the calling thread. The writer's
-  /// group fsync that covers it covers everything enqueued before it too,
-  /// so an eager record is a durability barrier.
+  /// LSN goes to the EagerScope open on the calling thread.
   void Append(const WalRecord& record, bool eager);
   /// Zero-copy overload for the upsert hot path: frames straight from the
   /// cache's buffers (the views must stay valid for the duration of the
@@ -191,35 +167,24 @@ class PersistentStore final : public PersistenceSink {
   /// the scope gets kFailedLsn so the op is not acknowledged; before Open
   /// (replay) and after Close the record is simply not logged.
   void RefuseEager();
+  /// Heads the live segment with the latest observed config id, fsynced:
+  /// checkpoints (Snapshot format) do not store it, and the segments that
+  /// did are about to be garbage-collected.
+  Status AppendSegmentHead();
   /// Latches the first WAL error: recording stops and every pending eager
-  /// LSN turns kFailed. Requires mu_.
-  void LatchErrorLocked(Status s);
-  /// Wakes WaitDurable callers and listeners after durable_ or failed_
-  /// changed.
+  /// LSN turns kFailed.
+  void LatchError(Status s);
+  /// Wakes WaitDurable/Sync callers and listeners after durable_ or
+  /// failed_ changed.
   void NotifyDurable();
-  /// Two-phase batched sync: snapshots the tail under mu_, fsyncs with mu_
-  /// released so appends keep flowing. Holds sync_mu_ throughout so
-  /// Rotate/Close cannot invalidate the fd mid-fsync.
-  Status SyncOffThread();
-  /// Drains queue_ in batches: one write(2) per batch, one fsync when the
-  /// batch contains any eager record (group commit).
+  /// The log's only user after Open (see the file comment).
   void WriterLoop();
-  void BackgroundLoop();
+  /// Runs a checkpoint each time the writer asks for one.
+  void CheckpointLoop();
 
   const std::string dir_;
-  const Options options_;
   CheckpointManager checkpoints_;
-
-  /// Serializes fsync against Rotate/Close (fd lifetime). Lock order:
-  /// sync_mu_ before mu_, never the reverse.
-  mutable std::mutex sync_mu_;
-  mutable std::mutex mu_;  // guards wal_, error_ and uncovered_bytes_
-  Wal wal_;
-  Status error_;
-  /// Bytes in closed (rotated-away) segments no checkpoint covers yet —
-  /// nonzero only while a checkpoint is in flight or after one failed. The
-  /// total checkpoint lag is this plus the live segment's bytes.
-  uint64_t uncovered_bytes_ = 0;
+  Wal wal_;  // the writer thread's alone once Open starts it
 
   CacheInstance* instance_ = nullptr;
   std::atomic<bool> recording_{false};
@@ -237,38 +202,49 @@ class PersistentStore final : public PersistenceSink {
   uint64_t quarantine_drops_ = 0;
   uint64_t torn_tail_bytes_ = 0;
 
-  // ---- WAL writer thread (group commit) -----------------------------------
-  // Producers frame records straight into pending_ (Wal::EncodeFrame) under
-  // q_mu_; the writer swaps the buffer out and hands it to one write(2).
-  // The two buffers recycle their capacity between the threads, so a
-  // steady-state append allocates nothing.
-  std::mutex q_mu_;
-  std::condition_variable q_cv_;        // producers -> writer: work available
+  // ---- Guarded by q_mu_, which is never held across I/O ---------------------
+  // Producers frame records straight into pending_ (Wal::EncodeFrame); the
+  // writer swaps the buffer out and hands it to one write(2). The two
+  // buffers recycle their capacity between the threads, so a steady-state
+  // append allocates nothing.
+  mutable std::mutex q_mu_;
+  std::condition_variable q_cv_;        // producers/requests -> writer
   std::condition_variable q_space_cv_;  // writer -> producers: backpressure
   std::condition_variable q_done_cv_;   // writer -> waiters: progress
   std::string pending_;                 // framed bytes not yet written
   size_t pending_records_ = 0;
-  bool pending_eager_ = false;
+  /// The next write must be fsynced: an eager record or Sync() waits on it.
+  bool sync_next_ = false;
   uint64_t enqueued_ = 0;  // records ever queued; the last one's LSN
   uint64_t written_ = 0;   // records handed to write(2)
   /// Records covered by an fsync: the durable LSN. Written under q_mu_,
   /// read lock-free by CheckDurable.
   std::atomic<uint64_t> durable_{0};
-  /// Set with error_ (LatchErrorLocked); read lock-free by CheckDurable.
+  /// Set with error_ (LatchError); read lock-free by CheckDurable.
   std::atomic<bool> failed_{false};
+  Status error_;
   bool writer_stop_ = false;
-  std::thread writer_thread_;
+  // What the writer publishes of the log for stats() and wal_seq().
+  uint64_t fsyncs_ = 0;
+  uint64_t wal_seq_ = 0;
+  /// Stats::checkpoint_lag_bytes: the writer adds every byte it writes, and
+  /// a checkpoint subtracts what its rotation closed once it lands.
+  uint64_t lag_bytes_ = 0;
+  // Checkpoint hand-off.
+  bool checkpoint_due_ = false;     // writer -> checkpoint thread
+  bool checkpointer_stop_ = false;
+  bool rotate_requested_ = false;   // checkpoint -> writer
+  uint64_t rotated_lag_ = 0;        // lag a checkpoint at wal_seq_ covers
+  std::condition_variable checkpoint_cv_;
+
+  /// Serializes checkpoints: held across one, taken by nothing else.
+  std::mutex checkpoint_mu_;
 
   std::mutex listeners_mu_;  // leaf lock: OnDurable never calls back
   std::vector<DurableListener*> listeners_;
 
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool stop_ = false;
-  /// Set by the writer when the unsynced tail crosses sync_batch_bytes;
-  /// wakes the background thread for an early (off-thread) fsync.
-  std::atomic<bool> sync_requested_{false};
-  std::thread bg_thread_;
+  std::thread writer_thread_;
+  std::thread checkpoint_thread_;
 };
 
 }  // namespace gemini

@@ -1,6 +1,5 @@
 #include "src/persist/wal.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -215,8 +214,7 @@ bool Wal::ParseSegmentName(std::string_view name, uint64_t& seq) {
   return true;
 }
 
-Status Wal::Open(const std::string& dir, uint64_t seq,
-                 const Options& options) {
+Status Wal::Open(const std::string& dir, uint64_t seq) {
   Close();
   const std::string path = SegmentPath(dir, seq);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -235,8 +233,7 @@ Status Wal::Open(const std::string& dir, uint64_t seq,
   fd_ = fd;
   unsynced_bytes_ = 0;
   segment_bytes_ = static_cast<uint64_t>(st.st_size);
-  options_ = options;
-  if (options_.preallocate_bytes > 0) PreallocateNext();
+  PreallocateNext();
   return Status::Ok();
 }
 
@@ -249,7 +246,7 @@ void Wal::PreallocateNext() {
   // filesystem that cannot reserve (EOPNOTSUPP) just skips — this is an
   // optimization, never a correctness requirement.
   (void)::fallocate(fd, FALLOC_FL_KEEP_SIZE, 0,
-                    static_cast<off_t>(options_.preallocate_bytes));
+                    static_cast<off_t>(kSegmentBytes));
   ::close(fd);
 }
 
@@ -289,10 +286,11 @@ void Wal::EncodeFrame(std::string& out, const WalUpsertRef& record) {
 Status Wal::Append(const WalRecord& record, bool sync_now) {
   std::string frame;
   EncodeFrame(frame, record);
-  return AppendRaw(frame, sync_now);
+  if (Status s = AppendRaw(frame); !s.ok() || !sync_now) return s;
+  return Sync();
 }
 
-Status Wal::AppendRaw(std::string_view frames, bool sync_now) {
+Status Wal::AppendRaw(std::string_view frames) {
   if (fd_ < 0) return Status(Code::kInternal, "wal: append on closed log");
   size_t off = 0;
   while (off < frames.size()) {
@@ -303,63 +301,33 @@ Status Wal::AppendRaw(std::string_view frames, bool sync_now) {
     }
     off += static_cast<size_t>(n);
   }
-  appended_bytes_ += frames.size();
   segment_bytes_ += frames.size();
-  unsynced_bytes_.fetch_add(frames.size(), std::memory_order_relaxed);
-  if (sync_now ||
-      unsynced_bytes_.load(std::memory_order_relaxed) >=
-          options_.sync_batch_bytes) {
-    return SyncLocked();
-  }
+  unsynced_bytes_ += frames.size();
   return Status::Ok();
 }
 
 Status Wal::Sync() {
-  if (fd_ < 0) return Status::Ok();
-  return SyncLocked();
-}
-
-Wal::SyncToken Wal::PrepareSync() const {
-  SyncToken token;
-  token.fd = fd_;
-  token.pending = unsynced_bytes_.load(std::memory_order_relaxed);
-  return token;
-}
-
-Status Wal::CompleteSync(const SyncToken& token) {
-  if (token.fd < 0 || token.pending == 0) return Status::Ok();
-  if (::fsync(token.fd) != 0) {
+  if (fd_ < 0 || unsynced_bytes_ == 0) return Status::Ok();
+  if (::fsync(fd_) != 0) {
     return Errno("wal fsync failed", SegmentPath(dir_, seq_));
   }
-  fsync_count_.fetch_add(1, std::memory_order_relaxed);
-  // Subtract what this sync is known to have covered, floored at zero: a
-  // concurrent sync of an overlapping range may already have claimed some
-  // of it. Over-counting leftovers only costs an extra fsync later; it can
-  // never mark un-fsynced bytes as durable.
-  size_t cur = unsynced_bytes_.load(std::memory_order_relaxed);
-  size_t take = std::min(cur, token.pending);
-  while (!unsynced_bytes_.compare_exchange_weak(cur, cur - take,
-                                                std::memory_order_relaxed)) {
-    take = std::min(cur, token.pending);
-  }
+  ++fsync_count_;
+  unsynced_bytes_ = 0;
   return Status::Ok();
 }
 
-Status Wal::SyncLocked() { return CompleteSync(PrepareSync()); }
-
 Status Wal::Rotate() {
   if (fd_ < 0) return Status(Code::kInternal, "wal: rotate on closed log");
-  if (Status s = SyncLocked(); !s.ok()) return s;
+  if (Status s = Sync(); !s.ok()) return s;
   ::close(fd_);
   fd_ = -1;
   const std::string dir = dir_;
-  const uint64_t next = seq_ + 1;
-  return Open(dir, next, options_);
+  return Open(dir, seq_ + 1);
 }
 
 void Wal::Close() {
   if (fd_ < 0) return;
-  (void)SyncLocked();
+  (void)Sync();
   ::close(fd_);
   fd_ = -1;
 }

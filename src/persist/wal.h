@@ -18,11 +18,11 @@
 // `pinned` is reserved and always written 0: it marked a write-back value
 // the data store had not seen yet. Replay refuses a record that carries 1.
 //
-// Appends go through a buffered write() immediately (so the record is visible
-// to a same-OS reader and survives a process crash) and are fsync-batched for
-// power-loss durability: a record is synced either eagerly (`sync_now`, used
-// for lease-critical records whose loss could cause a stale read) or when the
-// unsynced tail exceeds `sync_batch_bytes` / the owner's periodic Sync().
+// Appends go through write() immediately (so the record is visible to a
+// same-OS reader and survives a process crash); a record is durable against
+// power loss once an fsync covers it, which happens only when the owner asks
+// (`sync_now`, Sync(), Rotate(), Close()). The owner decides the schedule:
+// PersistentStore's WAL writer thread (persistent_store.h).
 //
 // The log is a sequence of segments `wal-<seq>.log`. Rotation fsyncs and
 // closes the old segment and opens `seq+1`; checkpoints (checkpoint.h) cover
@@ -37,7 +37,7 @@
 // silently wrong lease or value.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -110,50 +110,34 @@ struct WalScanResult {
   Status error;
 };
 
-/// Append handle over a directory of segments. Not thread-safe, with one
-/// deliberate exception: the owner (PersistentStore) serializes Append /
-/// Rotate / Close / PrepareSync against each other, but may run
-/// CompleteSync — the fsync itself — concurrently with Append so the write
-/// path never stalls behind the disk. The byte accounting is atomic to
-/// support exactly that overlap.
+/// Append handle over a directory of segments. Not thread-safe: one thread
+/// owns it at a time (in PersistentStore, the WAL writer thread after Open).
 class Wal {
  public:
-  struct Options {
-    /// fsync once this many bytes accumulate since the last sync. Records
-    /// appended with sync_now bypass the batch. SIZE_MAX disables the
-    /// inline trigger (the owner syncs on its own schedule).
-    size_t sync_batch_bytes = 256 * 1024;
-    /// Reserve this many bytes for the *next* segment whenever a segment
-    /// opens (fallocate with KEEP_SIZE), so rotation's first appends land on
-    /// already-reserved extents instead of paying block allocation inline.
-    /// The pre-created file stays zero-length, which replay already accepts
-    /// as the crash-after-rotation shape. 0 disables; filesystems without
-    /// fallocate support silently skip the reservation.
-    size_t preallocate_bytes = 0;
-  };
-
-  /// Snapshot of the sync work outstanding at PrepareSync time. fsyncing
-  /// `fd` makes (at least) `pending` bytes durable.
-  struct SyncToken {
-    int fd = -1;
-    size_t pending = 0;
-  };
+  /// A segment's size budget. Opening a segment reserves this many bytes for
+  /// the *next* one (fallocate with KEEP_SIZE), so rotation's first appends
+  /// land on already-reserved extents instead of paying block allocation
+  /// inline; the reserved file stays zero-length, which replay already
+  /// accepts as the crash-after-rotation shape. Filesystems without fallocate
+  /// support skip the reservation. PersistentStore checkpoints, which rotates
+  /// the log, once the live segment reaches it.
+  static constexpr uint64_t kSegmentBytes = 8ull << 20;
 
   Wal() = default;
   ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Creates (O_APPEND) segment `dir/wal-<seq>.log` and fsyncs `dir` so the
-  /// new name is durable.
-  Status Open(const std::string& dir, uint64_t seq, const Options& options);
+  /// Creates (O_APPEND) segment `dir/wal-<seq>.log`, fsyncs `dir` so the new
+  /// name is durable, and reserves segment seq+1.
+  Status Open(const std::string& dir, uint64_t seq);
 
   /// Frames and appends one record. With `sync_now`, fsyncs before returning.
   Status Append(const WalRecord& record, bool sync_now);
 
   /// Appends pre-framed bytes (one or more EncodeFrame outputs) in a single
-  /// write(2) — the group-commit path. With `sync_now`, fsyncs after.
-  Status AppendRaw(std::string_view frames, bool sync_now);
+  /// write(2) — the group-commit path.
+  Status AppendRaw(std::string_view frames);
 
   /// Appends one `len | crc32c | payload` frame for `record` to `out`.
   static void EncodeFrame(std::string& out, const WalRecord& record);
@@ -162,29 +146,16 @@ class Wal {
   /// fsyncs any unsynced tail.
   Status Sync();
 
-  /// Two-phase sync for owners that fsync off their append lock: call
-  /// PrepareSync under the same serialization as Append, then CompleteSync
-  /// anywhere — appends may proceed concurrently, but the owner must keep
-  /// Rotate()/Close() from invalidating the token's fd in between.
-  SyncToken PrepareSync() const;
-  Status CompleteSync(const SyncToken& token);
-
   /// Syncs and closes the current segment, then opens `seq()+1`.
   Status Rotate();
 
   /// Syncs and closes. Idempotent.
   void Close();
 
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] uint64_t seq() const { return seq_; }
-  [[nodiscard]] uint64_t appended_bytes() const { return appended_bytes_; }
   [[nodiscard]] uint64_t segment_bytes() const { return segment_bytes_; }
-  [[nodiscard]] size_t unsynced_bytes() const {
-    return unsynced_bytes_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t fsync_count() const {
-    return fsync_count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] size_t unsynced_bytes() const { return unsynced_bytes_; }
+  [[nodiscard]] uint64_t fsync_count() const { return fsync_count_; }
 
   static std::string SegmentPath(const std::string& dir, uint64_t seq);
   /// Parses "wal-<seq>.log" (basename). False for any other name.
@@ -195,20 +166,15 @@ class Wal {
   static WalScanResult ScanFile(const std::string& path);
 
  private:
-  Status SyncLocked();
-  /// Best-effort fallocate of segment seq_ + 1 (see Options::preallocate_bytes).
+  /// Best-effort reservation of segment seq_ + 1 (see kSegmentBytes).
   void PreallocateNext();
 
   std::string dir_;
   uint64_t seq_ = 0;
   int fd_ = -1;
-  /// Atomic so a CompleteSync in flight on another thread and concurrent
-  /// appends keep a consistent (never under-counting) tally.
-  std::atomic<size_t> unsynced_bytes_{0};
-  uint64_t appended_bytes_ = 0;  // lifetime, across rotations
-  uint64_t segment_bytes_ = 0;   // current segment only
-  std::atomic<uint64_t> fsync_count_{0};
-  Options options_;
+  size_t unsynced_bytes_ = 0;
+  uint64_t segment_bytes_ = 0;  // current segment only
+  uint64_t fsync_count_ = 0;
 };
 
 }  // namespace gemini

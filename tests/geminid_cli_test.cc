@@ -3,14 +3,17 @@
 // same --data-dir serves everything that was acknowledged. Also pins the
 // CLI's fail-closed flag validation (a typo'd number, or a flag of a removed
 // mode, must exit 2 rather than boot something else), crash-stop on a WAL
-// I/O error (no eager op is acknowledged after it, and geminid exits 1), and
+// I/O error (no eager op is acknowledged after it, and geminid exits 1), a
+// checkpoint that cannot land not being retried until the log regrows, and
 // the refusal of a data dir that holds a write-back value.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -234,6 +237,65 @@ TEST(GeminidCli, WalWriteErrorRefusesEagerOpsAndExitsOne) {
   ::close(child.stdout_fd);
 }
 
+size_t SegmentCount(const std::string& dir) {
+  size_t count = 0;
+  DIR* dp = ::opendir(dir.c_str());
+  if (dp == nullptr) return 0;
+  while (struct dirent* e = ::readdir(dp)) {
+    uint64_t seq = 0;
+    if (Wal::ParseSegmentName(e->d_name, seq)) ++count;
+  }
+  ::closedir(dp);
+  return count;
+}
+
+/// A checkpoint that cannot land (here the cache outgrows RLIMIT_FSIZE, as
+/// on a full disk) is retried only once the log has grown another segment:
+/// with the load stopped, the log stops rotating and the cache is not
+/// re-serialized over and over.
+TEST(GeminidCli, FailedCheckpointWaitsForTheLogToRegrow) {
+  const std::string dir = ::testing::TempDir() + "/geminid_cli_cpfail";
+  WipeDataDir(dir);
+  // Room for a WAL segment and what races past it before rotation, but not
+  // for a checkpoint of the whole cache once it passes 2.5 segments.
+  Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
+                              dir, "--threads", "1"},
+                             /*file_size_limit=*/Wal::kSegmentBytes * 5 / 2);
+  ASSERT_GT(child.pid, 0);
+  const std::string banner = ReadUntil(child.stdout_fd, "serving on");
+  const uint16_t port = PortFromBanner(banner);
+  ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
+
+  // 3.5 segments of distinct keys, paced so the log never outruns a
+  // checkpoint in flight: the checkpoints after the first two segments
+  // land, the one after the third cannot.
+  TcpConnection conn("127.0.0.1", port, 7, TcpConnection::Options());
+  const std::string value(64 << 10, 'v');
+  const uint64_t keys = Wal::kSegmentBytes * 7 / 2 / value.size();
+  for (uint64_t i = 0; i < keys; ++i) {
+    ASSERT_TRUE(conn.Call<wire::Op::kSet>(kInternalCtx,
+                                          "k" + std::to_string(i),
+                                          CacheValue::OfData(value))
+                    .ok())
+        << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Let the attempt the last segment started finish, then watch the log.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // The failed checkpoint left its rotated segment uncovered.
+  EXPECT_GT(StatValue(conn, "persist.checkpoint_lag_bytes"),
+            Wal::kSegmentBytes);
+  const std::string instance_dir = dir + "/instance_7";
+  const size_t segments = SegmentCount(instance_dir);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_EQ(SegmentCount(instance_dir), segments);
+  conn.Disconnect();
+  ASSERT_EQ(::kill(child.pid, SIGKILL), 0);
+  EXPECT_EQ(WaitForExit(child.pid), -SIGKILL);
+  ::close(child.stdout_fd);
+  WipeDataDir(dir);
+}
+
 TEST(GeminidCli, InvalidTimeoutFlagsExitTwo) {
   for (const char* flag : {"--drain-timeout-ms", "--idle-timeout-ms"}) {
     Child child = SpawnGeminid({flag, "bogus"});
@@ -278,7 +340,7 @@ TEST(GeminidCli, WriteBackRecordInDataDirRefusesToBoot) {
   ASSERT_EQ(::mkdir(instance_dir.c_str(), 0755), 0);
   {
     Wal wal;
-    ASSERT_TRUE(wal.Open(instance_dir, 0, {}).ok());
+    ASSERT_TRUE(wal.Open(instance_dir, 0).ok());
     WalRecord rec;
     rec.type = WalRecordType::kUpsert;
     rec.pinned = true;

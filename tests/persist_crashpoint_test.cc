@@ -132,12 +132,6 @@ struct OracleState {
 
 class CrashPointTest : public ::testing::Test {
  protected:
-  static PersistentStore::Options StoreOptions() {
-    PersistentStore::Options o;
-    o.sync_interval = 0;
-    return o;
-  }
-
   std::string TempDir(const std::string& name) {
     const std::string dir = ::testing::TempDir() + "/crashpt_" + name;
     RemoveTree(dir);
@@ -155,7 +149,7 @@ class CrashPointTest : public ::testing::Test {
   /// every record type, including two quarantines still in flight at the
   /// "crash".
   void BuildBaseImage(const std::string& dir) {
-    auto store = std::make_unique<PersistentStore>(dir, StoreOptions());
+    auto store = std::make_unique<PersistentStore>(dir);
     CacheInstance::Options opts;
     opts.persistence = store.get();
     CacheInstance instance(1, &clock_, opts);
@@ -246,7 +240,7 @@ class CrashPointTest : public ::testing::Test {
     // oracle's state.
     WalScanResult scan = Wal::ScanFile(target);
 
-    PersistentStore store(scratch, StoreOptions());
+    PersistentStore store(scratch);
     CacheInstance::Options opts;
     opts.persistence = &store;
     CacheInstance instance(1, &clock_, opts);
@@ -385,7 +379,7 @@ class CrashWindowTest : public CrashPointTest {
 
   Process Boot(const std::string& dir) {
     Process p;
-    p.store = std::make_unique<PersistentStore>(dir, StoreOptions());
+    p.store = std::make_unique<PersistentStore>(dir);
     CacheInstance::Options opts;
     opts.persistence = p.store.get();
     p.instance = std::make_unique<CacheInstance>(1, &clock_, opts);

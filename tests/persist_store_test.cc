@@ -1,17 +1,24 @@
 // PersistentStore tests: kill-and-restart roundtrips restore byte-exact
 // entries and metadata, the crash-spanning Q rule drops in-flight writes,
-// checkpoints truncate the log, a restart with a smaller stripe budget drops
-// what no longer fits, damage fails closed, a WAL write error stops every
-// later eager op from being acknowledged, and a SIGKILL'd primary rejoins
-// the cluster through the normal failover -> transient -> recovery cycle
-// with zero stale reads and a warm cache.
+// checkpoints truncate the log, the writer fsyncs batched records and log
+// growth triggers checkpoints with no call from the owner, a restart with a
+// smaller stripe budget drops what no longer fits, leftover checkpoint temps
+// are deleted, damage fails closed, a WAL write error stops every later
+// eager op from being acknowledged, and a SIGKILL'd primary rejoins the
+// cluster through the normal failover -> transient -> recovery cycle with
+// zero stale reads and a warm cache.
 #include "src/persist/persistent_store.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <ctime>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -55,6 +62,16 @@ struct EntryImage {
   }
 };
 
+/// Polls `done` every millisecond for up to 5 s: the writer and checkpoint
+/// threads act on their own schedule.
+template <typename Predicate>
+bool Eventually(Predicate done) {
+  for (int i = 0; i < 5000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
 std::map<std::string, EntryImage> ImageOf(const CacheInstance& instance) {
   std::map<std::string, EntryImage> image;
   instance.ForEachEntry([&image](std::string_view key, const CacheValue& value,
@@ -78,14 +95,6 @@ class PersistentStoreTest : public ::testing::Test {
     for (const auto& d : dirs_) RemoveTree(d);
   }
 
-  /// Test stores run without the background thread: Sync()/Checkpoint() are
-  /// driven by hand so every test is deterministic.
-  static PersistentStore::Options StoreOptions() {
-    PersistentStore::Options o;
-    o.sync_interval = 0;
-    return o;
-  }
-
   /// One "process": a store and the instance it durably backs.
   struct Process {
     std::unique_ptr<PersistentStore> store;
@@ -94,7 +103,7 @@ class PersistentStoreTest : public ::testing::Test {
 
   Process Boot(const std::string& dir, CacheInstance::Options opts = {}) {
     Process p;
-    p.store = std::make_unique<PersistentStore>(dir, StoreOptions());
+    p.store = std::make_unique<PersistentStore>(dir);
     opts.persistence = p.store.get();
     p.instance = std::make_unique<CacheInstance>(1, &clock_, opts);
     EXPECT_TRUE(p.store->Open(*p.instance).ok());
@@ -300,45 +309,153 @@ TEST_F(PersistentStoreTest, ConfigIdSurvivesThroughCheckpointHeadRecord) {
   EXPECT_EQ(q.instance->latest_config_id(), 42u);
 }
 
+TEST_F(PersistentStoreTest, BatchedUpsertsAreFsyncedWithoutASyncCall) {
+  const std::string dir = TempDir("batched_fsync");
+  Process p = Boot(dir);
+  // A small upsert waits for its 50 ms age; a 2 MiB one passes the 1 MiB
+  // unsynced bound. Either way the writer fsyncs it with nobody asking.
+  Lsn lsn = 0;
+  for (const size_t bytes : {size_t{64}, size_t{2} << 20}) {
+    const uint64_t fsyncs = p.store->stats().fsyncs;
+    ASSERT_TRUE(p.instance
+                    ->Set(kCtx, "k" + std::to_string(bytes),
+                          CacheValue::OfData(std::string(bytes, 'v')))
+                    .ok());
+    ++lsn;  // one batched record per Set
+    EXPECT_TRUE(Eventually([&] {
+      return p.store->CheckDurable(lsn) == Durability::kDurable;
+    })) << bytes << " bytes";
+    EXPECT_GT(p.store->stats().fsyncs, fsyncs);
+  }
+  EXPECT_EQ(p.store->stats().eager_records, 0u);
+}
+
 TEST_F(PersistentStoreTest, CheckpointSchedulingIsDrivenByWalByteGrowth) {
   const std::string dir = TempDir("lag_schedule");
-  PersistentStore::Options o = StoreOptions();
-  o.checkpoint_lag_bytes = 4096;
-  PersistentStore store(dir, o);
-  CacheInstance::Options opts;
-  opts.persistence = &store;
-  CacheInstance instance(1, &clock_, opts);
-  ASSERT_TRUE(store.Open(instance).ok());
-  const uint64_t boot_checkpoints = store.stats().checkpoints;
+  Process p = Boot(dir);
+  const uint64_t boot_checkpoints = p.store->stats().checkpoints;
+  const uint64_t boot_seq = p.store->wal_seq();
+  const std::string value(64 << 10, 'v');
+  int next = 0;
+  const auto set_next = [&] {
+    return p.instance
+        ->Set(kCtx, "k" + std::to_string(next++), CacheValue::OfData(value))
+        .ok();
+  };
 
-  // Below the threshold, MaybeCheckpoint declines.
-  auto ran = store.MaybeCheckpoint();
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
-  EXPECT_EQ(store.stats().checkpoints, boot_checkpoints);
-
-  // ~8 KiB of upserts crosses the 4 KiB lag threshold. Sync() first so the
-  // writer thread has drained and the lag the scheduler sees is the lag the
-  // appends produced.
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(instance.Set(kCtx, "k" + std::to_string(i),
-                             CacheValue::OfData(std::string(512, 'v')))
-                    .ok());
+  // Up to two values short of a full segment: no checkpoint.
+  while (p.store->stats().appended_bytes + 2 * value.size() <
+         Wal::kSegmentBytes) {
+    ASSERT_TRUE(set_next());
   }
-  ASSERT_TRUE(store.Sync().ok());
-  EXPECT_GT(store.stats().checkpoint_lag_bytes, o.checkpoint_lag_bytes);
+  ASSERT_TRUE(p.store->Sync().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(p.store->stats().checkpoints, boot_checkpoints);
+  EXPECT_EQ(p.store->wal_seq(), boot_seq);
 
-  ran = store.MaybeCheckpoint();
-  ASSERT_TRUE(ran.ok());
-  EXPECT_TRUE(*ran);
-  EXPECT_EQ(store.stats().checkpoints, boot_checkpoints + 1);
-  // The checkpoint collapsed the lag to the fresh segment's head record,
-  // so the scheduler is quiescent again until the log regrows.
-  EXPECT_LT(store.stats().checkpoint_lag_bytes, o.checkpoint_lag_bytes);
-  ran = store.MaybeCheckpoint();
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
-  EXPECT_EQ(store.stats().checkpoints, boot_checkpoints + 1);
+  // Crossing it checkpoints with no call from the owner. The lag collapses
+  // last, once the covered segments are gone.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(set_next());
+  ASSERT_TRUE(Eventually([&] {
+    const PersistentStore::Stats stats = p.store->stats();
+    return stats.checkpoints == boot_checkpoints + 1 &&
+           stats.checkpoint_lag_bytes < Wal::kSegmentBytes;
+  }));
+  const uint64_t seq = p.store->wal_seq();
+  EXPECT_GT(seq, boot_seq);
+  // What is left is the fresh segment: its head record and any upsert that
+  // raced past the rotation.
+  ASSERT_TRUE(p.store->Sync().ok());
+  struct stat live {};
+  ASSERT_EQ(::stat(Wal::SegmentPath(dir, seq).c_str(), &live), 0);
+  EXPECT_EQ(p.store->stats().checkpoint_lag_bytes,
+            static_cast<uint64_t>(live.st_size));
+  DirListing listing;
+  ASSERT_TRUE(CheckpointManager(dir).List(listing).ok());
+  EXPECT_EQ(listing.checkpoint_seqs, (std::vector<uint64_t>{seq}));
+  for (uint64_t s : listing.wal_seqs) EXPECT_GE(s, seq);
+
+  // Quiescent again until the log regrows.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(p.store->stats().checkpoints, boot_checkpoints + 1);
+  EXPECT_EQ(p.store->wal_seq(), seq);
+  const auto before = ImageOf(*p.instance);
+  Kill(p);
+  Process q = Boot(dir);
+  EXPECT_EQ(ImageOf(*q.instance), before);
+}
+
+// Writers with batched and eager records, Sync(), Checkpoint() and stats()
+// race from several threads across automatic checkpoints; the restart
+// serves exactly the final image.
+TEST_F(PersistentStoreTest, ConcurrentWritersSyncsAndCheckpoints) {
+  const std::string dir = TempDir("concurrent");
+  CacheInstance::Options opts;
+  opts.num_stripes = 8;
+  Process p = Boot(dir, opts);
+  const uint64_t boot_checkpoints = p.store->stats().checkpoints;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&p, &stop, t] {
+      const std::string value(16 << 10, static_cast<char>('a' + t));
+      for (int i = 0; !stop.load(); ++i) {
+        const std::string key =
+            "w" + std::to_string(t) + "_" + std::to_string(i % 64);
+        EXPECT_TRUE(
+            p.instance->Set(kCtx, key, CacheValue::OfData(value, i)).ok());
+        if (i % 16 == 0) {  // a write-around cycle: an eager QBegin
+          auto token = p.instance->Qareg(kCtx, key);
+          EXPECT_TRUE(token.ok());
+          if (token.ok()) {
+            EXPECT_TRUE(p.instance->Dar(kCtx, key, *token).ok());
+          }
+        }
+      }
+    });
+  }
+  // Until the writer has asked for two checkpoints of its own.
+  uint64_t explicit_checkpoints = 0;
+  for (int round = 0; round < 20000; ++round) {
+    if (p.store->stats().checkpoints >=
+        boot_checkpoints + explicit_checkpoints + 2) {
+      break;
+    }
+    EXPECT_TRUE(p.store->Sync().ok());
+    if (round % 10 == 0) {
+      EXPECT_TRUE(p.store->Checkpoint().ok());
+      ++explicit_checkpoints;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  EXPECT_GE(p.store->stats().checkpoints,
+            boot_checkpoints + explicit_checkpoints + 2);
+  ASSERT_TRUE(p.store->error().ok()) << p.store->error().ToString();
+  const auto before = ImageOf(*p.instance);
+  Kill(p);
+  Process q = Boot(dir, opts);
+  EXPECT_EQ(ImageOf(*q.instance), before);
+}
+
+// A process killed mid-checkpoint leaves the temp file behind, and nothing
+// else would ever delete it: the next Open does, in the current naming and
+// the older pid-suffixed one, and leaves unrelated files alone.
+TEST_F(PersistentStoreTest, OpenDeletesCheckpointTemps) {
+  const std::string dir = TempDir("temps");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  const std::string cp = CheckpointManager(dir).CheckpointPath(3);
+  const std::vector<std::string> temps = {cp + ".tmp", cp + ".tmp.4242.0"};
+  const std::string unrelated = dir + "/notes.tmp";
+  for (const std::string& path : temps) std::ofstream(path) << "partial";
+  std::ofstream(unrelated) << "keep";
+
+  Process p = Boot(dir);
+  for (const std::string& path : temps) {
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << path;
+  }
+  EXPECT_EQ(::access(unrelated.c_str(), F_OK), 0);
 }
 
 TEST_F(PersistentStoreTest, CorruptLogFailsClosed) {
@@ -363,7 +480,7 @@ TEST_F(PersistentStoreTest, CorruptLogFailsClosed) {
   ASSERT_EQ(std::fwrite(&b, 1, 1, f), 1u);
   std::fclose(f);
 
-  PersistentStore store(dir, StoreOptions());
+  PersistentStore store(dir);
   CacheInstance::Options opts;
   opts.persistence = &store;
   CacheInstance instance(1, &clock_, opts);
@@ -377,13 +494,15 @@ TEST_F(PersistentStoreTest, SegmentGapFailsClosed) {
   // Segments 0 and 2 with no 1: history is missing, recovery must refuse.
   for (uint64_t seq : {0ull, 2ull}) {
     Wal wal;
-    ASSERT_TRUE(wal.Open(dir, seq, {}).ok());
+    ASSERT_TRUE(wal.Open(dir, seq).ok());
     WalRecord rec;
     rec.type = WalRecordType::kConfigId;
     ASSERT_TRUE(wal.Append(rec, true).ok());
     wal.Close();
   }
-  PersistentStore store(dir, StoreOptions());
+  // Opening segment 0 reserved an empty segment 1: remove it.
+  ASSERT_EQ(::unlink(Wal::SegmentPath(dir, 1).c_str()), 0);
+  PersistentStore store(dir);
   CacheInstance::Options opts;
   opts.persistence = &store;
   CacheInstance instance(1, &clock_, opts);
@@ -398,7 +517,7 @@ TEST_F(PersistentStoreTest, TornTailInMiddleSegmentFailsClosed) {
   // Rotate without checkpointing so two segments must both replay.
   {
     Wal wal;  // new handle appends nothing; rotate via a second segment
-    ASSERT_TRUE(wal.Open(dir, first + 1, {}).ok());
+    ASSERT_TRUE(wal.Open(dir, first + 1).ok());
     WalRecord rec;
     rec.type = WalRecordType::kConfigId;
     ASSERT_TRUE(wal.Append(rec, true).ok());
@@ -413,7 +532,7 @@ TEST_F(PersistentStoreTest, TornTailInMiddleSegmentFailsClosed) {
   ASSERT_EQ(::truncate(path.c_str(),
                        static_cast<off_t>(scan.valid_bytes - 3)), 0);
 
-  PersistentStore store(dir, StoreOptions());
+  PersistentStore store(dir);
   CacheInstance::Options opts;
   opts.persistence = &store;
   CacheInstance instance(1, &clock_, opts);
@@ -452,13 +571,19 @@ TEST_F(PersistentStoreTest, WalWriteErrorStopsAcknowledgingEagerOps) {
   ASSERT_TRUE(a.Set(kCtx, "k", CacheValue::OfData(data_store, 1)).ok());
   ASSERT_TRUE(p.store->Sync().ok());
 
-  struct stat segment{};
-  ASSERT_EQ(::stat(Wal::SegmentPath(dir, p.store->wal_seq()).c_str(),
-                   &segment), 0);
+  const std::string path = Wal::SegmentPath(dir, p.store->wal_seq());
+  const auto file_size = [&path] {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? st.st_size : off_t{-1};
+  };
+  const off_t synced_size = file_size();
   Status sync;
   {
-    // A batched upsert larger than the room left: its write(2) fails.
-    FileSizeLimit limit(static_cast<rlim_t>(segment.st_size) + 1024);
+    // Room for a small upsert, not for the 64 KiB one after it: the log
+    // fails with the small one written but not yet fsynced.
+    FileSizeLimit limit(static_cast<rlim_t>(synced_size) + 1024);
+    ASSERT_TRUE(a.Set(kCtx, "small", CacheValue::OfData("s")).ok());
+    ASSERT_TRUE(Eventually([&] { return file_size() > synced_size; }));
     ASSERT_TRUE(
         a.Set(kCtx, "big", CacheValue::OfData(std::string(64 << 10, 'b')))
             .ok());
@@ -469,6 +594,10 @@ TEST_F(PersistentStoreTest, WalWriteErrorStopsAcknowledgingEagerOps) {
   EXPECT_NE(p.store->error().message().find("wal write failed"),
             std::string::npos)
       << p.store->error().ToString();
+  // The writer idles from then on: it does not retry the failed log.
+  const std::clock_t cpu = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(std::clock() - cpu, CLOCKS_PER_SEC / 10);
 
   // From the error on, no eager op is acknowledged.
   const Result<LeaseToken> token = a.Qareg(kCtx, "k");
@@ -507,7 +636,7 @@ TEST_F(PersistentStoreTest, KilledPrimaryRejoinsWarmThroughRecoveryCycle) {
   constexpr size_t kFragments = 8;
   const std::string dir = TempDir("lifecycle");
 
-  auto store0 = std::make_unique<PersistentStore>(dir, StoreOptions());
+  auto store0 = std::make_unique<PersistentStore>(dir);
   std::vector<std::unique_ptr<CacheInstance>> instances;
   std::vector<CacheInstance*> raw;
   for (size_t i = 0; i < kInstances; ++i) {
@@ -579,7 +708,7 @@ TEST_F(PersistentStoreTest, KilledPrimaryRejoinsWarmThroughRecoveryCycle) {
   // instance. Content and config id come back from disk alone.
   instances[0]->RecoverVolatile();
   ASSERT_EQ(instances[0]->stats().entry_count, 0u);
-  auto store1 = std::make_unique<PersistentStore>(dir, StoreOptions());
+  auto store1 = std::make_unique<PersistentStore>(dir);
   instances[0]->SetPersistenceSink(store1.get());
   ASSERT_TRUE(store1->Open(*instances[0]).ok());
 
@@ -623,7 +752,7 @@ TEST_F(PersistentStoreTest, KilledPrimaryRejoinsWarmThroughRecoveryCycle) {
   store1.reset();
   instances[0]->SetPersistenceSink(nullptr);
 
-  PersistentStore store2(dir, StoreOptions());
+  PersistentStore store2(dir);
   CacheInstance::Options opts;
   opts.persistence = &store2;
   CacheInstance fresh(0, &clock_, opts);

@@ -1,6 +1,7 @@
 // WAL unit tests: record encode/decode roundtrips, the torn-tail vs
 // corruption classification that recovery's fail-closed rule hangs on,
-// fsync batching, segment rotation, and checkpoint-directory listing/GC.
+// fsync on request, segment rotation and reservation, and
+// checkpoint-directory listing/GC.
 // Golden bytes lock one WAL upsert frame and one checkpoint, so an encoder
 // change that would strand existing data dirs fails here first; a data dir
 // built from them must keep booting, and one whose reserved write-back bits
@@ -152,7 +153,7 @@ TEST_F(WalTest, DecodeRejectsMalformedPayloads) {
 TEST_F(WalTest, AppendScanRoundTrip) {
   const std::string dir = TempDir("roundtrip");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   std::vector<WalRecord> written;
   for (int i = 0; i < 20; ++i) {
     WalRecord rec = FullUpsert();
@@ -180,9 +181,7 @@ TEST_F(WalTest, AppendScanRoundTrip) {
 TEST_F(WalTest, EagerSyncBypassesBatchAndBatchedSyncAccumulates) {
   const std::string dir = TempDir("sync");
   Wal wal;
-  Wal::Options options;
-  options.sync_batch_bytes = 1 << 20;  // big batch: nothing syncs on its own
-  ASSERT_TRUE(wal.Open(dir, 0, options).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   const uint64_t base = wal.fsync_count();
 
   WalRecord rec = FullUpsert();
@@ -202,22 +201,10 @@ TEST_F(WalTest, EagerSyncBypassesBatchAndBatchedSyncAccumulates) {
   wal.Close();
 }
 
-TEST_F(WalTest, SmallBatchTriggersSyncByBytes) {
-  const std::string dir = TempDir("batch");
-  Wal wal;
-  Wal::Options options;
-  options.sync_batch_bytes = 1;  // every append overflows the batch
-  ASSERT_TRUE(wal.Open(dir, 0, options).ok());
-  const uint64_t base = wal.fsync_count();
-  ASSERT_TRUE(wal.Append(FullUpsert(), /*sync_now=*/false).ok());
-  EXPECT_GT(wal.fsync_count(), base);
-  wal.Close();
-}
-
 TEST_F(WalTest, TruncationMidFrameIsATornTailNotCorruption) {
   const std::string dir = TempDir("torn");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   for (int i = 0; i < 5; ++i) {
     WalRecord rec = FullUpsert();
     rec.key = "k" + std::to_string(i);
@@ -258,7 +245,7 @@ TEST_F(WalTest, TruncationMidFrameIsATornTailNotCorruption) {
 TEST_F(WalTest, BitFlipInACompleteFrameIsCorruptionAndFailsClosed) {
   const std::string dir = TempDir("corrupt");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   for (int i = 0; i < 4; ++i) {
     WalRecord rec = FullUpsert();
     rec.key = "k" + std::to_string(i);
@@ -285,7 +272,7 @@ TEST_F(WalTest, BitFlipInACompleteFrameIsCorruptionAndFailsClosed) {
 TEST_F(WalTest, UndecodablePayloadWithValidCrcIsCorruption) {
   const std::string dir = TempDir("undecodable");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   ASSERT_TRUE(wal.Append(FullUpsert(), false).ok());
   wal.Close();
   const std::string path = Wal::SegmentPath(dir, 0);
@@ -310,7 +297,7 @@ TEST_F(WalTest, UndecodablePayloadWithValidCrcIsCorruption) {
 TEST_F(WalTest, OversizedLengthClaimingPastEofIsTorn) {
   const std::string dir = TempDir("oversized");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   ASSERT_TRUE(wal.Append(FullUpsert(), false).ok());
   wal.Close();
   const std::string path = Wal::SegmentPath(dir, 0);
@@ -331,7 +318,7 @@ TEST_F(WalTest, OversizedLengthClaimingPastEofIsTorn) {
 TEST_F(WalTest, RotateAdvancesSegmentsAndNamesParse) {
   const std::string dir = TempDir("rotate");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 3, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 3).ok());
   EXPECT_EQ(wal.seq(), 3u);
   ASSERT_TRUE(wal.Append(FullUpsert(), false).ok());
   ASSERT_TRUE(wal.Rotate().ok());
@@ -353,16 +340,15 @@ TEST_F(WalTest, RotateAdvancesSegmentsAndNamesParse) {
   DirListing listing;
   CheckpointManager manager(dir);
   ASSERT_TRUE(manager.List(listing).ok());
-  EXPECT_EQ(listing.wal_seqs, (std::vector<uint64_t>{3, 4}));
+  // Segment 5 is the empty one segment 4 reserved.
+  EXPECT_EQ(listing.wal_seqs, (std::vector<uint64_t>{3, 4, 5}));
   EXPECT_TRUE(listing.checkpoint_seqs.empty());
 }
 
 TEST_F(WalTest, PreallocateCreatesEmptyNextSegmentWithReservedBlocks) {
   const std::string dir = TempDir("prealloc");
   Wal wal;
-  Wal::Options options;
-  options.preallocate_bytes = 1 << 20;
-  ASSERT_TRUE(wal.Open(dir, 0, options).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
 
   // The next segment exists, is zero-length (KEEP_SIZE), and scans as an
   // empty segment — the crash-after-rotation shape replay accepts.
@@ -390,7 +376,7 @@ TEST_F(WalTest, PreallocateCreatesEmptyNextSegmentWithReservedBlocks) {
 TEST_F(WalTest, GarbageCollectDropsCoveredFilesOnly) {
   const std::string dir = TempDir("gc");
   Wal wal;
-  ASSERT_TRUE(wal.Open(dir, 0, {}).ok());
+  ASSERT_TRUE(wal.Open(dir, 0).ok());
   ASSERT_TRUE(wal.Rotate().ok());
   ASSERT_TRUE(wal.Rotate().ok());
   wal.Close();
@@ -399,7 +385,7 @@ TEST_F(WalTest, GarbageCollectDropsCoveredFilesOnly) {
   ASSERT_TRUE(manager.GarbageCollect(2).ok());
   DirListing listing;
   ASSERT_TRUE(manager.List(listing).ok());
-  EXPECT_EQ(listing.wal_seqs, (std::vector<uint64_t>{2}));
+  EXPECT_EQ(listing.wal_seqs, (std::vector<uint64_t>{2, 3}));
 }
 
 TEST_F(WalTest, EmptyAndMissingFilesScanClean) {
@@ -467,9 +453,7 @@ struct BootedDir {
             const std::string& frame) {
     WriteFileBytes(CheckpointManager(dir).CheckpointPath(1), checkpoint);
     WriteFileBytes(Wal::SegmentPath(dir, 1), frame);
-    PersistentStore::Options options;
-    options.sync_interval = 0;
-    store = std::make_unique<PersistentStore>(dir, options);
+    store = std::make_unique<PersistentStore>(dir);
     CacheInstance::Options opts;
     opts.persistence = store.get();
     instance = std::make_unique<CacheInstance>(1, &clock, opts);

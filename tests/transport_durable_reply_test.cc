@@ -308,11 +308,10 @@ class DurableReplyStoreTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/durable_reply_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     RemoveTree(dir_);
-    // No background thread: every journal commit counted below is one an
-    // eager record paid for.
-    PersistentStore::Options o;
-    o.sync_interval = 0;
-    store_ = std::make_unique<PersistentStore>(dir_, o);
+    // The writer fsyncs batched records on its own only after 50 ms; here
+    // they ride the eager records' fsyncs, so the journal commits counted
+    // below are the ones eager records paid for.
+    store_ = std::make_unique<PersistentStore>(dir_);
     rig_ = std::make_unique<Rig>(store_.get());
     ASSERT_TRUE(store_->Open(*rig_->instance).ok());
     rig_->Start();
