@@ -27,7 +27,9 @@
 // stale read.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/cache/cache_instance.h"
 #include "src/common/status.h"
@@ -36,20 +38,29 @@ namespace gemini {
 
 class Snapshot {
  public:
-  /// Serializes the instance's current entries and quarantined-key set.
+  /// Serializes the instance's current entries and quarantined-key set into
+  /// one buffer. It holds every stripe lock for the walk
+  /// (CacheInstance::ForEachEntry). On an instance with a capacity the
+  /// buffer is sized first from the instance's byte count, trusted up to
+  /// the capacity (clients declare charged_bytes), so the walk neither
+  /// reallocates nor copies the cache a second time.
   static std::string Serialize(CacheInstance& instance);
 
-  /// Writes Serialize() to `path` atomically (`<path>.tmp` + rename). Not
-  /// safe for concurrent writers of one path.
-  static Status WriteToFile(CacheInstance& instance, const std::string& path);
+  /// Writes Serialize() to `path` atomically (`<path>.tmp` + rename) and
+  /// returns its size in bytes. Not safe for concurrent writers of one path.
+  static Result<uint64_t> WriteToFile(CacheInstance& instance,
+                                      const std::string& path);
 
   /// Parses `payload` and installs its entries into `instance` (which
   /// should be empty — existing entries are replaced on key collision).
   /// Quarantined and over-budget entries are skipped. Fails closed on
-  /// corruption, and before installing anything.
+  /// corruption, and before installing anything: one pass validates every
+  /// entry in place, then each is copied once, into the instance.
   static Status Load(CacheInstance& instance, std::string_view payload);
 
-  /// Reads `path` and Load()s it.
+  /// Reads `path` with one read into a buffer of the file's size and
+  /// Load()s it. kNotFound when there is no file; a read error is reported
+  /// as one (kInternal), not as a checksum mismatch.
   static Status LoadFromFile(CacheInstance& instance,
                              const std::string& path);
 };

@@ -50,10 +50,11 @@ bool CheckpointManager::ParseCheckpointName(std::string_view name,
   return ParseHex16(name.substr(kPrefix.size(), 16), seq);
 }
 
-Status CheckpointManager::Write(CacheInstance& instance, uint64_t seq) {
-  Status s = Snapshot::WriteToFile(instance, CheckpointPath(seq));
-  if (s.ok()) ++written_;
-  return s;
+Result<uint64_t> CheckpointManager::Write(CacheInstance& instance,
+                                          uint64_t seq) {
+  Result<uint64_t> bytes = Snapshot::WriteToFile(instance, CheckpointPath(seq));
+  if (bytes.ok()) ++written_;
+  return bytes;
 }
 
 Status CheckpointManager::Load(CacheInstance& instance, uint64_t seq) {

@@ -12,6 +12,12 @@
 // the replayed log; that overlap is safe because records carry exact values
 // and replay re-applies them in original order — the result converges on the
 // same state.
+//
+// Write returns the checkpoint's size. PersistentStore asks for the next one
+// once the log since this one's rotation is as large (never below
+// Wal::kSegmentBytes), so a data dir holds about two checkpoints' worth
+// between checkpoints (the newest one and the log since it) and about three
+// while one is written (GarbageCollect runs only once the new one landed).
 #pragma once
 
 #include <atomic>
@@ -37,8 +43,11 @@ class CheckpointManager {
  public:
   explicit CheckpointManager(std::string dir) : dir_(std::move(dir)) {}
 
-  /// Serializes `instance` into checkpoint-<seq>.snap atomically.
-  Status Write(CacheInstance& instance, uint64_t seq);
+  /// Serializes `instance` into checkpoint-<seq>.snap atomically and
+  /// returns its size in bytes: PersistentStore checkpoints again once the
+  /// WAL since this checkpoint's rotation has grown as large
+  /// (persistent_store.h).
+  Result<uint64_t> Write(CacheInstance& instance, uint64_t seq);
 
   /// Loads checkpoint-<seq>.snap into `instance`. Fails closed (kInternal)
   /// on corruption: a checkpoint is written atomically, so a damaged one is

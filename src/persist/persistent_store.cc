@@ -73,8 +73,14 @@ Status PersistentStore::Open(CacheInstance& instance) {
   recording_.store(true, std::memory_order_release);
 
   // A post-recovery checkpoint makes the replayed state durable in one file
-  // and truncates the replayed log — including any torn final segment.
-  if (Status s = checkpoints_.Write(instance, next_seq); !s.ok()) return s;
+  // and truncates the replayed log — including any torn final segment. Its
+  // size sets when the next one is due.
+  Result<uint64_t> bytes = checkpoints_.Write(instance, next_seq);
+  if (!bytes.ok()) return bytes.status();
+  {
+    std::lock_guard<std::mutex> lock(q_mu_);
+    checkpoint_bytes_ = *bytes;
+  }
   if (Status s = checkpoints_.GarbageCollect(next_seq); !s.ok()) return s;
 
   checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
@@ -249,21 +255,29 @@ Status PersistentStore::Checkpoint() {
     q_done_cv_.wait(lock, [this] {
       return !rotate_requested_ || failed_.load();
     });
-    if (failed_.load()) return error_;
-    new_seq = wal_seq_;
+    if (failed_.load()) {
+      ++checkpoint_failures_;
+      return error_;
+    }
+    new_seq = rotated_seq_;
     covered = rotated_lag_;
   }
   // Serialize outside q_mu_: ForEachEntry holds every stripe lock, and a
   // writer holding a stripe takes q_mu_ to append. Records racing into
   // segment new_seq before the cut are replayed on top of the checkpoint —
   // idempotent, they carry exact values in original order.
-  if (Status s = checkpoints_.Write(*instance_, new_seq); !s.ok()) return s;
-  if (Status s = checkpoints_.GarbageCollect(new_seq); !s.ok()) return s;
-  // The checkpoint covers every segment below new_seq; only the live
-  // segment's bytes (records that raced in since the rotation) remain.
+  const Result<uint64_t> bytes = checkpoints_.Write(*instance_, new_seq);
+  const Status s = bytes.ok() ? checkpoints_.GarbageCollect(new_seq)
+                              : bytes.status();
   std::lock_guard<std::mutex> lock(q_mu_);
-  lag_bytes_ -= covered;
-  return Status::Ok();
+  if (bytes.ok()) {
+    // The checkpoint covers every segment below new_seq; only the live
+    // segment's bytes (records that raced in since the rotation) remain.
+    lag_bytes_ -= covered;
+    checkpoint_bytes_ = *bytes;
+  }
+  if (!s.ok()) ++checkpoint_failures_;
+  return s;
 }
 
 void PersistentStore::CheckpointLoop() {
@@ -274,8 +288,8 @@ void PersistentStore::CheckpointLoop() {
     if (checkpointer_stop_) return;
     checkpoint_due_ = false;
     lock.unlock();
-    // A failure is not retried here: the writer asks again once the segment
-    // this attempt's rotation opened reaches kSegmentBytes.
+    // A failure is not retried here: the writer asks again once the log
+    // written since this attempt's rotation reaches the trigger.
     (void)Checkpoint();
     lock.lock();
   }
@@ -381,6 +395,8 @@ PersistentStore::Stats PersistentStore::stats() const {
     std::lock_guard<std::mutex> lock(q_mu_);
     s.fsyncs = fsyncs_;
     s.checkpoint_lag_bytes = lag_bytes_;
+    s.checkpoint_bytes = checkpoint_bytes_;
+    s.checkpoint_failures = checkpoint_failures_;
   }
   s.checkpoints = checkpoints_.checkpoints_written();
   s.replayed_segments = replayed_segments_;
@@ -456,12 +472,16 @@ void PersistentStore::WriterLoop() {
   using Clock = std::chrono::steady_clock;
   std::string batch;
   Clock::time_point sync_due;  // the oldest unsynced byte turns 50 ms old
-  bool checkpoint_asked = false;  // for the live segment
+  // Log written since the newest checkpoint's rotation, and whether it has
+  // asked for the next checkpoint yet.
+  uint64_t since_cut = wal_.segment_bytes();
+  bool checkpoint_asked = false;
   for (;;) {
     size_t count = 0;
     bool sync = false;
     bool rotate = false;
     bool stop = false;
+    uint64_t trigger = 0;
     Status s;
     batch.clear();
     {
@@ -499,10 +519,15 @@ void PersistentStore::WriterLoop() {
       rotate = rotate_requested_;
       stop = writer_stop_;  // producers refuse from now on: this is the last
       s = error_;
+      // A checkpoint rewrites the whole cache: ask for one once the log it
+      // would truncate is as large as the newest one (the file comment's
+      // bounds).
+      trigger = std::max(Wal::kSegmentBytes, checkpoint_bytes_);
     }
     q_space_cv_.notify_all();
 
     bool rotated = false;
+    bool want_checkpoint = false;
     if (s.ok()) {
       if (wal_.unsynced_bytes() == 0) sync_due = Clock::now() + kSyncInterval;
       s = wal_.AppendRaw(batch);
@@ -512,7 +537,15 @@ void PersistentStore::WriterLoop() {
                      wal_.unsynced_bytes() >= kSyncBatchBytes)) {
         s = wal_.Sync();
       }
-      if (s.ok() && rotate) {
+      since_cut += batch.size();
+      want_checkpoint =
+          s.ok() && !rotate && !checkpoint_asked && since_cut >= trigger;
+      // A full segment is closed, so replay holds one segment of about
+      // Wal::kSegmentBytes at a time, unless the checkpoint asked for will
+      // rotate the log anyway.
+      const bool full = !checkpoint_asked && !want_checkpoint &&
+                        wal_.segment_bytes() >= Wal::kSegmentBytes;
+      if (s.ok() && (rotate || full)) {
         s = wal_.Rotate();
         if (s.ok()) s = AppendSegmentHead();
         rotated = s.ok();
@@ -522,11 +555,11 @@ void PersistentStore::WriterLoop() {
       // future recovery miss a delete and serve a stale value.
       if (!s.ok()) LatchError(s);
     }
-    if (rotated) checkpoint_asked = false;
-    const bool want_checkpoint =
-        s.ok() && !checkpoint_asked &&
-        wal_.segment_bytes() >= Wal::kSegmentBytes;
-    checkpoint_asked |= want_checkpoint;
+    if (rotated && rotate) {
+      since_cut = 0;
+      checkpoint_asked = false;
+    }
+    if (rotated) since_cut += wal_.segment_bytes();
     bool advanced = false;
     {
       std::lock_guard<std::mutex> lock(q_mu_);
@@ -537,18 +570,23 @@ void PersistentStore::WriterLoop() {
         fsyncs_ = wal_.fsync_count();
         lag_bytes_ += batch.size();
       }
-      if (rotated) {
+      if (rotated && rotate) {
         // The closed segments hold what a checkpoint cut after this
-        // rotation covers; the fresh one starts with its head record.
+        // rotation covers. A checkpoint asked for before it is the one in
+        // flight.
+        rotated_seq_ = wal_.seq();
         rotated_lag_ = lag_bytes_;
+        checkpoint_due_ = false;
+      }
+      if (rotated) {
+        // The fresh segment starts with its head record.
         lag_bytes_ += wal_.segment_bytes();
         wal_seq_ = wal_.seq();
-        // A checkpoint asked for by the closed segment is the one in flight.
-        checkpoint_due_ = false;
       }
       if (rotate) rotate_requested_ = false;
       checkpoint_due_ |= want_checkpoint;
     }
+    checkpoint_asked |= want_checkpoint;
     if (want_checkpoint) checkpoint_cv_.notify_one();
     // Eager waiters and listeners learn of a failure from LatchError.
     if (advanced) {

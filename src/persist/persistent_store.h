@@ -43,13 +43,26 @@
 //   - Sync(), a checkpoint's rotation and Close() are requests it serves.
 // Producers wait only when 8 MiB of framed records are queued (backpressure).
 //
-// Checkpoints run on a checkpoint thread. The writer wakes it when the live
-// segment reaches Wal::kSegmentBytes (8 MiB); it asks the writer to rotate,
-// then snapshots the instance and garbage-collects (checkpoint.h has the
-// rotate-then-cut argument). A checkpoint that fails (say, the disk is full)
-// is retried only once the segment its rotation opened reaches the same
-// size, so it never rotates and re-serializes the cache in a loop.
-// Checkpoint() runs one on the caller's thread, serialized with that thread.
+// The writer closes a segment once it holds Wal::kSegmentBytes (8 MiB).
+// Checkpoints run on a checkpoint thread. The writer wakes it once the log
+// written since the newest checkpoint's rotation is as large as the newest
+// checkpoint that landed, and never below 8 MiB; it asks the writer to
+// rotate, then snapshots the instance and garbage-collects (checkpoint.h has
+// the rotate-then-cut argument). A checkpoint rewrites the whole cache, so
+// sizing the trigger by the last one bounds three things at once:
+//   - bytes written: at most about one checkpoint byte per log byte;
+//   - replay: a boot replays at most about one checkpoint's worth of log,
+//     one segment of about 8 MiB at a time;
+//   - disk: the data dir holds about two checkpoints' worth between
+//     checkpoints (the newest one and the log since it), and about three
+//     while one is written, since the old checkpoint and the log it covers
+//     go only once the new one has landed (a cache under 8 MiB: one
+//     checkpoint plus 8 MiB, and two plus 8 MiB).
+// A checkpoint that fails (say, the disk is full) leaves the trigger as it
+// was and is retried only once the log written since its rotation reaches
+// the trigger again, so it never rotates and re-serializes the cache in a
+// loop. Checkpoint() runs one on the caller's thread, serialized with that
+// thread.
 //
 // An eager append does not wait for its fsync. It hands the record's LSN to
 // the EagerScope open on the calling thread (persistence_sink.h) and
@@ -124,9 +137,16 @@ class PersistentStore final : public PersistenceSink {
     uint64_t torn_tail_bytes = 0;   // bytes discarded from a torn final segment
     /// WAL bytes not yet covered by a checkpoint, across segments: the
     /// truncation lag — how much log the next boot would replay if the
-    /// process died right now. A failed checkpoint leaves its rotated
-    /// segments in it.
+    /// process died right now. It grows to the checkpoint trigger (below),
+    /// and a failed checkpoint leaves its rotated segments in it.
     uint64_t checkpoint_lag_bytes = 0;
+    /// Size of the newest checkpoint that landed. The next one is due when
+    /// the log written since the newest checkpoint's rotation reaches it, or
+    /// Wal::kSegmentBytes if that is larger.
+    uint64_t checkpoint_bytes = 0;
+    /// Checkpoints that returned an error: the rotation, the write or the
+    /// garbage collection failed.
+    uint64_t checkpoint_failures = 0;
   };
   /// stats(), error() and wal_seq() never wait behind log I/O.
   [[nodiscard]] Stats stats() const;
@@ -230,11 +250,20 @@ class PersistentStore final : public PersistenceSink {
   /// Stats::checkpoint_lag_bytes: the writer adds every byte it writes, and
   /// a checkpoint subtracts what its rotation closed once it lands.
   uint64_t lag_bytes_ = 0;
+  /// Stats::checkpoint_bytes, set when a checkpoint lands: the writer asks
+  /// for the next one once the log since the newest checkpoint's rotation is
+  /// this large (or 8 MiB).
+  uint64_t checkpoint_bytes_ = 0;
+  uint64_t checkpoint_failures_ = 0;
   // Checkpoint hand-off.
   bool checkpoint_due_ = false;     // writer -> checkpoint thread
   bool checkpointer_stop_ = false;
   bool rotate_requested_ = false;   // checkpoint -> writer
-  uint64_t rotated_lag_ = 0;        // lag a checkpoint at wal_seq_ covers
+  // Set by a checkpoint's rotation: the segment it opened, where the
+  // checkpoint is cut, and the lag of the segments below it, which the cut
+  // covers. The writer also rotates on its own when a segment is full.
+  uint64_t rotated_seq_ = 0;
+  uint64_t rotated_lag_ = 0;
   std::condition_variable checkpoint_cv_;
 
   /// Serializes checkpoints: held across one, taken by nothing else.

@@ -114,13 +114,16 @@ struct WalScanResult {
 /// owns it at a time (in PersistentStore, the WAL writer thread after Open).
 class Wal {
  public:
-  /// A segment's size budget. Opening a segment reserves this many bytes for
-  /// the *next* one (fallocate with KEEP_SIZE), so rotation's first appends
-  /// land on already-reserved extents instead of paying block allocation
-  /// inline; the reserved file stays zero-length, which replay already
-  /// accepts as the crash-after-rotation shape. Filesystems without fallocate
-  /// support skip the reservation. PersistentStore checkpoints, which rotates
-  /// the log, once the live segment reaches it.
+  /// A segment's size budget: PersistentStore's writer rotates once the
+  /// live segment reaches it, so replay reads one bounded segment at a time.
+  /// Opening a segment reserves this many bytes for the *next* one
+  /// (fallocate with KEEP_SIZE), so rotation's first appends land on
+  /// already-reserved extents instead of paying block allocation inline; the
+  /// reserved file stays zero-length, which replay already accepts as the
+  /// crash-after-rotation shape. Filesystems without fallocate support skip
+  /// the reservation. It is also the floor of PersistentStore's checkpoint
+  /// trigger: the log since the newest checkpoint's rotation grows as large
+  /// as that checkpoint, and at least this large, before the next one.
   static constexpr uint64_t kSegmentBytes = 8ull << 20;
 
   Wal() = default;

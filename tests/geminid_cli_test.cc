@@ -250,14 +250,15 @@ size_t SegmentCount(const std::string& dir) {
 }
 
 /// A checkpoint that cannot land (here the cache outgrows RLIMIT_FSIZE, as
-/// on a full disk) is retried only once the log has grown another segment:
-/// with the load stopped, the log stops rotating and the cache is not
+/// on a full disk) is retried only once the log has grown to the trigger
+/// again: with the load stopped, the log stops rotating and the cache is not
 /// re-serialized over and over.
 TEST(GeminidCli, FailedCheckpointWaitsForTheLogToRegrow) {
   const std::string dir = ::testing::TempDir() + "/geminid_cli_cpfail";
   WipeDataDir(dir);
-  // Room for a WAL segment and what races past it before rotation, but not
-  // for a checkpoint of the whole cache once it passes 2.5 segments.
+  // Room for a checkpoint of two segments' worth of cache, but not for one
+  // of the whole cache once it passes 2.5 segments. Segments close at one
+  // segment's worth, well under the limit.
   Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
                               dir, "--threads", "1"},
                              /*file_size_limit=*/Wal::kSegmentBytes * 5 / 2);
@@ -266,12 +267,15 @@ TEST(GeminidCli, FailedCheckpointWaitsForTheLogToRegrow) {
   const uint16_t port = PortFromBanner(banner);
   ASSERT_NE(port, 0) << "no banner; geminid said:\n" << banner;
 
-  // 3.5 segments of distinct keys, paced so the log never outruns a
-  // checkpoint in flight: the checkpoints after the first two segments
-  // land, the one after the third cannot.
+  // 4.5 segments of distinct keys, paced so the log never outruns a
+  // checkpoint in flight. Each checkpoint is due once the log since the
+  // last one is as large as it: the one after the first segment (one
+  // segment of cache) lands, and so does the one after the second (two);
+  // the log then grows by two segments' worth, and the checkpoint it asks
+  // for (four) cannot land.
   TcpConnection conn("127.0.0.1", port, 7, TcpConnection::Options());
   const std::string value(64 << 10, 'v');
-  const uint64_t keys = Wal::kSegmentBytes * 7 / 2 / value.size();
+  const uint64_t keys = Wal::kSegmentBytes * 9 / 2 / value.size();
   for (uint64_t i = 0; i < keys; ++i) {
     ASSERT_TRUE(conn.Call<wire::Op::kSet>(kInternalCtx,
                                           "k" + std::to_string(i),
@@ -283,8 +287,9 @@ TEST(GeminidCli, FailedCheckpointWaitsForTheLogToRegrow) {
   // Let the attempt the last segment started finish, then watch the log.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   // The failed checkpoint left its rotated segment uncovered.
+  EXPECT_GE(StatValue(conn, "persist.checkpoint_failures"), 1u);
   EXPECT_GT(StatValue(conn, "persist.checkpoint_lag_bytes"),
-            Wal::kSegmentBytes);
+            StatValue(conn, "persist.checkpoint_bytes"));
   const std::string instance_dir = dir + "/instance_7";
   const size_t segments = SegmentCount(instance_dir);
   std::this_thread::sleep_for(std::chrono::seconds(1));

@@ -2,12 +2,22 @@
 // lists, snapshots) are parsed from cache-resident or on-disk bytes that an
 // operator, an eviction, or a torn write can mangle. Deterministic
 // fuzz-like sweeps assert "never crash, fail closed".
+//
+// SnapshotStructureMutations is the one seeded sweep: GEMINI_FAULT_SEED picks
+// its mutations (echoed so a CI failure replays exactly).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/cache/dirty_list.h"
 #include "src/cache/snapshot.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/coordinator/configuration.h"
 
@@ -119,6 +129,155 @@ TEST(ParserRobustness, SnapshotEveryByteFlipped) {
     EXPECT_FALSE(s.ok()) << "flip at " << pos;
     EXPECT_EQ(scratch.stats().entry_count, 0u);
   }
+}
+
+constexpr OpContext kCtx{kInternalConfigId, kInvalidFragment};
+
+uint64_t FuzzSeed() {
+  uint64_t seed = 1;
+  if (const char* env = std::getenv("GEMINI_FAULT_SEED");
+      env != nullptr && env[0] != '\0') {
+    seed = std::strtoull(env, nullptr, 10);
+  }
+  std::printf("[ snapshot ] GEMINI_FAULT_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  return seed;
+}
+
+/// One structural field of a snapshot: where it lies and how wide it is.
+struct Field {
+  enum Kind { kCount, kLength, kFlags };
+  Kind kind;
+  size_t offset;
+  size_t width;  // 4 or 8
+};
+
+uint64_t ReadField(std::string_view snap, const Field& f) {
+  uint64_t v = 0;
+  std::memcpy(&v, snap.data() + f.offset, f.width);
+  return v;
+}
+
+/// Walks a valid snapshot and lists its two header counts, every length
+/// prefix (entry keys and values, quarantined keys) and every flags word.
+std::vector<Field> FieldsOf(std::string_view snap) {
+  std::vector<Field> fields = {{Field::kCount, 8, 8}, {Field::kCount, 16, 8}};
+  const uint64_t entries = ReadField(snap, fields[0]);
+  const uint64_t quarantined = ReadField(snap, fields[1]);
+  size_t at = 24;
+  const auto length_prefixed = [&] {
+    fields.push_back({Field::kLength, at, 4});
+    at += 4 + ReadField(snap, fields.back());
+  };
+  for (uint64_t i = 0; i < entries; ++i) {
+    length_prefixed();  // key
+    length_prefixed();  // data
+    at += 4 + 8 + 8;    // charged_bytes, version, config_id
+    fields.push_back({Field::kFlags, at, 4});
+    at += 4;
+  }
+  for (uint64_t i = 0; i < quarantined; ++i) length_prefixed();
+  EXPECT_EQ(at + 8, snap.size()) << "the walk must end at the trailer";
+  return fields;
+}
+
+/// A replacement value aimed at the parser's edges: zero, just past or
+/// short of the old value, all ones, random bits, or one flipped bit (a
+/// flags word gets a single set bit, bit 0 being the retired write-back pin).
+uint64_t Mutate(Rng& rng, const Field& f, uint64_t old) {
+  uint64_t v = 0;
+  switch (rng.NextBounded(6)) {
+    case 0:
+      v = 0;
+      break;
+    case 1:
+      v = old + 1 + rng.NextBounded(4);
+      break;
+    case 2:
+      v = old - 1 - rng.NextBounded(4);  // wraps below zero
+      break;
+    case 3:
+      v = ~uint64_t{0};
+      break;
+    case 4:
+      v = rng.Next();
+      break;
+    default: {
+      const uint64_t bit = uint64_t{1} << rng.NextBounded(f.width * 8);
+      v = f.kind == Field::kFlags ? bit : old ^ bit;
+      break;
+    }
+  }
+  return f.width == 4 ? v & 0xFFFFFFFFu : v;
+}
+
+void ResealChecksum(std::string& snap) {
+  const uint64_t sum =
+      Fnv1a64(std::string_view(snap).substr(0, snap.size() - 8));
+  std::memcpy(snap.data() + snap.size() - 8, &sum, 8);
+}
+
+// Each round takes a valid snapshot, rewrites one to three of its counts,
+// length prefixes and flags words, and recomputes the FNV-1a trailer, so the
+// load gets past the checksum and into the parser (the two sweeps above
+// only ever fail the checksum). Every load must either succeed or fail
+// closed with nothing installed: a loader that installed entries before it
+// had validated the whole file would serve part of a damaged one.
+TEST(ParserRobustness, SnapshotStructureMutations) {
+  VirtualClock clock;
+  CacheInstance source(0, &clock);
+  for (int i = 0; i < 24; ++i) {
+    const std::string value(static_cast<size_t>(i * 7 % 50),
+                            static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(source
+                    .Set(kCtx, "key" + std::to_string(i),
+                         CacheValue::OfData(value, static_cast<Version>(i)))
+                    .ok());
+  }
+  // Outstanding Q leases put keys in the quarantine list at the very end of
+  // the file: a mutation there fails the load after every entry parsed.
+  for (const char* key : {"key3", "key11", "ghost"}) {
+    ASSERT_TRUE(source.Qareg(kCtx, key).ok());
+  }
+  const std::string valid = Snapshot::Serialize(source);
+  const std::vector<Field> fields = FieldsOf(valid);
+  {
+    CacheInstance restored(1, &clock);
+    ASSERT_TRUE(Snapshot::Load(restored, valid).ok());
+    ASSERT_EQ(restored.stats().entry_count, 22u);  // 24 minus 2 quarantined
+  }
+
+  Rng rng(FuzzSeed());
+  int loaded = 0;
+  int failed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string mutated = valid;
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const Field& f = fields[rng.NextBounded(fields.size())];
+      const uint64_t v = Mutate(rng, f, ReadField(mutated, f));
+      std::memcpy(mutated.data() + f.offset, &v, f.width);
+    }
+    ResealChecksum(mutated);
+    CacheInstance scratch(1, &clock);
+    const Status s = Snapshot::Load(scratch, mutated);
+    if (s.ok()) {
+      // A mutation can leave a parseable snapshot (say, it rewrote a field
+      // with its own value); then only what the file lists is installed.
+      ++loaded;
+      EXPECT_LE(scratch.stats().entry_count, ReadField(mutated, fields[0]))
+          << "round " << round;
+      continue;
+    }
+    ++failed;
+    EXPECT_EQ(s.code(), Code::kInternal) << "round " << round;
+    EXPECT_NE(s.message(), "snapshot checksum mismatch") << "round " << round;
+    EXPECT_EQ(scratch.stats().entry_count, 0u)
+        << "round " << round << ": " << s.ToString();
+  }
+  std::printf("[ snapshot ] %d mutated snapshots failed closed, %d loaded\n",
+              failed, loaded);
+  EXPECT_GT(failed, 2000);
 }
 
 }  // namespace

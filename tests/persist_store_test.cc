@@ -1,12 +1,14 @@
 // PersistentStore tests: kill-and-restart roundtrips restore byte-exact
 // entries and metadata, the crash-spanning Q rule drops in-flight writes,
 // checkpoints truncate the log, the writer fsyncs batched records and log
-// growth triggers checkpoints with no call from the owner, a restart with a
-// smaller stripe budget drops what no longer fits, leftover checkpoint temps
-// are deleted, damage fails closed, a WAL write error stops every later
-// eager op from being acknowledged, and a SIGKILL'd primary rejoins the
-// cluster through the normal failover -> transient -> recovery cycle with
-// zero stale reads and a warm cache.
+// growth triggers checkpoints with no call from the owner (once the log
+// since the newest checkpoint is as large as it, 8 MiB at least, while full
+// segments close on their own), a restart with a smaller stripe budget
+// drops what no longer fits, overstated charges do not size a checkpoint,
+// leftover checkpoint temps are deleted, damage fails closed, a WAL write
+// error stops every later eager op from being acknowledged, and a SIGKILL'd
+// primary rejoins the cluster through the normal failover -> transient ->
+// recovery cycle with zero stale reads and a warm cache.
 #include "src/persist/persistent_store.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include <unistd.h>
 
 #include "src/cache/cache_instance.h"
+#include "src/cache/snapshot.h"
 #include "src/client/gemini_client.h"
 #include "src/consistency/stale_read_checker.h"
 #include "src/coordinator/coordinator.h"
@@ -295,6 +298,41 @@ TEST_F(PersistentStoreTest, CheckpointEntryOverNewStripeBudgetIsDropped) {
   }
 }
 
+// A client declares charged_bytes, and an update is not held to the stripe
+// budget, so the instance's byte count can claim far more than its entries
+// hold: here 4 GiB per stripe for a few bytes each. A checkpoint sizes its
+// buffer from that count only up to the capacity, so the checkpoint and
+// both restart shapes still succeed.
+TEST_F(PersistentStoreTest, OverstatedChargesDoNotSizeTheCheckpoint) {
+  const std::string dir = TempDir("overstated");
+  CacheInstance::Options opts;
+  opts.capacity_bytes = 16 << 20;
+  opts.num_stripes = 16;
+  Process p = Boot(dir, opts);
+  for (int i = 0; i < 64; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(p.instance->Set(kCtx, key, CacheValue::OfData("v")).ok());
+    CacheValue overstated = CacheValue::OfData("v");
+    overstated.charged_bytes = 0xFFFFFFFF;
+    ASSERT_TRUE(p.instance->Set(kCtx, key, std::move(overstated)).ok());
+  }
+  ASSERT_GT(p.instance->stats().used_bytes, uint64_t{4} << 32);
+  EXPECT_LE(Snapshot::Serialize(*p.instance).capacity(),
+            2 * opts.capacity_bytes);
+  // SIGKILL: replay re-applies each update, then checkpoints.
+  Kill(p);
+  Process q = Boot(dir, opts);
+  ASSERT_TRUE(q.store->error().ok());
+  ASSERT_GT(q.instance->stats().used_bytes, uint64_t{4} << 32);
+  ASSERT_TRUE(q.store->Checkpoint().ok());
+  // Clean shutdown: the checkpoint alone holds them, and each is over its
+  // stripe's budget on load: a miss.
+  Kill(q);
+  Process r = Boot(dir, opts);
+  EXPECT_TRUE(r.store->error().ok());
+  EXPECT_EQ(r.store->stats().restored_entries, 0u);
+}
+
 TEST_F(PersistentStoreTest, ConfigIdSurvivesThroughCheckpointHeadRecord) {
   const std::string dir = TempDir("confighead");
   Process p = Boot(dir);
@@ -382,6 +420,81 @@ TEST_F(PersistentStoreTest, CheckpointSchedulingIsDrivenByWalByteGrowth) {
   const auto before = ImageOf(*p.instance);
   Kill(p);
   Process q = Boot(dir);
+  EXPECT_EQ(ImageOf(*q.instance), before);
+}
+
+// Once the cache outgrows the 8 MiB floor, the next automatic checkpoint
+// waits until the log since the newest checkpoint is as large as it: a
+// checkpoint rewrites the whole cache, so it writes no more than the log it
+// truncates. Segments still close at Wal::kSegmentBytes, so replay reads one
+// bounded segment at a time.
+TEST_F(PersistentStoreTest, CheckpointWaitsForTheLogToReachTheNewestOne) {
+  const std::string dir = TempDir("trigger");
+  CacheInstance::Options opts;
+  opts.capacity_bytes = 64 << 20;
+  Process p = Boot(dir, opts);
+  const uint64_t boot_checkpoints = p.store->stats().checkpoints;
+  constexpr int kKeys = 192;  // 12 MiB of 64 KiB values
+  std::string value(64 << 10, 'a');
+  int next = 0;
+  const auto set_next = [&] {
+    return p.instance
+        ->Set(kCtx, "k" + std::to_string(next++ % kKeys),
+              CacheValue::OfData(value))
+        .ok();
+  };
+  // Filling the cache crosses the floor once, then a checkpoint of the full
+  // cache sets the trigger above it.
+  for (int i = 0; i < kKeys; ++i) ASSERT_TRUE(set_next());
+  ASSERT_TRUE(Eventually(
+      [&] { return p.store->stats().checkpoints == boot_checkpoints + 1; }));
+  ASSERT_TRUE(p.store->Checkpoint().ok());
+  const uint64_t seq = p.store->wal_seq();
+  struct stat file {};
+  ASSERT_EQ(
+      ::stat(CheckpointManager(dir).CheckpointPath(seq).c_str(), &file), 0);
+  const auto checkpoint_bytes = static_cast<uint64_t>(file.st_size);
+  ASSERT_GT(checkpoint_bytes, Wal::kSegmentBytes + 2 * value.size());
+  EXPECT_EQ(p.store->stats().checkpoint_bytes, checkpoint_bytes);
+
+  // Overwrites keep the cache's size. Up to two values short of the
+  // checkpoint's size, the log asks for nothing, though it is far past the
+  // floor: the writer only closed the full segment, once.
+  value.assign(value.size(), 'b');
+  const uint64_t base = p.store->stats().appended_bytes;
+  while (p.store->stats().appended_bytes - base + 2 * value.size() <
+         checkpoint_bytes) {
+    ASSERT_TRUE(set_next());
+  }
+  ASSERT_TRUE(p.store->Sync().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(p.store->stats().checkpoints, boot_checkpoints + 2);
+  EXPECT_EQ(p.store->wal_seq(), seq + 1);
+  DirListing listing;
+  ASSERT_TRUE(CheckpointManager(dir).List(listing).ok());
+  EXPECT_EQ(listing.checkpoint_seqs, (std::vector<uint64_t>{seq}));
+  struct stat closed {};
+  ASSERT_EQ(::stat(Wal::SegmentPath(dir, seq).c_str(), &closed), 0);
+  EXPECT_GE(static_cast<uint64_t>(closed.st_size), Wal::kSegmentBytes);
+
+  // Crossing it checkpoints once, and only once.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(set_next());
+  ASSERT_TRUE(Eventually([&] {
+    const PersistentStore::Stats stats = p.store->stats();
+    return stats.checkpoints == boot_checkpoints + 3 &&
+           stats.checkpoint_lag_bytes < Wal::kSegmentBytes;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const PersistentStore::Stats stats = p.store->stats();
+  EXPECT_EQ(stats.checkpoints, boot_checkpoints + 3);
+  EXPECT_EQ(stats.checkpoint_failures, 0u);
+  EXPECT_EQ(p.store->wal_seq(), seq + 2);
+  ASSERT_TRUE(CheckpointManager(dir).List(listing).ok());
+  EXPECT_EQ(listing.checkpoint_seqs, (std::vector<uint64_t>{seq + 2}));
+  for (uint64_t s : listing.wal_seqs) EXPECT_GE(s, seq + 2);
+  const auto before = ImageOf(*p.instance);
+  Kill(p);
+  Process q = Boot(dir, opts);
   EXPECT_EQ(ImageOf(*q.instance), before);
 }
 

@@ -17,8 +17,13 @@
 // recovery protocol exists for: each instance logs every durable mutation
 // to a WAL in DIR/instance_<id>/, and a geminid killed (even with kill -9)
 // and restarted on the same directory replays itself back to the exact
-// pre-crash state (entries, quarantine drops, config ids). Without it the
-// cache is volatile.
+// pre-crash state (entries, quarantine drops, config ids). The log is
+// truncated by checkpoints of the whole cache, each taken once the log since
+// the last one has grown as large as it (at least 8 MiB), so a boot replays
+// at most about one checkpoint's worth of log and the directory holds about
+// two (three while a checkpoint is written); kStats reports
+// persist.checkpoint_bytes (the next trigger) and
+// persist.checkpoint_failures. Without --data-dir the cache is volatile.
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, drain connections,
 // and checkpoint every --data-dir instance so restart skips log replay.
@@ -287,6 +292,8 @@ int main(int argc, char** argv) {
             {"persist.quarantine_drops", ps.quarantine_drops},
             {"persist.torn_tail_bytes", ps.torn_tail_bytes},
             {"persist.checkpoint_lag_bytes", ps.checkpoint_lag_bytes},
+            {"persist.checkpoint_bytes", ps.checkpoint_bytes},
+            {"persist.checkpoint_failures", ps.checkpoint_failures},
         };
       };
     }
