@@ -194,8 +194,9 @@ std::optional<CacheValue> CacheInstance::RawGet(std::string_view key) const {
 
 // ---- Internal helpers --------------------------------------------------------
 
-uint64_t CacheInstance::ChargeOf(const Entry& e) const {
-  return e.key.size() + e.value.charged_bytes + options_.per_entry_overhead;
+uint64_t CacheInstance::ChargeOf(std::string_view key,
+                                 const CacheValue& value) const {
+  return key.size() + value.charged_bytes + options_.per_entry_overhead;
 }
 
 void CacheInstance::TouchLocked(Stripe& st, LruList::iterator it) {
@@ -204,7 +205,7 @@ void CacheInstance::TouchLocked(Stripe& st, LruList::iterator it) {
 
 void CacheInstance::EraseLocked(Stripe& st, LruList::iterator it,
                                 bool count_as_delete) {
-  st.used_bytes -= ChargeOf(*it);
+  st.used_bytes -= ChargeOf(it->key, it->value);
   if (count_as_delete) {
     counters_.deletes.fetch_add(1, std::memory_order_relaxed);
   }
@@ -227,27 +228,32 @@ void CacheInstance::EvictLocked(Stripe& st) {
 bool CacheInstance::UpsertLocked(Stripe& st, std::string_view key,
                                  CacheValue value, ConfigId cfg) {
   auto it = st.table.find(key);
+  const uint64_t charge = ChargeOf(key, value);
+  if (stripe_capacity_ != 0 && charge > stripe_capacity_) {
+    // Larger than the stripe's budget: refused, as memcached refuses items
+    // above its item-size cap. Like memcached's failed store, a refused
+    // replacement drops the value it would have replaced too;
+    // LogUpsertLocked then logs the key gone.
+    if (it != st.table.end()) {
+      EraseLocked(st, it->second, /*count_as_delete=*/false);
+    }
+    return false;
+  }
   if (it != st.table.end()) {
     Entry& e = *it->second;
-    st.used_bytes -= ChargeOf(e);
+    st.used_bytes -= ChargeOf(e.key, e.value);
     e.value = std::move(value);
     e.config_id = cfg;
-    st.used_bytes += ChargeOf(e);
     TouchLocked(st, it->second);
   } else {
     Entry e;
     e.key = std::string(key);
     e.value = std::move(value);
     e.config_id = cfg;
-    const uint64_t charge = ChargeOf(e);
-    if (stripe_capacity_ != 0 && charge > stripe_capacity_) {
-      return false;  // Larger than the stripe's budget: reject, as memcached
-                     // rejects items above its item-size cap.
-    }
     st.lru.push_front(std::move(e));
     st.table.emplace(std::string_view(st.lru.front().key), st.lru.begin());
-    st.used_bytes += charge;
   }
+  st.used_bytes += charge;
   counters_.inserts.fetch_add(1, std::memory_order_relaxed);
   EvictLocked(st);
   return true;
@@ -285,7 +291,12 @@ void CacheInstance::LogUpsertLocked(Stripe& st, PersistOp op,
                                     std::string_view key) {
   if (sink_ == nullptr) return;
   auto it = st.table.find(key);
-  if (it == st.table.end()) return;  // upsert was rejected (over budget)
+  if (it == st.table.end()) {
+    // The upsert was refused (over budget), and a refused replacement
+    // dropped the old value: without the delete, replay would restore it.
+    sink_->OnDelete(op, key);
+    return;
+  }
   const Entry& e = *it->second;
   sink_->OnUpsert(op, key, e.value, e.config_id);
 }
@@ -499,10 +510,11 @@ Status CacheInstance::Set(const OpContext& ctx, std::string_view key,
   const ConfigId cfg = StampForMeta(ctx);
   Stripe& st = StripeOf(key);
   std::lock_guard<std::mutex> lock(st.mu);
-  if (!UpsertLocked(st, key, std::move(value), cfg)) {
+  const bool stored = UpsertLocked(st, key, std::move(value), cfg);
+  LogUpsertLocked(st, PersistOp::kSet, key);
+  if (!stored) {
     return Status(Code::kInvalidArgument, "value larger than cache capacity");
   }
-  LogUpsertLocked(st, PersistOp::kSet, key);
   return Status::Ok();
 }
 
@@ -522,10 +534,11 @@ Status CacheInstance::Cas(const OpContext& ctx, std::string_view key,
   if (it->second->value.version != expected) {
     return Status(Code::kLeaseInvalid, "cas version mismatch");
   }
-  if (!UpsertLocked(st, key, std::move(value), cfg)) {
+  const bool stored = UpsertLocked(st, key, std::move(value), cfg);
+  LogUpsertLocked(st, PersistOp::kSet, key);
+  if (!stored) {
     return Status(Code::kInvalidArgument, "value larger than cache capacity");
   }
-  LogUpsertLocked(st, PersistOp::kSet, key);
   return Status::Ok();
 }
 
@@ -548,11 +561,11 @@ Status CacheInstance::Append(const OpContext& ctx, std::string_view key,
     return Status::Ok();
   }
   Entry& e = *it->second;
-  st.used_bytes -= ChargeOf(e);
+  st.used_bytes -= ChargeOf(e.key, e.value);
   e.value.data.append(data);
   e.value.charged_bytes = static_cast<uint32_t>(
       std::max<size_t>(e.value.charged_bytes, e.value.data.size()));
-  st.used_bytes += ChargeOf(e);
+  st.used_bytes += ChargeOf(e.key, e.value);
   TouchLocked(st, it->second);
   EvictLocked(st);
   LogUpsertLocked(st, PersistOp::kAppend, key);

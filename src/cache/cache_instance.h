@@ -322,17 +322,17 @@ class CacheInstance : public CacheBackend {
   [[nodiscard]] Stripe& StripeOf(std::string_view key) const;
 
   // All *Locked methods require the owning stripe's mutex held.
-  uint64_t ChargeOf(const Entry& e) const;
+  uint64_t ChargeOf(std::string_view key, const CacheValue& value) const;
   void TouchLocked(Stripe& st, LruList::iterator it);
   void EraseLocked(Stripe& st, LruList::iterator it, bool count_as_delete);
   void EvictLocked(Stripe& st);
   // Inserts or replaces; returns false if rejected (entry larger than the
-  // stripe's budget).
+  // stripe's budget), after erasing the entry it would have replaced.
   bool UpsertLocked(Stripe& st, std::string_view key, CacheValue value,
                     ConfigId cfg);
-  // Reports the just-installed entry for `key` to the persistence sink (a
-  // no-op when the sink is null or the upsert was rejected). Requires the
-  // stripe lock and meta_mu_ (shared) held.
+  // Reports the just-installed entry for `key` to the persistence sink, or
+  // a delete when the upsert was rejected (a no-op when the sink is null).
+  // Requires the stripe lock and meta_mu_ (shared) held.
   void LogUpsertLocked(Stripe& st, PersistOp op, std::string_view key);
   // Looks up the key and applies Rejig validity + Q-expiry actions.
   // `min_valid` is the fragment's minimum-valid config id (0 = no check),

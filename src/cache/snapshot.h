@@ -7,12 +7,9 @@
 // versions, and — critically for Gemini — the per-entry configuration ids
 // and the set of keys quarantined by outstanding Q leases).
 //
-// Format (little-endian, versioned):
-//   header:  magic "GEMSNAP1" | u64 entry_count | u64 quarantined_count
-//   entry:   u32 key_len | key bytes | u32 data_len | data bytes |
-//            u32 charged_bytes | u64 version | u64 config_id | u32 flags
-//   quarantined keys: u32 key_len | key bytes  (per key)
-//   trailer: u64 FNV-1a checksum of everything before it
+// The format (magic "GEMSNAP1", a header of two counts, the entries, the
+// quarantined keys, an FNV-1a trailer) is encoded by the field codec
+// (src/common/codec.h); docs/PROTOCOL.md §9 "Checkpoints" is its one table.
 //
 // `flags` is reserved and always written 0. Bit 0 marked a write-back value
 // the data store had not seen yet; Load refuses an entry that carries it,

@@ -1,53 +1,23 @@
 #include "src/persist/checkpoint.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 #include <dirent.h>
+#include <unistd.h>
 
 #include "src/cache/snapshot.h"
+#include "src/common/file_util.h"
 #include "src/persist/wal.h"
 
 namespace gemini {
-namespace {
-
-bool ParseHex16(std::string_view digits, uint64_t& out) {
-  if (digits.size() != 16) return false;
-  uint64_t v = 0;
-  for (char c : digits) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<uint64_t>(digit);
-  }
-  out = v;
-  return true;
-}
-
-}  // namespace
 
 std::string CheckpointManager::CheckpointPath(uint64_t seq) const {
-  char name[40];
-  std::snprintf(name, sizeof(name), "checkpoint-%016llx.snap",
-                static_cast<unsigned long long>(seq));
-  return dir_ + "/" + name;
+  return dir_ + "/" + SeqFileName("checkpoint-", seq, ".snap");
 }
 
 bool CheckpointManager::ParseCheckpointName(std::string_view name,
                                             uint64_t& seq) {
-  constexpr std::string_view kPrefix = "checkpoint-";
-  constexpr std::string_view kSuffix = ".snap";
-  if (name.size() != kPrefix.size() + 16 + kSuffix.size()) return false;
-  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
-  if (name.substr(name.size() - kSuffix.size()) != kSuffix) return false;
-  return ParseHex16(name.substr(kPrefix.size(), 16), seq);
+  return ParseSeqFileName(name, "checkpoint-", ".snap", seq);
 }
 
 Result<uint64_t> CheckpointManager::Write(CacheInstance& instance,
@@ -65,8 +35,7 @@ Status CheckpointManager::List(DirListing& out) const {
   out = DirListing{};
   DIR* d = ::opendir(dir_.c_str());
   if (d == nullptr) {
-    return Status(Code::kInternal, "cannot open data dir " + dir_ + ": " +
-                                       std::strerror(errno));
+    return ErrnoStatus("cannot open data dir", dir_);
   }
   // A temp is a checkpoint name plus ".tmp", with or without the
   // ".<pid>.<n>" suffix older writers appended.
@@ -96,8 +65,7 @@ Status CheckpointManager::GarbageCollect(uint64_t keep_seq) {
   Status first_failure = Status::Ok();
   auto unlink_or_note = [&first_failure](const std::string& path) {
     if (::unlink(path.c_str()) != 0 && first_failure.ok()) {
-      first_failure = Status(Code::kInternal, "cannot unlink " + path + ": " +
-                                                  std::strerror(errno));
+      first_failure = ErrnoStatus("cannot unlink", path);
     }
   };
   for (uint64_t seq : listing.wal_seqs) {

@@ -1,11 +1,9 @@
 #include "src/persist/fault_file.h"
 
-#include <cerrno>
-#include <cstring>
-
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "src/common/file_util.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 
@@ -45,8 +43,7 @@ FaultPlan FaultFile::PlanFor(uint64_t seed, uint32_t index,
 
 Status FaultFile::Apply(const std::string& path, const FaultPlan& plan) {
   if (::truncate(path.c_str(), static_cast<off_t>(plan.truncate_to)) != 0) {
-    return Status(Code::kInternal, "faultfile: cannot truncate " + path +
-                                       ": " + std::strerror(errno));
+    return ErrnoStatus("faultfile: cannot truncate", path);
   }
   if (plan.garbage_len == 0) return Status::Ok();
   std::string garbage;
@@ -56,23 +53,12 @@ Status FaultFile::Apply(const std::string& path, const FaultPlan& plan) {
     garbage.push_back(static_cast<char>(rng.NextBounded(256)));
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-  if (fd < 0) {
-    return Status(Code::kInternal, "faultfile: cannot open " + path + ": " +
-                                       std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < garbage.size()) {
-    const ssize_t n = ::write(fd, garbage.data() + off, garbage.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status(Code::kInternal, "faultfile: cannot write " + path + ": " +
-                                         std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
+  if (fd < 0) return ErrnoStatus("faultfile: cannot open", path);
+  const Status s = WriteAll(fd, garbage)
+                       ? Status::Ok()
+                       : ErrnoStatus("faultfile: cannot write", path);
   ::close(fd);
-  return Status::Ok();
+  return s;
 }
 
 }  // namespace gemini

@@ -1,228 +1,130 @@
 #include "src/persist/wal.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <tuple>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "src/common/codec.h"
+#include "src/common/file_util.h"
 #include "src/common/hash.h"
 
 namespace gemini {
 namespace {
 
-// Payload fields are raw little-endian scalars. Frames cap the payload at
-// 64 MiB: far above any cache entry this code base produces, low enough that
-// a garbage length field from a torn write cannot drive a giant allocation.
+using codec::Blob;
+using codec::u32;
+using codec::u64;
+using codec::u8;
+
+// Frames cap the payload at 64 MiB: far above any cache entry this code base
+// produces, low enough that a garbage length field from a torn write cannot
+// drive a giant allocation.
 constexpr uint32_t kMaxPayloadLen = 64u << 20;
-constexpr size_t kFrameHeaderLen = 8;  // u32 len | u32 crc
 
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
+/// u32 payload_len | u32 crc32c(payload)
+using FrameHeader = std::tuple<u32, u32>;
+constexpr size_t kFrameHeaderLen = codec::Field<FrameHeader>::kMinSize;
 
-void PutU32(std::string& out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out.append(b, 4);  // one capacity check instead of four
-}
+// Each record type's fields after its u8 type byte (PROTOCOL.md §9 "Log
+// format"). kQBegin and kQEnd carry a Blob key, kConfigId a u64 config id,
+// and kQClear and kWipe nothing.
+/// origin | pinned | config_id | version | charged_bytes | key | data
+using UpsertFields = std::tuple<u8, u8, u64, u64, u32, Blob, Blob>;
+/// origin | key
+using DeleteFields = std::tuple<u8, Blob>;
 
-void PutU64(std::string& out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out.append(b, 8);
-}
-
-void PutString(std::string& out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out.append(s);
-}
-
-/// Cursor over a payload; every Take* fails (returns false) on underrun so
-/// Decode rejects truncated payloads instead of reading garbage.
-struct Reader {
-  std::string_view rest;
-
-  bool TakeU8(uint8_t& v) {
-    if (rest.size() < 1) return false;
-    v = static_cast<uint8_t>(rest[0]);
-    rest.remove_prefix(1);
-    return true;
-  }
-  bool TakeU32(uint32_t& v) {
-    if (rest.size() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(rest[i])) << (8 * i);
-    }
-    rest.remove_prefix(4);
-    return true;
-  }
-  bool TakeU64(uint64_t& v) {
-    if (rest.size() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(rest[i])) << (8 * i);
-    }
-    rest.remove_prefix(8);
-    return true;
-  }
-  bool TakeString(std::string& s) {
-    uint32_t len = 0;
-    if (!TakeU32(len) || rest.size() < len) return false;
-    s.assign(rest.data(), len);
-    rest.remove_prefix(len);
-    return true;
-  }
-};
-
-Status Errno(const char* what, const std::string& path) {
-  return Status(Code::kInternal, std::string(what) + " " + path + ": " +
-                                     std::strerror(errno));
-}
-
-/// fsync the directory containing `path` so a created/renamed name is
-/// durable (same policy as Snapshot::WriteToFile).
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) return Errno("cannot open directory", dir);
-  const int rc = ::fsync(dir_fd);
-  ::close(dir_fd);
-  if (rc != 0) return Errno("cannot fsync directory", dir);
-  return Status::Ok();
+/// The one kUpsert encoder, for an owning WalRecord and a WalUpsertRef
+/// alike.
+template <typename Upsert>
+void EncodeUpsert(std::string& out, const Upsert& r, uint8_t pinned) {
+  codec::Encode<u8>(out, static_cast<uint8_t>(WalRecordType::kUpsert));
+  codec::Encode<UpsertFields>(
+      out, std::tie(r.origin, pinned, r.config_id, r.version, r.charged_bytes,
+                    r.key, r.data));
 }
 
 }  // namespace
 
 void WalRecord::EncodeTo(std::string& out) const {
-  PutU8(out, static_cast<uint8_t>(type));
+  if (type == WalRecordType::kUpsert) {
+    EncodeUpsert(out, *this, pinned ? 1 : 0);
+    return;
+  }
+  codec::Encode<u8>(out, static_cast<uint8_t>(type));
   switch (type) {
-    case WalRecordType::kUpsert:
-      PutU8(out, origin);
-      PutU8(out, pinned ? 1 : 0);
-      PutU64(out, config_id);
-      PutU64(out, version);
-      PutU32(out, charged_bytes);
-      PutString(out, key);
-      PutString(out, data);
-      break;
     case WalRecordType::kDelete:
-      PutU8(out, origin);
-      PutString(out, key);
+      codec::Encode<DeleteFields>(out, std::tie(origin, key));
       break;
     case WalRecordType::kQBegin:
     case WalRecordType::kQEnd:
-      PutString(out, key);
+      codec::Encode<Blob>(out, key);
       break;
     case WalRecordType::kConfigId:
-      PutU64(out, config_id);
+      codec::Encode<u64>(out, config_id);
       break;
-    case WalRecordType::kQClear:
-    case WalRecordType::kWipe:
+    default:  // kQClear, kWipe: the type byte alone
       break;
   }
 }
 
 void WalUpsertRef::EncodeTo(std::string& out) const {
-  // Must stay byte-identical to the WalRecord kUpsert branch above: replay
-  // decodes both through WalRecord::Decode.
-  PutU8(out, static_cast<uint8_t>(WalRecordType::kUpsert));
-  PutU8(out, origin);
-  PutU8(out, 0);  // pinned: reserved
-  PutU64(out, config_id);
-  PutU64(out, version);
-  PutU32(out, charged_bytes);
-  PutString(out, key);
-  PutString(out, data);
+  EncodeUpsert(out, *this, /*pinned=*/0);
 }
 
 bool WalRecord::Decode(std::string_view payload, WalRecord& out) {
-  Reader r{payload};
-  uint8_t type = 0;
-  if (!r.TakeU8(type)) return false;
   out = WalRecord{};
-  out.type = static_cast<WalRecordType>(type);
+  if (payload.empty()) return false;
+  out.type = static_cast<WalRecordType>(static_cast<uint8_t>(payload[0]));
+  // Decode fails on trailing bytes too: the length field disagrees with the
+  // payload, so the record is corrupt.
+  const std::string_view fields = payload.substr(1);
   switch (out.type) {
     case WalRecordType::kUpsert: {
       uint8_t pinned = 0;
-      if (!r.TakeU8(out.origin) || !r.TakeU8(pinned) ||
-          !r.TakeU64(out.config_id) || !r.TakeU64(out.version) ||
-          !r.TakeU32(out.charged_bytes) || !r.TakeString(out.key) ||
-          !r.TakeString(out.data)) {
-        return false;
-      }
+      auto upsert = std::tie(out.origin, pinned, out.config_id, out.version,
+                             out.charged_bytes, out.key, out.data);
+      if (!codec::Decode<UpsertFields>(fields, &upsert)) return false;
       out.pinned = pinned != 0;
-      break;
+      return true;
     }
-    case WalRecordType::kDelete:
-      if (!r.TakeU8(out.origin) || !r.TakeString(out.key)) return false;
-      break;
+    case WalRecordType::kDelete: {
+      auto del = std::tie(out.origin, out.key);
+      return codec::Decode<DeleteFields>(fields, &del);
+    }
     case WalRecordType::kQBegin:
     case WalRecordType::kQEnd:
-      if (!r.TakeString(out.key)) return false;
-      break;
+      return codec::Decode<Blob>(fields, &out.key);
     case WalRecordType::kConfigId:
-      if (!r.TakeU64(out.config_id)) return false;
-      break;
+      return codec::Decode<u64>(fields, &out.config_id);
     case WalRecordType::kQClear:
     case WalRecordType::kWipe:
-      break;
-    default:
-      return false;
+      return fields.empty();
   }
-  // Trailing bytes mean the length field disagrees with the payload: corrupt.
-  return r.rest.empty();
+  return false;  // unknown type
 }
 
 Wal::~Wal() { Close(); }
 
 std::string Wal::SegmentPath(const std::string& dir, uint64_t seq) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%016llx.log",
-                static_cast<unsigned long long>(seq));
-  return dir + "/" + name;
+  return dir + "/" + SeqFileName("wal-", seq, ".log");
 }
 
 bool Wal::ParseSegmentName(std::string_view name, uint64_t& seq) {
-  constexpr std::string_view kPrefix = "wal-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() != kPrefix.size() + 16 + kSuffix.size()) return false;
-  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
-  if (name.substr(name.size() - kSuffix.size()) != kSuffix) return false;
-  uint64_t v = 0;
-  for (char c : name.substr(kPrefix.size(), 16)) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<uint64_t>(digit);
-  }
-  seq = v;
-  return true;
+  return ParseSeqFileName(name, "wal-", ".log", seq);
 }
 
 Status Wal::Open(const std::string& dir, uint64_t seq) {
   Close();
   const std::string path = SegmentPath(dir, seq);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return Errno("cannot open wal segment", path);
+  if (fd < 0) return ErrnoStatus("cannot open wal segment", path);
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
+    const Status s = ErrnoStatus("cannot stat wal segment", path);
     ::close(fd);
-    return Errno("cannot stat wal segment", path);
+    return s;
   }
   if (Status s = SyncParentDir(path); !s.ok()) {
     ::close(fd);
@@ -253,24 +155,20 @@ void Wal::PreallocateNext() {
 namespace {
 
 // Encode the payload in place after a header placeholder, then patch the
-// header — no temporary buffer, so the hot path does not allocate beyond
-// out's amortized growth. Works for any payload type with EncodeTo.
+// header — no heap buffer, so the hot path does not allocate beyond out's
+// amortized growth. Works for any payload type with EncodeTo.
 template <typename Record>
 void EncodeFrameImpl(std::string& out, const Record& record) {
   const size_t header_pos = out.size();
   out.append(kFrameHeaderLen, '\0');
-  const size_t payload_pos = out.size();
   record.EncodeTo(out);
   const std::string_view payload =
-      std::string_view(out).substr(payload_pos);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32c(payload);
-  char header[kFrameHeaderLen];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
-    header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  out.replace(header_pos, kFrameHeaderLen, header, kFrameHeaderLen);
+      std::string_view(out).substr(header_pos + kFrameHeaderLen);
+  std::string header;  // 8 bytes: held inline (small-string buffer)
+  codec::Encode<FrameHeader>(
+      header, std::tuple(static_cast<uint32_t>(payload.size()),
+                         Crc32c(payload)));
+  out.replace(header_pos, kFrameHeaderLen, header);
 }
 
 }  // namespace
@@ -292,14 +190,8 @@ Status Wal::Append(const WalRecord& record, bool sync_now) {
 
 Status Wal::AppendRaw(std::string_view frames) {
   if (fd_ < 0) return Status(Code::kInternal, "wal: append on closed log");
-  size_t off = 0;
-  while (off < frames.size()) {
-    const ssize_t n = ::write(fd_, frames.data() + off, frames.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("wal write failed", SegmentPath(dir_, seq_));
-    }
-    off += static_cast<size_t>(n);
+  if (!WriteAll(fd_, frames)) {
+    return ErrnoStatus("wal write failed", SegmentPath(dir_, seq_));
   }
   segment_bytes_ += frames.size();
   unsynced_bytes_ += frames.size();
@@ -309,7 +201,7 @@ Status Wal::AppendRaw(std::string_view frames) {
 Status Wal::Sync() {
   if (fd_ < 0 || unsynced_bytes_ == 0) return Status::Ok();
   if (::fsync(fd_) != 0) {
-    return Errno("wal fsync failed", SegmentPath(dir_, seq_));
+    return ErrnoStatus("wal fsync failed", SegmentPath(dir_, seq_));
   }
   ++fsync_count_;
   unsynced_bytes_ = 0;
@@ -334,24 +226,12 @@ void Wal::Close() {
 
 WalScanResult Wal::ScanFile(const std::string& path) {
   WalScanResult result;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    result.error = Errno("cannot open wal segment", path);
+  const Result<FileBytes> file = ReadWholeFile(path);
+  if (!file.ok()) {
+    result.error = file.status();
     return result;
   }
-  std::string contents;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    result.error = Status(Code::kInternal, "cannot read wal segment " + path);
-    return result;
-  }
-
+  const std::string_view contents = file->view();
   uint64_t off = 0;
   const uint64_t size = contents.size();
   result.file_bytes = size;
@@ -360,11 +240,10 @@ WalScanResult Wal::ScanFile(const std::string& path) {
       result.torn_tail = true;  // partial frame header: crash mid-append
       break;
     }
-    Reader header{std::string_view(contents).substr(off, kFrameHeaderLen)};
     uint32_t len = 0;
     uint32_t crc = 0;
-    header.TakeU32(len);
-    header.TakeU32(crc);
+    auto header = std::tie(len, crc);
+    codec::Decode<FrameHeader>(contents.substr(off, kFrameHeaderLen), &header);
     if (len > kMaxPayloadLen) {
       // A length this large was never written by Append; the header bytes
       // themselves are damaged. A torn append cannot damage already-written
@@ -388,7 +267,7 @@ WalScanResult Wal::ScanFile(const std::string& path) {
       break;
     }
     const std::string_view payload =
-        std::string_view(contents).substr(off + kFrameHeaderLen, len);
+        contents.substr(off + kFrameHeaderLen, len);
     if (Crc32c(payload) != crc) {
       result.error = Status(
           Code::kInternal, "wal segment " + path +

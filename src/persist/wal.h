@@ -2,18 +2,9 @@
 //
 // The paper emulates its persistent cache in DRAM (Section 4); this module is
 // the real medium. Every durable state change — upserts, deletes, quarantine
-// begin/end, config-id advances — is appended as one framed record:
-//
-//   frame:   u32 payload_len | u32 crc32c(payload) | payload
-//   payload: u8 type | type-specific fields        (little-endian throughout)
-//
-// Type-specific fields (strings are u32 length | bytes):
-//   kUpsert:   u8 origin | u8 pinned | u64 config_id | u64 version |
-//              u32 charged_bytes | string key | string data
-//   kDelete:   u8 origin | string key
-//   kQBegin, kQEnd: string key
-//   kConfigId: u64 config_id
-//   kQClear, kWipe: nothing
+// begin/end, config-id advances — is appended as one CRC-32C-framed record,
+// encoded by the field codec (src/common/codec.h). docs/PROTOCOL.md §9 "Log
+// format" is the one table of the frame and of each record type's fields.
 // `origin` is the PersistOp that caused the mutation (persistence_sink.h).
 // `pinned` is reserved and always written 0: it marked a write-back value
 // the data store had not seen yet. Replay refuses a record that carries 1.

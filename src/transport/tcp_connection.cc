@@ -374,14 +374,6 @@ Status TcpConnection::DialLocked() {
   return Status::Ok();
 }
 
-Status TcpConnection::EnsureConnectedLocked() {
-  if (sock_ != nullptr) return Status::Ok();
-  if (!options_.auto_reconnect) {
-    return Status(Code::kUnavailable, "not connected");
-  }
-  return ConnectLocked();
-}
-
 void TcpConnection::SubmitAsync(wire::Op op, std::string_view body,
                                 Completion done) {
   Submit(op, body, std::move(done), nullptr);
@@ -400,7 +392,7 @@ void TcpConnection::Submit(wire::Op op, std::string_view body,
       done(Status(Code::kUnavailable, "connection dropped mid-burst"), {});
       return;
     }
-  } else if (Status s = EnsureConnectedLocked(); !s.ok()) {
+  } else if (Status s = ConnectLocked(); !s.ok()) {
     if (pin != nullptr) *pin = nullptr;
     lock.unlock();
     done(std::move(s), {});

@@ -72,8 +72,6 @@ class TcpConnection {
     /// would desync the FIFO, so it fails the whole in-flight window with
     /// kUnavailable and forces a redial.
     Duration io_timeout = Seconds(30);
-    /// Redial automatically on the first call after a connection drop.
-    bool auto_reconnect = true;
     /// Upper bound on requests in flight (submitted, response pending) on
     /// this connection. Submitters past the bound block until a slot frees;
     /// 1 degenerates to the old strict request/response alternation.
@@ -152,7 +150,7 @@ class TcpConnection {
   /// Tears the connection down promptly: shuts the socket down out-of-band
   /// (interrupting reader/writer syscalls mid-flight) and fails every
   /// in-flight request with kUnavailable. Every sharer sees the drop; the
-  /// next call redials (under auto_reconnect).
+  /// next call redials.
   void Disconnect();
   [[nodiscard]] bool connected() const;
 
@@ -249,7 +247,6 @@ class TcpConnection {
   /// The actual dial + HELLO, called by ConnectLocked once the breaker
   /// admits the attempt.
   Status DialLocked();
-  Status EnsureConnectedLocked();
   /// One SubmitAsync + wait round trip (the pre-retry Transact()).
   Status TransactOnce(wire::Op op, std::string_view body,
                       std::string* resp_body);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/cache/cache_backend.h"
+#include "src/common/codec.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
@@ -74,7 +75,7 @@ inline constexpr size_t kFrameHeaderLen = 5;
 // request and ok-response fields in wire order. The enum, the server
 // dispatch, every client stub, IsKnownOp/IsIdempotentOp and the codec all
 // read the row, so adding an op is one row, one server case and one client
-// stub. Each field type has one encoding:
+// stub. Each field type has one encoding (src/common/codec.h):
 //   u8/u16/u32/u64             little-endian
 //   OpContext                  u64 config_id | u32 fragment
 //   CacheValue                 Blob data | u32 charged_bytes | u64 version
@@ -96,22 +97,18 @@ inline constexpr size_t kFrameHeaderLen = 5;
 // - HELLO's row is the v2 body; both ends parse it by hand because a v1
 //   peer sends only the version (§10.5).
 
-using u8 = uint8_t;
-using u16 = uint16_t;
-using u32 = uint32_t;
-using u64 = uint64_t;
+using codec::Blob;
+using codec::u16;
+using codec::u32;
+using codec::u64;
+using codec::u8;
 
-/// A `u16 len | bytes` field. A view: decoding aliases the frame body,
-/// encoding the caller's bytes, so whatever backs it must outlive the call.
+/// A `u16 len | bytes` field. A view, like Blob: decoding aliases the frame
+/// body, encoding the caller's bytes, so whatever backs it must outlive the
+/// call.
 struct Key : std::string_view {
   using std::string_view::string_view;
   Key(std::string_view v) : std::string_view(v) {}  // NOLINT
-};
-
-/// A `u32 len | bytes` field; a view, like Key.
-struct Blob : std::string_view {
-  using std::string_view::string_view;
-  Blob(std::string_view v) : std::string_view(v) {}  // NOLINT
 };
 
 using SetEntry = std::tuple<OpContext, Key, CacheValue>;  // MULTI_SET entry
@@ -245,45 +242,6 @@ inline std::string_view OpName(Op op) {
   return FindOp(static_cast<uint8_t>(op))->name;
 }
 
-// ---- Primitive writers (append to `out`) ----------------------------------
-
-void PutU8(std::string& out, uint8_t v);
-void PutU16(std::string& out, uint16_t v);
-void PutU32(std::string& out, uint32_t v);
-void PutU64(std::string& out, uint64_t v);
-/// key: u16 length prefix. The caller must have checked kMaxKeyLen.
-void PutKey(std::string& out, std::string_view key);
-/// blob: u32 length prefix.
-void PutBlob(std::string& out, std::string_view bytes);
-void PutValue(std::string& out, const CacheValue& value);
-void PutContext(std::string& out, const OpContext& ctx);
-
-// ---- Primitive reader ------------------------------------------------------
-
-/// Cursor over a decoded frame body. Every accessor returns false (and
-/// consumes nothing) when fewer bytes remain than requested; once the body
-/// is parsed, callers check Done() to reject trailing garbage.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool GetU8(uint8_t* v);
-  bool GetU16(uint16_t* v);
-  bool GetU32(uint32_t* v);
-  bool GetU64(uint64_t* v);
-  bool GetKey(std::string_view* key);
-  bool GetBlob(std::string_view* bytes);
-  bool GetValue(CacheValue* value);
-  bool GetContext(OpContext* ctx);
-
-  [[nodiscard]] size_t remaining() const { return data_.size(); }
-  [[nodiscard]] bool Done() const { return data_.empty(); }
-
- private:
-  bool GetRaw(void* out, size_t n);
-  std::string_view data_;
-};
-
 // ---- Frames ----------------------------------------------------------------
 
 /// Appends `u32 len | u8 tag | body` to `out`.
@@ -319,12 +277,37 @@ Code CodeFromWire(uint8_t tag);
 
 // ---- The field codec -------------------------------------------------------
 //
-// Field<T> encodes and decodes one field of row type T. Put returns false
-// only for a key over kMaxKeyLen (the frame limit catches oversized blobs and
-// values). Get decodes into T itself or, on the client, into an owning or
-// domain type: Field<T>::Owned (a Key or Blob as std::string), or a struct
-// whose members AsFields ties in wire order.
+// src/common/codec.h encodes the integers, Blob, vectors and tuples; the
+// protocol adds its own field types: Key, OpContext, CacheValue and
+// std::optional<CacheValue>. On the client a row decodes into the row's
+// types, into owning ones (Field<T>::Owned: a Key or Blob as std::string),
+// or into a struct that AsFields ties in wire order.
 
+using codec::Decode;
+using codec::Encode;
+using codec::Field;
+using codec::PutBlob;
+using codec::PutU16;
+using codec::PutU32;
+using codec::PutU64;
+using codec::PutU8;
+using codec::TupleLike;
+
+}  // namespace wire
+
+// The protocol's structs as their fields in wire order. The codec finds
+// AsFields by argument-dependent lookup, so they live in the structs'
+// namespace.
+inline auto AsFields(OpContext& c) { return std::tie(c.config_id, c.fragment); }
+inline auto AsFields(const OpContext& c) {
+  return std::tie(c.config_id, c.fragment);
+}
+inline auto AsFields(CacheValue& v) {
+  return std::tie(v.data, v.charged_bytes, v.version);
+}
+inline auto AsFields(const CacheValue& v) {
+  return std::tie(v.data, v.charged_bytes, v.version);
+}
 inline auto AsFields(IqGetResult& r) { return std::tie(r.value, r.i_token); }
 inline auto AsFields(WorkingSetPage& p) {
   return std::tie(p.next_cursor, p.items);
@@ -336,142 +319,62 @@ inline auto AsFields(const WorkingSetItem& i) {
   return std::tie(i.key, i.charged_bytes);
 }
 
-template <typename T>
-concept TupleLike = requires { std::tuple_size<T>::value; };
+namespace codec {
 
-template <typename T>
-struct Field;
-
-#define GEMINI_WIRE_FIELD(T, min_size, put, get)          \
-  template <>                                             \
-  struct Field<T> {                                       \
-    using Owned = T;                                      \
-    static constexpr size_t kMinSize = min_size;          \
-    static bool Put(std::string& out, const T& v) {       \
-      put(out, v);                                        \
-      return true;                                        \
-    }                                                     \
-    static bool Get(Reader& r, T* v) { return r.get(v); } \
-  };
-GEMINI_WIRE_FIELD(uint8_t, 1, PutU8, GetU8)
-GEMINI_WIRE_FIELD(uint16_t, 2, PutU16, GetU16)
-GEMINI_WIRE_FIELD(uint32_t, 4, PutU32, GetU32)
-GEMINI_WIRE_FIELD(uint64_t, 8, PutU64, GetU64)
-GEMINI_WIRE_FIELD(OpContext, 12, PutContext, GetContext)
-GEMINI_WIRE_FIELD(CacheValue, 16, PutValue, GetValue)
-#undef GEMINI_WIRE_FIELD
-
-/// Key and Blob: a `prefix`-byte length, then the bytes.
-template <size_t prefix, size_t max_len, auto put, auto get>
-struct BytesField {
-  using Owned = std::string;
-  static constexpr size_t kMinSize = prefix;
-  static bool Put(std::string& out, std::string_view bytes) {
-    if (bytes.size() > max_len) return false;
-    put(out, bytes);
-    return true;
-  }
-  static bool Get(Reader& r, std::string_view* bytes) {
-    return (r.*get)(bytes);
-  }
-  static bool Get(Reader& r, std::string* bytes) {
-    std::string_view view;
-    if (!(r.*get)(&view)) return false;
-    bytes->assign(view);
-    return true;
-  }
-};
 template <>
-struct Field<Key> : BytesField<2, kMaxKeyLen, PutKey, &Reader::GetKey> {};
+struct Field<wire::Key> : BytesField<u16> {};
 template <>
-struct Field<Blob> : BytesField<4, ~size_t{0}, PutBlob, &Reader::GetBlob> {};
+struct Field<OpContext> : StructField<OpContext, std::tuple<u64, u32>> {};
+template <>
+struct Field<CacheValue>
+    : StructField<CacheValue, std::tuple<Blob, u32, u64>> {};
 
+/// `u8 hit | [value]`.
 template <>
 struct Field<std::optional<CacheValue>> {
   using Owned = std::optional<CacheValue>;
   static constexpr size_t kMinSize = 1;
   static bool Put(std::string& out, const std::optional<CacheValue>& value) {
     PutU8(out, value.has_value() ? 1 : 0);
-    if (value.has_value()) PutValue(out, *value);
-    return true;
+    return !value.has_value() || Field<CacheValue>::Put(out, *value);
   }
   static bool Get(Reader& r, std::optional<CacheValue>* value) {
     uint8_t hit = 0;
     if (!r.GetU8(&hit)) return false;
     value->reset();
-    return hit == 0 || r.GetValue(&value->emplace());
+    return hit == 0 || Field<CacheValue>::Get(r, &value->emplace());
   }
 };
 
-template <typename T>
-struct Field<std::vector<T>> {
-  using Owned = std::vector<typename Field<T>::Owned>;
-  static constexpr size_t kMinSize = 4;
-  template <typename Items>
-  static bool Put(std::string& out, const Items& items) {
-    PutU32(out, static_cast<uint32_t>(items.size()));
-    for (const auto& item : items) {
-      if (!Field<T>::Put(out, item)) return false;
-    }
-    return true;
-  }
-  template <typename U>
-  static bool Get(Reader& r, std::vector<U>* items) {
-    static_assert(Field<T>::kMinSize > 0);
-    uint32_t count = 0;
-    // A count the rest of the body cannot hold is refused before anything
-    // is allocated for it.
-    if (!r.GetU32(&count) ||
-        static_cast<uint64_t>(count) * Field<T>::kMinSize > r.remaining()) {
-      return false;
-    }
-    items->resize(count);
-    for (U& item : *items) {
-      if (!Field<T>::Get(r, &item)) return false;
-    }
-    return true;
-  }
-};
+}  // namespace codec
 
-template <typename... Ts>
-struct Field<std::tuple<Ts...>> {
-  using Owned = std::tuple<typename Field<Ts>::Owned...>;
-  static constexpr size_t kMinSize = (size_t{0} + ... + Field<Ts>::kMinSize);
-  template <typename Src>
-  static bool Put(std::string& out, const Src& src) {
-    if constexpr (!TupleLike<Src>) {
-      return Put(out, AsFields(src));
-    } else {
-      return std::apply(
-          [&out](const auto&... f) { return (Field<Ts>::Put(out, f) && ...); },
-          src);
-    }
-  }
-  template <typename Dst>
-  static bool Get(Reader& r, Dst* dst) {
-    if constexpr (!TupleLike<Dst>) {
-      auto fields = AsFields(*dst);
-      return Get(r, &fields);
-    } else {
-      return std::apply(
-          [&r](auto&... f) { return (Field<Ts>::Get(r, &f) && ...); }, *dst);
-    }
-  }
-};
+namespace wire {
 
-/// Appends `value` encoded as row type T; false for a key over kMaxKeyLen.
-template <typename T, typename U>
-bool Encode(std::string& out, const U& value) {
-  return Field<T>::Put(out, value);
+/// key: u16 length prefix. The caller must have checked kMaxKeyLen; a
+/// longer key writes nothing.
+inline void PutKey(std::string& out, std::string_view key) {
+  (void)Field<Key>::Put(out, key);
+}
+inline void PutValue(std::string& out, const CacheValue& value) {
+  Field<CacheValue>::Put(out, value);
+}
+inline void PutContext(std::string& out, const OpContext& ctx) {
+  Field<OpContext>::Put(out, ctx);
 }
 
-/// Decodes all of `bytes` as row type T into `out`: false on a short input
-/// or trailing bytes.
-template <typename T, typename U>
-bool Decode(std::string_view bytes, U* out) {
-  Reader r(bytes);
-  return Field<T>::Get(r, out) && r.Done();
-}
+/// codec::Reader over a frame body, plus the protocol's own field types.
+class Reader : public codec::Reader {
+ public:
+  using codec::Reader::Reader;
+
+  bool GetKey(std::string_view* key) { return Field<Key>::Get(*this, key); }
+  bool GetValue(CacheValue* value) {
+    return Field<CacheValue>::Get(*this, value);
+  }
+  bool GetContext(OpContext* ctx) {
+    return Field<OpContext>::Get(*this, ctx);
+  }
+};
 
 /// A row's fields as one codec type: the only field of a one-field row,
 /// else the tuple of all of them.

@@ -1,10 +1,11 @@
-// Parser robustness: the three wire formats (configuration entries, dirty
-// lists, snapshots) are parsed from cache-resident or on-disk bytes that an
-// operator, an eviction, or a torn write can mangle. Deterministic
-// fuzz-like sweeps assert "never crash, fail closed".
+// Parser robustness: the formats parsed from cache-resident or on-disk bytes
+// that an operator, an eviction, or a torn write can mangle (configuration
+// entries, dirty lists, snapshots, WAL records). Deterministic fuzz-like
+// sweeps assert "never crash, fail closed".
 //
-// SnapshotStructureMutations is the one seeded sweep: GEMINI_FAULT_SEED picks
-// its mutations (echoed so a CI failure replays exactly).
+// SnapshotStructureMutations and WalRecordStructureMutations are the seeded
+// sweeps: GEMINI_FAULT_SEED picks their mutations (echoed so a CI failure
+// replays exactly).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,11 +16,15 @@
 #include <string_view>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "src/cache/dirty_list.h"
 #include "src/cache/snapshot.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/coordinator/configuration.h"
+#include "src/persist/wal.h"
 
 namespace gemini {
 namespace {
@@ -133,23 +138,24 @@ TEST(ParserRobustness, SnapshotEveryByteFlipped) {
 
 constexpr OpContext kCtx{kInternalConfigId, kInvalidFragment};
 
-uint64_t FuzzSeed() {
+uint64_t FuzzSeed(const char* sweep) {
   uint64_t seed = 1;
   if (const char* env = std::getenv("GEMINI_FAULT_SEED");
       env != nullptr && env[0] != '\0') {
     seed = std::strtoull(env, nullptr, 10);
   }
-  std::printf("[ snapshot ] GEMINI_FAULT_SEED=%llu\n",
+  std::printf("[ %s ] GEMINI_FAULT_SEED=%llu\n", sweep,
               static_cast<unsigned long long>(seed));
   return seed;
 }
 
-/// One structural field of a snapshot: where it lies and how wide it is.
+/// One structural field of a snapshot or WAL record: where it lies and how
+/// wide it is.
 struct Field {
   enum Kind { kCount, kLength, kFlags };
   Kind kind;
   size_t offset;
-  size_t width;  // 4 or 8
+  size_t width;  // 1, 4 or 8
 };
 
 uint64_t ReadField(std::string_view snap, const Field& f) {
@@ -247,7 +253,7 @@ TEST(ParserRobustness, SnapshotStructureMutations) {
     ASSERT_EQ(restored.stats().entry_count, 22u);  // 24 minus 2 quarantined
   }
 
-  Rng rng(FuzzSeed());
+  Rng rng(FuzzSeed("snapshot"));
   int loaded = 0;
   int failed = 0;
   for (int round = 0; round < 3000; ++round) {
@@ -278,6 +284,125 @@ TEST(ParserRobustness, SnapshotStructureMutations) {
   std::printf("[ snapshot ] %d mutated snapshots failed closed, %d loaded\n",
               failed, loaded);
   EXPECT_GT(failed, 2000);
+}
+
+/// Lists a valid WAL record payload's structural bytes (PROTOCOL.md §9):
+/// its type byte, an upsert's reserved pinned byte, and every u32 length
+/// prefix.
+std::vector<Field> WalFieldsOf(WalRecordType type, std::string_view payload) {
+  std::vector<Field> fields = {{Field::kCount, 0, 1}};  // type
+  size_t at = 1;
+  const auto length_prefixed = [&] {
+    fields.push_back({Field::kLength, at, 4});
+    at += 4 + ReadField(payload, fields.back());
+  };
+  switch (type) {
+    case WalRecordType::kUpsert:
+      fields.push_back({Field::kFlags, 2, 1});  // pinned
+      at += 1 + 1 + 8 + 8 + 4;  // origin, pinned, config_id, version, charged
+      length_prefixed();        // key
+      length_prefixed();        // data
+      break;
+    case WalRecordType::kDelete:
+      at += 1;  // origin
+      length_prefixed();
+      break;
+    case WalRecordType::kQBegin:
+    case WalRecordType::kQEnd:
+      length_prefixed();
+      break;
+    case WalRecordType::kConfigId:
+      at += 8;
+      break;
+    case WalRecordType::kQClear:
+    case WalRecordType::kWipe:
+      break;
+  }
+  EXPECT_EQ(at, payload.size()) << "the walk must end at the payload's end";
+  return fields;
+}
+
+// Each round takes a valid frame of one record type, rewrites one or two of
+// its payload's type byte, reserved pinned byte and length prefixes, and
+// reseals the CRC, so the scan gets past the checksum and into the decoder.
+// A valid frame follows it. The mutated frame must either decode, and the
+// scan go on to the next frame, or end the scan as an undecodable record:
+// a complete frame is never a torn tail. The ASan build checks that the
+// decoder never allocates for a length the bytes do not back.
+TEST(ParserRobustness, WalRecordStructureMutations) {
+  const std::string dir = ::testing::TempDir() + "/parser_robustness_wal";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string path = Wal::SegmentPath(dir, 0);
+  std::vector<std::string> frames;
+  for (WalRecordType type :
+       {WalRecordType::kUpsert, WalRecordType::kDelete, WalRecordType::kQBegin,
+        WalRecordType::kQEnd, WalRecordType::kConfigId, WalRecordType::kQClear,
+        WalRecordType::kWipe}) {
+    WalRecord rec;
+    rec.type = type;
+    rec.origin = 3;
+    rec.key = "user42";
+    rec.data = "payload bytes";
+    rec.charged_bytes = 13;
+    rec.version = 5;
+    rec.config_id = 9;
+    Wal::EncodeFrame(frames.emplace_back(), rec);
+  }
+  constexpr size_t kHeader = 8;  // u32 len | u32 crc32c
+  const std::string& next = frames.back();
+
+  Rng rng(FuzzSeed("wal"));
+  int decoded = 0;
+  int failed = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const size_t pick = rng.NextBounded(frames.size());
+    std::string frame = frames[pick];
+    const std::string_view valid = std::string_view(frame).substr(kHeader);
+    const std::vector<Field> fields = WalFieldsOf(
+        static_cast<WalRecordType>(static_cast<uint8_t>(valid[0])), valid);
+    const uint64_t mutations = 1 + rng.NextBounded(2);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const Field& f = fields[rng.NextBounded(fields.size())];
+      const uint64_t v =
+          Mutate(rng, f, ReadField(std::string_view(frame).substr(kHeader), f));
+      std::memcpy(frame.data() + kHeader + f.offset, &v, f.width);
+    }
+    const std::string payload = frame.substr(kHeader);
+    const uint32_t crc = Crc32c(payload);
+    std::memcpy(frame.data() + 4, &crc, 4);
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    const std::string file = frame + next;
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), out), file.size());
+    ASSERT_EQ(std::fclose(out), 0);
+
+    const WalScanResult scan = Wal::ScanFile(path);
+    EXPECT_FALSE(scan.torn_tail) << "round " << round;
+    if (scan.error.ok()) {
+      ++decoded;
+      ASSERT_EQ(scan.records.size(), 2u) << "round " << round;
+      // What decodes re-encodes to its own bytes, except that any nonzero
+      // pinned byte decodes as pinned (and replay refuses it).
+      const WalRecord& got = scan.records[0];
+      if (!got.pinned) {
+        std::string again;
+        got.EncodeTo(again);
+        EXPECT_EQ(again, payload) << "round " << round;
+      }
+      continue;
+    }
+    ++failed;
+    EXPECT_NE(scan.error.message().find("undecodable record at offset 0"),
+              std::string::npos)
+        << "round " << round << ": " << scan.error.ToString();
+    EXPECT_TRUE(scan.records.empty()) << "round " << round;
+  }
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
+  std::printf("[ wal ] %d mutated records failed closed, %d decoded\n",
+              failed, decoded);
+  EXPECT_GT(failed, 2000);
+  EXPECT_GT(decoded, 30);
 }
 
 }  // namespace

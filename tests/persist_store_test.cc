@@ -4,7 +4,8 @@
 // growth triggers checkpoints with no call from the owner (once the log
 // since the newest checkpoint is as large as it, 8 MiB at least, while full
 // segments close on their own), a restart with a smaller stripe budget
-// drops what no longer fits, overstated charges do not size a checkpoint,
+// drops what no longer fits, a replacement over the stripe budget is
+// refused and logged gone, overstated charges do not size a checkpoint,
 // leftover checkpoint temps are deleted, damage fails closed, a WAL write
 // error stops every later eager op from being acknowledged, and a SIGKILL'd
 // primary rejoins the cluster through the normal failover -> transient ->
@@ -298,11 +299,12 @@ TEST_F(PersistentStoreTest, CheckpointEntryOverNewStripeBudgetIsDropped) {
   }
 }
 
-// A client declares charged_bytes, and an update is not held to the stripe
-// budget, so the instance's byte count can claim far more than its entries
-// hold: here 4 GiB per stripe for a few bytes each. A checkpoint sizes its
-// buffer from that count only up to the capacity, so the checkpoint and
-// both restart shapes still succeed.
+// A client declares charged_bytes, and a SET whose declared size is over
+// the stripe budget is refused, an update as well as an insert, so the
+// instance's byte count stays within its capacity here. A checkpoint still
+// trusts that count only up to the capacity when it sizes its buffer,
+// since declared sizes stay untrusted; the checkpoint and both restart
+// shapes succeed.
 TEST_F(PersistentStoreTest, OverstatedChargesDoNotSizeTheCheckpoint) {
   const std::string dir = TempDir("overstated");
   CacheInstance::Options opts;
@@ -314,23 +316,64 @@ TEST_F(PersistentStoreTest, OverstatedChargesDoNotSizeTheCheckpoint) {
     ASSERT_TRUE(p.instance->Set(kCtx, key, CacheValue::OfData("v")).ok());
     CacheValue overstated = CacheValue::OfData("v");
     overstated.charged_bytes = 0xFFFFFFFF;
-    ASSERT_TRUE(p.instance->Set(kCtx, key, std::move(overstated)).ok());
+    EXPECT_EQ(p.instance->Set(kCtx, key, std::move(overstated)).code(),
+              Code::kInvalidArgument);
   }
-  ASSERT_GT(p.instance->stats().used_bytes, uint64_t{4} << 32);
+  EXPECT_LE(p.instance->stats().used_bytes, opts.capacity_bytes);
   EXPECT_LE(Snapshot::Serialize(*p.instance).capacity(),
             2 * opts.capacity_bytes);
-  // SIGKILL: replay re-applies each update, then checkpoints.
+  // SIGKILL: replay re-applies each SET and the delete its refused update
+  // logged, then checkpoints.
   Kill(p);
   Process q = Boot(dir, opts);
   ASSERT_TRUE(q.store->error().ok());
-  ASSERT_GT(q.instance->stats().used_bytes, uint64_t{4} << 32);
+  EXPECT_LE(q.instance->stats().used_bytes, opts.capacity_bytes);
   ASSERT_TRUE(q.store->Checkpoint().ok());
-  // Clean shutdown: the checkpoint alone holds them, and each is over its
-  // stripe's budget on load: a miss.
+  // Clean shutdown: the checkpoint alone holds the state, and no key
+  // survived its refused update.
   Kill(q);
   Process r = Boot(dir, opts);
   EXPECT_TRUE(r.store->error().ok());
   EXPECT_EQ(r.store->stats().restored_entries, 0u);
+}
+
+// A replacement is held to the stripe budget like an insert: a SET or CAS
+// over it is refused, and, as in memcached's failed store, the value it
+// would have replaced goes too (a RAR, which ignores the refusal, drops it
+// the same way). The WAL logs each key gone, so a SIGKILL restart does not
+// bring the old values back, and the stripe's other entries survive both.
+TEST_F(PersistentStoreTest, ReplacementOverStripeBudgetIsRefusedAndLogged) {
+  const std::string dir = TempDir("overbudget");
+  CacheInstance::Options opts;
+  opts.capacity_bytes = 1 << 20;
+  opts.num_stripes = 1;
+  Process p = Boot(dir, opts);
+  for (const char* key : {"set", "cas", "rar", "kept1", "kept2"}) {
+    ASSERT_TRUE(p.instance->Set(kCtx, key, CacheValue::OfData("v", 1)).ok());
+  }
+  CacheValue overstated = CacheValue::OfData("v", 2);
+  overstated.charged_bytes = 0xFFFFFFFF;
+  EXPECT_EQ(p.instance->Set(kCtx, "set", overstated).code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(p.instance->Cas(kCtx, "cas", 1, overstated).code(),
+            Code::kInvalidArgument);
+  const Result<LeaseToken> q_token = p.instance->Qareg(kCtx, "rar");
+  ASSERT_TRUE(q_token.ok());
+  EXPECT_TRUE(p.instance->Rar(kCtx, "rar", overstated, *q_token).ok());
+  const auto expect_refused = [&opts](const CacheInstance& instance) {
+    for (const char* gone : {"set", "cas", "rar"}) {
+      EXPECT_FALSE(instance.ContainsRaw(gone)) << gone;
+    }
+    for (const char* kept : {"kept1", "kept2"}) {
+      EXPECT_TRUE(instance.ContainsRaw(kept)) << kept;
+    }
+    EXPECT_LE(instance.stats().used_bytes, opts.capacity_bytes);
+  };
+  expect_refused(*p.instance);
+  Kill(p);
+  Process q = Boot(dir, opts);
+  ASSERT_TRUE(q.store->error().ok());
+  expect_refused(*q.instance);
 }
 
 TEST_F(PersistentStoreTest, ConfigIdSurvivesThroughCheckpointHeadRecord) {

@@ -68,7 +68,7 @@ class WalTest : public ::testing::Test {
     rec.type = WalRecordType::kUpsert;
     rec.origin = 2;
     rec.key = "user42";
-    rec.data = std::string("payload\0with\xffbytes", 18);
+    rec.data = std::string("payload\0with\xff" "bytes", 18);
     rec.charged_bytes = 329;
     rec.version = 0x1122334455667788ull;
     rec.config_id = 7;

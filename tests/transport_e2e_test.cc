@@ -299,7 +299,7 @@ TEST_F(TransportE2eTest, ReconnectsAfterServerSideDrop) {
   // Simulate a drop by tearing down the client side of the connection.
   backend_->Disconnect();
   EXPECT_FALSE(backend_->connected());
-  // auto_reconnect redials (and re-runs HELLO) on the next call.
+  // The next call redials (and re-runs HELLO).
   auto got = backend_->Get(kInternalCtx, "k");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->data, "v");

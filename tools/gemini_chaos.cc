@@ -30,6 +30,7 @@
 
 #include "src/common/clock.h"
 #include "src/transport/fault_proxy.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -61,30 +62,19 @@ void Usage(const char* argv0) {
          "                         to (default both)\n";
 }
 
+constexpr std::string_view kTool = "gemini_chaos";
+using gemini::flags::ParseHostPort;
+using gemini::flags::ParseUint;
+
 double ParseProb(const std::string& flag, const char* value) {
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(value, &end);
   if (end == value || *end != '\0' || errno == ERANGE || parsed < 0.0 ||
       parsed > 1.0) {
-    std::cerr << "gemini_chaos: invalid value '" << value << "' for " << flag
-              << " (expected a probability in [0, 1])\n";
-    std::exit(2);
+    gemini::flags::Invalid(kTool, flag, value, "a probability in [0, 1]");
   }
   return parsed;
-}
-
-uint64_t ParseUint(const std::string& flag, const char* value, uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed > max ||
-      value[0] == '-') {
-    std::cerr << "gemini_chaos: invalid value '" << value << "' for " << flag
-              << " (expected an integer in [0, " << max << "])\n";
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(parsed);
 }
 
 }  // namespace
@@ -108,32 +98,27 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--upstream") {
-      const std::string spec = next();
-      const size_t colon = spec.rfind(':');
-      if (colon == std::string::npos || colon == 0) {
-        std::cerr << "gemini_chaos: --upstream expects HOST:PORT\n";
-        return 2;
-      }
-      upstream_host = spec.substr(0, colon);
-      upstream_port = static_cast<uint16_t>(
-          ParseUint(arg, spec.substr(colon + 1).c_str(), 65535));
+      const gemini::flags::HostPort upstream =
+          ParseHostPort(kTool, arg, next());
+      upstream_host = upstream.host;
+      upstream_port = upstream.port;
     } else if (arg == "--listen-port") {
-      listen_port = static_cast<uint16_t>(ParseUint(arg, next(), 65535));
+      listen_port = static_cast<uint16_t>(ParseUint(kTool, arg, next(), 65535));
     } else if (arg == "--seed") {
-      options.seed = ParseUint(arg, next(), ~uint64_t{0} - 1);
+      options.seed = ParseUint(kTool, arg, next(), ~uint64_t{0} - 1);
     } else if (arg == "--delay-prob") {
       profile.delay_prob = ParseProb(arg, next());
     } else if (arg == "--delay-ms-min") {
       profile.delay_min = gemini::Millis(
-          static_cast<int64_t>(ParseUint(arg, next(), 60 * 1000)));
+          static_cast<int64_t>(ParseUint(kTool, arg, next(), 60 * 1000)));
     } else if (arg == "--delay-ms-max") {
       profile.delay_max = gemini::Millis(
-          static_cast<int64_t>(ParseUint(arg, next(), 60 * 1000)));
+          static_cast<int64_t>(ParseUint(kTool, arg, next(), 60 * 1000)));
     } else if (arg == "--stall-prob") {
       profile.stall_prob = ParseProb(arg, next());
     } else if (arg == "--stall-ms") {
       profile.stall = gemini::Millis(
-          static_cast<int64_t>(ParseUint(arg, next(), 10 * 60 * 1000)));
+          static_cast<int64_t>(ParseUint(kTool, arg, next(), 10 * 60 * 1000)));
     } else if (arg == "--cut-prob") {
       profile.cut_prob = ParseProb(arg, next());
     } else if (arg == "--truncate-prob") {
@@ -142,16 +127,16 @@ int main(int argc, char** argv) {
       options.reset_on_accept_prob = ParseProb(arg, next());
     } else if (arg == "--hold-every") {
       profile.hold_every =
-          static_cast<uint32_t>(ParseUint(arg, next(), 1 << 20));
+          static_cast<uint32_t>(ParseUint(kTool, arg, next(), 1 << 20));
     } else if (arg == "--hold-count") {
       profile.hold_count =
-          static_cast<uint32_t>(ParseUint(arg, next(), 1 << 20));
+          static_cast<uint32_t>(ParseUint(kTool, arg, next(), 1 << 20));
     } else if (arg == "--throttle-bps") {
       profile.throttle_bytes_per_sec =
-          ParseUint(arg, next(), uint64_t{1} << 40);
+          ParseUint(kTool, arg, next(), uint64_t{1} << 40);
     } else if (arg == "--skip-frames") {
       profile.skip_frames =
-          static_cast<uint32_t>(ParseUint(arg, next(), 1 << 20));
+          static_cast<uint32_t>(ParseUint(kTool, arg, next(), 1 << 20));
     } else if (arg == "--dir") {
       dir = next();
       if (dir != "c2s" && dir != "s2c" && dir != "both") {

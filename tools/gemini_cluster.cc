@@ -40,7 +40,6 @@
 // failover evidence, or a cycle that ends with no master or two, 2 bad
 // flags, 3 recovery never converged.
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -69,6 +68,7 @@
 #include "src/transport/tcp_backend.h"
 #include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
+#include "tools/flags.h"
 
 #ifndef GEMINID_PATH
 #error "GEMINID_PATH must point at the geminid binary"
@@ -80,18 +80,8 @@
 namespace gemini {
 namespace {
 
-uint64_t ParseUint(const std::string& flag, const char* value, uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed > max ||
-      value[0] == '-') {
-    std::cerr << "gemini_cluster: invalid value '" << value << "' for "
-              << flag << " (expected an integer in [0, " << max << "])\n";
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(parsed);
-}
+constexpr std::string_view kTool = "gemini_cluster";
+using flags::ParseUint;
 
 void Usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " [options]\n"
@@ -778,25 +768,26 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      flags.seed = gemini::ParseUint(arg, next(), ~uint64_t{0} - 1);
+      flags.seed =
+          gemini::ParseUint(gemini::kTool, arg, next(), ~uint64_t{0} - 1);
     } else if (arg == "--instances") {
-      flags.instances = gemini::ParseUint(arg, next(), 64);
+      flags.instances = gemini::ParseUint(gemini::kTool, arg, next(), 64);
     } else if (arg == "--coordinators") {
-      flags.coordinators = gemini::ParseUint(arg, next(), 9);
+      flags.coordinators = gemini::ParseUint(gemini::kTool, arg, next(), 9);
       if (flags.coordinators == 0) {
         std::cerr << "gemini_cluster: --coordinators must be >= 1\n";
         return 2;
       }
     } else if (arg == "--fragments") {
-      flags.fragments = gemini::ParseUint(arg, next(), 1 << 16);
+      flags.fragments = gemini::ParseUint(gemini::kTool, arg, next(), 1 << 16);
     } else if (arg == "--cycles") {
-      flags.cycles = gemini::ParseUint(arg, next(), 1 << 10);
+      flags.cycles = gemini::ParseUint(gemini::kTool, arg, next(), 1 << 10);
     } else if (arg == "--keys") {
-      flags.keys = gemini::ParseUint(arg, next(), 1 << 20);
+      flags.keys = gemini::ParseUint(gemini::kTool, arg, next(), 1 << 20);
     } else if (arg == "--ops") {
-      flags.ops = gemini::ParseUint(arg, next(), 1 << 24);
+      flags.ops = gemini::ParseUint(gemini::kTool, arg, next(), 1 << 24);
     } else if (arg == "--heartbeat-ms") {
-      flags.heartbeat_ms = gemini::ParseUint(arg, next(), 60000);
+      flags.heartbeat_ms = gemini::ParseUint(gemini::kTool, arg, next(), 60000);
       if (flags.heartbeat_ms == 0) {
         std::cerr << "gemini_cluster: --heartbeat-ms must be > 0\n";
         return 2;

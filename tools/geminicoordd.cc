@@ -44,7 +44,6 @@
 // SIGINT/SIGTERM shut down gracefully: the ticker halts (no more failure
 // verdicts or pushes), then the server drains.
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +58,7 @@
 #include "src/common/logging.h"
 #include "src/transport/instance_registry.h"
 #include "src/transport/server.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -98,46 +98,9 @@ void Usage(const char* argv0) {
       << "  --verbose              info-level logging\n";
 }
 
-/// Parses a non-negative integer flag value in [0, max]; exits 2 on anything
-/// else (same fail-closed contract as geminid's flag parsing).
-uint64_t ParseUint(const std::string& flag, const char* value, uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed > max ||
-      value[0] == '-') {
-    std::cerr << "geminicoordd: invalid value '" << value << "' for " << flag
-              << " (expected an integer in [0, " << max << "])\n";
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(parsed);
-}
-
-/// Parses "HOST:PORT[,HOST:PORT...]" into peer endpoints; exits 2 on
-/// malformed input (same fail-closed contract as the other flags).
-std::vector<gemini::CoordinatorReplica::PeerEndpoint> ParsePeers(
-    const std::string& list) {
-  std::vector<gemini::CoordinatorReplica::PeerEndpoint> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string item = list.substr(start, comma - start);
-    const size_t colon = item.rfind(':');
-    if (item.empty() || colon == std::string::npos || colon == 0 ||
-        colon + 1 >= item.size()) {
-      std::cerr << "geminicoordd: malformed --peers entry '" << item
-                << "' (expected HOST:PORT)\n";
-      std::exit(2);
-    }
-    out.push_back(
-        {item.substr(0, colon),
-         static_cast<uint16_t>(
-             ParseUint("--peers", item.c_str() + colon + 1, 65535))});
-    start = comma + 1;
-  }
-  return out;
-}
+constexpr std::string_view kTool = "geminicoordd";
+using gemini::flags::ParseHostPorts;
+using gemini::flags::ParseUint;
 
 gemini::RecoveryPolicy ParsePolicy(const std::string& name) {
   if (name == "gemini-o") return gemini::RecoveryPolicy::GeminiO();
@@ -179,31 +142,32 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseUint(arg, next(), 65535));
+      port = static_cast<uint16_t>(ParseUint(kTool, arg, next(), 65535));
     } else if (arg == "--bind") {
       bind_address = next();
     } else if (arg == "--cluster-size") {
-      cluster_size = ParseUint(arg, next(), 1u << 20);
+      cluster_size = ParseUint(kTool, arg, next(), 1u << 20);
     } else if (arg == "--fragments") {
-      fragments = ParseUint(arg, next(), 1u << 24);
+      fragments = ParseUint(kTool, arg, next(), 1u << 24);
     } else if (arg == "--heartbeat-interval-ms") {
-      heartbeat_interval_ms = ParseUint(arg, next(), 60 * 1000);
+      heartbeat_interval_ms = ParseUint(kTool, arg, next(), 60 * 1000);
     } else if (arg == "--miss-threshold") {
-      miss_threshold = ParseUint(arg, next(), 1000);
+      miss_threshold = ParseUint(kTool, arg, next(), 1000);
     } else if (arg == "--lease-ttl-ms") {
-      lease_ttl_ms = ParseUint(arg, next(), 24ull * 3600 * 1000);
+      lease_ttl_ms = ParseUint(kTool, arg, next(), 24ull * 3600 * 1000);
     } else if (arg == "--peers") {
-      peers = ParsePeers(next());
+      peers = ParseHostPorts<gemini::CoordinatorReplica::PeerEndpoint>(
+          kTool, arg, next());
     } else if (arg == "--rank") {
-      rank = ParseUint(arg, next(), 1u << 20);
+      rank = ParseUint(kTool, arg, next(), 1u << 20);
     } else if (arg == "--sync-interval-ms") {
-      sync_interval_ms = ParseUint(arg, next(), 60 * 1000);
+      sync_interval_ms = ParseUint(kTool, arg, next(), 60 * 1000);
     } else if (arg == "--election-timeout-ms") {
-      election_timeout_ms = ParseUint(arg, next(), 600 * 1000);
+      election_timeout_ms = ParseUint(kTool, arg, next(), 600 * 1000);
     } else if (arg == "--policy") {
       policy = ParsePolicy(next());
     } else if (arg == "--threads") {
-      threads = ParseUint(arg, next(), 64);
+      threads = ParseUint(kTool, arg, next(), 64);
     } else if (arg == "--verbose") {
       gemini::LogState::SetLevel(gemini::LogLevel::kInfo);
     } else if (arg == "--help" || arg == "-h") {

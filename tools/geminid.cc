@@ -31,7 +31,6 @@
 // from the error on no eager op is acknowledged, and the coordinator fails
 // the instance over (crash-stop).
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +47,7 @@
 #include "src/persist/persistent_store.h"
 #include "src/transport/instance_registry.h"
 #include "src/transport/server.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -97,56 +97,11 @@ void Usage(const char* argv0) {
       << "  --verbose              info-level logging\n";
 }
 
-/// Parses a non-negative integer flag value in [0, max]. Exits with the
-/// offending flag and value on anything else — atoi's silent 0 turned
-/// "--port 8O80" into an ephemeral port, which is exactly the kind of
-/// operator surprise a server binary must not have.
-uint64_t ParseUint(const std::string& flag, const char* value, uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed > max ||
-      value[0] == '-') {
-    std::cerr << "geminid: invalid value '" << value << "' for " << flag
-              << " (expected an integer in [0, " << max << "])\n";
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(parsed);
-}
-
-/// Parses "HOST:PORT" (the last ':' splits, so bare IPv4/hostnames only).
-void ParseHostPort(const std::string& flag, const char* value,
-                   std::string* host, uint16_t* port) {
-  const std::string spec = value;
-  const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    std::cerr << "geminid: invalid value '" << value << "' for " << flag
-              << " (expected HOST:PORT)\n";
-    std::exit(2);
-  }
-  *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(
-      ParseUint(flag, spec.substr(colon + 1).c_str(), 65535));
-}
-
-/// Parses "HOST:PORT[,HOST:PORT...]" — a replicated coordinator group is
-/// named by its full ordered endpoint list (docs/PROTOCOL.md §12.7).
-std::vector<gemini::CoordinatorLink::Endpoint> ParseEndpointList(
-    const std::string& flag, const char* value) {
-  std::vector<gemini::CoordinatorLink::Endpoint> out;
-  const std::string spec = value;
-  size_t begin = 0;
-  while (begin <= spec.size()) {
-    size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    gemini::CoordinatorLink::Endpoint ep;
-    ParseHostPort(flag, spec.substr(begin, end - begin).c_str(), &ep.host,
-                  &ep.port);
-    out.push_back(std::move(ep));
-    begin = end + 1;
-  }
-  return out;
-}
+constexpr std::string_view kTool = "geminid";
+using gemini::flags::HostPort;
+using gemini::flags::ParseHostPort;
+using gemini::flags::ParseHostPorts;
+using gemini::flags::ParseUint;
 
 }  // namespace
 
@@ -175,18 +130,18 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<uint16_t>(ParseUint(arg, next(), 65535));
+      port = static_cast<uint16_t>(ParseUint(kTool, arg, next(), 65535));
     } else if (arg == "--bind") {
       bind_address = next();
     } else if (arg == "--instance") {
       ids.push_back(static_cast<gemini::InstanceId>(
-          ParseUint(arg, next(), gemini::kInvalidInstance - 1)));
+          ParseUint(kTool, arg, next(), gemini::kInvalidInstance - 1)));
     } else if (arg == "--capacity-mb") {
-      capacity_mb = ParseUint(arg, next(), uint64_t{1} << 40);
+      capacity_mb = ParseUint(kTool, arg, next(), uint64_t{1} << 40);
     } else if (arg == "--threads") {
-      threads = ParseUint(arg, next(), 64);
+      threads = ParseUint(kTool, arg, next(), 64);
     } else if (arg == "--stripes") {
-      stripes = ParseUint(arg, next(), 256);
+      stripes = ParseUint(kTool, arg, next(), 256);
     } else if (arg == "--data-dir") {
       data_dir = next();
       if (data_dir.empty()) {
@@ -194,21 +149,24 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--coordinator") {
-      coordinators = ParseEndpointList(arg, next());
+      coordinators = ParseHostPorts<gemini::CoordinatorLink::Endpoint>(
+          kTool, arg, next());
     } else if (arg == "--advertise") {
-      ParseHostPort(arg, next(), &advertise_host, &advertise_port);
+      const HostPort advertise = ParseHostPort(kTool, arg, next());
+      advertise_host = advertise.host;
+      advertise_port = advertise.port;
     } else if (arg == "--heartbeat-interval-ms") {
-      heartbeat_interval_ms = ParseUint(arg, next(), 60 * 1000);
+      heartbeat_interval_ms = ParseUint(kTool, arg, next(), 60 * 1000);
       if (heartbeat_interval_ms == 0) {
         std::cerr << "geminid: --heartbeat-interval-ms must be positive\n";
         return 2;
       }
     } else if (arg == "--drain-timeout-ms") {
-      drain_timeout_ms =
-          static_cast<int64_t>(ParseUint(arg, next(), 10 * 60 * 1000));
+      drain_timeout_ms = static_cast<int64_t>(
+          ParseUint(kTool, arg, next(), 10 * 60 * 1000));
     } else if (arg == "--idle-timeout-ms") {
-      idle_timeout_ms =
-          static_cast<int64_t>(ParseUint(arg, next(), 24LL * 3600 * 1000));
+      idle_timeout_ms = static_cast<int64_t>(
+          ParseUint(kTool, arg, next(), 24LL * 3600 * 1000));
     } else if (arg == "--verbose") {
       gemini::LogState::SetLevel(gemini::LogLevel::kInfo);
     } else if (arg == "--help" || arg == "-h") {
