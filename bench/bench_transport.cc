@@ -24,9 +24,9 @@
 //  seeded per-frame delays (plus hold bursts) on both directions. Results go
 //  to a separate name/file (BENCH_transport_chaos.json) so the committed
 //  clean-path baseline and tools/check_bench.py are untouched; the point is
-//  a quick read on how much a lossy-ish network costs the pipeline. No
-//  mode sets a RetryPolicy, so every sweep runs with the default of one
-//  attempt: a dropped connection fails the op rather than retrying it.
+//  a quick read on how much a lossy-ish network costs the pipeline. The
+//  client sends each request once, so a dropped connection fails the op
+//  rather than re-sending it.
 //
 //  --bulk — pipelined bulk-write comparison. Writes the same keys two ways:
 //  32 individual kSet frames pipelined through a window-32 connection

@@ -197,9 +197,9 @@ class CacheBackend {
   /// Batched unconditional insert; statuses align with `reqs` by index, each
   /// the exact outcome Set() would have produced. The base implementation
   /// loops; TcpCacheBackend overrides it to ship the whole batch as ONE
-  /// kMultiSet frame with per-key status slots (PROTOCOL.md §10.3). Unlike
-  /// MultiGet the batch is NOT retry-safe: on transport loss every slot
-  /// fails kUnavailable and the caller decides what to re-run.
+  /// kMultiSet frame with per-key status slots (PROTOCOL.md §10.3). The
+  /// batch is NOT retry-safe: on transport loss every slot fails
+  /// kUnavailable and the caller decides what to re-run.
   virtual std::vector<Status> MultiSet(std::vector<SetRequest> reqs) {
     std::vector<Status> out;
     out.reserve(reqs.size());

@@ -100,7 +100,8 @@ std::string Snapshot::Serialize(CacheInstance& instance) {
   return out;
 }
 
-Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
+Status Snapshot::Load(CacheInstance& instance, std::string_view payload,
+                      std::vector<std::string>* quarantined_out) {
   if (payload.size() < kHeaderBytes + kTrailerBytes) {
     return Status(Code::kInternal, "snapshot truncated");
   }
@@ -176,6 +177,9 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload) {
     value.version = e.version;
     (void)instance.RestoreEntry(e.key, std::move(value), e.config_id);
   }
+  if (quarantined_out != nullptr) {
+    quarantined_out->assign(quarantined.begin(), quarantined.end());
+  }
   return Status::Ok();
 }
 
@@ -208,10 +212,11 @@ Result<uint64_t> Snapshot::WriteToFile(CacheInstance& instance,
 }
 
 Status Snapshot::LoadFromFile(CacheInstance& instance,
-                              const std::string& path) {
+                              const std::string& path,
+                              std::vector<std::string>* quarantined) {
   const Result<FileBytes> file = ReadWholeFile(path);
   if (!file.ok()) return file.status();
-  return Load(instance, file->view());
+  return Load(instance, file->view(), quarantined);
 }
 
 }  // namespace gemini

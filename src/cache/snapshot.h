@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/cache/cache_instance.h"
 #include "src/common/status.h"
@@ -52,14 +53,18 @@ class Snapshot {
   /// should be empty — existing entries are replaced on key collision).
   /// Quarantined and over-budget entries are skipped. Fails closed on
   /// corruption, and before installing anything: one pass validates every
-  /// entry in place, then each is copied once, into the instance.
-  static Status Load(CacheInstance& instance, std::string_view payload);
+  /// entry in place, then each is copied once, into the instance. When
+  /// `quarantined` is set it receives the snapshot's quarantined keys: the
+  /// keys the Q rule keeps out, whether or not the snapshot holds an entry
+  /// for them.
+  static Status Load(CacheInstance& instance, std::string_view payload,
+                     std::vector<std::string>* quarantined = nullptr);
 
   /// Reads `path` with one read into a buffer of the file's size and
   /// Load()s it. kNotFound when there is no file; a read error is reported
   /// as one (kInternal), not as a checksum mismatch.
-  static Status LoadFromFile(CacheInstance& instance,
-                             const std::string& path);
+  static Status LoadFromFile(CacheInstance& instance, const std::string& path,
+                             std::vector<std::string>* quarantined = nullptr);
 };
 
 }  // namespace gemini

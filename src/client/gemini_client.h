@@ -16,11 +16,11 @@
 //    yet published the secondary): reads fall through to the data store,
 //    writes return kSuspended — callers retry after the new configuration
 //    appears, preserving read-after-write consistency. Over TCP the
-//    transport layer may already have retried idempotent ops (and a tripped
-//    circuit breaker fails instantly without dialing) before kUnavailable
-//    reaches this client — see docs/PROTOCOL.md §11; either way the meaning
-//    here is identical: treat the instance as failed, degrade, never guess
-//    about lease or write outcome.
+//    transport sends each request once, so a dropped connection reaches
+//    this client as kUnavailable at once (and a tripped circuit breaker
+//    fails instantly without dialing) — see docs/PROTOCOL.md §11. Either
+//    way the meaning here is identical: treat the instance as failed,
+//    degrade, never guess about lease or write outcome.
 //  - Lease back-off (kBackoff): bounded retry with a configurable pause;
 //    reads exhausted of retries fall through to the data store *without*
 //    populating the cache.

@@ -13,12 +13,8 @@ CoordinatorLink::CoordinatorLink(Options options)
   TcpConnection::Options conn_opts;
   conn_opts.io_timeout = options_.io_timeout;
   conn_opts.connect_timeout = options_.connect_timeout;
-  std::vector<Endpoint> endpoints = options_.coordinators;
-  if (endpoints.empty()) {
-    endpoints.push_back({options_.coordinator_host, options_.coordinator_port});
-  }
-  conns_.reserve(endpoints.size());
-  for (const auto& ep : endpoints) {
+  conns_.reserve(options_.coordinators.size());
+  for (const auto& ep : options_.coordinators) {
     conns_.push_back(
         TcpConnection::Acquire(ep.host, ep.port, wire::kAnyInstance,
                                conn_opts));

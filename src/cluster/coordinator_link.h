@@ -52,11 +52,8 @@ class CoordinatorLink {
   };
 
   struct Options {
-    /// The single-coordinator form; ignored when `coordinators` is set.
-    std::string coordinator_host;
-    uint16_t coordinator_port = 0;
-    /// The replicated form: the deployment's ordered coordinator endpoint
-    /// list (master and shadows). Empty = use coordinator_host/port.
+    /// The deployment's ordered coordinator endpoint list (master and
+    /// shadows; one endpoint for a single coordinator). Must be non-empty.
     std::vector<Endpoint> coordinators;
     /// The instance this link speaks for.
     InstanceId instance = 0;

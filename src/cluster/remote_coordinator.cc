@@ -71,7 +71,7 @@ RemoteCoordinator::~RemoteCoordinator() {
 
 template <wire::Op op, typename... Args>
 wire::CallResult<op> RemoteCoordinator::CallFailover(
-    bool rotate_on_unavailable, const Args&... args) const {
+    const Args&... args) const {
   const size_t n = conns_.size();
   const size_t start = active_.load(std::memory_order_acquire);
   wire::CallResult<op> last =
@@ -92,7 +92,11 @@ wire::CallResult<op> RemoteCoordinator::CallFailover(
       not_master_bounces_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (last.code() == Code::kUnavailable && rotate_on_unavailable) continue;
+    // A dead endpoint: move on only if the op may be sent again, since the
+    // lost request may have been applied (docs/PROTOCOL.md §11.2).
+    if (last.code() == Code::kUnavailable && wire::IsIdempotentOp(op)) {
+      continue;
+    }
     return last;  // a definitive answer (or an ambiguous loss, fail-fast op)
   }
   return last;
@@ -101,7 +105,6 @@ wire::CallResult<op> RemoteCoordinator::CallFailover(
 Status RemoteCoordinator::Refresh() {
   const Result<std::string> serialized =
       CallFailover<wire::Op::kCoordConfigWatch>(
-          /*rotate_on_unavailable=*/true,
           state_->latest.load(std::memory_order_acquire));
   if (!serialized.ok()) return serialized.status();
   ConfigurationPtr config = ParseConfig(*serialized);
@@ -140,11 +143,12 @@ RemoteCoordinator::Stats RemoteCoordinator::stats() const {
 }
 
 void RemoteCoordinator::Report(wire::CoordEvent event, FragmentId fragment) {
-  // Rotate past shadows (a kNotMaster answer means the report was not
-  // applied), but stay fail-fast on kUnavailable: a replayed report after
-  // an ambiguous loss could land twice across a mode transition.
+  // Rotates past shadows (a kNotMaster answer means the report was not
+  // applied), but kCoordReport is fail-fast, so a kUnavailable ends it: a
+  // replayed report after an ambiguous loss could land twice across a mode
+  // transition.
   const Status s = CallFailover<wire::Op::kCoordReport>(
-      /*rotate_on_unavailable=*/false, static_cast<uint8_t>(event), fragment);
+      static_cast<uint8_t>(event), fragment);
   if (!s.ok()) {
     // Fail-fast by design: the reporter's next pass re-derives the fact.
     LOG_WARN << "coordinator report (event " << static_cast<int>(event)
@@ -165,8 +169,8 @@ void RemoteCoordinator::OnDirtyListUnavailable(FragmentId fragment) {
 }
 
 bool RemoteCoordinator::DirtyProcessed(FragmentId fragment) const {
-  const Result<uint8_t> processed = CallFailover<wire::Op::kCoordDirtyQuery>(
-      /*rotate_on_unavailable=*/true, fragment);
+  const Result<uint8_t> processed =
+      CallFailover<wire::Op::kCoordDirtyQuery>(fragment);
   return processed.ok() && *processed != 0;
 }
 

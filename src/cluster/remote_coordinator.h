@@ -21,12 +21,14 @@
 //
 // Failover (docs/PROTOCOL.md §12.7): constructed with the deployment's full
 // coordinator endpoint list, the client talks to one endpoint at a time and
-// rotates to the next on kUnavailable (endpoint dead — its breaker makes
-// repeat failures cheap) or kNotMaster (endpoint is a shadow or a fenced
-// ex-master). Reports rotate only on kNotMaster: a shadow definitively did
-// not apply the report, while kUnavailable is ambiguous and stays
-// fail-fast. All endpoints' push handlers stay attached; configuration ids
-// adopt only forward, so a straggler push from an ex-master is inert.
+// rotates to the next on kNotMaster (endpoint is a shadow or a fenced
+// ex-master), and on kUnavailable (endpoint dead — its breaker makes repeat
+// failures cheap) iff the op's retry class allows sending it again
+// (wire::IsIdempotentOp). So the watch and the dirty query rotate past a
+// dead endpoint, and a report does not: a shadow definitively did not apply
+// it, while kUnavailable is ambiguous. All endpoints' push handlers stay
+// attached; configuration ids adopt only forward, so a straggler push from
+// an ex-master is inert.
 //
 // Thread-safe.
 #pragma once
@@ -119,11 +121,10 @@ class RemoteCoordinator final : public CoordinatorService {
   void Report(wire::CoordEvent event, FragmentId fragment);
   void RewatchLoop();
   /// Calls `op` on the active endpoint, rotating through the list on
-  /// kNotMaster (always) and kUnavailable (unless the op is ambiguous when
-  /// replayed — kCoordReport). Returns the first success or the last error.
+  /// kNotMaster (always) and kUnavailable (iff wire::IsIdempotentOp(op)).
+  /// Returns the first success or the last error.
   template <wire::Op op, typename... Args>
-  wire::CallResult<op> CallFailover(bool rotate_on_unavailable,
-                                    const Args&... args) const;
+  wire::CallResult<op> CallFailover(const Args&... args) const;
 
   const std::shared_ptr<State> state_;
   std::vector<std::shared_ptr<TcpConnection>> conns_;

@@ -49,10 +49,12 @@ class CheckpointManager {
   /// (persistent_store.h).
   Result<uint64_t> Write(CacheInstance& instance, uint64_t seq);
 
-  /// Loads checkpoint-<seq>.snap into `instance`. Fails closed (kInternal)
-  /// on corruption: a checkpoint is written atomically, so a damaged one is
-  /// disk rot, not a crash artifact.
-  Status Load(CacheInstance& instance, uint64_t seq);
+  /// Loads checkpoint-<seq>.snap into `instance`, reporting the keys its
+  /// quarantine list keeps out through `quarantined` (Snapshot::Load).
+  /// Fails closed (kInternal) on corruption: a checkpoint is written
+  /// atomically, so a damaged one is disk rot, not a crash artifact.
+  Status Load(CacheInstance& instance, uint64_t seq,
+              std::vector<std::string>* quarantined);
 
   /// Deletes WAL segments and checkpoints with sequence < keep_seq. Returns
   /// the first unlink failure but attempts every file.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <sys/stat.h>
@@ -106,12 +107,13 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   }
 
   uint64_t cp_seq = 0;
+  std::vector<std::string> kept_out;  // the checkpoint's quarantined keys
   if (!listing.checkpoint_seqs.empty()) {
     cp_seq = listing.checkpoint_seqs.back();
     // A checkpoint lands atomically (temp + rename + dir fsync), so damage
     // here is disk rot, not a crash artifact: fail closed rather than fall
     // back to an older checkpoint whose covering log was truncated away.
-    if (Status s = checkpoints_.Load(instance, cp_seq); !s.ok()) {
+    if (Status s = checkpoints_.Load(instance, cp_seq, &kept_out); !s.ok()) {
       return Status(Code::kInternal,
                     "checkpoint " + checkpoints_.CheckpointPath(cp_seq) +
                         " failed to load, refusing to serve possibly stale "
@@ -135,8 +137,12 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   // quarantines (every QEnd is logged after its resolving mutation), so a
   // positive final count is always safe to act on — and a key the
   // checkpoint itself saw as quarantined was already skipped by
-  // Snapshot::Load.
+  // Snapshot::Load. Those skipped keys count as drops too, each key once
+  // with the log's own, unless the log resolves them after the cut (a QEnd,
+  // a QClear or a wipe): `unresolved` holds the ones still to count.
   std::unordered_map<std::string, int64_t> qcount;
+  std::unordered_set<std::string> unresolved(kept_out.begin(),
+                                             kept_out.end());
   ConfigId max_config = 0;
 
   uint64_t torn_seq = 0;
@@ -194,6 +200,7 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
         case WalRecordType::kQEnd: {
           auto it = qcount.find(rec.key);
           if (it != qcount.end() && it->second > 0) --it->second;
+          unresolved.erase(rec.key);
           break;
         }
         case WalRecordType::kConfigId:
@@ -201,10 +208,12 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
           break;
         case WalRecordType::kQClear:
           qcount.clear();
+          unresolved.clear();
           break;
         case WalRecordType::kWipe:
           instance.RecoverVolatile();
           qcount.clear();
+          unresolved.clear();
           break;
       }
     }
@@ -216,9 +225,11 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   for (const auto& [key, count] : qcount) {
     if (count > 0) {
       instance.RestoreErase(key);
+      unresolved.erase(key);
       ++quarantine_drops_;
     }
   }
+  quarantine_drops_ += unresolved.size();
 
   instance.ForEachEntry([&max_config](std::string_view, const CacheValue&,
                                       ConfigId config_id) {

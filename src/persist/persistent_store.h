@@ -133,7 +133,10 @@ class PersistentStore final : public PersistenceSink {
     uint64_t replayed_records = 0;
     uint64_t replay_micros = 0;  // wall time Open spent replaying history
     uint64_t restored_entries = 0;
-    uint64_t quarantine_drops = 0;  // keys dropped by the crash-spanning Q rule
+    /// Keys the crash-spanning Q rule dropped at boot: the checkpoint's
+    /// quarantined keys the log did not resolve, plus the log's own, each
+    /// key once.
+    uint64_t quarantine_drops = 0;
     uint64_t torn_tail_bytes = 0;   // bytes discarded from a torn final segment
     /// WAL bytes not yet covered by a checkpoint, across segments: the
     /// truncation lag — how much log the next boot would replay if the

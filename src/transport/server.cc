@@ -28,6 +28,15 @@ namespace gemini {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+/// Accept-error burst guard: after this many *consecutive* accept(2)
+/// failures (fd exhaustion, accept storms — EAGAIN and EINTR do not count)
+/// the acceptor unsubscribes from the listen socket for kAcceptPauseMs
+/// instead of spinning, then resumes. Each failure counts in
+/// Stats::accept_errors.
+constexpr int kAcceptErrorBurst = 64;
+constexpr int kAcceptPauseMs = 100;
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -394,7 +403,7 @@ Status TransportServer::Start() {
                       std::to_string(options_.port) + ") failed: " +
                       std::strerror(errno));
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0 ||
+  if (::listen(listen_fd_, kListenBacklog) != 0 ||
       !SetNonBlocking(listen_fd_)) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -599,7 +608,7 @@ void TransportServer::Loop(Shard& shard) {
       timeout = std::min(timeout, std::max(10, options_.idle_timeout_ms / 4));
     }
     if (shard.index == 0 && shard.accept_suspended) {
-      timeout = std::min(timeout, std::max(10, options_.accept_pause_ms / 2));
+      timeout = std::min(timeout, kAcceptPauseMs / 2);
     }
     if (draining) timeout = std::min(drain_budget_ms, 50);
     if (!shard.poller.Wait(timeout, events)) break;
@@ -676,16 +685,15 @@ void TransportServer::AcceptReady(Shard& shard) {
 void TransportServer::AcceptFailure(Shard& shard) {
   // A real accept failure (EMFILE/ENFILE fd exhaustion, aborted connections
   // under SYN pressure). Count it; after a burst of consecutive failures,
-  // unsubscribe from the listen fd for accept_pause_ms — the level-triggered
+  // unsubscribe from the listen fd for kAcceptPauseMs — the level-triggered
   // poller would otherwise report it ready forever and turn the error into
   // a busy spin.
   shard.accept_errors.fetch_add(1, std::memory_order_relaxed);
-  if (options_.accept_error_burst > 0 &&
-      ++shard.consecutive_accept_errors >= options_.accept_error_burst) {
+  if (++shard.consecutive_accept_errors >= kAcceptErrorBurst) {
     shard.poller.Remove(listen_fd_);
     shard.accept_suspended = true;
     shard.accept_suspended_until =
-        SystemClock::Global().Now() + Millis(options_.accept_pause_ms);
+        SystemClock::Global().Now() + Millis(kAcceptPauseMs);
     shard.consecutive_accept_errors = 0;
   }
 }

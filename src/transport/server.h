@@ -118,7 +118,6 @@ class TransportServer {
     /// (std::thread::hardware_concurrency); clamped to [1, 64]. 1 preserves
     /// the single-threaded behavior of earlier versions.
     uint32_t num_loops = 0;
-    int listen_backlog = 128;
     /// How long Stop() waits for write buffers to drain.
     int drain_timeout_ms = 2000;
     /// Slowloris guard: a connection that has not completed its HELLO, or
@@ -128,13 +127,6 @@ class TransportServer {
     /// legitimately hold pipelined connections open for their lifetime.
     /// 0 disables reaping.
     int idle_timeout_ms = 30000;
-    /// Accept-error burst guard: after this many *consecutive* accept(2)
-    /// failures (fd exhaustion, accept storms — EAGAIN and EINTR do not
-    /// count) the acceptor unsubscribes from the listen socket for
-    /// accept_pause_ms instead of spinning, then resumes. Each failure
-    /// counts in Stats::accept_errors.
-    int accept_error_burst = 64;
-    int accept_pause_ms = 100;
     /// Coordinator control plane served by this server (null = plain data
     /// server; control ops answer kInvalidArgument). Must outlive the
     /// server. With a control plane attached the registry may be empty — a

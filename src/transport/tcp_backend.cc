@@ -1,9 +1,5 @@
 #include "src/transport/tcp_backend.h"
 
-#include <thread>
-
-#include "src/common/hash.h"
-
 namespace gemini {
 
 TcpCacheBackend::TcpCacheBackend(std::string host, uint16_t port,
@@ -18,10 +14,6 @@ InstanceId TcpCacheBackend::id() const { return conn_->remote_id(); }
 
 TcpConnection::BreakerState TcpCacheBackend::breaker_state() const {
   return conn_->breaker_state();
-}
-
-const TcpCacheBackend::Options& TcpCacheBackend::options() const {
-  return conn_->options();
 }
 
 Status TcpCacheBackend::Connect() { return conn_->Connect(); }
@@ -87,11 +79,11 @@ std::vector<Status> TcpCacheBackend::Bulk(const std::vector<Req>& reqs,
     entries.push_back(fields(reqs[i]));
   }
   if (slot_of.empty()) return out;
-  // ONE frame, one response. The batch is non-idempotent (a replay would
-  // re-apply N writes), so Transact's retry loop — gated on IsIdempotentOp —
-  // never re-sends it: transport loss fails every shipped slot fast, and so
-  // does a batch over the frame limit, before it is sent. A server that
-  // answered kOk but miscounted is a protocol bug, not a partial success.
+  // ONE frame, one response, sent once: the batch is non-idempotent (a
+  // replay would re-apply N writes), so transport loss fails every shipped
+  // slot, and so does a batch over the frame limit, before it is sent. A
+  // server that answered kOk but miscounted is a protocol bug, not a
+  // partial success.
   Result<std::vector<uint8_t>> codes = conn_->Call<op>(entries);
   if (codes.ok() && codes->size() != slot_of.size()) {
     codes = Status(Code::kInternal, "malformed " +
@@ -116,35 +108,7 @@ Result<CacheValue> TcpCacheBackend::Get(const OpContext& ctx,
 
 std::vector<Result<CacheValue>> TcpCacheBackend::MultiGet(
     const std::vector<GetRequest>& reqs) {
-  const RetryPolicy& policy = options().retry;
-  const Timestamp start = SystemClock::Global().Now();
-  std::vector<Result<CacheValue>> out = Burst<Op::kGet>(reqs, CtxKey);
-
-  // Gets are idempotent, so kUnavailable slots (a connection drop failed
-  // part or all of the burst) are re-batched and retried together under the
-  // same attempt/backoff/deadline budget a single Get would get.
-  for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
-    std::vector<size_t> failed;  // indices into reqs/out
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (out[i].code() == Code::kUnavailable) failed.push_back(i);
-    }
-    if (failed.empty()) break;
-    const Duration elapsed = SystemClock::Global().Now() - start;
-    const Duration sleep = TcpConnection::BackoffBeforeAttempt(
-        policy, attempt, elapsed, Fnv1a64("multiget") ^ failed.size());
-    if (sleep < 0) break;  // deadline budget exhausted
-    if (sleep > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
-    }
-    std::vector<GetRequest> again;
-    again.reserve(failed.size());
-    for (size_t i : failed) again.push_back(reqs[i]);
-    std::vector<Result<CacheValue>> redone = Burst<Op::kGet>(again, CtxKey);
-    for (size_t j = 0; j < redone.size(); ++j) {
-      out[failed[j]] = std::move(redone[j]);
-    }
-  }
-  return out;
+  return Burst<Op::kGet>(reqs, CtxKey);
 }
 
 Result<IqGetResult> TcpCacheBackend::IqGet(const OpContext& ctx,

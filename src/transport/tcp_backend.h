@@ -12,12 +12,11 @@
 // other's round trips.
 //
 // Every operation is one wire frame and one response frame (a batched op
-// is a pipelined burst of them, or one bulk frame); connection
+// is a pipelined burst of them, or one bulk frame), sent once; connection
 // loss maps to kUnavailable — the same code an in-process failed instance
 // returns — so GeminiClient's failover machinery (configuration refresh,
 // store fall-through, write suspension) drives recovery with no
-// transport-specific logic. By default the backend redials transparently
-// on the next call after a drop.
+// transport-specific logic. The next call after a drop redials.
 #pragma once
 
 #include <memory>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "src/cache/cache_backend.h"
-#include "src/common/clock.h"
 #include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
 
@@ -66,19 +64,12 @@ class TcpCacheBackend : public CacheBackend {
   /// kOpen means calls fail fast with kUnavailable without dialing.
   [[nodiscard]] TcpConnection::BreakerState breaker_state() const;
 
-  /// The effective connection options. When the connection is shared, these
-  /// are the *creator's* options, which may differ from the ones this
-  /// backend was constructed with (see TcpConnection::Acquire).
-  [[nodiscard]] const Options& options() const;
-
   // ---- CacheBackend ---------------------------------------------------------
 
   Result<CacheValue> Get(const OpContext& ctx, std::string_view key) override;
   /// Issues the whole batch as one pipelined burst over the shared
   /// connection: N gets cost ~1 round trip (window permitting) instead of N.
-  /// Under a RetryPolicy with max_attempts > 1, slots that failed with
-  /// kUnavailable are re-batched and retried together (gets are idempotent)
-  /// within the same attempt/deadline budget as a single Get.
+  /// On transport loss every slot not yet answered fails kUnavailable.
   std::vector<Result<CacheValue>> MultiGet(
       const std::vector<GetRequest>& reqs) override;
   Result<IqGetResult> IqGet(const OpContext& ctx,
@@ -99,16 +90,16 @@ class TcpCacheBackend : public CacheBackend {
   Status Set(const OpContext& ctx, std::string_view key,
              CacheValue value) override;
   /// Ships the whole batch as ONE kMultiSet frame (one round trip total,
-  /// not one per window slot). Unlike MultiGet there is no retry loop:
-  /// bulk writes are non-idempotent, so on transport loss every shipped
-  /// slot fails kUnavailable and the caller decides what to re-run.
+  /// not one per window slot). Bulk writes are non-idempotent, so on
+  /// transport loss every shipped slot fails kUnavailable and the caller
+  /// decides what to re-run.
   std::vector<Status> MultiSet(std::vector<SetRequest> reqs) override;
   /// One kMultiDelete frame; same fail-fast contract as MultiSet.
   std::vector<Status> MultiDelete(
       const std::vector<DeleteRequest>& reqs) override;
   /// The batched lease ops: each burst is one frame per key pipelined over
-  /// the shared connection, like MultiGet, but never retried — on transport
-  /// loss every slot not yet answered fails kUnavailable.
+  /// the shared connection, like MultiGet — on transport loss every slot
+  /// not yet answered fails kUnavailable.
   std::vector<Result<IqGetResult>> MultiIqGet(
       const std::vector<GetRequest>& reqs) override;
   std::vector<Result<LeaseToken>> MultiISet(
@@ -124,7 +115,7 @@ class TcpCacheBackend : public CacheBackend {
   Status ReleaseRed(std::string_view key, LeaseToken token) override;
   Status RenewRed(std::string_view key, LeaseToken token) override;
   /// One kWorkingSetScan frame per page (docs/PROTOCOL.md §13). Idempotent:
-  /// the retry layer may resend a dropped page, and any returned cursor
+  /// a caller may send a dropped page again, and any returned cursor
   /// resumes the scan after a reconnect.
   Result<WorkingSetPage> WorkingSetScan(const OpContext& ctx,
                                         uint32_t num_fragments,
@@ -152,7 +143,7 @@ class TcpCacheBackend : public CacheBackend {
   /// `fields(req)` ties the request's row fields, a kOk response decodes
   /// into the slot's `Target`, and an error response or transport loss
   /// becomes the slot's status. Oversized requests fail locally and never
-  /// ship. Never retries; MultiGet layers its own retry pass on top.
+  /// ship.
   template <wire::Op op, typename Target = wire::ResponseOf<op>, typename Req,
             typename Fields>
   std::vector<wire::CallResult<op, Target>> Burst(const std::vector<Req>& reqs,

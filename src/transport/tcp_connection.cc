@@ -13,11 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
-
-#include "src/common/hash.h"
-#include "src/common/rng.h"
 
 namespace gemini {
 
@@ -228,8 +224,7 @@ void TcpConnection::FailAll(std::deque<Completion>& victims,
 
 TcpConnection::BreakerState TcpConnection::breaker_state() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.breaker_failure_threshold <= 0 ||
-      consecutive_dial_failures_ < options_.breaker_failure_threshold) {
+  if (consecutive_dial_failures_ < options_.breaker_failure_threshold) {
     return BreakerState::kClosed;
   }
   return SystemClock::Global().Now() < breaker_open_until_
@@ -244,8 +239,7 @@ Status TcpConnection::ConnectLocked() {
   // Once the cooldown passes, exactly one caller (mu_ serializes us) runs
   // the half-open probe dial below; success closes the breaker, failure
   // re-opens it for another cooldown.
-  if (options_.breaker_failure_threshold > 0 &&
-      consecutive_dial_failures_ >= options_.breaker_failure_threshold &&
+  if (consecutive_dial_failures_ >= options_.breaker_failure_threshold &&
       SystemClock::Global().Now() < breaker_open_until_) {
     return Status(Code::kUnavailable,
                   "circuit breaker open for " + host_ + ":" +
@@ -577,8 +571,8 @@ void TcpConnection::CompleteFromFrame(const Completion& done, uint8_t tag,
   done(StatusFromError(code, body), {});
 }
 
-Status TcpConnection::TransactOnce(wire::Op op, std::string_view body,
-                                   std::string* resp_body) {
+Status TcpConnection::Transact(wire::Op op, std::string_view body,
+                               std::string* resp_body) {
   struct Waiter {
     std::mutex mu;
     std::condition_variable cv;
@@ -597,62 +591,6 @@ Status TcpConnection::TransactOnce(wire::Op op, std::string_view body,
   w.cv.wait(lk, [&] { return w.done; });
   if (resp_body != nullptr) *resp_body = std::move(w.body);
   return w.status;
-}
-
-Duration TcpConnection::BackoffBeforeAttempt(const RetryPolicy& policy,
-                                             int attempt, Duration elapsed,
-                                             uint64_t salt) {
-  if (policy.deadline > 0 && elapsed >= policy.deadline) return -1;
-  // Exponential cap: initial_backoff doubled per completed attempt, bounded
-  // by max_backoff.
-  Duration cap = std::max<Duration>(0, policy.initial_backoff);
-  for (int i = 2; i < attempt && cap < policy.max_backoff; ++i) cap *= 2;
-  cap = std::min(cap, std::max<Duration>(0, policy.max_backoff));
-  Duration sleep = 0;
-  if (cap > 0) {
-    // Full jitter: uniform in [0, cap]. Decorrelates retry storms across
-    // clients (and across the slots of one MultiGet).
-    Rng rng(Mix64(policy.jitter_seed ^ salt ^
-                  (static_cast<uint64_t>(attempt) * 0x9E3779B97f4A7C15ULL)));
-    sleep = static_cast<Duration>(
-        rng.NextBounded(static_cast<uint64_t>(cap) + 1));
-  }
-  if (policy.deadline > 0) {
-    // Never sleep past the budget; if the remaining budget is all sleep,
-    // there is no room left for the attempt itself, so stop.
-    const Duration remaining = policy.deadline - elapsed;
-    if (sleep >= remaining) return -1;
-  }
-  return sleep;
-}
-
-Status TcpConnection::Transact(wire::Op op, std::string_view body,
-                               std::string* resp_body) {
-  const RetryPolicy& policy = options_.retry;
-  const int max_attempts =
-      (policy.max_attempts > 1 && wire::IsIdempotentOp(op))
-          ? policy.max_attempts
-          : 1;
-  const Timestamp start = SystemClock::Global().Now();
-  const uint64_t salt =
-      Fnv1a64(host_) ^ (static_cast<uint64_t>(port_) << 16) ^
-      static_cast<uint64_t>(op);
-  for (int attempt = 1;; ++attempt) {
-    Status s = TransactOnce(op, body, resp_body);
-    // Only kUnavailable (connection-level failure) is retryable; every
-    // other code is the server's definitive answer. Non-idempotent ops
-    // never reach here with max_attempts > 1.
-    if (s.ok() || s.code() != Code::kUnavailable || attempt >= max_attempts) {
-      return s;
-    }
-    const Duration elapsed = SystemClock::Global().Now() - start;
-    const Duration sleep =
-        BackoffBeforeAttempt(policy, attempt + 1, elapsed, salt);
-    if (sleep < 0) return s;  // deadline budget exhausted
-    if (sleep > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep));
-    }
-  }
 }
 
 std::vector<TcpConnection::BatchResponse> TcpConnection::TransactBatch(

@@ -17,8 +17,10 @@
 // process-wide shared connection for the triple, creating it lazily and
 // dropping it when the last holder releases it. Connection loss fails every
 // in-flight call with kUnavailable — the same code an in-process failed
-// instance returns — and by default the connection redials transparently on
-// the next call.
+// instance returns — and the next call redials. Each request is sent once:
+// nothing here re-sends a request whose connection dropped. Whether it may
+// go again is the caller's call, by the op's retry class
+// (wire::IsIdempotentOp, docs/PROTOCOL.md §11.2).
 #pragma once
 
 #include <condition_variable>
@@ -38,30 +40,6 @@
 
 namespace gemini {
 
-/// Client-side retry policy for *idempotent* wire ops (wire::IsIdempotentOp;
-/// docs/PROTOCOL.md §11). A failed idempotent Transact() is redialed and
-/// re-sent up to max_attempts times with exponential backoff and full
-/// jitter; non-idempotent ops (anything touching leases, versions, or dirty
-/// lists) always fail fast after one attempt, because a duplicated send
-/// after an ambiguous connection drop could double-apply. Only kUnavailable
-/// is retried — every other code is a definitive answer from the server.
-struct RetryPolicy {
-  /// Total attempts including the first; 1 (the default) disables retry, so
-  /// existing callers see byte-identical behavior.
-  int max_attempts = 1;
-  /// Backoff cap before attempt 2; doubles per attempt up to max_backoff.
-  /// The actual sleep is uniform in [0, cap] (full jitter).
-  Duration initial_backoff = Millis(2);
-  Duration max_backoff = Millis(100);
-  /// Per-op wall-clock budget across all attempts and backoffs; once it is
-  /// spent no new attempt starts (the op returns its last error). 0 = no
-  /// budget (bounded by max_attempts alone).
-  Duration deadline = 0;
-  /// Seed for the jitter draw; 0 derives one from the endpoint so two
-  /// clients hammering the same dead server do not sleep in lockstep.
-  uint64_t jitter_seed = 0;
-};
-
 class TcpConnection {
  public:
   struct Options {
@@ -76,16 +54,13 @@ class TcpConnection {
     /// this connection. Submitters past the bound block until a slot frees;
     /// 1 degenerates to the old strict request/response alternation.
     size_t max_inflight = 32;
-    /// Retry policy for idempotent ops issued via Transact()/MultiGet
-    /// (SubmitAsync stays single-shot: async callers own their retries).
-    RetryPolicy retry;
     /// Circuit breaker: after this many *consecutive* failed dials (socket
     /// or handshake failure with kUnavailable) the endpoint is considered
     /// down and every call fails fast — no dial, no connect_timeout — until
     /// breaker_cooldown passes; then exactly one half-open probe dial runs,
-    /// closing the breaker on success or re-opening it on failure. 0
-    /// disables the breaker. Fast kUnavailable is what lets GeminiClient
-    /// fall through to the data store instead of hammering a dead endpoint.
+    /// closing the breaker on success or re-opening it on failure. Fast
+    /// kUnavailable is what lets GeminiClient fall through to the data
+    /// store instead of hammering a dead endpoint.
     int breaker_failure_threshold = 8;
     Duration breaker_cooldown = Millis(500);
   };
@@ -158,23 +133,10 @@ class TcpConnection {
   /// until the first successful Connect()).
   [[nodiscard]] InstanceId remote_id() const;
 
-  /// The options this connection was created with (shared holders all see
-  /// the creator's options — see Acquire()).
-  [[nodiscard]] const Options& options() const { return options_; }
-
   /// Current circuit-breaker state. kOpen = calls fail fast without
   /// dialing; kHalfOpen = the cooldown has passed and the next call is the
   /// probe.
   [[nodiscard]] BreakerState breaker_state() const;
-
-  /// The full-jitter backoff to sleep before `attempt` (2-based: the sleep
-  /// between attempt N-1 and N), or a negative Duration when `policy`'s
-  /// deadline leaves no room for another attempt. `elapsed` is the time
-  /// already spent on the op; `salt` decorrelates independent retry loops.
-  /// Exposed so TcpCacheBackend::MultiGet can share the exact policy
-  /// semantics.
-  static Duration BackoffBeforeAttempt(const RetryPolicy& policy, int attempt,
-                                       Duration elapsed, uint64_t salt);
 
   /// Submits one request into the pipeline (connecting first if needed) and
   /// returns once it occupies a window slot; `done` fires when its response
@@ -186,9 +148,8 @@ class TcpConnection {
   /// `resp_body` receives the response payload of a kOk reply; a non-ok
   /// reply becomes the returned Status (message from the body blob).
   /// Internally a SubmitAsync + wait, so concurrent callers pipeline
-  /// instead of serializing. When options().retry allows it and `op` is
-  /// idempotent, a kUnavailable outcome is transparently retried (redial +
-  /// re-send) within the policy's attempt and deadline budget.
+  /// instead of serializing. The request is sent once: a connection lost
+  /// before its response arrives returns kUnavailable.
   Status Transact(wire::Op op, std::string_view body,
                   std::string* resp_body);
 
@@ -213,8 +174,6 @@ class TcpConnection {
   /// A burst rides one connection epoch: only its first request may dial,
   /// and once that epoch drops, every request not yet answered fails
   /// kUnavailable — none is redialed onto a new connection or re-sent.
-  /// Retrying is the caller's call (TcpCacheBackend::MultiGet re-batches
-  /// its idempotent gets; lease-op bursts never retry).
   std::vector<BatchResponse> TransactBatch(
       const std::vector<BatchRequest>& reqs);
 
@@ -247,9 +206,6 @@ class TcpConnection {
   /// The actual dial + HELLO, called by ConnectLocked once the breaker
   /// admits the attempt.
   Status DialLocked();
-  /// One SubmitAsync + wait round trip (the pre-retry Transact()).
-  Status TransactOnce(wire::Op op, std::string_view body,
-                      std::string* resp_body);
   /// Drops the current epoch and returns the completions (in-flight and
   /// queued-unsent) the caller must fail with `why` AFTER unlocking.
   std::deque<Completion> TearLocked();

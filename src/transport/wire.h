@@ -231,7 +231,7 @@ const OpRow* FindOp(uint8_t op);
 /// True iff `op` is a defined opcode (decode-side validation).
 inline bool IsKnownOp(uint8_t op) { return FindOp(op) != nullptr; }
 
-/// True iff the retry layer may re-send `op` after an ambiguous failure
+/// True iff a caller may send `op` again after an ambiguous failure
 /// (docs/PROTOCOL.md §11.2; the reasons sit above GEMINI_WIRE_OPS).
 inline bool IsIdempotentOp(Op op) {
   return FindOp(static_cast<uint8_t>(op))->retry_safe;

@@ -65,8 +65,7 @@ struct InstanceNode {
 
   void StartLink(uint16_t coordinator_port, Duration interval) {
     CoordinatorLink::Options lopts;
-    lopts.coordinator_host = "127.0.0.1";
-    lopts.coordinator_port = coordinator_port;
+    lopts.coordinators = {{"127.0.0.1", coordinator_port}};
     lopts.instance = instance->id();
     lopts.advertise_host = "127.0.0.1";
     lopts.advertise_port = server->port();

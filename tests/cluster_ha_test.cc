@@ -509,5 +509,25 @@ TEST(CoordinatorReplicaTest, RemoteCoordinatorSkipsDeadEndpoint) {
   EXPECT_GE(remote.stats().endpoint_switches, 1u);
 }
 
+TEST(CoordinatorReplicaTest, RemoteCoordinatorRotatesOnlyRetrySafeOps) {
+  // A report is fail-fast (§11.2): after kUnavailable it may have been
+  // applied, so it must not go to the next endpoint. The watch is
+  // retry-safe, so Refresh() rotates past the dead endpoint.
+  ReplicaNode solo(PickFreePort(), /*peers=*/{}, /*rank=*/0,
+                   /*instances=*/1, /*fragments=*/1);
+  RemoteCoordinator::Options ropts;
+  ropts.rewatch_interval = 0;
+  RemoteCoordinator remote({{"127.0.0.1", PickFreePort()},
+                            {"127.0.0.1", solo.server->port()}},
+                           ropts);
+  remote.OnDirtyListProcessed(0);
+  EXPECT_EQ(remote.active_endpoint(), 0u);
+  EXPECT_EQ(remote.stats().endpoint_switches, 0u);
+
+  ASSERT_TRUE(WaitFor([&] { return remote.Refresh().ok(); }));
+  EXPECT_EQ(remote.active_endpoint(), 1u);
+  EXPECT_EQ(remote.stats().endpoint_switches, 1u);
+}
+
 }  // namespace
 }  // namespace gemini

@@ -192,38 +192,55 @@ TEST_F(PersistentStoreTest, KillRestartRestoresByteExactEntriesAndConfigId) {
 }
 
 TEST_F(PersistentStoreTest, CrashSpanningQuarantineRuleDropsInFlightWrites) {
-  const std::string dir = TempDir("qrule");
-  Process p = Boot(dir);
-  CacheInstance& a = *p.instance;
+  // Two shapes of one history: the Q leases live only in the log, or a
+  // checkpoint cut while they were outstanding holds them in its
+  // quarantine list. Both boots drop the same key and count it once.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint before the kill" : "log only");
+    const std::string dir = TempDir(checkpoint ? "qrule_cp" : "qrule_log");
+    Process p = Boot(dir);
+    CacheInstance& a = *p.instance;
 
-  ASSERT_TRUE(a.Set(kCtx, "committed", CacheValue::OfData("v1", 1)).ok());
-  ASSERT_TRUE(a.Set(kCtx, "deleted", CacheValue::OfData("v1", 1)).ok());
-  ASSERT_TRUE(a.Set(kCtx, "inflight", CacheValue::OfData("v1", 1)).ok());
+    ASSERT_TRUE(a.Set(kCtx, "committed", CacheValue::OfData("v1", 1)).ok());
+    ASSERT_TRUE(a.Set(kCtx, "deleted", CacheValue::OfData("v1", 1)).ok());
+    ASSERT_TRUE(a.Set(kCtx, "inflight", CacheValue::OfData("v1", 1)).ok());
+    ASSERT_TRUE(a.Set(kCtx, "late", CacheValue::OfData("v1", 1)).ok());
 
-  // Completed write-through cycle: the new value is durable and clean.
-  auto t1 = a.Qareg(kCtx, "committed");
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(a.Rar(kCtx, "committed", CacheValue::OfData("v2", 2), *t1).ok());
-  // Completed write-around cycle: the entry is durably gone.
-  auto t2 = a.Qareg(kCtx, "deleted");
-  ASSERT_TRUE(t2.ok());
-  ASSERT_TRUE(a.Dar(kCtx, "deleted", *t2).ok());
-  // In-flight cycle: the writer holds the Q lease at the crash. Its data
-  // store write may or may not have landed — the cached "v1" may be stale.
-  auto t3 = a.Qareg(kCtx, "inflight");
-  ASSERT_TRUE(t3.ok());
-  ASSERT_TRUE(a.ContainsRaw("inflight"));
-  Kill(p);
+    // Completed write-through cycle: the new value is durable and clean.
+    auto t1 = a.Qareg(kCtx, "committed");
+    ASSERT_TRUE(t1.ok());
+    ASSERT_TRUE(
+        a.Rar(kCtx, "committed", CacheValue::OfData("v2", 2), *t1).ok());
+    // Completed write-around cycle: the entry is durably gone.
+    auto t2 = a.Qareg(kCtx, "deleted");
+    ASSERT_TRUE(t2.ok());
+    ASSERT_TRUE(a.Dar(kCtx, "deleted", *t2).ok());
+    // In-flight cycle: the writer holds the Q lease at the crash. Its data
+    // store write may or may not have landed — the cached "v1" may be stale.
+    auto t3 = a.Qareg(kCtx, "inflight");
+    ASSERT_TRUE(t3.ok());
+    ASSERT_TRUE(a.ContainsRaw("inflight"));
+    // A cycle that completes only after the checkpoint: its QEnd, replayed
+    // after the cut, resolves the key the checkpoint kept out.
+    auto t4 = a.Qareg(kCtx, "late");
+    ASSERT_TRUE(t4.ok());
+    if (checkpoint) {
+      ASSERT_TRUE(p.store->Checkpoint().ok());
+    }
+    ASSERT_TRUE(a.Dar(kCtx, "late", *t4).ok());
+    Kill(p);
 
-  Process q = Boot(dir);
-  CacheInstance& b = *q.instance;
-  auto committed = b.Get(kCtx, "committed");
-  ASSERT_TRUE(committed.ok());
-  EXPECT_EQ(committed->data, "v2");
-  EXPECT_FALSE(b.ContainsRaw("deleted"));
-  // The Q rule fails toward a miss, never a stale hit.
-  EXPECT_FALSE(b.ContainsRaw("inflight"));
-  EXPECT_GE(q.store->stats().quarantine_drops, 1u);
+    Process q = Boot(dir);
+    CacheInstance& b = *q.instance;
+    auto committed = b.Get(kCtx, "committed");
+    ASSERT_TRUE(committed.ok());
+    EXPECT_EQ(committed->data, "v2");
+    EXPECT_FALSE(b.ContainsRaw("deleted"));
+    EXPECT_FALSE(b.ContainsRaw("late"));
+    // The Q rule fails toward a miss, never a stale hit.
+    EXPECT_FALSE(b.ContainsRaw("inflight"));
+    EXPECT_EQ(q.store->stats().quarantine_drops, 1u);
+  }
 }
 
 TEST_F(PersistentStoreTest, CheckpointTruncatesLogAndRestartStaysExact) {

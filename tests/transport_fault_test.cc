@@ -2,13 +2,14 @@
 // TcpCacheBackend and TransportServer executes seeded, deterministic fault
 // schedules — delays, mid-frame stalls, cuts, truncation, resets at accept,
 // hold/release bursts, throttling — and the client side must hold up its end
-// of docs/PROTOCOL.md §11: retry idempotent ops transparently within the
-// policy budget, fail non-idempotent ops fast, trip the circuit breaker on a
-// dead endpoint so GeminiClient degrades to data-store reads, and never hang
-// past the configured timeouts. The capstone runs the full
-// failover → transient → recovery → normal cycle from
-// transport_multi_instance_test through an adversarial schedule (seeded via
-// GEMINI_FAULT_SEED, echoed so a failure replays) with zero stale reads.
+// of docs/PROTOCOL.md §11: send each request once, so a lost connection
+// fails every unanswered request with kUnavailable and the next call
+// redials; trip the circuit breaker on a dead endpoint so GeminiClient
+// degrades to data-store reads; and never hang past the configured
+// timeouts. The capstone runs the full failover → transient → recovery →
+// normal cycle from transport_multi_instance_test through an adversarial
+// schedule (seeded via GEMINI_FAULT_SEED, echoed so a failure replays) with
+// zero stale reads, every lost request re-run by the application.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -268,77 +269,13 @@ TEST_F(FaultProxyTest, HoldBurstsAndThrottleStillDeliver) {
   EXPECT_GE(proxy_->stats().holds, 1u);
 }
 
-TEST_F(FaultProxyTest, MidFrameCutOnIdempotentOpIsRetriedTransparently) {
-  // Response frames: 0 = HELLO (passes: skip 2), 1 = Set (passes),
-  // 2 = Get → cut mid-frame. The retry redials; on the new connection the
-  // Get response is frame 1, which passes. The caller never sees the fault.
-  FaultProxy::Options popts;
-  popts.seed = 3;
-  popts.server_to_client.skip_frames = 2;
-  popts.server_to_client.cut_prob = 1.0;
-  Start(popts);
-
-  TcpCacheBackend::Options copts;
-  copts.retry.max_attempts = 3;
-  copts.retry.initial_backoff = Millis(1);
-  copts.retry.max_backoff = Millis(5);
-  auto backend = Backend(copts);
-  ASSERT_TRUE(backend->Connect().ok());
-  ASSERT_TRUE(
-      backend->Set(kInternalCtx, "k", CacheValue::OfData("v")).ok());
-
-  auto got = backend->Get(kInternalCtx, "k");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->data, "v");
-
-  EXPECT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 1; }));
-  EXPECT_EQ(proxy_->stats().connections_accepted, 2u);  // original + redial
-}
-
-TEST_F(FaultProxyTest, MultiGetRebatchesOnlyTheUnavailableSlots) {
-  // skip 3 lets HELLO + two frames through per connection, then cuts.
-  // Connection 0 carries HELLO + 2 Sets; the 4-key MultiGet burst then dies
-  // on its first response. Retry connection 1 delivers 2 of the 4 before
-  // the cut; the final rebatch of the 2 failed slots fits under the skip
-  // window and completes. All four slots must come back ok.
-  FaultProxy::Options popts;
-  popts.seed = 5;
-  popts.server_to_client.skip_frames = 3;
-  popts.server_to_client.cut_prob = 1.0;
-  Start(popts);
-
-  TcpCacheBackend::Options copts;
-  copts.retry.max_attempts = 3;
-  copts.retry.initial_backoff = Millis(1);
-  copts.retry.max_backoff = Millis(5);
-  auto backend = Backend(copts);
-  ASSERT_TRUE(backend->Connect().ok());
-  ASSERT_TRUE(
-      backend->Set(kInternalCtx, "m0", CacheValue::OfData("v0")).ok());
-  ASSERT_TRUE(
-      backend->Set(kInternalCtx, "m1", CacheValue::OfData("v1")).ok());
-
-  std::vector<GetRequest> reqs;
-  for (int i = 0; i < 4; ++i) {
-    reqs.push_back({kInternalCtx, "m" + std::to_string(i % 2)});
-  }
-  auto out = backend->MultiGet(reqs);
-  ASSERT_EQ(out.size(), 4u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    ASSERT_TRUE(out[i].ok()) << "slot " << i << ": "
-                             << out[i].status().ToString();
-    EXPECT_EQ(out[i]->data, "v" + std::to_string(i % 2));
-  }
-  EXPECT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 2; }));
-}
-
 TEST_F(FaultProxyTest, TruncationWithoutRetryFailsWithUnavailable) {
   FaultProxy::Options popts;
   popts.seed = 9;
   popts.server_to_client.skip_frames = 1;
   popts.server_to_client.truncate_prob = 1.0;
   Start(popts);
-  auto backend = Backend();  // default options: retry disabled
+  auto backend = Backend();
   ASSERT_TRUE(backend->Connect().ok());
   auto got = backend->Get(kInternalCtx, "whatever");
   EXPECT_EQ(got.status().code(), Code::kUnavailable);
@@ -346,21 +283,18 @@ TEST_F(FaultProxyTest, TruncationWithoutRetryFailsWithUnavailable) {
   EXPECT_TRUE(WaitFor([&] { return proxy_->stats().truncations >= 1; }));
 }
 
-TEST_F(FaultProxyTest, NonIdempotentOpsFailFastEvenWithRetryEnabled) {
-  // Every post-handshake response is cut, so each attempt costs exactly one
-  // connection and one cut. A Set (lease-bearing, not idempotent) must stop
-  // after 1 attempt; a Get under the same policy burns all 3.
+TEST_F(FaultProxyTest, SetAndGetAreEachSentOnceAcrossACut) {
+  // Every post-handshake response is cut, so each send costs exactly one
+  // connection and one cut. A Set (not idempotent) and a Get (idempotent)
+  // each fail kUnavailable after their one send: the client re-sends
+  // neither, and the Get's call redials the connection the Set lost.
   FaultProxy::Options popts;
   popts.seed = 13;
   popts.server_to_client.skip_frames = 1;
   popts.server_to_client.cut_prob = 1.0;
   Start(popts);
 
-  TcpCacheBackend::Options copts;
-  copts.retry.max_attempts = 3;
-  copts.retry.initial_backoff = Millis(1);
-  copts.retry.max_backoff = Millis(5);
-  auto backend = Backend(copts);
+  auto backend = Backend();
   ASSERT_TRUE(backend->Connect().ok());
 
   Status set = backend->Set(kInternalCtx, "k", CacheValue::OfData("v"));
@@ -371,27 +305,23 @@ TEST_F(FaultProxyTest, NonIdempotentOpsFailFastEvenWithRetryEnabled) {
 
   auto got = backend->Get(kInternalCtx, "k");
   EXPECT_EQ(got.status().code(), Code::kUnavailable);
-  ASSERT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 4; }));
-  EXPECT_EQ(proxy_->stats().cuts, 4u);  // 3 Get attempts + the Set
-  EXPECT_EQ(proxy_->stats().connections_accepted, 4u);
+  ASSERT_TRUE(WaitFor([&] { return proxy_->stats().cuts >= 2; }));
+  EXPECT_EQ(proxy_->stats().cuts, 2u);
+  EXPECT_EQ(proxy_->stats().connections_accepted, 2u);
 }
 
 TEST_F(FaultProxyTest, MidBulkRequestCutFailsEverySlotWithNothingApplied) {
   // A kMultiSet request frame severed mid-flight: the server never sees a
   // complete frame, so it applies NOTHING, and the client fails every slot
-  // kUnavailable. Bulk writes are non-idempotent (PROTOCOL.md §11) and never
-  // retried, so the batch costs exactly one connection and one cut.
+  // kUnavailable. The batch is sent once, so it costs exactly one
+  // connection and one cut.
   FaultProxy::Options popts;
   popts.seed = 21;
   popts.client_to_server.skip_frames = 1;  // HELLO passes untouched
   popts.client_to_server.cut_prob = 1.0;
   Start(popts);
 
-  TcpCacheBackend::Options copts;
-  copts.retry.max_attempts = 3;  // enabled — must not apply to bulk writes
-  copts.retry.initial_backoff = Millis(1);
-  copts.retry.max_backoff = Millis(5);
-  auto backend = Backend(copts);
+  auto backend = Backend();
   ASSERT_TRUE(backend->Connect().ok());
 
   std::vector<SetRequest> reqs;
@@ -432,11 +362,7 @@ TEST_F(FaultProxyTest, MidBulkResponseCutFailsEverySlotWithoutRetry) {
                     .ok());
   }
 
-  TcpCacheBackend::Options copts;
-  copts.retry.max_attempts = 3;
-  copts.retry.initial_backoff = Millis(1);
-  copts.retry.max_backoff = Millis(5);
-  auto backend = Backend(copts);
+  auto backend = Backend();
   ASSERT_TRUE(backend->Connect().ok());
 
   std::vector<DeleteRequest> reqs;
@@ -458,16 +384,16 @@ TEST_F(FaultProxyTest, MidBulkResponseCutFailsEverySlotWithoutRetry) {
   EXPECT_EQ(proxy_->stats().connections_accepted, 1u);
 }
 
-// ---- Batched lease ops: one pipelined burst, never re-sent ------------------
+// ---- Batched ops: one pipelined burst, never re-sent ------------------------
 
 TEST_F(FaultProxyTest, MidBurstCutFailsEverySlotOfEachLeaseBurstWithoutResend) {
-  // Each batched lease op pipelines one frame per key over one connection,
-  // and none is idempotent (PROTOCOL.md §11.2). The first response of the
-  // burst dies mid-frame; with an in-flight window of 4 the 8-key burst is
-  // still submitting when it does. Every slot must fail kUnavailable — the
+  // Each batched op — MultiGet and the four lease bursts — pipelines one
+  // frame per key over one connection. The first response of the burst
+  // dies mid-frame; with an in-flight window of 4 the 8-key burst is still
+  // submitting when it does. Every slot must fail kUnavailable — the
   // in-flight ones through the cut, the rest because the burst's connection
-  // is gone — and nothing may be redialed or re-sent, retries enabled or
-  // not: one connection and one cut per burst.
+  // is gone — and nothing may be redialed or re-sent, not even MultiGet's
+  // retry-safe gets: one connection and one cut per burst.
   constexpr size_t kKeys = 8;
   std::vector<GetRequest> keys;
   for (size_t i = 0; i < kKeys; ++i) {
@@ -475,6 +401,12 @@ TEST_F(FaultProxyTest, MidBurstCutFailsEverySlotOfEachLeaseBurstWithoutResend) {
   }
   using Burst = std::function<std::vector<Code>(TcpCacheBackend&)>;
   const std::vector<std::pair<const char*, Burst>> bursts = {
+      {"MultiGet",
+       [&](TcpCacheBackend& b) {
+         std::vector<Code> codes;
+         for (const auto& r : b.MultiGet(keys)) codes.push_back(r.code());
+         return codes;
+       }},
       {"MultiIqGet",
        [&](TcpCacheBackend& b) {
          std::vector<Code> codes;
@@ -522,9 +454,6 @@ TEST_F(FaultProxyTest, MidBurstCutFailsEverySlotOfEachLeaseBurstWithoutResend) {
 
     TcpCacheBackend::Options copts;
     copts.max_inflight = 4;
-    copts.retry.max_attempts = 3;  // enabled — must not apply to lease ops
-    copts.retry.initial_backoff = Millis(1);
-    copts.retry.max_backoff = Millis(5);
     auto backend = Backend(copts);
     ASSERT_TRUE(backend->Connect().ok());
 
@@ -747,65 +676,6 @@ TEST_F(FaultProxyTest, HandshakeCutMidHelloFailsPromptlyV1) {
   ::close(fd);
 }
 
-// ---- Retry budget against a dead endpoint -----------------------------------
-
-/// Binds and immediately frees an ephemeral port: nothing listens there, so
-/// dials fail fast with ECONNREFUSED (loopback), and the port is very
-/// unlikely to be reused within the test.
-uint16_t FreePort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
-
-TEST(RetryBudget, DeadlineCapsTheRetryLoop) {
-  TcpCacheBackend::Options copts;
-  copts.connect_timeout = Millis(100);
-  copts.breaker_failure_threshold = 0;  // isolate the retry loop
-  copts.retry.max_attempts = 50;
-  copts.retry.initial_backoff = Millis(4);
-  copts.retry.max_backoff = Millis(16);
-  copts.retry.deadline = Millis(300);
-  TcpCacheBackend backend("127.0.0.1", FreePort(), wire::kAnyInstance, copts);
-
-  const Timestamp start = Mono();
-  auto got = backend.Get(kInternalCtx, "k");
-  const Duration elapsed = Mono() - start;
-  EXPECT_EQ(got.status().code(), Code::kUnavailable);
-  // The budget is a hard cap: no new attempt starts past the deadline, and
-  // refused loopback dials are ~instant, so the op ends near it.
-  EXPECT_LT(elapsed, Millis(900));
-}
-
-TEST(RetryBudget, BackoffSleepIsJitteredAndDeadlineAware) {
-  RetryPolicy policy;
-  policy.max_attempts = 10;
-  policy.initial_backoff = Millis(4);
-  policy.max_backoff = Millis(32);
-  policy.jitter_seed = 99;
-  // Full jitter: uniform in [0, cap], cap doubling 4, 8, 16, 32, 32...
-  Duration caps[] = {Millis(4), Millis(8), Millis(16), Millis(32), Millis(32)};
-  for (int attempt = 2; attempt <= 6; ++attempt) {
-    const Duration sleep =
-        TcpConnection::BackoffBeforeAttempt(policy, attempt, 0, 1);
-    EXPECT_GE(sleep, 0) << "attempt " << attempt;
-    EXPECT_LE(sleep, caps[attempt - 2]) << "attempt " << attempt;
-    // Deterministic for a given (policy, attempt, salt).
-    EXPECT_EQ(sleep, TcpConnection::BackoffBeforeAttempt(policy, attempt, 0, 1));
-  }
-  // A spent deadline refuses the next attempt outright.
-  policy.deadline = Millis(100);
-  EXPECT_LT(TcpConnection::BackoffBeforeAttempt(policy, 2, Millis(100), 1), 0);
-  EXPECT_LT(TcpConnection::BackoffBeforeAttempt(policy, 2, Millis(500), 1), 0);
-}
-
 // ---- Circuit breaker --------------------------------------------------------
 
 TEST(CircuitBreaker, OpensAfterConsecutiveDialFailuresThenRecovers) {
@@ -984,10 +854,10 @@ class ChaosClusterTest : public ::testing::Test {
 
     // The adversarial-but-survivable schedule: heavy reordering pressure
     // (delays, sub-timeout stalls, hold bursts) on every frame, plus a thin
-    // tail of real connection loss. The client's retry policy must absorb
-    // the losses on idempotent traffic; lease-bearing ops surface them and
-    // the harness retries at the application level, exactly as a real
-    // application would.
+    // tail of real connection loss. The client sends each request once, so
+    // every loss surfaces as kUnavailable, and the harness re-runs the
+    // operation at the application level, exactly as a real application
+    // would.
     FaultProxy::Options popts;
     popts.seed = seed_;
     for (auto* p : {&popts.client_to_server, &popts.server_to_client}) {
@@ -1009,11 +879,6 @@ class ChaosClusterTest : public ::testing::Test {
 
     TcpCacheBackend::Options copts;
     copts.io_timeout = Seconds(2);
-    copts.retry.max_attempts = 4;
-    copts.retry.initial_backoff = Millis(1);
-    copts.retry.max_backoff = Millis(10);
-    copts.retry.deadline = Seconds(2);
-    copts.retry.jitter_seed = seed_;
     for (size_t i = 0; i < kInstances; ++i) {
       backends_.push_back(std::make_unique<TcpCacheBackend>(
           "127.0.0.1", proxy_->port(), static_cast<InstanceId>(i), copts));
@@ -1109,7 +974,7 @@ TEST_F(ChaosClusterTest, FullFailoverAndRecoveryCycleSurvivesChaos) {
 
   // Transient traffic rides the secondary; the write must land on the
   // fragment's dirty list there, observable through the same chaos proxy
-  // (DirtyListGet is idempotent, so the transport retries it for us).
+  // (DirtyListGet is idempotent, so the loop below may send it again).
   (void)MustRead(key);
   MustWrite(key, "fresh");
   Result<CacheValue> dl = Status(Code::kUnavailable, "unfetched");
@@ -1156,11 +1021,14 @@ TEST_F(ChaosClusterTest, FullFailoverAndRecoveryCycleSurvivesChaos) {
 
   // Back to normal mode: the value must come back fresh and non-stale, and
   // (within a few attempts, since a cut can force a store fallthrough) as a
-  // cache hit from the recovered primary.
+  // cache hit from the recovered primary. A cut IQSET leaves its I lease
+  // behind, and every read then backs off and falls through to the store
+  // until the lease expires, so the virtual clock advances between reads.
   GeminiClient::ReadResult r;
   for (int i = 0; i < 50; ++i) {
     r = MustRead(key);
     if (r.cache_hit) break;
+    clock_.Advance(Millis(5));
   }
   EXPECT_TRUE(r.cache_hit);
   EXPECT_EQ(r.value.data, "fresh");
