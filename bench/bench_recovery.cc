@@ -48,7 +48,6 @@
 
 #include <ftw.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bench/bench_common.h"
@@ -61,6 +60,7 @@
 #include "src/recovery/recovery_worker.h"
 #include "src/store/data_store.h"
 #include "src/transport/tcp_backend.h"
+#include "tools/child_process.h"
 
 #ifndef GEMINID_PATH
 #error "GEMINID_PATH must point at the geminid binary"
@@ -73,6 +73,11 @@ namespace gemini {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+using proc::Child;
+using proc::PortFromBanner;
+using proc::ReadUntil;
+using proc::Spawn;
+using proc::WaitFor;
 
 constexpr size_t kInstances = 2;
 constexpr size_t kFragments = 16;
@@ -86,89 +91,6 @@ int RemoveVisit(const char* path, const struct stat*, int, struct FTW*) {
 
 void RemoveTree(const std::string& dir) {
   ::nftw(dir.c_str(), RemoveVisit, 16, FTW_DEPTH | FTW_PHYS);
-}
-
-// ---- Child processes (same shape as tools/gemini_cluster.cc) ----------------
-
-/// A spawned daemon and the read end of its stdout pipe. Move-only; going
-/// out of scope SIGKILLs and reaps a child still running, so no return
-/// path — an early failure included — leaves a daemon behind.
-struct Child {
-  pid_t pid = -1;
-  int stdout_fd = -1;
-
-  Child() = default;
-  Child(pid_t p, int fd) : pid(p), stdout_fd(fd) {}
-  Child(Child&& other) noexcept
-      : pid(std::exchange(other.pid, -1)),
-        stdout_fd(std::exchange(other.stdout_fd, -1)) {}
-  Child& operator=(Child&& other) noexcept {
-    if (this != &other) {
-      Stop(SIGKILL);
-      pid = std::exchange(other.pid, -1);
-      stdout_fd = std::exchange(other.stdout_fd, -1);
-    }
-    return *this;
-  }
-  ~Child() { Stop(SIGKILL); }
-
-  /// Sends `sig` to a running child, reaps it, and closes its pipe.
-  void Stop(int sig) {
-    if (pid > 0) {
-      ::kill(pid, sig);
-      (void)::waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-    if (stdout_fd >= 0) {
-      ::close(stdout_fd);
-      stdout_fd = -1;
-    }
-  }
-};
-
-Child Spawn(const char* path, const std::vector<std::string>& args) {
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::dup2(pipefd[1], STDOUT_FILENO);
-    ::close(pipefd[0]);
-    ::close(pipefd[1]);
-    std::vector<char*> argv;
-    std::string bin = path;
-    argv.push_back(bin.data());
-    std::vector<std::string> owned = args;
-    for (auto& a : owned) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(path, argv.data());
-    std::perror("execv");
-    ::_exit(127);
-  }
-  ::close(pipefd[1]);
-  return {pid, pipefd[0]};
-}
-
-std::string ReadUntil(int fd, const std::string& needle) {
-  std::string out;
-  char buf[512];
-  const Timestamp start = SystemClock::Global().Now();
-  while (out.find(needle) == std::string::npos) {
-    if (SystemClock::Global().Now() - start > Seconds(15)) break;
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  return out;
-}
-
-uint16_t PortFromBanner(const std::string& banner) {
-  const std::string marker = "on 127.0.0.1:";
-  const size_t at = banner.find(marker);
-  if (at == std::string::npos) return 0;
-  return static_cast<uint16_t>(std::atoi(banner.c_str() + at + marker.size()));
 }
 
 struct Node {
@@ -206,16 +128,6 @@ bool AllFragmentsNormal(const ConfigurationPtr& config) {
     if (a.mode != FragmentMode::kNormal || a.primary == kInvalidInstance) {
       return false;
     }
-  }
-  return true;
-}
-
-template <typename Pred>
-bool WaitFor(Pred pred, Duration timeout) {
-  const Timestamp start = SystemClock::Global().Now();
-  while (!pred()) {
-    if (SystemClock::Global().Now() - start > timeout) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return true;
 }

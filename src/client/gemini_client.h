@@ -1,13 +1,22 @@
 // GeminiClient: the client library applications link against (Sections 2, 3).
 //
 // The client caches a configuration, routes each request to a fragment with
-// hash(key) % F (Figure 3), and runs the per-mode request protocols:
+// hash(key) % F (Figure 3), and runs the paper's two request algorithms once
+// for every fragment mode:
 //
-//  - normal:     IQ sessions against the fragment's primary replica.
-//  - transient:  the same against the secondary replica, plus appending the
-//                key of every write to the fragment's dirty list.
-//  - recovery:   Algorithm 1 (reads) and Algorithm 2 (writes) against both
-//                replicas, including the optional working set transfer.
+//  - Read (Algorithm 1): an IQ session against the routed replica — the
+//    primary in normal and recovery modes, the secondary in transient mode.
+//    In recovery mode a key on the fragment's dirty list is deleted in the
+//    primary under an I lease (ISet) instead of looked up, and a primary
+//    miss probes the secondary while the working set transfer runs.
+//  - Write (Algorithm 2): a Q lease on the routed replica, then the mode's
+//    extra step (transient: append the key to the fragment's dirty list;
+//    recovery: delete the key in the secondary), then the store update and
+//    the cache-side completion of the write policy.
+//
+// One GeminiClient may be shared by threads: the configuration, the fetched
+// dirty lists and the stats live under one mutex, and no lock is held
+// across a remote call.
 //
 // Failure handling (Sections 2.2, 3.3):
 //  - kStaleConfig / kWrongInstance from an instance: refresh the
@@ -21,9 +30,11 @@
 //    fails instantly without dialing) — see docs/PROTOCOL.md §11. Either
 //    way the meaning here is identical: treat the instance as failed,
 //    degrade, never guess about lease or write outcome.
-//  - Lease back-off (kBackoff): bounded retry with a configurable pause;
-//    reads exhausted of retries fall through to the data store *without*
-//    populating the cache.
+//  - Lease back-off (kBackoff): a read looks the key up again up to 25
+//    times, each retry billed to the Session as a 1 ms pause; a read out
+//    of retries falls through to the data store *without* populating the
+//    cache. The pause is virtual: a real-time caller (a default Session)
+//    does not wait, so its 26 lookups go back to back.
 //
 // Every remote touch is billed to the caller's Session so the discrete-event
 // harness can account virtual time; pass a default-constructed Session for
@@ -63,12 +74,6 @@ enum class WritePolicy : uint8_t {
 class GeminiClient {
  public:
   struct Options {
-    /// Pause before retrying a lease collision (paper: leases live for
-    /// milliseconds, so collisions resolve quickly).
-    Duration backoff = Millis(1);
-    int max_backoff_retries = 25;
-    /// Bound on refresh-and-retry loops for configuration changes.
-    int max_config_retries = 8;
     /// Working set transfer enabled (policy +W variants).
     bool working_set_transfer = false;
     /// Write processing policy (Section 2).
@@ -77,13 +82,6 @@ class GeminiClient {
     /// True for Gemini; the VolatileCache/StaleCache baselines do not
     /// maintain dirty lists (Section 5).
     bool maintain_dirty_lists = true;
-    /// Delete the key in the secondary replica on a recovery-mode write.
-    /// Algorithm 2 guards this with "working set transfer enabled", but the
-    /// consistency proof (Lemma 4, Case II) relies on the delete whenever a
-    /// secondary-to-primary copy can occur — which includes Gemini-O's
-    /// overwriting recovery workers — so it defaults to on. Disable only to
-    /// reproduce the narrower pseudo-code (exercised by tests).
-    bool delete_secondary_on_recovery_write = true;
     /// Adopt coordinator configuration advances eagerly: before each
     /// operation, compare the coordinator's latest_id() against the cached
     /// configuration and refresh when it moved. Against a RemoteCoordinator
@@ -145,24 +143,6 @@ class GeminiClient {
   /// computes the cache entry, and inserts it for future references.
   Result<ReadResult> Read(Session& session, std::string_view key);
 
-  /// Primes the cache for `keys` (e.g. after a client restart, or ahead of
-  /// an anticipated hot set). Probes the cluster with one batched MultiGet
-  /// per routed replica — over TCP each burst pipelines through the
-  /// connection's in-flight window instead of paying one round trip per
-  /// key — then runs the full Read() path only for the keys the probes did
-  /// not find. Returns how many keys were already cached. Probe lookups do
-  /// not count toward stats(); the fill-in Reads bill and count as usual.
-  size_t WarmUp(Session& session, const std::vector<std::string>& keys);
-
-  /// Drops the cache entries for `keys` (e.g. after a bulk store-side
-  /// mutation that bypassed Write()). Groups keys per routed replica and
-  /// ships one pipelined MultiDelete frame per replica — no lease, no store
-  /// write, kNotFound is a success. Keys on recovery-mode fragments are
-  /// skipped (their invalidation must go through Write(), which maintains
-  /// the dirty list); the skip count is keys.size() minus the return value
-  /// minus the not-found entries. Returns how many entries were dropped.
-  size_t InvalidateKeys(Session& session, const std::vector<std::string>& keys);
-
   /// Application write, write-around policy: updates the data store and
   /// invalidates the impacted cache entry under a Q lease. `data` optionally
   /// replaces the record payload (synthetic workloads pass nullopt; only the
@@ -212,25 +192,48 @@ class GeminiClient {
   void MarkKeyClean(FragmentId fragment, uint32_t epoch,
                     std::string_view key);
 
+  // Algorithm 1 line 1: whether `key` is on the fragment's fetched dirty
+  // list of `epoch` (counted as a dirty hit), or that list is no longer
+  // cached.
+  bool IsDirty(FragmentId fragment, uint32_t epoch, std::string_view key);
+
+  // Adopts `fresh` unless the cached configuration is newer, and drops the
+  // dirty lists of fragments no longer in recovery mode. Requires mu_.
+  void AdoptLocked(ConfigurationPtr fresh);
+
   // Returns the cached configuration, fetching it on first use.
   ConfigurationPtr EnsureConfig(Session& session);
 
-  // Normal/transient read processing against one replica.
-  Result<ReadResult> ReadViaReplica(Session& session, std::string_view key,
-                                    FragmentId fragment, InstanceId target,
-                                    ConfigId config_id);
+  // The refresh-and-retry loop of Read and Write (Sections 2.2, 3.3): runs
+  // `attempt(fragment, assignment, config_id)` under the cached
+  // configuration. After a kStaleConfig, kWrongInstance or kUnavailable
+  // answer it refreshes the configuration and runs the attempt again under
+  // a newer one, or returns `degrade()` when there is none.
+  template <typename R, typename Attempt, typename Degrade>
+  R Route(Session& session, std::string_view key, const Attempt& attempt,
+          const Degrade& degrade);
 
-  // Recovery-mode read (Algorithm 1).
-  Result<ReadResult> ReadRecovery(Session& session, std::string_view key,
-                                  FragmentId fragment,
-                                  const FragmentAssignment& a,
-                                  ConfigId config_id);
+  // Algorithm 1 against the fragment's routed replica, in every mode.
+  Result<ReadResult> ReadReplica(Session& session, std::string_view key,
+                                 FragmentId fragment,
+                                 const FragmentAssignment& a,
+                                 ConfigId config_id);
+
+  // The data-store fall-through: the read is served without the cache.
+  Result<ReadResult> ReadFromStore(Session& session, std::string_view key);
 
   // Shared miss path: query the store, insert into `target` under `i_token`.
   Result<ReadResult> FillFromStore(Session& session, std::string_view key,
                                    FragmentId fragment, InstanceId target,
                                    ConfigId config_id, LeaseToken i_token,
-                                   bool secondary_probed = false);
+                                   bool secondary_probed);
+
+  // Algorithm 2 against the fragment's routed replica, in every mode: the Q
+  // lease, the transient-mode dirty-list append or the recovery-mode delete
+  // in the secondary, then CommitWrite.
+  Status LeasedWrite(Session& session, std::string_view key,
+                     FragmentId fragment, const FragmentAssignment& a,
+                     ConfigId config_id, std::optional<std::string>& data);
 
   // Applies the data-store update and the cache-side completion of a write
   // session per the configured write policy: delete-and-release
@@ -241,15 +244,12 @@ class GeminiClient {
                      std::optional<std::string>& data);
 
   // Fetches (or reuses) the dirty list of a fragment in recovery mode.
-  // Returns nullptr if the list is unavailable (primary being discarded).
-  CachedDirtyList* EnsureDirtyList(Session& session, FragmentId fragment,
-                                   const FragmentAssignment& a,
-                                   ConfigId config_id);
+  // Returns false if the list is unavailable (primary being discarded).
+  bool EnsureDirtyList(Session& session, FragmentId fragment,
+                       const FragmentAssignment& a, ConfigId config_id);
 
   // True if the working set transfer is currently active for the fragment.
   bool WstActive(FragmentId fragment, const FragmentAssignment& a) const;
-
-  void DropStaleDirtyLists(const Configuration& config);
 
   const Clock* clock_;
   CoordinatorService* coordinator_;

@@ -438,12 +438,7 @@ CoordinatorState Coordinator::ExportState() const {
   std::lock_guard<std::mutex> lock(mu_);
   CoordinatorState out;
   out.next_config_id = next_config_id_;
-  out.fragments.reserve(fragments_.size());
-  for (const auto& st : fragments_) {
-    out.fragments.push_back({st.assignment, st.prefailure_config_id,
-                             st.secondary_created_id, st.dirty_processed,
-                             st.wst_terminated});
-  }
+  out.fragments = fragments_;
   out.believed_up = believed_up_;
   out.round_robin_cursor = round_robin_cursor_;
   out.discarded_fragments = discarded_fragments_;
@@ -466,17 +461,7 @@ void Coordinator::ImportState(const CoordinatorState& state) {
     const ConfigId floor = (state.master_epoch << 32) + 1;
     if (next_config_id_ < floor) next_config_id_ = floor;
   }
-  fragments_.clear();
-  fragments_.reserve(state.fragments.size());
-  for (const auto& fe : state.fragments) {
-    FragmentState st;
-    st.assignment = fe.assignment;
-    st.prefailure_config_id = fe.prefailure_config_id;
-    st.secondary_created_id = fe.secondary_created_id;
-    st.dirty_processed = fe.dirty_processed;
-    st.wst_terminated = fe.wst_terminated;
-    fragments_.push_back(std::move(st));
-  }
+  fragments_ = state.fragments;
   believed_up_ = state.believed_up;
   round_robin_cursor_ = state.round_robin_cursor;
   discarded_fragments_ = state.discarded_fragments;

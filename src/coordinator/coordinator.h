@@ -58,7 +58,14 @@ namespace gemini {
 struct CoordinatorState {
   struct FragmentEntry {
     FragmentAssignment assignment;
+    /// The fragment's config id at the moment its primary failed; restored
+    /// on transition (2) so still-valid primary entries become servable.
     ConfigId prefailure_config_id = 0;
+    /// The config id under which the current secondary replica was created
+    /// (transition (1)). The secondary's fragment lease uses this as its
+    /// minimum-valid id: restoring the fragment's id to the pre-failure
+    /// value for the primary must not re-validate leftovers a re-used
+    /// secondary instance kept from an older episode.
     ConfigId secondary_created_id = 0;
     bool dirty_processed = false;
     bool wst_terminated = false;
@@ -192,21 +199,6 @@ class Coordinator : public CoordinatorService {
   void ImportState(const CoordinatorState& state);
 
  private:
-  struct FragmentState {
-    FragmentAssignment assignment;
-    /// The fragment's config id at the moment its primary failed; restored on
-    /// transition (2) so still-valid primary entries become servable.
-    ConfigId prefailure_config_id = 0;
-    /// The config id under which the current secondary replica was created
-    /// (transition (1)). The secondary's fragment lease uses this as its
-    /// minimum-valid id: restoring the fragment's id to the pre-failure
-    /// value for the primary must not re-validate leftovers a re-used
-    /// secondary instance kept from an older episode.
-    ConfigId secondary_created_id = 0;
-    bool dirty_processed = false;
-    bool wst_terminated = false;
-  };
-
   // All Locked methods require mu_. `impacted` limits which instances receive
   // the serialized configuration entry (Section 2.1 notifies impacted
   // instances only); empty means every reachable instance (initial publish).
@@ -232,7 +224,7 @@ class Coordinator : public CoordinatorService {
   mutable std::mutex mu_;
   std::function<void(const ConfigurationPtr&)> config_listener_;
   ConfigId next_config_id_ = 1;
-  std::vector<FragmentState> fragments_;
+  std::vector<CoordinatorState::FragmentEntry> fragments_;
   ConfigurationPtr published_;
   size_t round_robin_cursor_ = 0;
   uint64_t discarded_fragments_ = 0;

@@ -9,6 +9,14 @@
 
 namespace gemini {
 
+namespace {
+
+// Pause billed after a drain step in which a client's lease made some key
+// back off (Section 2.3: leases live for milliseconds).
+constexpr Duration kBackoff = Millis(1);
+
+}  // namespace
+
 RecoveryWorker::RecoveryWorker(const Clock* clock,
                                CoordinatorService* coordinator,
                                std::vector<CacheBackend*> instances,
@@ -424,7 +432,7 @@ bool RecoveryWorker::Step(Session& session) {
       return true;
     }
     if (backoff) {
-      session.BillBackoff(options_.backoff);
+      session.BillBackoff(kBackoff);
       return false;
     }
   } else {

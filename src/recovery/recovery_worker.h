@@ -71,7 +71,6 @@ class RecoveryWorker {
     /// token waits before its IqSet, so large scan pages never outlive the
     /// token lifetime.
     size_t keys_per_step = 64;
-    Duration backoff = Millis(1);
     /// Run the working-set phase after the drain (Gemini±W, Section 3.2.2).
     /// Off by default: the simulator keeps its client-driven transfer with
     /// hit-ratio termination; the real cluster (tools/gemini_cluster,

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cache/dirty_list.h"
@@ -213,28 +215,37 @@ TEST_F(ClientTest, TerminatedWstSkipsSecondary) {
 }
 
 TEST_F(ClientTest, RecoveryWriteCleansDirtyKeyEverywhere) {
-  Build(RecoveryPolicy::GeminiOW());
-  const std::string key = KeyOnInstance(0);
-  const FragmentId f = FragmentOf(key);
-  (void)client_->Read(session_, key);
-  coordinator_->OnInstanceFailed(0);
-  ASSERT_TRUE(client_->Write(session_, key).ok());    // dirty
-  (void)client_->Read(session_, key);                 // repopulate secondary
-  coordinator_->OnInstanceRecovered(0);
-  auto cfg = coordinator_->GetConfiguration();
-  const InstanceId sec = cfg->fragment(f).secondary;
+  // Gemini-OW copies secondary entries to the primary through the working
+  // set transfer; Gemini-O has no transfer, but its overwriting workers copy
+  // them too. Either way a recovery-mode write must delete the key in the
+  // secondary (DESIGN.md §8.1, Lemma 4 Case II).
+  for (const RecoveryPolicy& policy :
+       {RecoveryPolicy::GeminiOW(), RecoveryPolicy::GeminiO()}) {
+    SCOPED_TRACE(policy.Name());
+    Build(policy);
+    const std::string key = KeyOnInstance(0);
+    const FragmentId f = FragmentOf(key);
+    (void)client_->Read(session_, key);
+    coordinator_->OnInstanceFailed(0);
+    ASSERT_TRUE(client_->Write(session_, key).ok());    // dirty
+    (void)client_->Read(session_, key);                 // repopulate secondary
+    ASSERT_TRUE(raw_[coordinator_->GetConfiguration()->fragment(f).secondary]
+                    ->ContainsRaw(key));
+    coordinator_->OnInstanceRecovered(0);
+    auto cfg = coordinator_->GetConfiguration();
+    const InstanceId sec = cfg->fragment(f).secondary;
 
-  // Fetch the dirty list (via a read of another key of the same fragment is
-  // not guaranteed; just write the dirty key directly).
-  ASSERT_TRUE(client_->Write(session_, key, "newest").ok());
-  // Algorithm 2 + Lemma 4: the key was deleted in both replicas.
-  // (replica state checked via ContainsRaw below)
-  EXPECT_FALSE(raw_[0]->ContainsRaw(key));
-  EXPECT_FALSE(raw_[sec]->ContainsRaw(key));
-  // And a subsequent read returns the newest value.
-  auto r = client_->Read(session_, key);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->value.data, "newest");
+    // Fetch the dirty list (via a read of another key of the same fragment
+    // is not guaranteed; just write the dirty key directly).
+    ASSERT_TRUE(client_->Write(session_, key, "newest").ok());
+    // Algorithm 2 + Lemma 4: the key was deleted in both replicas.
+    EXPECT_FALSE(raw_[0]->ContainsRaw(key));
+    EXPECT_FALSE(raw_[sec]->ContainsRaw(key));
+    // And a subsequent read returns the newest value.
+    auto r = client_->Read(session_, key);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->value.data, "newest");
+  }
 }
 
 TEST_F(ClientTest, CrashFailureSuspendsWritesUntilNewConfig) {
@@ -334,12 +345,47 @@ TEST_F(ClientTest, ReadBackoffFallsThroughToStore) {
   ASSERT_TRUE(held.ok());
 
   GeminiClient::Options copts;
-  copts.max_backoff_retries = 2;
   Build2ndClient(copts);
   auto r = client2_->Read(session_, key);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->cache_hit);
   EXPECT_EQ(r->value.data, store_.Query(key)->data);
+}
+
+TEST_F(ClientTest, ThreadsShareOneRecoveringFragmentsDirtyList) {
+  // Two threads read the dirty keys of one recovery-mode fragment through
+  // one client, in the same order, so one thread's dirty-list lookups meet
+  // the other's removals. Run under TSan this fails unless the client
+  // touches its fetched dirty lists only under its lock.
+  Build(RecoveryPolicy::GeminiI());
+  const FragmentId f = FragmentOf(KeyOnInstance(0));
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 2000; ++i) {
+    std::string key = "dirty" + std::to_string(i);
+    if (FragmentOf(key) == f) keys.push_back(std::move(key));
+  }
+  for (const std::string& key : keys) store_.Put(key, "old");
+  coordinator_->OnInstanceFailed(0);
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(client_->Write(session_, key, "new").ok());
+  }
+  coordinator_->OnInstanceRecovered(0);
+  ASSERT_EQ(coordinator_->ModeOf(f), FragmentMode::kRecovery);
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      Session session;
+      for (const std::string& key : keys) {
+        auto r = client_->Read(session, key);
+        if (!r.ok() || r->value.data != "new") ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(client_->stats().dirty_hits, keys.size());
 }
 
 }  // namespace

@@ -30,10 +30,7 @@
 #include <vector>
 
 #include "src/cache/cache_instance.h"
-#include "src/client/gemini_client.h"
 #include "src/common/clock.h"
-#include "src/coordinator/coordinator.h"
-#include "src/store/data_store.h"
 #include "src/transport/server.h"
 #include "src/transport/tcp_backend.h"
 #include "src/transport/tcp_connection.h"
@@ -490,42 +487,6 @@ TEST_F(PipelineE2eTest, OversizedSetFailsLocallyWithoutDroppingSharers) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server_->stats().protocol_errors, 0u);
   EXPECT_EQ(server_->stats().connections_accepted, accepted);
-}
-
-// ---- WarmUp over the in-process backend ------------------------------------
-
-TEST(WarmUpTest, ProbesThenFillsOnlyMisses) {
-  VirtualClock clock;
-  std::vector<std::unique_ptr<CacheInstance>> instances;
-  std::vector<CacheInstance*> raw;
-  for (InstanceId i = 0; i < 2; ++i) {
-    instances.push_back(std::make_unique<CacheInstance>(i, &clock));
-    raw.push_back(instances.back().get());
-  }
-  Coordinator coordinator(&clock, raw, /*num_fragments=*/8);
-  DataStore store;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 20; ++i) {
-    keys.push_back("user" + std::to_string(i));
-    store.Put(keys.back(), "v" + std::to_string(i));
-  }
-  GeminiClient client(&clock, &coordinator, raw, &store);
-  Session session;
-
-  // Cold cache: nothing is cached yet; WarmUp fills every key via Read().
-  EXPECT_EQ(client.WarmUp(session, keys), 0u);
-  const auto after_fill = client.stats();
-  EXPECT_EQ(after_fill.reads, keys.size());
-
-  // Warm cache: every probe hits, no Read() happens at all.
-  EXPECT_EQ(client.WarmUp(session, keys), keys.size());
-  EXPECT_EQ(client.stats().reads, after_fill.reads);
-
-  // Reads after warm-up are cache hits.
-  auto r = client.Read(session, keys[3]);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->cache_hit);
-  EXPECT_EQ(r->value.data, "v3");
 }
 
 }  // namespace

@@ -53,7 +53,6 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/client/gemini_client.h"
@@ -68,6 +67,7 @@
 #include "src/transport/tcp_backend.h"
 #include "src/transport/tcp_connection.h"
 #include "src/transport/wire.h"
+#include "tools/child_process.h"
 #include "tools/flags.h"
 
 #ifndef GEMINID_PATH
@@ -82,6 +82,11 @@ namespace {
 
 constexpr std::string_view kTool = "gemini_cluster";
 using flags::ParseUint;
+using proc::Child;
+using proc::PortFromBanner;
+using proc::ReadUntil;
+using proc::Spawn;
+using proc::WaitFor;
 
 void Usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " [options]\n"
@@ -99,65 +104,6 @@ void Usage(const char* argv0) {
                "                 nodes; failover after 3 missed beats\n"
                "                 (default 50)\n"
             << "  --verbose      info-level logging\n";
-}
-
-struct Child {
-  pid_t pid = -1;
-  int stdout_fd = -1;
-};
-
-/// fork/execs `path` with `args`; the child's stdout arrives on stdout_fd.
-Child Spawn(const char* path, const std::vector<std::string>& args) {
-  int pipefd[2];
-  if (::pipe(pipefd) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::dup2(pipefd[1], STDOUT_FILENO);
-    ::close(pipefd[0]);
-    ::close(pipefd[1]);
-    std::vector<char*> argv;
-    std::string bin = path;
-    argv.push_back(bin.data());
-    std::vector<std::string> owned = args;
-    for (auto& a : owned) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(path, argv.data());
-    std::perror("execv");
-    ::_exit(127);
-  }
-  ::close(pipefd[1]);
-  return {pid, pipefd[0]};
-}
-
-/// Reads the child's stdout until `needle` shows up (or ~15 s pass).
-std::string ReadUntil(int fd, const std::string& needle) {
-  std::string out;
-  char buf[512];
-  const Timestamp start = SystemClock::Global().Now();
-  while (out.find(needle) == std::string::npos) {
-    if (SystemClock::Global().Now() - start > Seconds(15)) break;
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  return out;
-}
-
-/// Parses "... on 127.0.0.1:PORT" out of a daemon's startup banner.
-uint16_t PortFromBanner(const std::string& banner) {
-  const std::string marker = "on 127.0.0.1:";
-  const size_t at = banner.find(marker);
-  if (at == std::string::npos) return 0;
-  return static_cast<uint16_t>(std::atoi(banner.c_str() + at + marker.size()));
-}
-
-int WaitForExit(pid_t pid) {
-  int wstatus = 0;
-  if (::waitpid(pid, &wstatus, 0) != pid) return -1;
-  return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -WTERMSIG(wstatus);
 }
 
 struct Flags {
@@ -324,16 +270,6 @@ bool AllFragmentsNormal(const ConfigurationPtr& config, size_t fragments) {
 }
 
 /// Polls until `pred` holds; false on timeout.
-template <typename Pred>
-bool WaitFor(Pred pred, Duration timeout) {
-  const Timestamp start = SystemClock::Global().Now();
-  while (!pred()) {
-    if (SystemClock::Global().Now() - start > timeout) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return true;
-}
-
 int Run(const Flags& flags) {
   g_heartbeat_ms = flags.heartbeat_ms;
   const size_t fragments =
@@ -553,9 +489,7 @@ int Run(const Flags& flags) {
     if (flags.coordinators > 1) {
       std::this_thread::sleep_for(std::chrono::milliseconds(75));
       const pid_t master_pid = coords[old_master].child.pid;
-      ::kill(master_pid, SIGKILL);
-      (void)WaitForExit(master_pid);
-      ::close(coords[old_master].child.stdout_fd);
+      coords[old_master].child.Stop(SIGKILL);
       coords[old_master].alive = false;
       ++master_kills;
       const Timestamp killed_at = SystemClock::Global().Now();
@@ -583,9 +517,7 @@ int Run(const Flags& flags) {
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
     }
     const pid_t victim_pid = nodes[victim].child.pid;
-    ::kill(victim_pid, SIGKILL);
-    (void)WaitForExit(victim_pid);
-    ::close(nodes[victim].child.stdout_fd);
+    nodes[victim].child.Stop(SIGKILL);
     std::cout << "gemini_cluster: cycle " << cycle << ": killed instance "
               << victim << " (pid " << victim_pid << ")" << std::endl;
     for (auto& th : threads) th.join();
@@ -735,16 +667,12 @@ int Run(const Flags& flags) {
   // warnings).
   for (Coord& c : coords) {
     if (!c.alive) continue;
-    ::kill(c.child.pid, SIGTERM);
-    if (WaitForExit(c.child.pid) != 0 && exit_code == 0) exit_code = 1;
-    ::close(c.child.stdout_fd);
+    if (c.child.Stop(SIGTERM) != 0 && exit_code == 0) exit_code = 1;
     c.alive = false;
   }
   for (Node& node : nodes) {
     node.proxy->Stop();
-    ::kill(node.child.pid, SIGTERM);
-    if (WaitForExit(node.child.pid) != 0 && exit_code == 0) exit_code = 1;
-    ::close(node.child.stdout_fd);
+    if (node.child.Stop(SIGTERM) != 0 && exit_code == 0) exit_code = 1;
   }
 
   std::cout << (exit_code == 0 ? "gemini_cluster: PASS"
