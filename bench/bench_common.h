@@ -100,13 +100,27 @@ inline std::string ResultsToJson(const std::string& suite,
   return out;
 }
 
+/// Writes `results` to `path`, the --json=PATH a run was given, and says
+/// so. Without --json (`path` empty) a bench writes no file, so a local run
+/// never replaces a committed BENCH_*.json baseline: refreshing one means
+/// passing its committed path. False, after reporting it, when the file
+/// cannot be written.
 inline bool WriteResultsJson(const std::string& path, const std::string& suite,
                              const std::vector<BenchResult>& results) {
+  if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = ResultsToJson(suite, results);
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && wrote;
+  bool wrote = false;
+  if (f != nullptr) {
+    const std::string doc = ResultsToJson(suite, results);
+    wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+    wrote = std::fclose(f) == 0 && wrote;
+  }
+  if (!wrote) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("\n  results written to %s\n", path.c_str());
+  return true;
 }
 
 // ---- The paper's YCSB cluster (Section 5.2), proportionally scaled ----------

@@ -7,23 +7,23 @@
 //  through TcpConnection's async window: window=1 reproduces the old strict
 //  request/response alternation (one frame in flight, one round trip per
 //  op), larger windows let the writer coalesce frames into single send(2)
-//  calls and the server answer whole bursts per epoll wakeup. Writes
-//  BENCH_transport.json; the committed file at the repo root is the
-//  loopback baseline backing the ROADMAP pipelining claim.
+//  calls and the server answer whole bursts per epoll wakeup. The committed
+//  BENCH_transport.json at the repo root is the loopback baseline backing
+//  the ROADMAP pipelining claim.
 //
 //  --scaling — server scaling sweep. For each event-loop count in {1,2,4},
 //  starts a fresh server with that many loops (and a lock-striped
 //  CacheInstance), drives it with the same number of client connections —
 //  one closed-loop submitter thread each at window 32 — and reports the
-//  aggregate GET throughput. Writes BENCH_server_scaling.json; the params
+//  aggregate GET throughput. Baseline: BENCH_server_scaling.json; the params
 //  record `cpus` (hardware threads of the machine that produced the file)
 //  because the loops>1 rows can only beat the loops=1 row when the server
 //  actually has cores to spread across.
 //
 //  --chaos — the same window sweep through a FaultProxy injecting mild,
-//  seeded per-frame delays (plus hold bursts) on both directions. Results go
-//  to a separate name/file (BENCH_transport_chaos.json) so the committed
-//  clean-path baseline and tools/check_bench.py are untouched; the point is
+//  seeded per-frame delays (plus hold bursts) on both directions. Results
+//  carry their own suite name (transport_chaos) and have no committed
+//  baseline, so tools/check_bench.py never compares them; the point is
 //  a quick read on how much a lossy-ish network costs the pipeline. The
 //  client sends each request once, so a dropped connection fails the op
 //  rather than re-sending it.
@@ -32,7 +32,7 @@
 //  32 individual kSet frames pipelined through a window-32 connection
 //  (bulk=0, the anchor) versus one 32-key kMultiSet frame per burst
 //  (bulk=1). One frame per burst beats 32 frames even when both ride one
-//  sendmsg: the server decodes, executes, and answers once. Writes
+//  sendmsg: the server decodes, executes, and answers once. Baseline:
 //  BENCH_transport_bulk.json; tools/check_bench.py --min-point pins the
 //  bulk=1 speedup floor in CI.
 //
@@ -41,7 +41,8 @@
 //
 // Flags: --quick (CI smoke), --full, --scaling, --chaos, --chaos-seed=N,
 //        --bulk, --ops=N (per connection), --value-bytes=B, --keys=K,
-//        --json=PATH.
+//        --json=PATH. Results go to a JSON file only when --json names one;
+//        refreshing a committed baseline means passing its path.
 #include <sys/utsname.h>
 
 #include <chrono>
@@ -306,11 +307,7 @@ int RunScaling(size_t ops, size_t value_bytes, size_t num_keys,
   }
   std::printf("\n  4 loops vs 1 loop aggregate speedup: %.2fx (on %u cpus)\n",
               base > 0 ? at4 / base : 0.0, cpus);
-  if (!bench::WriteResultsJson(json_path, "server_scaling", results)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("  results written to %s\n", json_path.c_str());
+  if (!bench::WriteResultsJson(json_path, "server_scaling", results)) return 1;
   return 0;
 }
 
@@ -497,11 +494,7 @@ int RunBulk(size_t ops, size_t value_bytes, size_t num_keys,
               runs[0].ops_per_sec > 0
                   ? runs[1].ops_per_sec / runs[0].ops_per_sec
                   : 0.0);
-  if (!bench::WriteResultsJson(json_path, "transport_bulk", results)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("  results written to %s\n", json_path.c_str());
+  if (!bench::WriteResultsJson(json_path, "transport_bulk", results)) return 1;
   return 0;
 }
 
@@ -538,12 +531,6 @@ int Run(int argc, char** argv) {
   if (ops == 0 || num_keys == 0) {
     std::fprintf(stderr, "bench_transport: --ops and --keys must be > 0\n");
     return 2;
-  }
-  if (json_path.empty()) {
-    json_path = scaling ? "BENCH_server_scaling.json"
-                : chaos ? "BENCH_transport_chaos.json"
-                : bulk  ? "BENCH_transport_bulk.json"
-                        : "BENCH_transport.json";
   }
   if (scaling) {
     return RunScaling(ops, value_bytes, num_keys, json_path);
@@ -656,12 +643,8 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n  window 32 vs 1 speedup: %.1fx\n",
               base > 0 ? at32 / base : 0.0);
-  if (!bench::WriteResultsJson(json_path, chaos ? "transport_chaos" : "transport",
-                               results)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("  results written to %s\n", json_path.c_str());
+  const char* suite = chaos ? "transport_chaos" : "transport";
+  if (!bench::WriteResultsJson(json_path, suite, results)) return 1;
   return 0;
 }
 

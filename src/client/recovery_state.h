@@ -33,19 +33,12 @@ class RecoveryState {
   std::vector<std::atomic<uint8_t>> wst_terminated_;
 };
 
-/// Termination thresholds (Section 3.2.2): h defaults to the primary's
-/// pre-failure hit ratio minus epsilon, m to 1 - h + epsilon.
+/// Termination thresholds (Section 3.2.2): the paper sets h to the
+/// primary's pre-failure hit ratio minus epsilon, m to 1 - h + epsilon;
+/// SimOptions::wst says how the simulator sets them.
 struct WstThresholds {
   double h = 0.0;
   double m = 1.0;
-
-  static WstThresholds FromPrefailureHitRatio(double hit_ratio,
-                                              double epsilon = 0.02) {
-    WstThresholds t;
-    t.h = hit_ratio - epsilon;
-    t.m = 1.0 - t.h + epsilon;
-    return t;
-  }
 };
 
 }  // namespace gemini

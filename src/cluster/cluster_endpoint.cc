@@ -12,6 +12,11 @@ OpContext InternalContext() {
   return OpContext{kInternalConfigId, kInvalidFragment};
 }
 
+// Per-call socket timeouts. Control traffic is tiny; anything slower than
+// this is as good as down for the coordinator's purposes.
+constexpr Duration kIoTimeout = Seconds(1);
+constexpr Duration kConnectTimeout = Millis(500);
+
 }  // namespace
 
 void ClusterEndpoint::Attach(const std::string& host, uint16_t port) {
@@ -20,8 +25,8 @@ void ClusterEndpoint::Attach(const std::string& host, uint16_t port) {
   host_ = host;
   port_ = port;
   TcpConnection::Options opts;
-  opts.io_timeout = options_.io_timeout;
-  opts.connect_timeout = options_.connect_timeout;
+  opts.io_timeout = kIoTimeout;
+  opts.connect_timeout = kConnectTimeout;
   conn_ = TcpConnection::Acquire(host_, port_, id_, opts);
 }
 

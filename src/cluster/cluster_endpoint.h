@@ -35,15 +35,7 @@ namespace gemini {
 
 class ClusterEndpoint final : public InstanceEndpoint {
  public:
-  struct Options {
-    /// Per-call socket timeout. Control traffic is tiny; anything slower
-    /// than this is as good as down for the coordinator's purposes.
-    Duration io_timeout = Seconds(1);
-    Duration connect_timeout = Millis(500);
-  };
-
-  ClusterEndpoint(InstanceId id, Options options)
-      : id_(id), options_(options) {}
+  explicit ClusterEndpoint(InstanceId id) : id_(id) {}
 
   /// Binds (or re-binds, after a restart on a new port) the endpoint to the
   /// instance's advertised address. Resets the connection when the address
@@ -74,7 +66,6 @@ class ClusterEndpoint final : public InstanceEndpoint {
   wire::CallResult<op> Call(const Args&... args);
 
   const InstanceId id_;
-  const Options options_;
 
   mutable std::mutex mu_;
   std::string host_;

@@ -11,14 +11,11 @@ CoordinatorControl::CoordinatorControl(const Clock* clock, Options options)
     : clock_(clock),
       options_(std::move(options)),
       monitor_(clock, options_.num_instances, options_.heartbeat) {
-  if (options_.tick_interval == 0) {
-    options_.tick_interval = options_.heartbeat.interval;
-  }
   endpoints_.reserve(options_.num_instances);
   std::vector<InstanceEndpoint*> eps;
   eps.reserve(options_.num_instances);
   for (InstanceId i = 0; i < options_.num_instances; ++i) {
-    endpoints_.push_back(std::make_unique<ClusterEndpoint>(i, options_.endpoint));
+    endpoints_.push_back(std::make_unique<ClusterEndpoint>(i));
     eps.push_back(endpoints_.back().get());
   }
   coordinator_ = std::make_unique<Coordinator>(
@@ -75,15 +72,15 @@ void CoordinatorControl::ImportState(const CoordinatorState& state) {
 void CoordinatorControl::TickerLoop() {
   const Duration renew_period =
       std::max<Duration>(options_.coordinator.fragment_lease_lifetime / 3,
-                         options_.tick_interval);
+                         options_.heartbeat.interval);
   Timestamp last_renew = clock_->Now();
   for (;;) {
     HeartbeatMonitor::Transitions t;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ticker_cv_.wait_for(lock,
-                          std::chrono::microseconds(options_.tick_interval),
-                          [&] { return stop_; });
+      ticker_cv_.wait_for(
+          lock, std::chrono::microseconds(options_.heartbeat.interval),
+          [&] { return stop_; });
       if (stop_) return;
       t = monitor_.Tick(clock_->Now());
     }

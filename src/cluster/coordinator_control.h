@@ -61,10 +61,8 @@ class CoordinatorControl final : public ControlPlane {
     size_t num_instances = 0;
     size_t num_fragments = 0;
     Coordinator::Options coordinator;
+    /// Its `interval` is also the ticker's period.
     HeartbeatMonitor::Options heartbeat;
-    ClusterEndpoint::Options endpoint;
-    /// Ticker period; 0 = the heartbeat interval.
-    Duration tick_interval = 0;
     /// Invoked after every event that mutated the replicable
     /// CoordinatorState: a registration, a failure/recovery edge (and the
     /// Rejig it published), or a dirty-list/WST report. This is the

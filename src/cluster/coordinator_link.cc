@@ -8,11 +8,18 @@
 
 namespace gemini {
 
+namespace {
+
+constexpr Duration kIoTimeout = Seconds(1);
+constexpr Duration kConnectTimeout = Millis(500);
+
+}  // namespace
+
 CoordinatorLink::CoordinatorLink(Options options)
     : options_(std::move(options)) {
   TcpConnection::Options conn_opts;
-  conn_opts.io_timeout = options_.io_timeout;
-  conn_opts.connect_timeout = options_.connect_timeout;
+  conn_opts.io_timeout = kIoTimeout;
+  conn_opts.connect_timeout = kConnectTimeout;
   conns_.reserve(options_.coordinators.size());
   for (const auto& ep : options_.coordinators) {
     conns_.push_back(

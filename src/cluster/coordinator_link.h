@@ -64,8 +64,6 @@ class CoordinatorLink {
     std::string advertise_host;
     uint16_t advertise_port = 0;
     Duration heartbeat_interval = Millis(100);
-    Duration io_timeout = Seconds(1);
-    Duration connect_timeout = Millis(500);
     /// Latest configuration id from each register/heartbeat reply; called
     /// on the link thread. Typically CacheInstance::ObserveConfigId.
     std::function<void(ConfigId)> on_config_id;

@@ -13,6 +13,11 @@ namespace {
 
 constexpr uint32_t kStateCodecVersion = 1;
 
+// Dial/IO budget per peer sync. Short on purpose: a dead shadow must not
+// stall the master's beat to the live ones past their deadlines.
+constexpr Duration kPeerConnectTimeout = Millis(200);
+constexpr Duration kPeerIoTimeout = Millis(400);
+
 /// The CoordinatorState blob, in the wire field codec: codec version,
 /// master_epoch, next_config_id, discarded_fragments, round_robin_cursor,
 /// believed_up, and per fragment: primary, secondary, config_id, mode,
@@ -85,8 +90,8 @@ CoordinatorReplica::CoordinatorReplica(const Clock* clock, Options options)
   peer_conns_.reserve(options_.peers.size());
   for (const auto& peer : options_.peers) {
     TcpConnection::Options c;
-    c.connect_timeout = options_.peer_connect_timeout;
-    c.io_timeout = options_.peer_io_timeout;
+    c.connect_timeout = kPeerConnectTimeout;
+    c.io_timeout = kPeerIoTimeout;
     // A dead shadow must cost the sync round as little as possible: trip
     // the breaker quickly, probe again within a few beats.
     c.breaker_failure_threshold = 3;

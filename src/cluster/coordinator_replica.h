@@ -79,13 +79,9 @@ class CoordinatorReplica final : public ControlPlane {
     /// list) and timing; a 0 sync_interval defaults to the control's
     /// heartbeat interval. A sync also follows every state mutation. The
     /// election timeout must comfortably exceed sync_interval plus the
-    /// worst-case stall of one sync round (a dead peer costs up to
-    /// peer_connect_timeout until its breaker opens).
+    /// worst-case stall of one sync round (a dead peer costs up to the
+    /// 200 ms peer dial timeout until its breaker opens).
     ElectionCore::Options election;
-    /// Dial/IO budget per peer sync. Short on purpose: a dead shadow must
-    /// not stall the master's beat to the live ones past their deadlines.
-    Duration peer_connect_timeout = Millis(200);
-    Duration peer_io_timeout = Millis(400);
   };
 
   CoordinatorReplica(const Clock* clock, Options options);

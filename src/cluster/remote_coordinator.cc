@@ -9,12 +9,8 @@ namespace gemini {
 
 namespace {
 
-TcpConnection::Options ConnOptions(const RemoteCoordinator::Options& o) {
-  TcpConnection::Options c;
-  c.io_timeout = o.io_timeout;
-  c.connect_timeout = o.connect_timeout;
-  return c;
-}
+constexpr Duration kIoTimeout = Seconds(2);
+constexpr Duration kConnectTimeout = Seconds(1);
 
 ConfigurationPtr ParseConfig(std::string_view serialized) {
   auto config = Configuration::Deserialize(serialized);
@@ -41,11 +37,14 @@ void RemoteCoordinator::State::Adopt(ConfigurationPtr fresh) {
 RemoteCoordinator::RemoteCoordinator(std::vector<Endpoint> endpoints,
                                      Options options)
     : state_(std::make_shared<State>()), options_(options) {
+  TcpConnection::Options conn_opts;
+  conn_opts.io_timeout = kIoTimeout;
+  conn_opts.connect_timeout = kConnectTimeout;
   conns_.reserve(endpoints.size());
   std::weak_ptr<State> weak = state_;
   for (const auto& ep : endpoints) {
     auto conn = TcpConnection::Acquire(ep.host, ep.port, wire::kAnyInstance,
-                                       ConnOptions(options));
+                                       conn_opts);
     // Every endpoint keeps a push handler: after a failover the new master
     // pushes on whichever connection re-subscribed, and a straggler push
     // from a fenced ex-master is inert (ids adopt only forward).

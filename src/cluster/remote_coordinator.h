@@ -52,8 +52,6 @@ namespace gemini {
 class RemoteCoordinator final : public CoordinatorService {
  public:
   struct Options {
-    Duration io_timeout = Seconds(2);
-    Duration connect_timeout = Seconds(1);
     /// Period of the background re-watch; 0 disables the thread (callers
     /// drive Refresh() themselves — tests, single-shot tools).
     Duration rewatch_interval = Millis(500);

@@ -7,12 +7,7 @@
 // exclusion that keeps one worker per fragment. It then either
 //
 //   - overwrites each dirty key in the primary replica with the latest value
-//     from the secondary (Gemini-O): ISet (delete + I lease) in the primary,
-//     Get in the secondary, IqSet or IDelete in the primary — for a chunk of
-//     keys_per_step keys at a time, each step one pipelined burst over the
-//     chunk (CacheBackend::MultiISet, MultiGet, MultiIqSet/MultiIDelete).
-//     A key whose ISet backs off (a client holds a lease on it) is replayed
-//     in a later chunk, before the dirty list is reset; or
+//     from the secondary (Gemini-O), or
 //   - deletes each dirty key from the primary (Gemini-I) — appropriate when
 //     the working set evolved and the transferred values would be dead
 //     weight (Section 3.2.3).
@@ -26,18 +21,35 @@
 // (CacheBackend::WorkingSetScan) and installing them into the primary
 // hottest-first — the online warm-up that restores the hit ratio orders of
 // magnitude faster than cold refill (Figure 10, here on the real TCP stack).
-// The install path is race-safe without any new coordination: per key the
-// worker IqGets the primary (a hit means the pre-failure entry survived —
-// never clobbered), holds the miss's I token, MultiGets the value from the
-// secondary, and IqSets under the token — again as three pipelined bursts
-// per keys_per_step chunk (MultiIqGet, MultiGet, MultiIqSet), so an armed
-// token waits three round trips, not a chunk of serial ones. A client
-// write racing the copy Qaregs the key, which voids the I token (the IqSet
-// becomes a no-op) and deletes the secondary's copy — exactly the Lemma 4
-// argument Algorithm 1's client-driven copy relies on. The whole phase is
-// abortable and resumable: the scan cursor is server-side-stable, and a
-// worker that dies mid-stream is replaced via Redlease expiry, restarting
-// the scan from the hottest band (re-installs are idempotent skips).
+//
+// The Gemini-O drain and the install move a key the same way, in chunks of
+// keys_per_step keys, each step of a chunk one pipelined burst:
+//
+//   1. arm, in the primary: ISet a dirty key, which deletes its stale copy,
+//      or IqGet a working-set key, where a hit means the entry survived the
+//      failure and is never clobbered; a miss holds an I token
+//      (CacheBackend::MultiISet or MultiIqGet);
+//   2. fetch the armed keys from the secondary (MultiGet);
+//   3. fill, in the primary: IqSet each fetched value under its token, or
+//      IDelete a key the secondary lacks (MultiIqSet, MultiIDelete).
+//
+// Per key the order arm < Get < fill holds; the bursts only reorder
+// operations across keys, which neither algorithm sequences. A client write
+// racing the copy Qaregs the key, which voids the I token (the IqSet becomes
+// a no-op) and deletes the secondary's copy — the Lemma 4 argument
+// Algorithm 1's client-driven copy relies on. The chunk bounds how long an
+// armed token waits: three round trips, not a chunk of serial ones, so a
+// large scan page never outlives the token lifetime.
+//
+// The phases differ in two places. A dirty key whose arm backs off (a
+// client holds a lease on it) is replayed in a later chunk, before the dirty
+// list is reset; a working-set key that backs off is skipped. A dirty key
+// whose fetch fails is invalidated; an install whose fetch fails with
+// anything but kNotFound lost its secondary and aborts after the chunk's
+// fills. The working-set phase is abortable and resumable: the scan cursor
+// is server-side-stable, and a worker that dies mid-stream is replaced via
+// Redlease expiry, restarting the scan from the hottest band (re-installs
+// are idempotent skips).
 //
 // Processing is incremental (Step() handles a bounded batch of keys) so the
 // discrete-event harness can interleave worker progress with foreground
@@ -65,11 +77,10 @@ class RecoveryWorker {
     /// Overwrite dirty keys from the secondary (Gemini-O) instead of
     /// deleting them (Gemini-I).
     bool overwrite_dirty = true;
-    /// Keys processed per Step() call during the drain (harness
-    /// interleaving granularity), and the arm -> fetch -> fill chunk size of
-    /// the working-set install path — the chunk bounds how long an armed I
-    /// token waits before its IqSet, so large scan pages never outlive the
-    /// token lifetime.
+    /// Keys per arm -> fetch -> fill chunk: the drain's batch per Step()
+    /// call (harness interleaving granularity) and the install's chunk of a
+    /// scan page — the chunk bounds how long an armed I token waits before
+    /// its IqSet, so large scan pages never outlive the token lifetime.
     size_t keys_per_step = 64;
     /// Run the working-set phase after the drain (Gemini±W, Section 3.2.2).
     /// Off by default: the simulator keeps its client-driven transfer with
@@ -151,9 +162,6 @@ class RecoveryWorker {
     FragmentId fragment = kInvalidFragment;
     InstanceId primary = kInvalidInstance;
     InstanceId secondary = kInvalidInstance;
-    /// Workers operate with the internal config id (infrastructure role);
-    /// fragment leases and Rejig entry validation still apply to their ops.
-    ConfigId config_id = kInternalConfigId;
     LeaseToken red_token = kNoLease;
     DirtyList list;
     size_t next_key = 0;
@@ -167,17 +175,26 @@ class RecoveryWorker {
     uint64_t wst_cursor = 0;
   };
 
+  // Defined in recovery_worker.cc: what one chunk did, and how a task ends.
+  struct ChunkResult;
+  enum class Outcome : uint8_t;
+
+  // One arm -> fetch -> fill chunk over `keys` of the task's fragment; a
+  // dirty key is armed with ISet, any other with IqGet.
+  ChunkResult RunChunk(Session& session, std::vector<GetRequest> keys,
+                       bool dirty);
+  // Renews the Redlease; on failure ends the task and returns false.
+  bool HoldRed(Session& session);
   // Finishes the drain: reset the dirty list to its marker, notify the
-  // coordinator (Algorithm 3 line 22), then either release the fragment or
-  // roll into the working-set phase.
+  // coordinator (Algorithm 3 line 22), then either end the task or roll
+  // into the working-set phase.
   void FinishDrain(Session& session);
-  // One working-set page: scan the secondary, install misses into the
-  // primary under I tokens, throttle. Returns true when the task ended
-  // (transfer terminated or abandoned).
+  // One working-set page: scan the secondary, install it chunk by chunk,
+  // throttle. Returns true when the task ended.
   bool StepWorkingSet(Session& session);
-  // Ends a completed transfer: release the Redlease, report termination.
-  void FinishWorkingSet(Session& session);
-  void AbandonTask(Session& session, bool release_red);
+  // The one way a task ends: release the Redlease unless it was lost,
+  // report the outcome, free the worker.
+  void EndTask(Session& session, Outcome outcome);
 
   const Clock* clock_;
   CoordinatorService* coordinator_;

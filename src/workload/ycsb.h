@@ -31,17 +31,6 @@ class YcsbWorkload : public Workload {
     double zipf_theta = 0.99;       // YCSB "highly skewed"
     uint32_t record_bytes = 1024;
     Evolution evolution = Evolution::kStatic;
-
-    static Options WorkloadA() {
-      Options o;
-      o.update_fraction = 0.5;
-      return o;
-    }
-    static Options WorkloadB() {
-      Options o;
-      o.update_fraction = 0.05;
-      return o;
-    }
   };
 
   explicit YcsbWorkload(Options options);

@@ -346,7 +346,7 @@ TEST(ClusterStatsTest, ServerStatsAccumulateAcrossRestart) {
 }
 
 TEST(ClusterEndpointTest, UnattachedEndpointIsDownAndDropsOps) {
-  ClusterEndpoint ep(0, ClusterEndpoint::Options{});
+  ClusterEndpoint ep(0);
   EXPECT_FALSE(ep.available());
   ep.SetUp(true);
   EXPECT_FALSE(ep.available());  // gated up but no address yet

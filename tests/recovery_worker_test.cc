@@ -1,9 +1,11 @@
 // RecoveryWorker tests (Algorithm 3): Redlease mutual exclusion, overwrite
 // vs invalidate, completion notification, idempotent replay, abandonment,
-// replay of a key whose ISet backed off mid-burst, and the ±W working-set
-// phase (Section 3.2.2): the scan's paging and termination, hottest-first
-// restore order, a racing write voiding an armed key, termination
-// reporting, and clean abort when the secondary dies mid-stream.
+// replay of a key whose ISet backed off mid-burst, invalidation of a chunk
+// whose fetch failed, and the ±W working-set phase (Section 3.2.2): the
+// scan's paging and termination, hottest-first restore order, a racing
+// write voiding an armed key, warm and backed-off keys skipped,
+// termination reporting, and clean abort when the secondary dies
+// mid-stream.
 #include "src/recovery/recovery_worker.h"
 
 #include "src/coordinator/coordinator.h"
@@ -24,20 +26,23 @@
 namespace gemini {
 namespace {
 
-/// A CacheInstance that runs a one-shot hook right after it answers a
-/// MultiGet — for a recovery worker fetching from this instance, the window
-/// between its fetch burst and its fill burst into the primary.
+/// A CacheInstance that runs one-shot hooks right before and right after it
+/// answers a MultiGet — for a recovery worker fetching from this instance,
+/// the windows between its arm and fetch bursts and between its fetch and
+/// fill bursts.
 class HookedInstance : public CacheInstance {
  public:
   using CacheInstance::CacheInstance;
 
   std::vector<Result<CacheValue>> MultiGet(
       const std::vector<GetRequest>& reqs) override {
+    if (auto hook = std::exchange(before_multi_get, nullptr)) hook();
     auto out = CacheInstance::MultiGet(reqs);
     if (auto hook = std::exchange(after_multi_get, nullptr)) hook();
     return out;
   }
 
+  std::function<void()> before_multi_get;
   std::function<void()> after_multi_get;
 };
 
@@ -674,6 +679,52 @@ TEST_F(RecoveryWorkerTest, DrainReplaysBackedOffKeyBeforeResettingDirtyList) {
   EXPECT_FALSE(raw_[sec]->ContainsRaw(DirtyListKey(f)));
 }
 
+TEST_F(RecoveryWorkerTest, DrainInvalidatesChunkWhoseFetchFails) {
+  // Gemini-O: one chunk arms all four dirty keys, deleting the primary's
+  // stale copies, then the secondary fails before the chunk's MultiGet, so
+  // every fetch fails kUnavailable. Every armed key must end invalidated in
+  // the primary — no entry, I lease released — none filled, and a client
+  // read returns the store's version.
+  Build(RecoveryPolicy::GeminiO());
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 4);
+  ASSERT_EQ(keys.size(), 4u);
+  for (const auto& k : keys) (void)client_->Read(session_, k);
+  coordinator_->OnInstanceFailed(0);
+  for (const auto& k : keys) ASSERT_TRUE(client_->Write(session_, k).ok());
+  for (const auto& k : keys) ASSERT_TRUE(client_->Read(session_, k).ok());
+  coordinator_->OnInstanceRecovered(0);
+  const InstanceId sec =
+      coordinator_->GetConfiguration()->fragment(f).secondary;
+  ASSERT_LT(sec, kInstances);
+
+  Session s;
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
+  const RecoveryWorker::Stats before = worker_->stats();
+  instances_[sec]->before_multi_get = [&] { raw_[sec]->Fail(); };
+  EXPECT_TRUE(worker_->Step(s));
+  EXPECT_EQ(worker_->stats().keys_overwritten, before.keys_overwritten);
+  EXPECT_EQ(worker_->stats().keys_deleted, before.keys_deleted + 4);
+  EXPECT_EQ(worker_->stats().fragments_abandoned, before.fragments_abandoned);
+  EXPECT_EQ(coordinator_->ModeOf(f), FragmentMode::kNormal);
+
+  const OpContext ctx{kInternalConfigId, f};
+  for (const auto& k : keys) {
+    EXPECT_FALSE(raw_[0]->ContainsRaw(k)) << k;
+    // The worker's I lease is gone: a fresh lookup misses and is granted
+    // its own, which it gives back.
+    auto probe = raw_[0]->IqGet(ctx, k);
+    ASSERT_TRUE(probe.ok()) << k;
+    EXPECT_FALSE(probe->value.has_value()) << k;
+    ASSERT_TRUE(raw_[0]->IDelete(ctx, k, probe->i_token).ok()) << k;
+    auto r = client_->Read(session_, k);
+    ASSERT_TRUE(r.ok()) << k;
+    EXPECT_FALSE(r->cache_hit) << k;
+    EXPECT_EQ(r->value.version, store_.VersionOf(k)) << k;
+  }
+}
+
 TEST_F(RecoveryWorkerTest, WorkingSetFillRefusesKeyVoidedByRacingWrite) {
   // A client writes one key after the worker armed it and fetched its (now
   // stale) value from the secondary, but before the fill burst: the write's
@@ -719,6 +770,70 @@ TEST_F(RecoveryWorkerTest, WorkingSetFillRefusesKeyVoidedByRacingWrite) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->value.data, "racing");
   EXPECT_EQ(r->value.version, store_.VersionOf(keys[2]));
+}
+
+TEST_F(RecoveryWorkerTest, WorkingSetSkipsWarmAndBackedOffKeys) {
+  // Two keys of the page must not be installed. keys[0] survived the
+  // failure in the primary, so its IqGet hits and the entry stays — even
+  // though the secondary evicts its copy before the fetch, which would make
+  // an install that deleted it first lose it. A client holds the I lease on
+  // keys[2], so its IqGet backs off; unlike a dirty key it is skipped, not
+  // replayed. The other four install and the page still ends the scan.
+  RecoveryWorker::Options wopts;
+  wopts.working_set_transfer = true;
+  wopts.wst_page_keys = 8;
+  Build(RecoveryPolicy::GeminiOW(), wopts);
+  const FragmentId f =
+      coordinator_->GetConfiguration()->FragmentOf(DirtyInstance0Keys(1)[0]);
+  const std::vector<std::string> keys = KeysOf(f, 6);
+  ASSERT_EQ(keys.size(), 6u);
+
+  ASSERT_TRUE(client_->Read(session_, keys[0]).ok());
+  coordinator_->OnInstanceFailed(0);
+  for (const auto& k : keys) ASSERT_TRUE(client_->Read(session_, k).ok());
+  coordinator_->OnInstanceRecovered(0);
+  const InstanceId sec =
+      coordinator_->GetConfiguration()->fragment(f).secondary;
+  ASSERT_LT(sec, kInstances);
+
+  Session s;
+  ASSERT_NO_FATAL_FAILURE(RecoverOthersThenAdopt(s, f));
+  EXPECT_FALSE(worker_->Step(s));  // drain -> working-set phase
+
+  const OpContext ctx{kInternalConfigId, f};
+  auto held = raw_[0]->IqGet(ctx, keys[2]);
+  ASSERT_TRUE(held.ok());
+  ASSERT_FALSE(held->value.has_value());
+  instances_[sec]->before_multi_get = [&] {
+    ASSERT_TRUE(raw_[sec]->Delete(ctx, keys[0]).ok());
+  };
+  const RecoveryWorker::Stats before = worker_->stats();
+  // One page holds all six keys, fewer than the quota, so it ends the scan.
+  EXPECT_TRUE(worker_->Step(s));
+  EXPECT_FALSE(worker_->has_work());
+  EXPECT_EQ(worker_->stats().wst_keys_copied, before.wst_keys_copied + 4);
+  EXPECT_EQ(worker_->stats().wst_keys_skipped, before.wst_keys_skipped + 2);
+  EXPECT_EQ(worker_->stats().wst_pages, before.wst_pages + 1);
+  EXPECT_EQ(worker_->stats().wst_completed, before.wst_completed + 1);
+  EXPECT_EQ(worker_->stats().wst_aborts, before.wst_aborts);
+  EXPECT_EQ(coordinator_->ModeOf(f), FragmentMode::kNormal);
+  EXPECT_FALSE(raw_[0]->ContainsRaw(keys[2]));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i != 2) {
+      EXPECT_TRUE(raw_[0]->ContainsRaw(keys[i])) << keys[i];
+    }
+  }
+
+  // No later step installs the skipped key; the client's lease ends, and
+  // its next read fills from the store.
+  DrainWorker();
+  EXPECT_FALSE(raw_[0]->ContainsRaw(keys[2]));
+  ASSERT_TRUE(raw_[0]->IDelete(ctx, keys[2], held->i_token).ok());
+  for (const auto& k : {keys[0], keys[2]}) {
+    auto r = client_->Read(session_, k);
+    ASSERT_TRUE(r.ok()) << k;
+    EXPECT_EQ(r->value.version, store_.VersionOf(k)) << k;
+  }
 }
 
 }  // namespace
