@@ -22,8 +22,13 @@ using codec::u32;
 using codec::u64;
 
 // The layout (PROTOCOL.md §9 "Checkpoints"): the magic, the header, every
-// entry, every quarantined key as a Blob, then a u64 FNV-1a of all of it.
-constexpr std::string_view kMagic = "GEMSNAP1";
+// entry, every quarantined key as a Blob, then a u64 checksum of all of it.
+// The two versions differ only in that checksum: GEMSNAP2 is the WAL's
+// CRC-32C, zero-extended; GEMSNAP1, which Serialize no longer writes, is
+// FNV-1a.
+constexpr std::string_view kMagic = "GEMSNAP2";
+constexpr std::string_view kMagicV1 = "GEMSNAP1";
+static_assert(kMagic.size() == kMagicV1.size());
 /// entry_count | quarantined_count
 using HeaderFields = std::tuple<u64, u64>;
 /// key | data | charged_bytes | version | config_id | flags
@@ -96,7 +101,7 @@ std::string Snapshot::Serialize(CacheInstance& instance) {
                               std::tie(entry_count, quarantined_count));
   out.replace(header_at, header.size(), header);
   for (const auto& key : quarantined) codec::Encode<Blob>(out, key);
-  codec::Encode<u64>(out, Fnv1a64(out));
+  codec::Encode<u64>(out, uint64_t{Crc32c(out)});
   return out;
 }
 
@@ -105,15 +110,21 @@ Status Snapshot::Load(CacheInstance& instance, std::string_view payload,
   if (payload.size() < kHeaderBytes + kTrailerBytes) {
     return Status(Code::kInternal, "snapshot truncated");
   }
-  if (!payload.starts_with(kMagic)) {
-    return Status(Code::kInternal, "snapshot magic mismatch");
-  }
-  // Checksum covers everything before the trailer.
+  // The checksum covers everything before the trailer, in the version the
+  // magic names.
   const std::string_view checked =
       payload.substr(0, payload.size() - kTrailerBytes);
+  uint64_t sum = 0;
+  if (payload.starts_with(kMagic)) {
+    sum = Crc32c(checked);
+  } else if (payload.starts_with(kMagicV1)) {
+    sum = Fnv1a64(checked);
+  } else {
+    return Status(Code::kInternal, "snapshot magic mismatch");
+  }
   uint64_t stored_sum = 0;
   if (!codec::Decode<u64>(payload.substr(checked.size()), &stored_sum) ||
-      Fnv1a64(checked) != stored_sum) {
+      sum != stored_sum) {
     return Status(Code::kInternal, "snapshot checksum mismatch");
   }
 
@@ -211,12 +222,13 @@ Result<uint64_t> Snapshot::WriteToFile(CacheInstance& instance,
   return static_cast<uint64_t>(payload.size());
 }
 
-Status Snapshot::LoadFromFile(CacheInstance& instance,
-                              const std::string& path,
-                              std::vector<std::string>* quarantined) {
+Result<uint64_t> Snapshot::LoadFromFile(CacheInstance& instance,
+                                        const std::string& path,
+                                        std::vector<std::string>* quarantined) {
   const Result<FileBytes> file = ReadWholeFile(path);
   if (!file.ok()) return file.status();
-  return Load(instance, file->view(), quarantined);
+  if (Status s = Load(instance, file->view(), quarantined); !s.ok()) return s;
+  return static_cast<uint64_t>(file->size);
 }
 
 }  // namespace gemini

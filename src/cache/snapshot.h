@@ -7,16 +7,19 @@
 // versions, and — critically for Gemini — the per-entry configuration ids
 // and the set of keys quarantined by outstanding Q leases).
 //
-// The format (magic "GEMSNAP1", a header of two counts, the entries, the
-// quarantined keys, an FNV-1a trailer) is encoded by the field codec
+// The format (a magic, a header of two counts, the entries, the quarantined
+// keys, a u64 checksum trailer) is encoded by the field codec
 // (src/common/codec.h); docs/PROTOCOL.md §9 "Checkpoints" is its one table.
+// Serialize writes magic "GEMSNAP2", whose trailer is the WAL's CRC-32C
+// (Crc32c, hash.h) zero-extended to u64. Load also reads "GEMSNAP1", whose
+// trailer is FNV-1a, so data dirs written before the switch still boot.
 //
 // `flags` is reserved and always written 0. Bit 0 marked a write-back value
 // the data store had not seen yet; Load refuses an entry that carries it,
 // naming write-back, and treats any other set bit as corruption.
 //
-// Load validates the magic and checksum and fails closed (kInternal) on any
-// corruption: a persistent cache must never serve a torn snapshot. Loading
+// Load validates the magic and the checksum that magic names, and fails
+// closed (kInternal) on any corruption: a persistent cache must never serve a torn snapshot. Loading
 // applies the crash-spanning Q rule: quarantined keys are NOT restored
 // (their writers may have updated the data store without completing the
 // delete). An entry larger than the instance's per-stripe budget (a restart
@@ -60,11 +63,12 @@ class Snapshot {
   static Status Load(CacheInstance& instance, std::string_view payload,
                      std::vector<std::string>* quarantined = nullptr);
 
-  /// Reads `path` with one read into a buffer of the file's size and
-  /// Load()s it. kNotFound when there is no file; a read error is reported
-  /// as one (kInternal), not as a checksum mismatch.
-  static Status LoadFromFile(CacheInstance& instance, const std::string& path,
-                             std::vector<std::string>* quarantined = nullptr);
+  /// Reads `path` with one read into a buffer of the file's size, Load()s
+  /// it and returns that size. kNotFound when there is no file; a read
+  /// error is reported as one (kInternal), not as a checksum mismatch.
+  static Result<uint64_t> LoadFromFile(
+      CacheInstance& instance, const std::string& path,
+      std::vector<std::string>* quarantined = nullptr);
 };
 
 }  // namespace gemini

@@ -5,7 +5,8 @@
 // so the hash must be stable across clients, instances, and runs — never use
 // std::hash for routing (it is implementation-defined and per-process
 // seedable). FNV-1a 64-bit is stable, allocation-free, and fast for the short
-// keys (tens of bytes) this workload generates.
+// keys (tens of bytes) this workload generates. CRC-32C (Crc32c) is the
+// checksum of every byte geminid writes: WAL frames and checkpoints.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +102,10 @@ constexpr uint32_t Crc32cSoftware(std::string_view data, uint32_t seed = 0) {
 /// CRC-32C over `data`. Unlike Fnv1a64 (a fast hash), this is an error-
 /// detecting code with guaranteed Hamming distance on short records — the
 /// right tool for framing the write-ahead log, where single-bit rot and torn
-/// sector tails must be caught, not just "probably caught". Uses the SSE4.2
-/// crc32 instruction when the CPU has it.
+/// sector tails must be caught, not just "probably caught". It also seals
+/// each checkpoint (snapshot.h, GEMSNAP2): on a file of tens of MB the
+/// SSE4.2 path is several times faster than Fnv1a64's byte-at-a-time loop.
+/// Uses the SSE4.2 crc32 instruction when the CPU has it.
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
 #if defined(__x86_64__) || defined(__i386__)
   if (internal::Crc32cHwSupported()) {

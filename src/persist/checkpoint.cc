@@ -27,8 +27,9 @@ Result<uint64_t> CheckpointManager::Write(CacheInstance& instance,
   return bytes;
 }
 
-Status CheckpointManager::Load(CacheInstance& instance, uint64_t seq,
-                               std::vector<std::string>* quarantined) {
+Result<uint64_t> CheckpointManager::Load(
+    CacheInstance& instance, uint64_t seq,
+    std::vector<std::string>* quarantined) {
   return Snapshot::LoadFromFile(instance, CheckpointPath(seq), quarantined);
 }
 

@@ -1,6 +1,7 @@
 // Log-truncating checkpoints.
 //
-// A checkpoint `checkpoint-<seq>.snap` is a Snapshot (snapshot.h format) of
+// A checkpoint `checkpoint-<seq>.snap` is a Snapshot (snapshot.h format:
+// GEMSNAP2, sealed with the WAL's CRC-32C; GEMSNAP1 files still load) of
 // the full cache state that covers every WAL segment with sequence < seq:
 // after it lands (atomic temp+rename+dir-fsync via Snapshot::WriteToFile),
 // those segments and any older checkpoints are garbage. Recovery loads the
@@ -13,11 +14,13 @@
 // and replay re-applies them in original order — the result converges on the
 // same state.
 //
-// Write returns the checkpoint's size. PersistentStore asks for the next one
-// once the log since this one's rotation is as large (never below
+// Write and Load return the checkpoint's size. PersistentStore asks for the
+// next one once the log since this one's rotation is as large (never below
 // Wal::kSegmentBytes), so a data dir holds about two checkpoints' worth
 // between checkpoints (the newest one and the log since it) and about three
 // while one is written (GarbageCollect runs only once the new one landed).
+// A boot takes the trigger from the checkpoint it loaded, so a restart does
+// not fall back to checkpointing every 8 MiB.
 #pragma once
 
 #include <atomic>
@@ -49,12 +52,13 @@ class CheckpointManager {
   /// (persistent_store.h).
   Result<uint64_t> Write(CacheInstance& instance, uint64_t seq);
 
-  /// Loads checkpoint-<seq>.snap into `instance`, reporting the keys its
-  /// quarantine list keeps out through `quarantined` (Snapshot::Load).
-  /// Fails closed (kInternal) on corruption: a checkpoint is written
-  /// atomically, so a damaged one is disk rot, not a crash artifact.
-  Status Load(CacheInstance& instance, uint64_t seq,
-              std::vector<std::string>* quarantined);
+  /// Loads checkpoint-<seq>.snap into `instance` and returns its size in
+  /// bytes, reporting the keys its quarantine list keeps out through
+  /// `quarantined` (Snapshot::Load). Fails closed (kInternal) on corruption:
+  /// a checkpoint is written atomically, so a damaged one is disk rot, not
+  /// a crash artifact.
+  Result<uint64_t> Load(CacheInstance& instance, uint64_t seq,
+                        std::vector<std::string>* quarantined);
 
   /// Deletes WAL segments and checkpoints with sequence < keep_seq. Returns
   /// the first unlink failure but attempts every file.

@@ -9,9 +9,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "src/common/clock.h"
+#include "src/common/file_util.h"
 
 namespace gemini {
 namespace {
@@ -47,6 +50,18 @@ Status EnsureDir(const std::string& dir) {
   return Status::Ok();
 }
 
+/// Cuts segment `path` back to its first `bytes` and fsyncs it.
+Status TruncateSegment(const std::string& path, uint64_t bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return ErrnoStatus("cannot open wal segment", path);
+  const Status s =
+      ::ftruncate(fd, static_cast<off_t>(bytes)) == 0 && ::fsync(fd) == 0
+          ? Status::Ok()
+          : ErrnoStatus("cannot truncate torn wal segment", path);
+  ::close(fd);
+  return s;
+}
+
 }  // namespace
 
 PersistentStore::PersistentStore(std::string dir)
@@ -61,43 +76,52 @@ Status PersistentStore::Open(CacheInstance& instance) {
   if (Status s = EnsureDir(dir_); !s.ok()) return s;
 
   uint64_t next_seq = 0;
+  std::vector<std::pair<std::string, int64_t>> dropped;
   const Timestamp replay_start = SystemClock::Global().Now();
-  if (Status s = Replay(instance, next_seq); !s.ok()) return s;
+  if (Status s = Replay(instance, next_seq, dropped); !s.ok()) return s;
   replay_micros_ = SystemClock::Global().Now() - replay_start;
 
   if (Status s = wal_.Open(dir_, next_seq); !s.ok()) return s;
-  if (Status s = AppendSegmentHead(); !s.ok()) return s;
+  if (Status s = AppendSegmentHead(dropped); !s.ok()) return s;
   wal_seq_ = next_seq;
-  lag_bytes_ = wal_.segment_bytes();
+  lag_bytes_ += wal_.segment_bytes();
   instance_ = &instance;
   writer_thread_ = std::thread([this] { WriterLoop(); });
   recording_.store(true, std::memory_order_release);
-
-  // A post-recovery checkpoint makes the replayed state durable in one file
-  // and truncates the replayed log — including any torn final segment. Its
-  // size sets when the next one is due.
-  Result<uint64_t> bytes = checkpoints_.Write(instance, next_seq);
-  if (!bytes.ok()) return bytes.status();
-  {
-    std::lock_guard<std::mutex> lock(q_mu_);
-    checkpoint_bytes_ = *bytes;
-  }
-  if (Status s = checkpoints_.GarbageCollect(next_seq); !s.ok()) return s;
-
+  // Serving need not wait for a checkpoint: until one covers the replayed
+  // log, replaying it again yields this same state. When Replay applied
+  // anything to fold, checkpoint_due_ is already set, and the checkpoint
+  // thread runs the boot's checkpoint like any other.
   checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
   return Status::Ok();
 }
 
-Status PersistentStore::AppendSegmentHead() {
-  WalRecord head;
-  head.type = WalRecordType::kConfigId;
-  head.config_id = max_config_.load(std::memory_order_relaxed);
-  if (Status s = wal_.Append(head, /*sync_now=*/true); !s.ok()) return s;
-  appended_records_.fetch_add(1, std::memory_order_relaxed);
+Status PersistentStore::AppendSegmentHead(
+    const std::vector<std::pair<std::string, int64_t>>& dropped) {
+  WalRecord record;
+  record.type = WalRecordType::kConfigId;
+  record.config_id = max_config_.load(std::memory_order_relaxed);
+  std::string frames;
+  Wal::EncodeFrame(frames, record);
+  uint64_t records = 1;
+  record.origin = static_cast<uint8_t>(PersistOp::kQExpiry);
+  for (const auto& [key, qbegins] : dropped) {
+    record.key = key;
+    record.type = WalRecordType::kDelete;
+    Wal::EncodeFrame(frames, record);
+    record.type = WalRecordType::kQEnd;
+    for (int64_t i = 0; i < qbegins; ++i) Wal::EncodeFrame(frames, record);
+    records += 1 + static_cast<uint64_t>(qbegins);
+  }
+  if (Status s = wal_.AppendRaw(frames); !s.ok()) return s;
+  if (Status s = wal_.Sync(); !s.ok()) return s;
+  appended_records_.fetch_add(records, std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
+Status PersistentStore::Replay(
+    CacheInstance& instance, uint64_t& next_seq,
+    std::vector<std::pair<std::string, int64_t>>& dropped) {
   DirListing listing;
   if (Status s = checkpoints_.List(listing); !s.ok()) return s;
   // A checkpoint write killed mid-way leaves its temp behind, and nothing
@@ -113,12 +137,17 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
     // A checkpoint lands atomically (temp + rename + dir fsync), so damage
     // here is disk rot, not a crash artifact: fail closed rather than fall
     // back to an older checkpoint whose covering log was truncated away.
-    if (Status s = checkpoints_.Load(instance, cp_seq, &kept_out); !s.ok()) {
+    const Result<uint64_t> loaded =
+        checkpoints_.Load(instance, cp_seq, &kept_out);
+    if (!loaded.ok()) {
       return Status(Code::kInternal,
                     "checkpoint " + checkpoints_.CheckpointPath(cp_seq) +
                         " failed to load, refusing to serve possibly stale "
-                        "state: " + s.ToString());
+                        "state: " + loaded.status().ToString());
     }
+    // The next checkpoint is due once the log has grown as large as this
+    // one, as if it had just been written.
+    checkpoint_bytes_ = *loaded;
   }
 
   std::vector<uint64_t> replay;
@@ -146,7 +175,12 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   ConfigId max_config = 0;
 
   uint64_t torn_seq = 0;
+  uint64_t torn_valid_bytes = 0;
   bool saw_torn = false;
+  // The first of the empty segments that end the log, if any: the one the
+  // last rotation or boot reserved (Wal::kSegmentBytes).
+  uint64_t first_empty = 0;
+  bool ends_empty = false;
   for (size_t i = 0; i < replay.size(); ++i) {
     const uint64_t seq = replay[i];
     WalScanResult scan = Wal::ScanFile(Wal::SegmentPath(dir_, seq));
@@ -165,11 +199,21 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
     if (scan.torn_tail) {
       saw_torn = true;
       torn_seq = seq;
+      torn_valid_bytes = scan.valid_bytes;
       torn_tail_bytes_ += scan.file_bytes - scan.valid_bytes;
     }
+    if (scan.file_bytes == 0 && !ends_empty) first_empty = seq;
+    ends_empty = scan.file_bytes == 0;
     ++replayed_segments_;
+    // Until a checkpoint covers it, the replayed log is truncation lag.
+    lag_bytes_ += scan.valid_bytes;
     for (const WalRecord& rec : scan.records) {
       ++replayed_records_;
+      // A segment's head carries only the config id, which the fresh
+      // segment's head carries on: a log of heads alone (a SIGTERM's
+      // checkpoint, or a kill that followed only reads) leaves nothing for
+      // a checkpoint to fold.
+      checkpoint_due_ |= rec.type != WalRecordType::kConfigId;
       switch (rec.type) {
         case WalRecordType::kUpsert: {
           if (rec.pinned) {
@@ -219,13 +263,26 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
     }
   }
 
+  // A fresh segment follows the torn one: cut the torn tail off, durably,
+  // or the next replay finds a torn tail in a non-final segment and fails
+  // closed.
+  if (saw_torn) {
+    if (Status s = TruncateSegment(Wal::SegmentPath(dir_, torn_seq),
+                                   torn_valid_bytes);
+        !s.ok()) {
+      return s;
+    }
+  }
+
   // Crash-spanning Q rule (Section 2.3): a key with more QBegins than QEnds
   // had a writer in flight between its data-store update and its
   // delete/replace-and-release — drop it rather than risk a stale read.
+  // Open logs the drop, so a replay of this log reaches this state again.
   for (const auto& [key, count] : qcount) {
     if (count > 0) {
       instance.RestoreErase(key);
       unresolved.erase(key);
+      dropped.emplace_back(key, count);
       ++quarantine_drops_;
     }
   }
@@ -239,8 +296,12 @@ Status PersistentStore::Replay(CacheInstance& instance, uint64_t& next_seq) {
   max_config_.store(max_config, std::memory_order_relaxed);
 
   restored_entries_ = instance.stats().entry_count;
+  // The fresh segment takes over a reserved empty one rather than leave it
+  // behind, since a boot with nothing to fold collects no garbage.
   next_seq = 0;
-  if (!listing.wal_seqs.empty()) {
+  if (ends_empty) {
+    next_seq = first_empty;
+  } else if (!listing.wal_seqs.empty()) {
     next_seq = listing.wal_seqs.back() + 1;
   }
   if (!listing.checkpoint_seqs.empty()) {

@@ -6,17 +6,35 @@
 // instance:
 //
 //   CacheInstance::Options opts;
-//   PersistentStore store(dir);
-//   opts.persistence = &store;
+//   auto store = std::make_unique<PersistentStore>(dir);
+//   opts.persistence = store.get();
 //   CacheInstance instance(id, clock, opts);
-//   Status s = store.Open(instance);   // replay checkpoint + WAL tail
+//   Status s = store->Open(instance);  // replay checkpoint + WAL tail
+//   ...
+//   store.reset();  // before the instance dies
+//
+// The store must be closed (Close() or its destructor) before its instance
+// is destroyed: from Open on, its checkpoint thread walks the instance.
 //
 // Open() replays the highest checkpoint plus all WAL segments at or above
-// its sequence, applies the crash-spanning Q rule (keys whose QBegin count
-// exceeds their QEnd count are dropped — their writers may have raced the
-// data store), restores the latest observed config id, then starts
-// recording: a fresh segment is opened, a post-recovery checkpoint truncates
-// the replayed log, and every subsequent sink callback appends a record.
+// its sequence, cuts a torn tail off the newest segment, applies the
+// crash-spanning Q rule (keys whose QBegin count exceeds their QEnd count
+// are dropped — their writers may have raced the data store), restores the
+// latest observed config id, then starts recording: a fresh segment is
+// opened, headed by the config id and, for every key the Q rule dropped, a
+// delete and a QEnd per outstanding QBegin, fsynced together; every later
+// sink callback appends a record. Open returns as soon as replay ends. When
+// replay applied anything besides segment heads, a checkpoint is due at
+// once and folds the replayed log on the checkpoint thread, like any other;
+// a boot that replayed only heads (after a SIGTERM's checkpoint, or a kill
+// that followed only reads) writes no checkpoint. Until that checkpoint lands, replaying the log
+// again gives the same state, which is why the torn tail is cut and the
+// drops are logged. Otherwise a fresh segment after a torn one fails the
+// next boot closed; a later kQClear (RecoverPersistent) makes the next
+// replay forget a dropped key's QBegins and serve its old value; and a
+// value written to a dropped key after boot would be dropped again. The
+// replayed log counts in checkpoint_lag_bytes until then, and the trigger
+// starts at the loaded checkpoint's size.
 //
 // Fsync policy: appends are batched except the records whose loss could
 // cause a *stale read* rather than a mere cache miss. Those are eager:
@@ -58,10 +76,10 @@
 //     while one is written, since the old checkpoint and the log it covers
 //     go only once the new one has landed (a cache under 8 MiB: one
 //     checkpoint plus 8 MiB, and two plus 8 MiB).
-// A checkpoint that fails (say, the disk is full) leaves the trigger as it
-// was and is retried only once the log written since its rotation reaches
-// the trigger again, so it never rotates and re-serializes the cache in a
-// loop. Checkpoint() runs one on the caller's thread, serialized with that
+// A checkpoint that fails (say, the disk is full), the boot's included,
+// leaves the trigger as it was and is retried only once the log written
+// since its rotation reaches the trigger again, so it never rotates and
+// re-serializes the cache in a loop. Checkpoint() runs one on the caller's thread, serialized with that
 // thread.
 //
 // An eager append does not wait for its fsync. It hands the record's LSN to
@@ -78,6 +96,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/cache/cache_instance.h"
@@ -97,7 +116,9 @@ class PersistentStore final : public PersistenceSink {
 
   /// Creates the data dir if needed, deletes checkpoint temps an interrupted
   /// write left behind, replays existing state into `instance` (construct it
-  /// with Options::persistence == this), and starts recording.
+  /// with Options::persistence == this), and starts recording. A checkpoint
+  /// that folds the replayed log is left to the checkpoint thread. Close the
+  /// store before `instance` is destroyed.
   /// Fails closed (kInternal) on corruption: a damaged checkpoint, a
   /// mid-log CRC mismatch, a torn tail anywhere but the newest segment, or
   /// a gap in the segment sequence. Also kInternal, naming write-back, when
@@ -143,9 +164,9 @@ class PersistentStore final : public PersistenceSink {
     /// process died right now. It grows to the checkpoint trigger (below),
     /// and a failed checkpoint leaves its rotated segments in it.
     uint64_t checkpoint_lag_bytes = 0;
-    /// Size of the newest checkpoint that landed. The next one is due when
-    /// the log written since the newest checkpoint's rotation reaches it, or
-    /// Wal::kSegmentBytes if that is larger.
+    /// Size of the newest checkpoint that landed, or that boot loaded. The
+    /// next one is due when the log written since the newest checkpoint's
+    /// rotation reaches it, or Wal::kSegmentBytes if that is larger.
     uint64_t checkpoint_bytes = 0;
     /// Checkpoints that returned an error: the rotation, the write or the
     /// garbage collection failed.
@@ -174,8 +195,16 @@ class PersistentStore final : public PersistenceSink {
 
  private:
   /// Loads the highest checkpoint + replays segments >= its seq into
-  /// `instance`; `next_seq` receives the sequence for the fresh segment.
-  Status Replay(CacheInstance& instance, uint64_t& next_seq);
+  /// `instance` and cuts a torn tail off the newest. `next_seq` receives the
+  /// sequence for the fresh segment: the first empty segment ending the log
+  /// (the one the last rotation or boot reserved), else one past the newest.
+  /// `dropped` receives the keys the Q rule erased, each with its count of
+  /// outstanding QBegins. Before any thread
+  /// starts, sets the trigger (checkpoint_bytes_) to the loaded checkpoint's
+  /// size, counts the replayed log in lag_bytes_, and sets checkpoint_due_
+  /// when a record besides a kConfigId was applied.
+  Status Replay(CacheInstance& instance, uint64_t& next_seq,
+                std::vector<std::pair<std::string, int64_t>>& dropped);
   /// Frames the record into pending_ for the writer thread. The serving
   /// thread's only WAL cost is this encode-under-lock. An `eager` record's
   /// LSN goes to the EagerScope open on the calling thread.
@@ -192,8 +221,12 @@ class PersistentStore final : public PersistenceSink {
   void RefuseEager();
   /// Heads the live segment with the latest observed config id, fsynced:
   /// checkpoints (Snapshot format) do not store it, and the segments that
-  /// did are about to be garbage-collected.
-  Status AppendSegmentHead();
+  /// did are about to be garbage-collected. At boot, each key in `dropped`
+  /// follows the head as a kDelete and one kQEnd per outstanding QBegin,
+  /// under the same fsync: a replay then neither restores the key's old
+  /// value nor drops what is written to it later.
+  Status AppendSegmentHead(
+      const std::vector<std::pair<std::string, int64_t>>& dropped = {});
   /// Latches the first WAL error: recording stops and every pending eager
   /// LSN turns kFailed.
   void LatchError(Status s);
@@ -253,13 +286,13 @@ class PersistentStore final : public PersistenceSink {
   /// Stats::checkpoint_lag_bytes: the writer adds every byte it writes, and
   /// a checkpoint subtracts what its rotation closed once it lands.
   uint64_t lag_bytes_ = 0;
-  /// Stats::checkpoint_bytes, set when a checkpoint lands: the writer asks
-  /// for the next one once the log since the newest checkpoint's rotation is
-  /// this large (or 8 MiB).
+  /// Stats::checkpoint_bytes, set by boot's load and when a checkpoint
+  /// lands: the writer asks for the next one once the log since the newest
+  /// checkpoint's rotation is this large (or 8 MiB).
   uint64_t checkpoint_bytes_ = 0;
   uint64_t checkpoint_failures_ = 0;
   // Checkpoint hand-off.
-  bool checkpoint_due_ = false;     // writer -> checkpoint thread
+  bool checkpoint_due_ = false;     // boot, writer -> checkpoint thread
   bool checkpointer_stop_ = false;
   bool rotate_requested_ = false;   // checkpoint -> writer
   // Set by a checkpoint's rotation: the segment it opened, where the

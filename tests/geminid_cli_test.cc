@@ -1,6 +1,8 @@
 // Drives the geminid binary end to end: fork/exec with real flags, talk to
 // it over TCP, then SIGTERM or SIGKILL it and assert that a restart on the
-// same --data-dir serves everything that was acknowledged. Also pins the
+// same --data-dir serves everything that was acknowledged, checkpointing
+// after its banner only when replay left something to fold (a restart
+// after SIGTERM rewrites no checkpoint). Also pins the
 // CLI's fail-closed flag validation (a typo'd number, or a flag of a removed
 // mode, must exit 2 rather than boot something else), crash-stop on a WAL
 // I/O error (no eager op is acknowledged after it, and geminid exits 1), a
@@ -12,6 +14,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +147,45 @@ void WipeDataDir(const std::string& dir) {
   }
 }
 
+uint64_t StatValue(TcpConnection& conn, const std::string& name) {
+  auto rows = conn.Call<wire::Op::kStats>();
+  EXPECT_TRUE(rows.ok());
+  if (!rows.ok()) return 0;
+  for (const auto& [row_name, value] : *rows) {
+    if (row_name == name) return value;
+  }
+  ADD_FAILURE() << "no stat " << name;
+  return 0;
+}
+
+/// Polls kStats until `name` reads `want` (or ~5 s pass); returns the last
+/// value read.
+uint64_t AwaitStat(TcpConnection& conn, const std::string& name,
+                   uint64_t want) {
+  uint64_t value = StatValue(conn, name);
+  for (int i = 0; i < 500 && value != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    value = StatValue(conn, name);
+  }
+  return value;
+}
+
+/// Every checkpoint-*.snap in `dir`, by name, with its bytes.
+std::map<std::string, std::string> CheckpointFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  DIR* dp = ::opendir(dir.c_str());
+  if (dp == nullptr) return files;
+  while (struct dirent* e = ::readdir(dp)) {
+    const std::string name = e->d_name;
+    if (name.starts_with("checkpoint-") && name.ends_with(".snap")) {
+      std::ifstream in(dir + "/" + name, std::ios::binary);
+      files[name].assign(std::istreambuf_iterator<char>(in), {});
+    }
+  }
+  ::closedir(dp);
+  return files;
+}
+
 TEST(GeminidCli, SigtermDrainsCheckpointsAndRestartServesAcknowledgedWrites) {
   const std::string dir = ::testing::TempDir() + "/geminid_cli_sigterm";
   WipeDataDir(dir);
@@ -171,6 +215,13 @@ TEST(GeminidCli, SigtermDrainsCheckpointsAndRestartServesAcknowledgedWrites) {
     ::close(child.stdout_fd);
   }
 
+  // The SIGTERM's checkpoint holds everything: the log since it holds only
+  // a segment head, so the restart has nothing to fold and rewrites nothing.
+  const std::string instance_dir = dir + "/instance_7";
+  const std::map<std::string, std::string> checkpoints =
+      CheckpointFiles(instance_dir);
+  ASSERT_EQ(checkpoints.size(), 1u);
+
   // Acknowledged before SIGTERM ⇒ served after restart on the same dir.
   Child child = SpawnGeminid({"--port", "0", "--instance", "7", "--data-dir",
                               dir, "--threads", "1"});
@@ -187,20 +238,16 @@ TEST(GeminidCli, SigtermDrainsCheckpointsAndRestartServesAcknowledgedWrites) {
   auto also = backend.Get(kInternalCtx, "also");
   EXPECT_TRUE(also.ok() && also->data == "this") << also.status().ToString();
   backend.Disconnect();
+  {
+    TcpConnection conn("127.0.0.1", port, 7, TcpConnection::Options());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(StatValue(conn, "persist.checkpoints"), 0u);
+    conn.Disconnect();
+  }
+  EXPECT_EQ(CheckpointFiles(instance_dir), checkpoints);
   ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
   EXPECT_EQ(WaitForExit(child.pid), 0);
   ::close(child.stdout_fd);
-}
-
-uint64_t StatValue(TcpConnection& conn, const std::string& name) {
-  auto rows = conn.Call<wire::Op::kStats>();
-  EXPECT_TRUE(rows.ok());
-  if (!rows.ok()) return 0;
-  for (const auto& [row_name, value] : *rows) {
-    if (row_name == name) return value;
-  }
-  ADD_FAILURE() << "no stat " << name;
-  return 0;
 }
 
 TEST(GeminidCli, WalWriteErrorRefusesEagerOpsAndExitsOne) {
@@ -442,6 +489,11 @@ TEST(GeminidCli, SigkillRestartRestoresWarmStateFromDataDir) {
     ASSERT_TRUE(remote_config.ok());
     EXPECT_EQ(*remote_config, 29u);
     backend.Disconnect();
+    // The replayed log held records to fold: its checkpoint lands in the
+    // background, after the banner.
+    TcpConnection conn("127.0.0.1", port, 7, TcpConnection::Options());
+    EXPECT_EQ(AwaitStat(conn, "persist.checkpoints", 1), 1u);
+    conn.Disconnect();
 
     // SIGTERM now: the graceful path checkpoints the data dir.
     ASSERT_EQ(::kill(child.pid, SIGTERM), 0);

@@ -217,14 +217,15 @@ uint64_t Mutate(Rng& rng, const Field& f, uint64_t old) {
   return f.width == 4 ? v & 0xFFFFFFFFu : v;
 }
 
+/// Recomputes a GEMSNAP2 snapshot's trailer: CRC-32C, zero-extended.
 void ResealChecksum(std::string& snap) {
   const uint64_t sum =
-      Fnv1a64(std::string_view(snap).substr(0, snap.size() - 8));
+      Crc32c(std::string_view(snap).substr(0, snap.size() - 8));
   std::memcpy(snap.data() + snap.size() - 8, &sum, 8);
 }
 
 // Each round takes a valid snapshot, rewrites one to three of its counts,
-// length prefixes and flags words, and recomputes the FNV-1a trailer, so the
+// length prefixes and flags words, and recomputes the CRC-32C trailer, so the
 // load gets past the checksum and into the parser (the two sweeps above
 // only ever fail the checksum). Every load must either succeed or fail
 // closed with nothing installed: a loader that installed entries before it

@@ -144,10 +144,10 @@ class CrashPointTest : public ::testing::Test {
     for (const auto& d : dirs_) RemoveTree(d);
   }
 
-  /// Builds the base image a kill -9 would leave behind: one checkpoint
-  /// (empty — taken at open) and one WAL segment holding a workload with
-  /// every record type, including two quarantines still in flight at the
-  /// "crash".
+  /// Builds the base image a kill -9 would leave behind: no checkpoint (an
+  /// empty dir boots without one) and one WAL segment holding a workload
+  /// with every record type, including two quarantines still in flight at
+  /// the "crash", then the empty segment its boot reserved.
   void BuildBaseImage(const std::string& dir) {
     auto store = std::make_unique<PersistentStore>(dir);
     CacheInstance::Options opts;
@@ -216,8 +216,9 @@ class CrashPointTest : public ::testing::Test {
     store.reset();  // kill: no checkpoint, the WAL is the only history
   }
 
-  /// Runs recovery against one mutated copy and checks the oracle.
-  /// Returns true when recovery succeeded (vs failed closed).
+  /// Runs recovery against one mutated copy and checks the oracle, twice
+  /// for a log that recovers. Returns true when recovery succeeded (vs
+  /// failed closed).
   bool RunCase(const std::string& base, const std::string& scratch,
                const FaultPlan& plan, const std::string& label) {
     RemoveTree(scratch);
@@ -240,40 +241,50 @@ class CrashPointTest : public ::testing::Test {
     // oracle's state.
     WalScanResult scan = Wal::ScanFile(target);
 
-    PersistentStore store(scratch);
-    CacheInstance::Options opts;
-    opts.persistence = &store;
-    CacheInstance instance(1, &clock_, opts);
-    const Status s = store.Open(instance);
-
     if (!scan.error.ok()) {
-      EXPECT_FALSE(s.ok()) << label << ": recovery accepted a corrupt log";
+      CacheInstance instance(1, &clock_);
+      PersistentStore store(scratch);  // declared last: closes first
+      instance.SetPersistenceSink(&store);
+      EXPECT_FALSE(store.Open(instance).ok())
+          << label << ": recovery accepted a corrupt log";
       return false;
     }
-    EXPECT_TRUE(s.ok()) << label << ": " << s.ToString();
-    if (!s.ok()) return false;
 
     OracleState oracle;
     for (const WalRecord& rec : scan.records) oracle.Apply(rec);
     oracle.Finish();
 
-    std::map<std::string, EntryImage> recovered;
-    instance.ForEachEntry([&recovered](std::string_view key,
-                                       const CacheValue& value,
-                                       ConfigId config_id) {
-      recovered[std::string(key)] =
-          EntryImage{value.data, value.version, config_id};
-    });
-    EXPECT_EQ(recovered, oracle.entries) << label;
-    EXPECT_EQ(instance.latest_config_id(), oracle.max_config) << label;
+    // The recovered prefix boots twice: the first boot is killed before or
+    // after its checkpoint lands, and replaying the log again must give the
+    // same state either way.
+    for (const char* boot : {"first boot", "second boot"}) {
+      CacheInstance instance(1, &clock_);
+      PersistentStore store(scratch);  // declared last: closes first
+      instance.SetPersistenceSink(&store);
+      const Status s = store.Open(instance);
+      EXPECT_TRUE(s.ok()) << label << ", " << boot << ": " << s.ToString();
+      if (!s.ok()) return false;
 
-    // The zero-stale-read invariant, asserted directly: a key whose
-    // quarantine count is unbalanced in the surviving prefix must be
-    // absent — its cached value may disagree with the data store.
-    for (const auto& [key, count] : oracle.qcount) {
-      if (count > 0) {
-        EXPECT_EQ(recovered.count(key), 0u)
-            << label << ": quarantined key " << key << " served after crash";
+      std::map<std::string, EntryImage> recovered;
+      instance.ForEachEntry([&recovered](std::string_view key,
+                                         const CacheValue& value,
+                                         ConfigId config_id) {
+        recovered[std::string(key)] =
+            EntryImage{value.data, value.version, config_id};
+      });
+      EXPECT_EQ(recovered, oracle.entries) << label << ", " << boot;
+      EXPECT_EQ(instance.latest_config_id(), oracle.max_config)
+          << label << ", " << boot;
+
+      // The zero-stale-read invariant, asserted directly: a key whose
+      // quarantine count is unbalanced in the surviving prefix must be
+      // absent — its cached value may disagree with the data store.
+      for (const auto& [key, count] : oracle.qcount) {
+        if (count > 0) {
+          EXPECT_EQ(recovered.count(key), 0u)
+              << label << ", " << boot << ": quarantined key " << key
+              << " served after crash";
+        }
       }
     }
     return true;
@@ -372,9 +383,11 @@ struct World {
 
 class CrashWindowTest : public CrashPointTest {
  protected:
+  /// The store is declared last, so it closes before the instance its
+  /// checkpoint thread walks is destroyed.
   struct Process {
-    std::unique_ptr<PersistentStore> store;
     std::unique_ptr<CacheInstance> instance;
+    std::unique_ptr<PersistentStore> store;
   };
 
   Process Boot(const std::string& dir) {

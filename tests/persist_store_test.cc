@@ -1,6 +1,8 @@
 // PersistentStore tests: kill-and-restart roundtrips restore byte-exact
 // entries and metadata, the crash-spanning Q rule drops in-flight writes,
-// checkpoints truncate the log, the writer fsyncs batched records and log
+// checkpoints truncate the log, a second kill before the boot's checkpoint
+// lands (a Q-rule drop, a torn tail) restores the same state, the trigger
+// survives a restart, the writer fsyncs batched records and log
 // growth triggers checkpoints with no call from the owner (once the log
 // since the newest checkpoint is as large as it, 8 MiB at least, while full
 // segments close on their own), a restart with a smaller stripe budget
@@ -86,6 +88,16 @@ std::map<std::string, EntryImage> ImageOf(const CacheInstance& instance) {
   return image;
 }
 
+/// Makes the checkpoint whose rotation opens segment `seq` fail: a
+/// non-empty directory at its temp path, which boot's temp sweep cannot
+/// delete, so the write cannot open the temp. A boot's checkpoint is then
+/// held back deterministically, and counts in checkpoint_failures.
+void HoldBackCheckpoint(const std::string& dir, uint64_t seq) {
+  const std::string tmp = CheckpointManager(dir).CheckpointPath(seq) + ".tmp";
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0) << tmp;
+  std::ofstream(tmp + "/keep") << "keep";
+}
+
 class PersistentStoreTest : public ::testing::Test {
  protected:
   std::string TempDir(const std::string& name) {
@@ -99,10 +111,12 @@ class PersistentStoreTest : public ::testing::Test {
     for (const auto& d : dirs_) RemoveTree(d);
   }
 
-  /// One "process": a store and the instance it durably backs.
+  /// One "process": a store and the instance it durably backs. The store
+  /// is declared last, so it closes before the instance its checkpoint
+  /// thread walks is destroyed.
   struct Process {
-    std::unique_ptr<PersistentStore> store;
     std::unique_ptr<CacheInstance> instance;
+    std::unique_ptr<PersistentStore> store;
   };
 
   Process Boot(const std::string& dir, CacheInstance::Options opts = {}) {
@@ -126,19 +140,21 @@ class PersistentStoreTest : public ::testing::Test {
   std::vector<std::string> dirs_;
 };
 
-TEST_F(PersistentStoreTest, EmptyDirBootsEmptyAndCheckpointed) {
+TEST_F(PersistentStoreTest, EmptyDirBootsEmptyWithoutACheckpoint) {
   const std::string dir = TempDir("empty");
   Process p = Boot(dir);
   EXPECT_EQ(p.instance->stats().entry_count, 0u);
   EXPECT_EQ(p.store->stats().restored_entries, 0u);
   EXPECT_TRUE(p.store->error().ok());
-  // Open leaves a checkpoint + a live segment + the preallocated (empty)
-  // next segment behind.
+  // Nothing replayed, so nothing to fold: Open leaves a live segment and
+  // the preallocated (empty) next segment behind, and no checkpoint.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(p.store->stats().checkpoints, 0u);
   DirListing listing;
   CheckpointManager manager(dir);
   ASSERT_TRUE(manager.List(listing).ok());
-  EXPECT_EQ(listing.checkpoint_seqs.size(), 1u);
-  EXPECT_EQ(listing.wal_seqs.size(), 2u);
+  EXPECT_TRUE(listing.checkpoint_seqs.empty());
+  EXPECT_EQ(listing.wal_seqs, (std::vector<uint64_t>{0, 1}));
 }
 
 TEST_F(PersistentStoreTest, OpenIsOneShot) {
@@ -241,6 +257,102 @@ TEST_F(PersistentStoreTest, CrashSpanningQuarantineRuleDropsInFlightWrites) {
     EXPECT_FALSE(b.ContainsRaw("inflight"));
     EXPECT_EQ(q.store->stats().quarantine_drops, 1u);
   }
+}
+
+// Until the boot's checkpoint lands, the next boot replays the same log
+// again and must reach the same state. The Q rule's drops are not in that
+// log as QBegins alone: a later RecoverPersistent logs a kQClear, which
+// makes a replay forget them, so boot logs each dropped key gone.
+TEST_F(PersistentStoreTest, QRuleDropSurvivesAKillBeforeTheBootCheckpoint) {
+  const std::string dir = TempDir("qdrop_twice");
+  Process p = Boot(dir);
+  ASSERT_TRUE(p.instance->Set(kCtx, "kept", CacheValue::OfData("k1")).ok());
+  ASSERT_TRUE(
+      p.instance->Set(kCtx, "inflight", CacheValue::OfData("v1")).ok());
+  ASSERT_TRUE(p.instance->Qareg(kCtx, "inflight").ok());
+  const uint64_t seq = p.store->wal_seq();
+  Kill(p);
+
+  // The boot takes over the segment its predecessor reserved (seq + 1), so
+  // its checkpoint's rotation opens seq + 2.
+  HoldBackCheckpoint(dir, seq + 2);
+  Process q = Boot(dir);
+  EXPECT_EQ(q.store->wal_seq(), seq + 1);
+  EXPECT_FALSE(q.instance->ContainsRaw("inflight"));
+  EXPECT_EQ(q.store->stats().quarantine_drops, 1u);
+  ASSERT_TRUE(Eventually(
+      [&] { return q.store->stats().checkpoint_failures == 1; }));
+  EXPECT_EQ(q.store->stats().checkpoints, 0u);
+  // The coordinator's recovery cycle resolves every quarantine: kQClear.
+  q.instance->RecoverPersistent();
+  ASSERT_TRUE(q.store->Sync().ok());
+  Kill(q);
+
+  Process r = Boot(dir);
+  EXPECT_FALSE(r.instance->ContainsRaw("inflight")) << "stale read";
+  EXPECT_TRUE(r.instance->ContainsRaw("kept"));
+}
+
+// The same replay must not drop what the session wrote to a dropped key
+// after boot: boot logs a QEnd for each QBegin it dropped the key for.
+TEST_F(PersistentStoreTest, KeyRewrittenAfterAQRuleDropSurvivesAKill) {
+  const std::string dir = TempDir("qdrop_rewrite");
+  Process p = Boot(dir);
+  ASSERT_TRUE(p.instance->Set(kCtx, "k", CacheValue::OfData("v1")).ok());
+  ASSERT_TRUE(p.instance->Qareg(kCtx, "k").ok());
+  ASSERT_TRUE(p.instance->Qareg(kCtx, "k").ok());  // a second writer
+  const uint64_t seq = p.store->wal_seq();
+  Kill(p);
+
+  HoldBackCheckpoint(dir, seq + 2);
+  Process q = Boot(dir);
+  EXPECT_FALSE(q.instance->ContainsRaw("k"));
+  ASSERT_TRUE(Eventually(
+      [&] { return q.store->stats().checkpoint_failures == 1; }));
+  ASSERT_TRUE(q.instance->Set(kCtx, "k", CacheValue::OfData("v2")).ok());
+  Kill(q);
+
+  Process r = Boot(dir);
+  auto k = r.instance->Get(kCtx, "k");
+  ASSERT_TRUE(k.ok()) << k.status().ToString();
+  EXPECT_EQ(k->data, "v2");
+  EXPECT_EQ(r.store->stats().quarantine_drops, 0u);
+}
+
+// A torn final segment is followed by the boot's fresh segment. Until the
+// boot's checkpoint covers both, the next boot replays them again, so boot
+// cuts the torn tail off rather than leave a torn tail in a non-final
+// segment, which fails closed.
+TEST_F(PersistentStoreTest, TornTailSurvivesAKillBeforeTheBootCheckpoint) {
+  const std::string dir = TempDir("torn_twice");
+  Process p = Boot(dir);
+  ASSERT_TRUE(p.instance->Set(kCtx, "a", CacheValue::OfData("va")).ok());
+  ASSERT_TRUE(p.instance->Set(kCtx, "b", CacheValue::OfData("vb")).ok());
+  ASSERT_TRUE(p.instance->Set(kCtx, "torn", CacheValue::OfData("vt")).ok());
+  const uint64_t seq = p.store->wal_seq();
+  Kill(p);
+  // The kill tears the last record.
+  const std::string path = Wal::SegmentPath(dir, seq);
+  const WalScanResult scan = Wal::ScanFile(path);
+  ASSERT_TRUE(scan.error.ok());
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(scan.valid_bytes - 3)),
+            0);
+
+  HoldBackCheckpoint(dir, seq + 2);
+  Process q = Boot(dir);
+  EXPECT_GT(q.store->stats().torn_tail_bytes, 0u);
+  EXPECT_FALSE(q.instance->ContainsRaw("torn"));
+  ASSERT_TRUE(Eventually(
+      [&] { return q.store->stats().checkpoint_failures == 1; }));
+  EXPECT_EQ(q.store->stats().checkpoints, 0u);
+  ASSERT_TRUE(q.instance->Set(kCtx, "c", CacheValue::OfData("vc")).ok());
+  ASSERT_TRUE(q.instance->Delete(kCtx, "a").ok());
+  const auto before = ImageOf(*q.instance);
+  Kill(q);
+
+  Process r = Boot(dir);
+  ASSERT_TRUE(r.store->error().ok());
+  EXPECT_EQ(ImageOf(*r.instance), before);
 }
 
 TEST_F(PersistentStoreTest, CheckpointTruncatesLogAndRestartStaysExact) {
@@ -552,10 +664,32 @@ TEST_F(PersistentStoreTest, CheckpointWaitsForTheLogToReachTheNewestOne) {
   ASSERT_TRUE(CheckpointManager(dir).List(listing).ok());
   EXPECT_EQ(listing.checkpoint_seqs, (std::vector<uint64_t>{seq + 2}));
   for (uint64_t s : listing.wal_seqs) EXPECT_GE(s, seq + 2);
+
+  // The trigger survives a restart. With a checkpoint just taken, the boot
+  // has nothing to fold and writes no checkpoint; the loaded one sets the
+  // trigger, so the restart does not fall back to the 8 MiB floor.
+  ASSERT_TRUE(p.store->Checkpoint().ok());
+  const uint64_t loaded_bytes = p.store->stats().checkpoint_bytes;
+  ASSERT_GT(loaded_bytes, Wal::kSegmentBytes + 2 * value.size());
   const auto before = ImageOf(*p.instance);
   Kill(p);
   Process q = Boot(dir, opts);
   EXPECT_EQ(ImageOf(*q.instance), before);
+  EXPECT_EQ(q.store->stats().checkpoint_bytes, loaded_bytes);
+  p.instance = std::move(q.instance);  // set_next writes through p
+  p.store = std::move(q.store);
+  value.assign(value.size(), 'c');
+  const uint64_t restart_base = p.store->stats().appended_bytes;
+  while (p.store->stats().appended_bytes - restart_base + 2 * value.size() <
+         loaded_bytes) {
+    ASSERT_TRUE(set_next());
+  }
+  ASSERT_TRUE(p.store->Sync().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(p.store->stats().checkpoints, 0u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(set_next());
+  EXPECT_TRUE(
+      Eventually([&] { return p.store->stats().checkpoints == 1; }));
 }
 
 // Writers with batched and eager records, Sync(), Checkpoint() and stats()
@@ -809,8 +943,10 @@ TEST_F(PersistentStoreTest, KilledPrimaryRejoinsWarmThroughRecoveryCycle) {
   constexpr size_t kFragments = 8;
   const std::string dir = TempDir("lifecycle");
 
-  auto store0 = std::make_unique<PersistentStore>(dir);
+  // Each store is declared after the instances, so it closes before they
+  // are destroyed.
   std::vector<std::unique_ptr<CacheInstance>> instances;
+  auto store0 = std::make_unique<PersistentStore>(dir);
   std::vector<CacheInstance*> raw;
   for (size_t i = 0; i < kInstances; ++i) {
     CacheInstance::Options opts;
@@ -925,10 +1061,9 @@ TEST_F(PersistentStoreTest, KilledPrimaryRejoinsWarmThroughRecoveryCycle) {
   store1.reset();
   instances[0]->SetPersistenceSink(nullptr);
 
+  CacheInstance fresh(0, &clock_);
   PersistentStore store2(dir);
-  CacheInstance::Options opts;
-  opts.persistence = &store2;
-  CacheInstance fresh(0, &clock_, opts);
+  fresh.SetPersistenceSink(&store2);
   ASSERT_TRUE(store2.Open(fresh).ok());
   EXPECT_EQ(ImageOf(fresh), image_after);
 }

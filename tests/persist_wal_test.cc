@@ -411,16 +411,37 @@ constexpr char kGoldenUpsertFrame[] =
     "02000000" "6b32" "03000000" "76616c";
 constexpr size_t kUpsertPinnedOffset = 8 + 2;
 
-// magic "GEMSNAP1" | u64 1 entry | u64 1 quarantined key | entry: u32 2 "k1"
+// magic "GEMSNAP2" | u64 1 entry | u64 1 quarantined key | entry: u32 2 "k1"
 // | u32 3 "val" | u32 charged 3 | u64 version 5 | u64 config_id 7 | u32
-// flags 0 | quarantined: u32 2 "q1" | u64 FNV-1a of everything before it.
+// flags 0 | quarantined: u32 2 "q1" | u64 CRC-32C of everything before it,
+// zero-extended.
 constexpr char kGoldenCheckpoint[] =
+    "47454d534e415032" "0100000000000000" "0100000000000000"
+    "02000000" "6b31" "03000000" "76616c" "03000000" "0500000000000000"
+    "0700000000000000" "00000000"
+    "02000000" "7131"
+    "16e0573100000000";
+// The same checkpoint as version 1 wrote it, which boot still reads: magic
+// "GEMSNAP1" and a u64 FNV-1a trailer.
+constexpr char kGoldenCheckpointV1[] =
     "47454d534e415031" "0100000000000000" "0100000000000000"
     "02000000" "6b31" "03000000" "76616c" "03000000" "0500000000000000"
     "0700000000000000" "00000000"
     "02000000" "7131"
     "2477d488d813a10e";
 constexpr size_t kCheckpointFlagsOffset = 8 + 8 + 8 + 6 + 7 + 4 + 8 + 8;
+
+/// Rewrites a checkpoint's trailer with `sum` of everything before it.
+void SetTrailer(std::string& checkpoint, uint64_t sum) {
+  std::memcpy(checkpoint.data() + checkpoint.size() - 8, &sum, 8);
+}
+
+/// The trailer a checkpoint's magic names: CRC-32C for GEMSNAP2, FNV-1a for
+/// GEMSNAP1.
+uint64_t TrailerOf(std::string_view checkpoint, bool v2) {
+  const std::string_view checked = checkpoint.substr(0, checkpoint.size() - 8);
+  return v2 ? uint64_t{Crc32c(checked)} : Fnv1a64(checked);
+}
 
 std::string Hex(std::string_view bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -442,11 +463,13 @@ std::string Unhex(std::string_view hex) {
 }
 
 /// A store booted from checkpoint 1 plus WAL segment 1 holding one frame:
-/// the shape a killed geminid leaves.
+/// the shape a killed geminid leaves. The store is declared after the
+/// instance, so it closes before the instance its checkpoint thread walks
+/// is destroyed.
 struct BootedDir {
   VirtualClock clock;
-  std::unique_ptr<PersistentStore> store;
   std::unique_ptr<CacheInstance> instance;
+  std::unique_ptr<PersistentStore> store;
   Status opened;
 
   BootedDir(const std::string& dir, const std::string& checkpoint,
@@ -506,18 +529,42 @@ TEST_F(WalTest, CheckpointGoldenBytes) {
 }
 
 TEST_F(WalTest, GoldenDataDirBoots) {
-  BootedDir booted(TempDir("golden"), Unhex(kGoldenCheckpoint),
-                   Unhex(kGoldenUpsertFrame));
-  ASSERT_TRUE(booted.opened.ok()) << booted.opened.ToString();
-  EXPECT_EQ(booted.store->stats().restored_entries, 2u);
-  for (const char* key : {"k1", "k2"}) {
-    auto v = booted.instance->RawGet(key);
-    ASSERT_TRUE(v.has_value()) << key;
-    EXPECT_EQ(v->data, "val");
-    EXPECT_EQ(v->version, 5u);
-    EXPECT_EQ(booted.instance->RawConfigIdOf(key).value_or(0), 7u);
+  for (const char* golden : {kGoldenCheckpoint, kGoldenCheckpointV1}) {
+    const bool v2 = golden == kGoldenCheckpoint;
+    SCOPED_TRACE(v2 ? "GEMSNAP2" : "GEMSNAP1");
+    BootedDir booted(TempDir(v2 ? "golden2" : "golden1"), Unhex(golden),
+                     Unhex(kGoldenUpsertFrame));
+    ASSERT_TRUE(booted.opened.ok()) << booted.opened.ToString();
+    EXPECT_EQ(booted.store->stats().restored_entries, 2u);
+    for (const char* key : {"k1", "k2"}) {
+      auto v = booted.instance->RawGet(key);
+      ASSERT_TRUE(v.has_value()) << key;
+      EXPECT_EQ(v->data, "val");
+      EXPECT_EQ(v->version, 5u);
+      EXPECT_EQ(booted.instance->RawConfigIdOf(key).value_or(0), 7u);
+    }
+    EXPECT_FALSE(booted.instance->ContainsRaw("q1"));
   }
-  EXPECT_FALSE(booted.instance->ContainsRaw("q1"));
+}
+
+// Each version's magic names its checksum: a trailer computed the other
+// version's way is damage, and fails closed.
+TEST_F(WalTest, CheckpointTrailerMustBeTheOneItsMagicNames) {
+  for (const char* golden : {kGoldenCheckpoint, kGoldenCheckpointV1}) {
+    const bool v2 = golden == kGoldenCheckpoint;
+    SCOPED_TRACE(v2 ? "GEMSNAP2" : "GEMSNAP1");
+    std::string checkpoint = Unhex(golden);
+    SetTrailer(checkpoint, TrailerOf(checkpoint, !v2));
+    VirtualClock clock;
+    CacheInstance instance(1, &clock);
+    const Status s = Snapshot::Load(instance, checkpoint);
+    EXPECT_EQ(s.code(), Code::kInternal);
+    EXPECT_EQ(s.message(), "snapshot checksum mismatch");
+    EXPECT_EQ(instance.stats().entry_count, 0u);
+    EXPECT_FALSE(BootedDir(TempDir(v2 ? "swapped2" : "swapped1"), checkpoint,
+                           Unhex(kGoldenUpsertFrame))
+                     .opened.ok());
+  }
 }
 
 // The checksums are recomputed: a valid frame and file, not corruption.
@@ -531,14 +578,16 @@ TEST_F(WalTest, UpsertWithPinnedByteRefusesToBoot) {
 }
 
 TEST_F(WalTest, CheckpointEntryWithWriteBackFlagRefusesToBoot) {
-  std::string checkpoint = Unhex(kGoldenCheckpoint);
-  checkpoint[kCheckpointFlagsOffset] = 1;
-  const uint64_t sum = Fnv1a64(
-      std::string_view(checkpoint).substr(0, checkpoint.size() - 8));
-  std::memcpy(checkpoint.data() + checkpoint.size() - 8, &sum, 8);
-  ExpectWriteBackRefusal(
-      BootedDir(TempDir("flagged"), checkpoint, Unhex(kGoldenUpsertFrame))
-          .opened);
+  for (const char* golden : {kGoldenCheckpoint, kGoldenCheckpointV1}) {
+    const bool v2 = golden == kGoldenCheckpoint;
+    SCOPED_TRACE(v2 ? "GEMSNAP2" : "GEMSNAP1");
+    std::string checkpoint = Unhex(golden);
+    checkpoint[kCheckpointFlagsOffset] = 1;
+    SetTrailer(checkpoint, TrailerOf(checkpoint, v2));
+    ExpectWriteBackRefusal(BootedDir(TempDir(v2 ? "flagged2" : "flagged1"),
+                                     checkpoint, Unhex(kGoldenUpsertFrame))
+                               .opened);
+  }
 }
 
 }  // namespace

@@ -109,15 +109,21 @@ TEST_F(SnapshotTest, CorruptionFailsClosed) {
 TEST_F(SnapshotTest, HugeEntryCountFailsClosedWithoutAllocating) {
   // A well-formed 32-byte checkpoint (valid checksum) whose header claims
   // 2^40 entries: the loader must report damage, not reserve 2^40 slots.
-  std::string payload = "GEMSNAP1";
-  for (const uint64_t field : {uint64_t{1} << 40, uint64_t{0}}) {
-    payload.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  // Both versions: GEMSNAP2 sums with CRC-32C, GEMSNAP1 with FNV-1a.
+  for (const std::string_view magic : {"GEMSNAP2", "GEMSNAP1"}) {
+    std::string payload(magic);
+    for (const uint64_t field : {uint64_t{1} << 40, uint64_t{0}}) {
+      payload.append(reinterpret_cast<const char*>(&field), sizeof(field));
+    }
+    const uint64_t sum =
+        magic == "GEMSNAP2" ? uint64_t{Crc32c(payload)} : Fnv1a64(payload);
+    payload.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+    ASSERT_EQ(payload.size(), 32u);
+    const Status s = Snapshot::Load(restored_, payload);
+    EXPECT_EQ(s.code(), Code::kInternal) << magic;
+    EXPECT_EQ(s.message(), "snapshot entry corrupt") << magic;
+    EXPECT_EQ(restored_.stats().entry_count, 0u);
   }
-  const uint64_t sum = Fnv1a64(payload);
-  payload.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
-  ASSERT_EQ(payload.size(), 32u);
-  EXPECT_EQ(Snapshot::Load(restored_, payload).code(), Code::kInternal);
-  EXPECT_EQ(restored_.stats().entry_count, 0u);
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {

@@ -17,12 +17,15 @@
 // recovery protocol exists for: each instance logs every durable mutation
 // to a WAL in DIR/instance_<id>/, and a geminid killed (even with kill -9)
 // and restarted on the same directory replays itself back to the exact
-// pre-crash state (entries, quarantine drops, config ids). The log is
-// truncated by checkpoints of the whole cache, each taken once the log since
-// the last one has grown as large as it (at least 8 MiB), so a boot replays
-// at most about one checkpoint's worth of log and the directory holds about
-// two (three while a checkpoint is written); kStats reports
-// persist.checkpoint_bytes (the next trigger) and
+// pre-crash state (entries, quarantine drops, config ids), and serves as
+// soon as replay ends. The log is truncated by checkpoints of the whole
+// cache, each taken once the log since the last one has grown as large as
+// it (at least 8 MiB), so a boot replays at most about one checkpoint's
+// worth of log and the directory holds about two (three while a checkpoint
+// is written). A boot whose replay applied records checkpoints in the
+// background after the banner; one that replayed nothing to fold (after a
+// SIGTERM, say) writes none. kStats reports persist.replay_micros,
+// persist.checkpoint_bytes (the next trigger), persist.checkpoints and
 // persist.checkpoint_failures. Without --data-dir the cache is volatile.
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, drain connections,
@@ -221,7 +224,10 @@ int main(int argc, char** argv) {
     gemini::InstanceOptions iopts;
     if (store != nullptr) {
       // Replays checkpoint + WAL tail into the cold instance before the
-      // server accepts a single request. Fails closed on damaged history.
+      // server accepts a single request; the checkpoint that folds the
+      // replayed log runs after, on the store's checkpoint thread. Fails
+      // closed on damaged history. `stores` is declared after `instances`,
+      // so each store closes before its instance is destroyed.
       if (gemini::Status s = store->Open(instance); !s.ok()) {
         std::cerr << "geminid: refusing damaged data dir " << store->dir()
                   << ": " << s.ToString() << "\n";
